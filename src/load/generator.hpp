@@ -80,7 +80,7 @@ RunResult run_open_loop(const LoadTrace& trace,
 
 /// A SubmitFn over the wire: `connections` MuxFrameClient links per
 /// target address, fed round-robin from a bounded queue by a worker
-/// pool. The mux links pipeline (protocol v2 request ids), so workers
+/// pool. The mux links pipeline (request ids), so workers
 /// outnumber connections — ONE connection carries many in-flight
 /// solves, which is the whole point. submit() never blocks on the
 /// network — it enqueues and returns a future, so the open-loop

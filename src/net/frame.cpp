@@ -28,20 +28,24 @@ std::uint16_t get_u16_be(const unsigned char* in) noexcept {
                                     static_cast<std::uint16_t>(in[1]));
 }
 
-std::size_t header_bytes_for(std::uint8_t version) noexcept {
-  return version == kProtocolVersion2 ? kFrameHeaderBytesV2
-                                      : kFrameHeaderBytes;
+/// The verdicts are judged on this prefix (magic, version, type, id high
+/// bits, length), before the id's low 32 bits or the payload are read.
+constexpr std::size_t kCheckedHeaderBytes = 12;
+
+std::uint64_t request_id_of(const unsigned char* header) noexcept {
+  return (static_cast<std::uint64_t>(get_u16_be(header + 6)) << 32) |
+         static_cast<std::uint64_t>(get_u32_be(header + 12));
 }
 
-/// Validates the 12-byte common header prefix; kFrame here means
-/// "header well-formed" (a v2 header still owes 4 id bytes).
+/// Validates the checked header prefix; kFrame here means "header
+/// well-formed" (the header still owes its 4 low id bytes).
 DecodeStatus check_header(const unsigned char* header,
                           std::size_t max_payload,
                           std::uint32_t& length) noexcept {
   if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
     return DecodeStatus::kBadMagic;
   }
-  if (header[4] != kProtocolVersion && header[4] != kProtocolVersion2) {
+  if (header[4] != kProtocolVersion2) {
     return DecodeStatus::kBadVersion;
   }
   length = get_u32_be(header + 8);
@@ -49,36 +53,42 @@ DecodeStatus check_header(const unsigned char* header,
   return DecodeStatus::kFrame;
 }
 
+/// recv_exact mapped onto read_frame's verdicts: a short read inside a
+/// frame is kTruncated unless the receive timeout cut it.
+FrameReadStatus recv_frame_bytes(Socket& socket, void* data,
+                                 std::size_t size) noexcept {
+  switch (socket.recv_exact(data, size)) {
+    case Socket::RecvStatus::kOk:
+      return FrameReadStatus::kOk;
+    case Socket::RecvStatus::kTimeout:
+      return FrameReadStatus::kTimeout;
+    default:
+      return FrameReadStatus::kTruncated;
+  }
+}
+
 }  // namespace
 
 std::string encode_frame(const Frame& frame) {
-  const std::size_t header_bytes = header_bytes_for(frame.version);
   const std::uint64_t id = frame.request_id & kMaxRequestId;
   std::string bytes;
-  bytes.resize(header_bytes + frame.payload.size());
+  bytes.resize(kFrameHeaderBytes + frame.payload.size());
   std::memcpy(bytes.data(), kMagic, sizeof(kMagic));
   bytes[4] = static_cast<char>(frame.version);
   bytes[5] = static_cast<char>(frame.type);
-  if (frame.version == kProtocolVersion2) {
-    bytes[6] = static_cast<char>((id >> 40) & 0xff);
-    bytes[7] = static_cast<char>((id >> 32) & 0xff);
-  } else {
-    bytes[6] = 0;
-    bytes[7] = 0;
-  }
+  bytes[6] = static_cast<char>((id >> 40) & 0xff);
+  bytes[7] = static_cast<char>((id >> 32) & 0xff);
   put_u32_be(bytes.data() + 8,
              static_cast<std::uint32_t>(frame.payload.size()));
-  if (frame.version == kProtocolVersion2) {
-    put_u32_be(bytes.data() + 12, static_cast<std::uint32_t>(id & 0xffffffffu));
-  }
-  std::memcpy(bytes.data() + header_bytes, frame.payload.data(),
+  put_u32_be(bytes.data() + 12, static_cast<std::uint32_t>(id & 0xffffffffu));
+  std::memcpy(bytes.data() + kFrameHeaderBytes, frame.payload.data(),
               frame.payload.size());
   return bytes;
 }
 
 DecodeResult decode_frame(std::string_view buffer, std::size_t max_payload) {
   DecodeResult result;
-  if (buffer.size() < kFrameHeaderBytes) return result;  // kNeedMore
+  if (buffer.size() < kCheckedHeaderBytes) return result;  // kNeedMore
 
   const auto* header =
       reinterpret_cast<const unsigned char*>(buffer.data());
@@ -88,19 +98,14 @@ DecodeResult decode_frame(std::string_view buffer, std::size_t max_payload) {
     result.status = verdict;
     return result;
   }
-  const std::size_t header_bytes = header_bytes_for(header[4]);
-  if (buffer.size() < header_bytes + length) return result;
+  if (buffer.size() < kFrameHeaderBytes + length) return result;
 
   result.status = DecodeStatus::kFrame;
   result.frame.version = header[4];
   result.frame.type = static_cast<FrameType>(header[5]);
-  if (header[4] == kProtocolVersion2) {
-    result.frame.request_id =
-        (static_cast<std::uint64_t>(get_u16_be(header + 6)) << 32) |
-        static_cast<std::uint64_t>(get_u32_be(header + 12));
-  }
-  result.frame.payload.assign(buffer.data() + header_bytes, length);
-  result.consumed = header_bytes + length;
+  result.frame.request_id = request_id_of(header);
+  result.frame.payload.assign(buffer.data() + kFrameHeaderBytes, length);
+  result.consumed = kFrameHeaderBytes + length;
   return result;
 }
 
@@ -126,7 +131,7 @@ DecodeResult FrameDecoder::next() {
 
 FrameReadStatus read_frame(Socket& socket, Frame& frame,
                            std::size_t max_payload) {
-  unsigned char header[kFrameHeaderBytesV2];
+  unsigned char header[kFrameHeaderBytes];
   // The first byte separates "clean EOF between frames" from "peer died
   // mid-frame" — the robustness tests distinguish the two. A receive
   // timeout anywhere is its own verdict: the connection may be fine,
@@ -140,14 +145,9 @@ FrameReadStatus read_frame(Socket& socket, Frame& frame,
     default:
       return FrameReadStatus::kClosed;
   }
-  switch (socket.recv_exact(header + 1, kFrameHeaderBytes - 1)) {
-    case Socket::RecvStatus::kOk:
-      break;
-    case Socket::RecvStatus::kTimeout:
-      return FrameReadStatus::kTimeout;
-    default:
-      return FrameReadStatus::kTruncated;
-  }
+  FrameReadStatus status =
+      recv_frame_bytes(socket, header + 1, kCheckedHeaderBytes - 1);
+  if (status != FrameReadStatus::kOk) return status;
 
   std::uint32_t length = 0;
   switch (check_header(header, max_payload, length)) {
@@ -161,35 +161,14 @@ FrameReadStatus read_frame(Socket& socket, Frame& frame,
       break;
   }
 
+  status = recv_frame_bytes(socket, header + kCheckedHeaderBytes,
+                            kFrameHeaderBytes - kCheckedHeaderBytes);
+  if (status != FrameReadStatus::kOk) return status;
   frame.version = header[4];
   frame.type = static_cast<FrameType>(header[5]);
-  frame.request_id = 0;
-  if (frame.version == kProtocolVersion2) {
-    switch (socket.recv_exact(header + kFrameHeaderBytes,
-                              kFrameHeaderBytesV2 - kFrameHeaderBytes)) {
-      case Socket::RecvStatus::kOk:
-        break;
-      case Socket::RecvStatus::kTimeout:
-        return FrameReadStatus::kTimeout;
-      default:
-        return FrameReadStatus::kTruncated;
-    }
-    frame.request_id =
-        (static_cast<std::uint64_t>(get_u16_be(header + 6)) << 32) |
-        static_cast<std::uint64_t>(get_u32_be(header + 12));
-  }
+  frame.request_id = request_id_of(header);
   frame.payload.resize(length);
-  if (length > 0) {
-    switch (socket.recv_exact(frame.payload.data(), length)) {
-      case Socket::RecvStatus::kOk:
-        break;
-      case Socket::RecvStatus::kTimeout:
-        return FrameReadStatus::kTimeout;
-      default:
-        return FrameReadStatus::kTruncated;
-    }
-  }
-  return FrameReadStatus::kOk;
+  return recv_frame_bytes(socket, frame.payload.data(), length);
 }
 
 bool write_frame(Socket& socket, const Frame& frame) {

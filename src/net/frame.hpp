@@ -1,22 +1,12 @@
 // The fabric's wire unit: length-prefixed frames carried over the raw
-// sockets of net/socket.hpp. Two header layouts share the magic and the
-// version byte, so both generations coexist on one port:
+// sockets of net/socket.hpp. One 16-byte header layout, with request-id
+// multiplexing (many in-flight exchanges on one connection, replies in
+// any order):
 //
-// v1 header, 12 bytes (lock-step request/reply):
-//   bytes 0..3   magic "PRTF"
-//   byte  4      protocol version = 1
-//   byte  5      frame type (FrameType)
-//   bytes 6..7   reserved, zero
-//   bytes 8..11  payload length, big-endian
-//
-// v2 header, 16 bytes (request-id multiplexing — many in-flight
-// exchanges on one connection, replies in any order):
 //   bytes 0..3   magic "PRTF"
 //   byte  4      protocol version = 2
 //   byte  5      frame type (FrameType)
-//   bytes 6..7   request id, high 16 bits, big-endian (the v1 reserved
-//                bytes — a v1 decoder rejects the version byte before
-//                it ever interprets them)
+//   bytes 6..7   request id, high 16 bits, big-endian
 //   bytes 8..11  payload length, big-endian
 //   bytes 12..15 request id, low 32 bits, big-endian
 //
@@ -26,8 +16,9 @@
 // The decoder is incremental (feed it a growing buffer, it reports
 // kNeedMore until a full frame is present) and defensive: bad magic,
 // unsupported version and oversized length are distinct, recoverable
-// verdicts — a server answers them with a kError frame and closes the
-// connection instead of trusting a corrupted length field.
+// verdicts, judged on the first 12 bytes before the id bytes or the
+// payload are read — a server answers them with a kError frame and
+// closes the connection instead of trusting a corrupted length field.
 #pragma once
 
 #include <cstddef>
@@ -40,13 +31,11 @@ namespace prts::net {
 
 class Socket;
 
-inline constexpr std::uint8_t kProtocolVersion = 1;
 inline constexpr std::uint8_t kProtocolVersion2 = 2;
-inline constexpr std::size_t kFrameHeaderBytes = 12;
-inline constexpr std::size_t kFrameHeaderBytesV2 = 16;
+inline constexpr std::size_t kFrameHeaderBytes = 16;
 
-/// Request ids are 48 bits on the wire (16 high bits in the v1 reserved
-/// bytes, 32 low bits appended); encode_frame masks anything wider.
+/// Request ids are 48 bits on the wire (16 high bits in bytes 6..7, 32
+/// low bits in bytes 12..15); encode_frame masks anything wider.
 inline constexpr std::uint64_t kMaxRequestId = (std::uint64_t{1} << 48) - 1;
 
 /// Refuse to allocate for absurd length fields (a corrupted or hostile
@@ -88,9 +77,9 @@ enum class FrameType : std::uint8_t {
 };
 
 struct Frame {
-  std::uint8_t version = kProtocolVersion;
+  std::uint8_t version = kProtocolVersion2;
   FrameType type = FrameType::kError;
-  /// v2 correlation id (48 bits used); always 0 on decoded v1 frames.
+  /// Correlation id (48 bits used).
   std::uint64_t request_id = 0;
   std::string payload;
 };
@@ -102,7 +91,7 @@ enum class DecodeStatus {
   kFrame,       ///< a complete frame was decoded
   kNeedMore,    ///< buffer holds a prefix of a valid frame
   kBadMagic,    ///< first four bytes are not "PRTF"
-  kBadVersion,  ///< header version is neither v1 nor v2
+  kBadVersion,  ///< header version is not kProtocolVersion2
   kOversized,   ///< length field exceeds max_payload
 };
 

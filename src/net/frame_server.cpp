@@ -123,7 +123,6 @@ bool FrameServer::handle_frame(const Frame& request, Socket& socket,
       heartbeat_->beat();
     }
     Frame failure;
-    failure.version = request.version;
     failure.request_id = request.request_id;
     failure.type = FrameType::kError;
     failure.payload = std::string("handler error: ") + error.what();
@@ -145,9 +144,6 @@ bool FrameServer::handle_frame(const Frame& request, Socket& socket,
     heartbeat_->beat();
   }
   if (!reply) return false;
-  // The reply answers in the requester's dialect: same version, same
-  // correlation id (0 under v1, where ordering is the correlation).
-  reply->version = request.version;
   reply->request_id = request.request_id;
   const std::lock_guard<std::mutex> write_lock(write_mutex);
   return write_frame(socket, *reply);
@@ -175,7 +171,6 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
         // benignly, so a token-configured client can talk to a
         // token-free server.
         Frame reply;
-        reply.version = request->version;
         reply.request_id = request->request_id;
         if (request->type == FrameType::kAuth &&
             (authed || request->payload == auth_token_)) {
@@ -196,41 +191,33 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
         write_frame(socket, reply);
         break;
       }
-      if (request->version == kProtocolVersion2) {
-        // Pipelined path: hand the handler to the pool and keep
-        // reading — the reply is written (id-correlated) whenever it
-        // is ready, out of order with its neighbours. A handler that
-        // declines or a failed write shuts the socket down, which
-        // kicks this loop out of read_frame.
-        begin_handler();
-        auto future = pool_.submit(
-            [this, request, socket_ptr, write_mutex] {
-              if (!handle_frame(*request, *socket_ptr, *write_mutex)) {
-                socket_ptr->shutdown();
-              }
-              end_handler();
-            });
-        // A shut-down pool destroys the task unrun (exceptional
-        // future); degrade to inline lock-step handling.
-        if (future.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-          bool rejected = false;
-          try {
-            future.get();
-          } catch (...) {
-            rejected = true;
-          }
-          if (rejected) {
-            const bool keep =
-                handle_frame(*request, socket, *write_mutex);
-            end_handler();
-            if (!keep) break;
-          }
+      // Hand the handler to the pool and keep reading — the reply is
+      // written (id-correlated) whenever it is ready, out of order with
+      // its neighbours. A handler that declines or a failed write shuts
+      // the socket down, which kicks this loop out of read_frame.
+      begin_handler();
+      auto future = pool_.submit([this, request, socket_ptr, write_mutex] {
+        if (!handle_frame(*request, *socket_ptr, *write_mutex)) {
+          socket_ptr->shutdown();
         }
-        continue;
+        end_handler();
+      });
+      // A shut-down pool destroys the task unrun (exceptional future);
+      // degrade to handling the frame inline.
+      if (future.wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready) {
+        bool rejected = false;
+        try {
+          future.get();
+        } catch (...) {
+          rejected = true;
+        }
+        if (rejected) {
+          const bool keep = handle_frame(*request, socket, *write_mutex);
+          end_handler();
+          if (!keep) break;
+        }
       }
-      // v1 lock-step: handle inline, reply before the next read.
-      if (!handle_frame(*request, socket, *write_mutex)) break;
       continue;
     }
     if (status == FrameReadStatus::kBadMagic ||
@@ -258,7 +245,7 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
   {
     // Deregister while the socket is still open, so stop() can never
     // shut down a descriptor that has already been recycled. In-flight
-    // v2 handlers hold their own shared_ptr to the socket; their
+    // handlers hold their own shared_ptr to the socket; their
     // writes fail harmlessly once the peer is gone.
     const std::lock_guard<std::mutex> lock(mutex_);
     open_fds_.erase(fd);
@@ -272,6 +259,11 @@ void FrameServer::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // Wake the accept thread and join it before the listening fd is
+  // released: closing under a blocked accept() could hand a recycled
+  // descriptor number to it.
+  listener_.shutdown();
+  if (accept_thread_.joinable()) accept_thread_.join();
   listener_.close();
   std::unique_lock<std::mutex> lock(mutex_);
   for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
@@ -286,7 +278,6 @@ void FrameServer::stop() {
   connections_.clear();
   finished_.clear();
   lock.unlock();
-  if (accept_thread_.joinable()) accept_thread_.join();
   for (std::thread& thread : remaining) {
     if (thread.joinable()) thread.join();
   }

@@ -1,11 +1,9 @@
 // The fabric's listening side: one accept thread hands each connection
-// to a dedicated reader thread. v1 frames are handled inline in the
-// reader (the legacy lock-step read→handle→write discipline, replies in
-// request order); v2 frames are dispatched to the caller-supplied
-// ThreadPool, replies stamped with the request id and written under a
-// per-connection write mutex whenever they finish — so one connection
-// carries many concurrent solves and a slow one no longer blocks the
-// pings, gossip digests and scrapes behind it.
+// to a dedicated reader thread, which dispatches every frame to the
+// caller-supplied ThreadPool. Replies are stamped with the request id
+// and written under a per-connection write mutex whenever they finish —
+// so one connection carries many concurrent solves and a slow one does
+// not block the pings, gossip digests and scrapes behind it.
 //
 // Robustness contract (exercised by tests/test_net.cpp): malformed
 // magic, version mismatch and oversized length fields are answered with
@@ -40,10 +38,10 @@
 namespace prts::net {
 
 /// Answers one request frame; nullopt closes the connection without a
-/// reply (for a v2 request this also aborts the other in-flight
-/// exchanges on that connection — a deliberate peer-death simulation).
-/// Runs on a pool thread; must be thread-safe across connections and,
-/// under v2, across concurrent frames of ONE connection.
+/// reply (which also aborts the other in-flight exchanges on that
+/// connection — a deliberate peer-death simulation). Runs on a pool
+/// thread; must be thread-safe across connections and across
+/// concurrent frames of ONE connection.
 using FrameHandler = std::function<std::optional<Frame>(const Frame&)>;
 
 /// Monotonic counters (snapshot; the server keeps running).
@@ -102,9 +100,9 @@ class FrameServer {
   void serve_connection(std::uint64_t conn_id,
                         std::shared_ptr<Socket> socket_ptr);
 
-  /// Runs the handler for one frame and writes the reply (version and
-  /// request id echoed from the request, write serialized on
-  /// `write_mutex`). False when the connection must close.
+  /// Runs the handler for one frame and writes the reply (request id
+  /// echoed from the request, write serialized on `write_mutex`). False
+  /// when the connection must close.
   bool handle_frame(const Frame& request, Socket& socket,
                     std::mutex& write_mutex);
 
@@ -129,7 +127,7 @@ class FrameServer {
   std::uint64_t next_conn_id_ = 0;
   std::unordered_map<std::uint64_t, std::thread> connections_;
   std::vector<std::uint64_t> finished_;  ///< conn ids ready to join
-  std::size_t pending_handlers_ = 0;     ///< v2 handlers in the pool
+  std::size_t pending_handlers_ = 0;     ///< handlers in the pool
   FrameServerStats stats_;
   /// Registry counters resolved once at construction; null when
   /// mirroring is off.

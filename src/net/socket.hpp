@@ -87,7 +87,8 @@ std::optional<Socket> tcp_connect(const std::string& host,
                                   double timeout_seconds);
 
 /// A listening TCP socket (loopback-or-any bind, SO_REUSEADDR).
-/// close() from another thread wakes a blocked accept().
+/// shutdown() from another thread wakes a blocked accept(); close()
+/// releases the descriptor and must not race a running accept().
 class Listener {
  public:
   Listener() = default;
@@ -106,7 +107,12 @@ class Listener {
   /// Blocks for one connection; nullopt once the listener was closed.
   std::optional<Socket> accept() noexcept;
 
-  /// Stops accepting and wakes blocked accept() calls.
+  /// Stops accepting and wakes blocked accept() calls, keeping the
+  /// descriptor — safe to call while another thread is in accept().
+  void shutdown() noexcept { socket_.shutdown(); }
+
+  /// Stops accepting and releases the descriptor. Call only once no
+  /// thread can be inside accept() (shutdown() + join first).
   void close() noexcept;
 
  private:

@@ -13,7 +13,7 @@
 //     the stale peer catches up on the same exchange.
 //
 // Failure detection is heartbeat-timestamped with a suspect → dead
-// debounce (mirroring the FrameClient suspect machinery): a member not
+// debounce (mirroring the MuxFrameClient suspect machinery): a member not
 // heard from for `suspect_after_seconds` is *suspected* (surfaced to
 // telemetry/alerts, still in the ring); one silent past
 // `dead_after_seconds` is removed and the epoch advances. A suspect

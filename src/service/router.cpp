@@ -897,13 +897,13 @@ MembershipStats ShardRouter::membership_stats() const {
 
 bool ShardRouter::join_now() {
   if (!config_.elastic || !config_.join_seed) return false;
-  // A transient lock-step client: the join is a one-shot exchange with
-  // whatever seed the operator named, not necessarily a future peer —
-  // no counter family, no persistent connection.
+  // A transient client: the join is a one-shot exchange with whatever
+  // seed the operator named, not necessarily a future peer — no counter
+  // family, no persistent connection.
   net::FrameClientConfig seed_config = config_.client;
   seed_config.metrics = nullptr;
-  net::FrameClient seed(config_.join_seed->host, config_.join_seed->port,
-                        std::move(seed_config));
+  net::MuxFrameClient seed(config_.join_seed->host, config_.join_seed->port,
+                           std::move(seed_config));
   Member self;
   self.rank = config_.rank;
   self.host = config_.advertise.host;

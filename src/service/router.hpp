@@ -6,7 +6,7 @@
 //
 // A submitted request is canonicalized once; keys this rank owns go
 // straight to the local SolveService, keys owned by a peer are
-// forwarded over a per-peer MuxFrameClient (protocol v2: one connection
+// forwarded over a per-peer MuxFrameClient (one connection
 // carries many in-flight forwards, replies correlated by request id) as
 // the *canonical* instance (so the remote answer comes back in
 // canonical labels and each waiter translates into its own). Identical
@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "net/frame_client.hpp"
 #include "net/frame_server.hpp"
 #include "net/mux_client.hpp"
 #include "service/engine.hpp"
@@ -127,7 +126,7 @@ struct RouterConfig {
   /// size and how long the receiving rank's handler holds its cache.
   std::size_t handoff_chunk_entries = 64;
   /// Threads running blocking forward exchanges (and replica
-  /// prefetches). Peer links are protocol-v2 MuxFrameClients, so
+  /// prefetches). Peer links are MuxFrameClients, so
   /// exchanges to ONE peer pipeline on its single connection (replies
   /// correlate by request id) — this caps total in-flight forwards,
   /// per peer and across peers alike.
@@ -148,7 +147,7 @@ struct RouterConfig {
   /// This rank's telemetry, shared with its SolveService (the same
   /// Telemetry object so traces begun by the router continue in the
   /// engine and vice versa). nullptr = observability off. Must outlive
-  /// the router; per-peer FrameClient counters register under
+  /// the router; per-peer client counters register under
   /// net_client_rank<r>_*.
   obs::Telemetry* telemetry = nullptr;
 };
@@ -291,7 +290,7 @@ class ShardRouter {
   static void write_membership_stats_json(std::ostream& out,
                                           const MembershipStats& stats);
 
-  /// Per-peer FrameClient counters, one (rank, stats) pair per wired
+  /// Per-peer client counters, one (rank, stats) pair per wired
   /// peer (self has no client) — surfaces reconnect/backoff/suspect
   /// churn in the merged stats document.
   std::vector<std::pair<std::size_t, net::FrameClientStats>> client_stats()

@@ -183,10 +183,8 @@ std::string encode_wire_reply(const SolveReply& reply) {
         << canonical_number(span.duration_seconds) << " " << span.name
         << "\n";
     // Profiler attribution rides as an optional follow-line ('span'
-    // carries the name as its tail, so new fields cannot extend it):
-    // emitted only when nonzero, so pre-profiler decoders — which error
-    // on unknown lines — only see it from ranks that also encode it
-    // alongside, and new decoders accept replies without it.
+    // carries the name as its tail, so new fields cannot extend it),
+    // emitted only when nonzero.
     if (span.cpu_seconds > 0.0 || span.alloc_count > 0 ||
         span.alloc_bytes > 0) {
       out << "spanx " << canonical_number(span.cpu_seconds) << " "
@@ -234,16 +232,13 @@ std::optional<SolveReply> decode_wire_reply(std::string_view payload,
     return bad("expected 'hit 0|1'");
   }
   reply.cache_hit = value == "1";
-  // 'near' and 'cost' joined the v1 format later; replies from a rank
-  // without them must keep decoding (rolling fabric upgrades), so both
-  // are optional in their slots.
-  if (!std::getline(in, line)) return bad("expected 'down 0|1'");
-  if (take_field(line, "near", value)) {
-    if (value != "0" && value != "1") return bad("expected 'near 0|1'");
-    reply.near_miss = value == "1";
-    if (!std::getline(in, line)) return bad("expected 'down 0|1'");
+  if (!std::getline(in, line) || !take_field(line, "near", value) ||
+      (value != "0" && value != "1")) {
+    return bad("expected 'near 0|1'");
   }
-  if (!take_field(line, "down", value) || (value != "0" && value != "1")) {
+  reply.near_miss = value == "1";
+  if (!std::getline(in, line) || !take_field(line, "down", value) ||
+      (value != "0" && value != "1")) {
     return bad("expected 'down 0|1'");
   }
   reply.downgraded = value == "1";
@@ -251,11 +246,9 @@ std::optional<SolveReply> decode_wire_reply(std::string_view payload,
     return bad("expected 'solver <name>'");
   }
   reply.solver_used = value == "-" ? "" : value;
-  if (in.peek() == 'c') {
-    if (!std::getline(in, line) || !take_field(line, "cost", value) ||
-        !parse_canonical_number(value, reply.cost_seconds)) {
-      return bad("expected 'cost <number>'");
-    }
+  if (!std::getline(in, line) || !take_field(line, "cost", value) ||
+      !parse_canonical_number(value, reply.cost_seconds)) {
+    return bad("expected 'cost <number>'");
   }
 
   while (std::getline(in, line)) {

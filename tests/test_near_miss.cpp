@@ -501,26 +501,6 @@ TEST(NearMissWire, FabricatedHintMetricsAreReEvaluatedNotTrusted) {
             optimum->metrics.reliability.log());
 }
 
-TEST(NearMissWire, LegacyReplyWithoutNearAndCostLinesStillDecodes) {
-  // Rolling fabric upgrades: a previous-version rank's reply carries
-  // neither 'near' nor 'cost'.
-  const std::string legacy =
-      "prts-solve-reply v1\n"
-      "status infeasible\n"
-      "hit 1\n"
-      "down 0\n"
-      "solver dp\n"
-      "key " + to_hex(fingerprint("legacy-key")) + "\n";
-  std::string error;
-  const auto decoded = decode_wire_reply(legacy, error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(decoded->status, ReplyStatus::kInfeasible);
-  EXPECT_TRUE(decoded->cache_hit);
-  EXPECT_FALSE(decoded->near_miss);
-  EXPECT_EQ(decoded->cost_seconds, 0.0);
-  EXPECT_EQ(decoded->key, fingerprint("legacy-key"));
-}
-
 TEST(NearMissService, BoundViolatingSuppliedHintIsDropped) {
   // A caller-supplied incumbent that does not satisfy the request's
   // bounds proves nothing — the downgrade path must not leak it.

@@ -16,7 +16,6 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "net/frame_client.hpp"
 #include "net/frame_server.hpp"
 #include "net/mux_client.hpp"
 #include "net/socket.hpp"
@@ -40,7 +39,7 @@ TEST(FrameCodec, EncodeDecodeRoundTrip) {
 
   const DecodeResult decoded = decode_frame(bytes);
   ASSERT_EQ(decoded.status, DecodeStatus::kFrame);
-  EXPECT_EQ(decoded.frame.version, kProtocolVersion);
+  EXPECT_EQ(decoded.frame.version, kProtocolVersion2);
   EXPECT_EQ(decoded.frame.type, FrameType::kSolveRequest);
   EXPECT_EQ(decoded.frame.payload, "hello fabric");
   EXPECT_EQ(decoded.consumed, bytes.size());
@@ -71,19 +70,22 @@ TEST(FrameCodec, BadMagicIsRejected) {
 }
 
 TEST(FrameCodec, VersionMismatchIsRejected) {
-  Frame frame = make_frame(FrameType::kPing, "x");
-  // Version 2 is the mux protocol now; 3 is the first unknown version.
-  frame.version = kProtocolVersion2 + 1;
-  EXPECT_EQ(decode_frame(encode_frame(frame)).status,
-            DecodeStatus::kBadVersion);
+  // Version 2 is the only layout; the retired 1 and an unknown 3 are
+  // both refused.
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{3}}) {
+    Frame frame = make_frame(FrameType::kPing, "x");
+    frame.version = version;
+    EXPECT_EQ(decode_frame(encode_frame(frame)).status,
+              DecodeStatus::kBadVersion)
+        << "version " << int{version};
+  }
 }
 
-TEST(FrameCodec, V2RoundTripPreservesRequestId) {
+TEST(FrameCodec, RoundTripPreservesRequestId) {
   Frame frame = make_frame(FrameType::kSolveRequest, "pipelined");
-  frame.version = kProtocolVersion2;
   frame.request_id = 0x123456789abcull;  // all six id bytes exercised
   const std::string bytes = encode_frame(frame);
-  ASSERT_EQ(bytes.size(), kFrameHeaderBytesV2 + frame.payload.size());
+  ASSERT_EQ(bytes.size(), kFrameHeaderBytes + frame.payload.size());
 
   const DecodeResult decoded = decode_frame(bytes);
   ASSERT_EQ(decoded.status, DecodeStatus::kFrame);
@@ -93,29 +95,14 @@ TEST(FrameCodec, V2RoundTripPreservesRequestId) {
   EXPECT_EQ(decoded.consumed, bytes.size());
 }
 
-TEST(FrameCodec, V2MaxAndZeroRequestIdsRoundTrip) {
+TEST(FrameCodec, MaxAndZeroRequestIdsRoundTrip) {
   for (const std::uint64_t id : {std::uint64_t{0}, kMaxRequestId}) {
     Frame frame = make_frame(FrameType::kPong, "");
-    frame.version = kProtocolVersion2;
     frame.request_id = id;
     const DecodeResult decoded = decode_frame(encode_frame(frame));
     ASSERT_EQ(decoded.status, DecodeStatus::kFrame);
     EXPECT_EQ(decoded.frame.request_id, id);
   }
-}
-
-TEST(FrameCodec, V1FramesAlwaysDecodeWithIdZero) {
-  // A v1 header has no id field; whatever the struct carried must not
-  // leak onto the wire (bytes 6..7 stay reserved-zero).
-  Frame frame = make_frame(FrameType::kPing, "legacy");
-  frame.request_id = 0xdeadbeefull;
-  const std::string bytes = encode_frame(frame);
-  ASSERT_EQ(bytes.size(), kFrameHeaderBytes + frame.payload.size());
-  EXPECT_EQ(bytes[6], '\0');
-  EXPECT_EQ(bytes[7], '\0');
-  const DecodeResult decoded = decode_frame(bytes);
-  ASSERT_EQ(decoded.status, DecodeStatus::kFrame);
-  EXPECT_EQ(decoded.frame.request_id, 0u);
 }
 
 TEST(FrameCodec, OversizedLengthIsRejectedNotAllocated) {
@@ -172,11 +159,10 @@ void expect_same_frames(const std::vector<Frame>& decoded,
 
 TEST(FrameDecoderProperty, EverySplitPointOfATwoFrameStreamDecodesTheSame) {
   Frame second = make_frame(FrameType::kPong, "");
-  second.version = kProtocolVersion2;  // id bytes split across cuts too
   second.request_id = 0xabcdef012345ull;
   const std::vector<Frame> sent{
       make_frame(FrameType::kSolveRequest, "first payload"),
-      second,
+      second,  // id bytes split across cuts too
   };
   std::string stream;
   for (const Frame& frame : sent) stream += encode_frame(frame);
@@ -197,10 +183,8 @@ TEST(FrameDecoderProperty, RandomChunkingsOfARandomStreamAreInvariant) {
   prts::Rng rng(20260726);
   for (int round = 0; round < 50; ++round) {
     // A random valid stream: 1..8 frames, payloads 0..300 bytes of
-    // arbitrary octets (framing must not care about payload content).
-    // Versions mix v1 and v2 mid-stream — the decoder sizes each header
-    // off its own version byte, so an interleaved stream must be
-    // chunking-invariant too.
+    // arbitrary octets (framing must not care about payload content),
+    // ids zero or random 48-bit.
     std::vector<Frame> sent;
     const std::size_t frame_count =
         static_cast<std::size_t>(rng.uniform_int(1, 8));
@@ -208,7 +192,6 @@ TEST(FrameDecoderProperty, RandomChunkingsOfARandomStreamAreInvariant) {
       Frame frame;
       frame.type = static_cast<FrameType>(rng.uniform_int(0, 9));
       if (rng.uniform_int(0, 1) == 1) {
-        frame.version = kProtocolVersion2;
         frame.request_id = static_cast<std::uint64_t>(
             rng.uniform_int(0, std::numeric_limits<std::int64_t>::max()) &
             static_cast<std::int64_t>(kMaxRequestId));
@@ -357,7 +340,7 @@ struct EchoFixture {
 
 TEST(FrameServerTest, EchoRoundTripAndStats) {
   EchoFixture fixture;
-  FrameClient client("127.0.0.1", fixture.server->port());
+  MuxFrameClient client("127.0.0.1", fixture.server->port());
   for (int i = 0; i < 3; ++i) {
     const auto reply =
         client.call(make_frame(FrameType::kPing, "echo " + std::to_string(i)));
@@ -367,7 +350,7 @@ TEST(FrameServerTest, EchoRoundTripAndStats) {
   }
   const FrameServerStats stats = fixture.server->stats();
   EXPECT_EQ(stats.connections, 1u);  // one client, one connection reused
-  EXPECT_EQ(stats.frames, 3u);
+  EXPECT_EQ(stats.frames, 4u);       // the connect ping + three calls
   EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
@@ -376,7 +359,7 @@ TEST(FrameServerTest, ManyConcurrentClients) {
   std::vector<std::future<bool>> results;
   for (int c = 0; c < 8; ++c) {
     results.push_back(std::async(std::launch::async, [&fixture, c] {
-      FrameClient client("127.0.0.1", fixture.server->port());
+      MuxFrameClient client("127.0.0.1", fixture.server->port());
       for (int i = 0; i < 5; ++i) {
         const auto reply = client.call(
             make_frame(FrameType::kPing, std::to_string(c * 100 + i)));
@@ -403,22 +386,38 @@ TEST(FrameServerTest, BadMagicGetsErrorFrameAndServerSurvives) {
   // The connection is closed after the error...
   EXPECT_EQ(read_frame(*raw, reply), FrameReadStatus::kClosed);
   // ...but the server keeps serving fresh connections.
-  FrameClient client("127.0.0.1", fixture.server->port());
+  MuxFrameClient client("127.0.0.1", fixture.server->port());
   EXPECT_TRUE(client.call(make_frame(FrameType::kPing, "alive")).has_value());
   EXPECT_GE(fixture.server->stats().protocol_errors, 1u);
 }
 
 TEST(FrameServerTest, VersionMismatchGetsErrorFrame) {
   EchoFixture fixture;
-  auto raw = tcp_connect("127.0.0.1", fixture.server->port(), 2.0);
-  ASSERT_TRUE(raw.has_value());
   Frame future_version = make_frame(FrameType::kPing, "from the future");
-  future_version.version = kProtocolVersion + 7;
-  ASSERT_TRUE(write_frame(*raw, future_version));
-  Frame reply;
-  ASSERT_EQ(read_frame(*raw, reply), FrameReadStatus::kOk);
-  EXPECT_EQ(reply.type, FrameType::kError);
-  EXPECT_EQ(reply.payload, "unsupported protocol version");
+  future_version.version = kProtocolVersion2 + 7;
+  // A bare 12-byte header of the retired version 1 (magic, version,
+  // type, two zero bytes, zero length): refused on those 12 bytes
+  // alone, without waiting for a 16-byte header.
+  const std::string v1_header("PRTF\x01\x03\0\0\0\0\0\0", 12);
+  const std::vector<std::string> inputs{encode_frame(future_version),
+                                        v1_header};
+  std::uint64_t errors_before = fixture.server->stats().protocol_errors;
+  for (const std::string& bytes : inputs) {
+    auto raw = tcp_connect("127.0.0.1", fixture.server->port(), 2.0);
+    ASSERT_TRUE(raw.has_value());
+    raw->set_receive_timeout(5.0);
+    ASSERT_TRUE(raw->send_all(bytes.data(), bytes.size()));
+    Frame reply;
+    ASSERT_EQ(read_frame(*raw, reply), FrameReadStatus::kOk)
+        << "input of " << bytes.size() << " bytes";
+    EXPECT_EQ(reply.type, FrameType::kError);
+    EXPECT_EQ(reply.payload, "unsupported protocol version");
+    // The connection closes after the error.
+    EXPECT_EQ(read_frame(*raw, reply), FrameReadStatus::kClosed);
+    const std::uint64_t errors = fixture.server->stats().protocol_errors;
+    EXPECT_GT(errors, errors_before);
+    errors_before = errors;
+  }
 }
 
 TEST(FrameServerTest, OversizedPayloadGetsErrorFrame) {
@@ -453,131 +452,19 @@ TEST(FrameServerTest, TruncatedFrameThenDisconnectIsCountedNotFatal) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GE(fixture.server->stats().protocol_errors, 1u);
-  FrameClient client("127.0.0.1", fixture.server->port());
+  MuxFrameClient client("127.0.0.1", fixture.server->port());
   EXPECT_TRUE(client.call(make_frame(FrameType::kPing, "alive")).has_value());
 }
 
 TEST(FrameServerTest, StopUnblocksIdleConnections) {
   auto fixture = std::make_unique<EchoFixture>();
-  FrameClient client("127.0.0.1", fixture->server->port());
+  MuxFrameClient client("127.0.0.1", fixture->server->port());
   ASSERT_TRUE(client.call(make_frame(FrameType::kPing, "warm")).has_value());
   // The server-side connection loop is now blocked in read_frame;
   // stop() must wake it and return promptly.
   fixture->server->stop();
   // After stop, the client's next call fails cleanly.
   EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "gone")).has_value());
-}
-
-// -------------------------------------------------------------- client
-
-TEST(FrameClientTest, NoServerFailsCleanlyAndArmsBackoff) {
-  // Port 1 is essentially never listening on loopback.
-  FrameClientConfig config;
-  config.connect_timeout_seconds = 0.5;
-  config.backoff_initial_seconds = 60.0;  // window outlives the test
-  FrameClient client("127.0.0.1", 1, config);
-  EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
-  EXPECT_TRUE(client.suspect());
-  // Inside the window the failure is immediate (no connect attempt).
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "y")).has_value());
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  EXPECT_LT(seconds, 0.25);
-  EXPECT_GE(client.stats().fast_failures, 1u);
-  EXPECT_EQ(client.stats().failures, 2u);
-}
-
-TEST(FrameClientTest, RecoversAfterBackoffWindow) {
-  FrameClientConfig config;
-  config.connect_timeout_seconds = 0.5;
-  config.backoff_initial_seconds = 0.05;
-  ThreadPool pool(2);
-  // Fail once against a dead port, then bring a server up on that very
-  // port and retry after the window.
-  auto placeholder = Listener::open(0);
-  ASSERT_TRUE(placeholder.has_value());
-  const std::uint16_t port = placeholder->port();
-  placeholder->close();
-
-  FrameClient client("127.0.0.1", port, config);
-  EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
-
-  auto server = FrameServer::start(
-      port, [](const Frame& f) { return f; }, pool);
-  ASSERT_NE(server, nullptr);
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  const auto reply = client.call(make_frame(FrameType::kPing, "back"));
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->payload, "back");
-  EXPECT_FALSE(client.suspect());
-}
-
-TEST(FrameClientTest, MidStreamServerDeathYieldsNulloptNotHang) {
-  auto fixture = std::make_unique<EchoFixture>();
-  FrameClientConfig config;
-  config.reply_timeout_seconds = 2.0;
-  FrameClient client("127.0.0.1", fixture->server->port(), config);
-  ASSERT_TRUE(client.call(make_frame(FrameType::kPing, "warm")).has_value());
-  fixture.reset();  // kills the server, connection drops mid-stream
-  EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
-  EXPECT_TRUE(client.suspect());
-}
-
-TEST(FrameClientTest, ReplyTimeoutIsCountedSeparatelyWithGentleBackoff) {
-  // A peer that accepts and then never answers: the verdict must be
-  // kTimeout (counted in stats.timeouts), not a generic failure, and
-  // the backoff window must be the short slow-peer one.
-  auto listener = Listener::open(0);
-  ASSERT_TRUE(listener.has_value());
-  std::thread sink([&listener] {
-    auto accepted = listener->accept();
-    if (!accepted) return;
-    Frame swallowed;
-    read_frame(*accepted, swallowed);  // read the request, never reply
-    std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  });
-  FrameClientConfig config;
-  config.reply_timeout_seconds = 0.1;
-  config.backoff_timeout_initial_seconds = 0.05;
-  config.backoff_initial_seconds = 60.0;  // a refusal would pin suspect()
-  FrameClient client("127.0.0.1", listener->port(), config);
-  EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
-  EXPECT_EQ(client.stats().timeouts, 1u);
-  EXPECT_TRUE(client.suspect());
-  // Gentle window: a slow peer is eclipsed for 50ms, not 60s.
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_FALSE(client.suspect());
-  sink.join();
-}
-
-TEST(FrameClientTest, StatsAndSuspectDoNotBlockBehindInflightCall) {
-  // Regression for the mutex split: health probes must return while a
-  // round trip is parked on the wire.
-  ThreadPool pool(2);
-  auto server = FrameServer::start(
-      0,
-      [](const Frame& request) -> std::optional<Frame> {
-        std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        return request;
-      },
-      pool);
-  ASSERT_NE(server, nullptr);
-  FrameClient client("127.0.0.1", server->port());
-  std::future<bool> slow_call = std::async(std::launch::async, [&client] {
-    return client.call(make_frame(FrameType::kPing, "slow")).has_value();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const auto probe_start = std::chrono::steady_clock::now();
-  (void)client.suspect();
-  (void)client.stats();
-  const double probe_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    probe_start)
-          .count();
-  EXPECT_LT(probe_seconds, 0.15);  // far less than the 300ms still on the wire
-  EXPECT_TRUE(slow_call.get());
 }
 
 // ----------------------------------------------------------- mux client
@@ -607,11 +494,10 @@ TEST(MuxClientTest, ConcurrentCallsShareOneConnectionWithDistinctAnswers) {
     EXPECT_EQ(reply->type, FrameType::kPong);
     EXPECT_EQ(reply->payload, std::to_string(i)) << "call " << i;
   }
-  // Pipelining proof: one TCP connection (plus the negotiation probe is
-  // the same connection), several exchanges outstanding at once.
+  // Pipelining proof: one TCP connection (the connect ping rides the
+  // same connection), several exchanges outstanding at once.
   EXPECT_EQ(server->stats().connections, 1u);
   EXPECT_GT(client.stats().max_inflight, 1u);
-  EXPECT_FALSE(client.peer_is_v1());
 }
 
 TEST(MuxClientTest, OutOfOrderRepliesCorrelateByRequestId) {
@@ -643,16 +529,15 @@ TEST(MuxClientTest, OutOfOrderRepliesCorrelateByRequestId) {
   EXPECT_EQ(slow_reply->payload, "slow");
 }
 
-/// Serves the v2 negotiation ping on a raw socket: reads one frame,
-/// echoes a v2 kPong with the same request id. Returns the accepted
-/// socket (nullopt on failure).
-std::optional<Socket> accept_and_negotiate_v2(Listener& listener) {
+/// Serves the client's connect ping on a raw socket: reads one frame,
+/// echoes a kPong with the same request id. Returns the accepted socket
+/// (nullopt on failure).
+std::optional<Socket> accept_and_answer_ping(Listener& listener) {
   auto accepted = listener.accept();
   if (!accepted) return std::nullopt;
   Frame ping;
   if (read_frame(*accepted, ping) != FrameReadStatus::kOk) return std::nullopt;
   Frame pong;
-  pong.version = kProtocolVersion2;
   pong.type = FrameType::kPong;
   pong.request_id = ping.request_id;
   if (!write_frame(*accepted, pong)) return std::nullopt;
@@ -663,13 +548,12 @@ TEST(MuxClientTest, ReplyForUnknownIdIsDroppedAndConnectionSurvives) {
   auto listener = Listener::open(0);
   ASSERT_TRUE(listener.has_value());
   std::thread server([&listener] {
-    auto socket = accept_and_negotiate_v2(*listener);
+    auto socket = accept_and_answer_ping(*listener);
     ASSERT_TRUE(socket.has_value());
     Frame request;
     ASSERT_EQ(read_frame(*socket, request), FrameReadStatus::kOk);
     // A reply nobody asked for, then the real one.
     Frame bogus;
-    bogus.version = kProtocolVersion2;
     bogus.type = FrameType::kPong;
     bogus.request_id = request.request_id + 999;
     ASSERT_TRUE(write_frame(*socket, bogus));
@@ -697,7 +581,7 @@ TEST(MuxClientTest, MidStreamDeathFailsAllOutstandingPromises) {
   ASSERT_TRUE(listener.has_value());
   constexpr int kOutstanding = 4;
   std::thread server([&listener] {
-    auto socket = accept_and_negotiate_v2(*listener);
+    auto socket = accept_and_answer_ping(*listener);
     ASSERT_TRUE(socket.has_value());
     for (int i = 0; i < kOutstanding; ++i) {
       Frame request;
@@ -761,50 +645,97 @@ TEST(MuxClientTest, PerRequestDeadlineExpiresWithoutKillingTheConnection) {
   EXPECT_EQ(server->stats().connections, 1u);
 }
 
-TEST(MuxClientTest, V1PeerNegotiatesDownToLockStep) {
+TEST(MuxClientTest, RecoversAfterBackoffWindow) {
+  FrameClientConfig config;
+  config.connect_timeout_seconds = 0.5;
+  config.backoff_initial_seconds = 0.05;
+  ThreadPool pool(2);
+  // Fail once against a dead port, then bring a server up on that very
+  // port and retry after the window.
+  auto placeholder = Listener::open(0);
+  ASSERT_TRUE(placeholder.has_value());
+  const std::uint16_t port = placeholder->port();
+  placeholder->close();
+
+  MuxFrameClient client("127.0.0.1", port, config);
+  EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
+
+  auto server = FrameServer::start(
+      port, [](const Frame& f) { return f; }, pool);
+  ASSERT_NE(server, nullptr);
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  const auto reply = client.call(make_frame(FrameType::kPing, "back"));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->payload, "back");
+  EXPECT_FALSE(client.suspect());
+}
+
+TEST(MuxClientTest, MidStreamServerDeathYieldsNulloptNotHang) {
+  auto fixture = std::make_unique<EchoFixture>();
+  FrameClientConfig config;
+  config.reply_timeout_seconds = 2.0;
+  MuxFrameClient client("127.0.0.1", fixture->server->port(), config);
+  ASSERT_TRUE(client.call(make_frame(FrameType::kPing, "warm")).has_value());
+  fixture.reset();  // kills the server, connection drops mid-stream
+  EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
+  EXPECT_TRUE(client.suspect());
+}
+
+TEST(MuxClientTest, ReplyTimeoutIsCountedSeparatelyWithGentleBackoff) {
+  // A peer that answers the connect ping and then never answers again:
+  // the verdict must be a timeout (counted in stats.timeouts), not a
+  // generic failure, and the backoff window must be the short
+  // slow-peer one.
   auto listener = Listener::open(0);
   ASSERT_TRUE(listener.has_value());
-  // A faithful v1 peer: rejects the v2 probe the way the old server
-  // rejected unknown versions (v1 kError + close), then serves plain
-  // v1 lock-step echo on the reconnect.
-  std::thread server([&listener] {
-    {
-      auto probe = listener->accept();
-      ASSERT_TRUE(probe.has_value());
-      Frame request;
-      ASSERT_EQ(read_frame(*probe, request), FrameReadStatus::kOk);
-      EXPECT_EQ(request.version, kProtocolVersion2);
-      Frame error;
-      error.type = FrameType::kError;
-      error.payload = "unsupported protocol version";
-      ASSERT_TRUE(write_frame(*probe, error));
-    }  // close: exactly what a v1 server does after a version error
-    auto session = listener->accept();
-    ASSERT_TRUE(session.has_value());
-    for (;;) {
-      Frame request;
-      if (read_frame(*session, request) != FrameReadStatus::kOk) return;
-      EXPECT_EQ(request.version, kProtocolVersion);  // ids stripped
-      EXPECT_EQ(request.request_id, 0u);
-      Frame reply = request;
-      reply.type = FrameType::kPong;
-      if (!write_frame(*session, reply)) return;
-    }
+  std::thread sink([&listener] {
+    auto socket = accept_and_answer_ping(*listener);
+    if (!socket) return;
+    Frame swallowed;
+    read_frame(*socket, swallowed);  // read the request, never reply
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
   });
-  {
-    MuxFrameClient client("127.0.0.1", listener->port());
-    for (int i = 0; i < 3; ++i) {
-      const std::optional<Frame> reply =
-          client.call(make_frame(FrameType::kPing, "v1 " + std::to_string(i)));
-      ASSERT_TRUE(reply.has_value()) << "call " << i;
-      EXPECT_EQ(reply->payload, "v1 " + std::to_string(i));
-    }
-    EXPECT_TRUE(client.peer_is_v1());
-    // Lock-step by construction: the watermark never exceeds the
-    // queue depth seen at enqueue, and exchanges serialize.
-    listener->close();
-  }
-  server.join();
+  FrameClientConfig config;
+  config.reply_timeout_seconds = 0.1;
+  config.backoff_timeout_initial_seconds = 0.05;
+  config.backoff_initial_seconds = 60.0;  // a refusal would pin suspect()
+  MuxFrameClient client("127.0.0.1", listener->port(), config);
+  EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
+  EXPECT_EQ(client.stats().timeouts, 1u);
+  EXPECT_TRUE(client.suspect());
+  // Gentle window: a slow peer is eclipsed for 50ms, not 60s.
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  EXPECT_FALSE(client.suspect());
+  sink.join();
+}
+
+TEST(MuxClientTest, StatsAndSuspectDoNotBlockBehindInflightCall) {
+  // Health probes must return while a round trip is parked on the wire.
+  ThreadPool pool(2);
+  auto server = FrameServer::start(
+      0,
+      [](const Frame& request) -> std::optional<Frame> {
+        if (request.payload == "slow") {
+          std::this_thread::sleep_for(std::chrono::milliseconds(400));
+        }
+        return request;
+      },
+      pool);
+  ASSERT_NE(server, nullptr);
+  MuxFrameClient client("127.0.0.1", server->port());
+  std::future<bool> slow_call = std::async(std::launch::async, [&client] {
+    return client.call(make_frame(FrameType::kPing, "slow")).has_value();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto probe_start = std::chrono::steady_clock::now();
+  (void)client.suspect();
+  (void)client.stats();
+  const double probe_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    probe_start)
+          .count();
+  EXPECT_LT(probe_seconds, 0.15);  // far less than the 300ms still on the wire
+  EXPECT_TRUE(slow_call.get());
 }
 
 // ------------------------------------------------------ backoff jitter
@@ -873,7 +804,7 @@ TEST(FrameAuth, WrongTokenIsRejectedCountedAndRightTokenAdmits) {
   // No token: the first frame is not kAuth — answered with kError (or
   // already torn down), never handled.
   {
-    FrameClient anonymous("127.0.0.1", server->port());
+    MuxFrameClient anonymous("127.0.0.1", server->port());
     const auto reply = anonymous.call(make_frame(FrameType::kPing, ""));
     EXPECT_TRUE(!reply.has_value() || reply->type == FrameType::kError);
   }
@@ -881,25 +812,20 @@ TEST(FrameAuth, WrongTokenIsRejectedCountedAndRightTokenAdmits) {
   {
     FrameClientConfig config;
     config.auth_token = "wrong";
-    FrameClient impostor("127.0.0.1", server->port(), config);
+    MuxFrameClient impostor("127.0.0.1", server->port(), config);
     EXPECT_FALSE(impostor.call(make_frame(FrameType::kPing, "")).has_value());
   }
   EXPECT_GE(server->stats().auth_failures, 2u);
   EXPECT_GE(metrics.counter("net_server_auth_failures_total").value(), 2u);
 
-  // The right token admits lock-step and mux clients alike.
+  // The right token admits the client.
   FrameClientConfig config;
   config.auth_token = "sesame";
-  FrameClient client("127.0.0.1", server->port(), config);
+  MuxFrameClient client("127.0.0.1", server->port(), config);
   const auto reply = client.call(make_frame(FrameType::kPing, "open"));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, FrameType::kPong);
   EXPECT_EQ(reply->payload, "open");
-
-  MuxFrameClient mux("127.0.0.1", server->port(), config);
-  const auto mux_reply = mux.call(make_frame(FrameType::kPing, "mux"));
-  ASSERT_TRUE(mux_reply.has_value());
-  EXPECT_EQ(mux_reply->payload, "mux");
 }
 
 TEST(FrameAuth, TokenOnAnOpenServerIsHarmless) {
@@ -909,7 +835,7 @@ TEST(FrameAuth, TokenOnAnOpenServerIsHarmless) {
   EchoFixture fixture;
   FrameClientConfig config;
   config.auth_token = "sesame";
-  FrameClient client("127.0.0.1", fixture.server->port(), config);
+  MuxFrameClient client("127.0.0.1", fixture.server->port(), config);
   const auto reply = client.call(make_frame(FrameType::kPing, "hello"));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->payload, "hello");
@@ -929,6 +855,7 @@ TEST(MuxClientTest, NoServerFailsCleanlyAndArmsBackoff) {
                              .count();
   EXPECT_LT(seconds, 0.25);
   EXPECT_GE(client.stats().fast_failures, 1u);
+  EXPECT_EQ(client.stats().failures, 2u);
 }
 
 }  // namespace

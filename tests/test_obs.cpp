@@ -22,7 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/frame_client.hpp"
 #include "obs/alerts.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flight_recorder.hpp"
@@ -679,7 +678,7 @@ TEST(FabricTelemetry, MetricsFrameScrapesAnyRank) {
             ReplyStatus::kSolved);
 
   for (std::size_t r = 0; r < harness.world(); ++r) {
-    net::FrameClient client("127.0.0.1", harness.port(r));
+    net::MuxFrameClient client("127.0.0.1", harness.port(r));
     net::Frame request;
     request.type = net::FrameType::kMetricsRequest;
     const auto reply = client.call(request);

@@ -560,6 +560,18 @@ TEST(WireCodec, InfeasibleAndErrorRepliesRoundTrip) {
   EXPECT_EQ(decoded->key, infeasible.key);
   EXPECT_FALSE(decoded->solution.has_value());
 
+  // Every line the encoder writes is required: a reply missing its
+  // 'near' or its 'cost' line is rejected, not defaulted.
+  const std::string encoded = encode_wire_reply(infeasible);
+  for (const std::string line : {"near 0\n", "cost 0\n"}) {
+    std::string stripped = encoded;
+    const std::size_t at = stripped.find(line);
+    ASSERT_NE(at, std::string::npos) << line;
+    stripped.erase(at, line.size());
+    EXPECT_FALSE(decode_wire_reply(stripped, error).has_value()) << line;
+    EXPECT_FALSE(error.empty());
+  }
+
   SolveReply failure;
   failure.status = ReplyStatus::kError;
   failure.error = "unknown solver 'nope'";

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build (with the project's always-on
 # -Wall -Wextra), run the tier-1 ctest suite, smoke-test near-miss
-# reuse on a bound sweep, then smoke-test the distributed solve fabric
+# reuse on a bound sweep, run the concurrent suites under ThreadSanitizer
+# in a second build tree, then smoke-test the distributed solve fabric
 # with three real prts_cli processes on loopback — including hot-entry
 # replication, telemetry scrapes (prometheus exposition from every rank,
 # monotone counters, a cross-rank trace), killing a rank mid-run, and an
@@ -15,7 +16,8 @@
 #   tools/ci.sh                 # Release build into ./build
 #   BUILD_TYPE=Debug tools/ci.sh
 #   BUILD_DIR=/tmp/ci tools/ci.sh
-#   SKIP_FABRIC_SMOKE=1 tools/ci.sh   # ctest only
+#   SKIP_SANITIZE=1 tools/ci.sh       # no ThreadSanitizer stage
+#   SKIP_FABRIC_SMOKE=1 tools/ci.sh   # no fabric / elastic smokes
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -89,6 +91,24 @@ if grep -q $'\terror\t' "$NM/out.txt"; then
   exit 1
 fi
 echo "near-miss smoke test OK: near_miss=$near_miss"
+
+# ---------------------------------------------------------------------------
+# ThreadSanitizer stage: a second tree, built with -fsanitize=thread,
+# runs the suites whose threads share sockets, queues and counters. Any
+# race report halts the suite and fails CI.
+# ---------------------------------------------------------------------------
+if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
+  TSAN_BUILD="$BUILD-tsan"
+  TSAN_SUITES=(test_net test_service test_obs test_fabric_replication
+               test_membership)
+  cmake -B "$TSAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS=-fsanitize=thread
+  cmake --build "$TSAN_BUILD" -j "$JOBS" --target "${TSAN_SUITES[@]}"
+  for suite in "${TSAN_SUITES[@]}"; do
+    (cd "$TSAN_BUILD" && TSAN_OPTIONS=halt_on_error=1 "./$suite")
+  done
+  echo "thread sanitizer stage OK: ${TSAN_SUITES[*]}"
+fi
 
 # ---------------------------------------------------------------------------
 # Fabric smoke test: ranks 0..2 on localhost present one logical cache.

@@ -149,7 +149,6 @@
 #include "load/arrivals.hpp"
 #include "load/generator.hpp"
 #include "load/slo.hpp"
-#include "net/frame_client.hpp"
 #include "net/frame_server.hpp"
 #include "net/mux_client.hpp"
 #include "obs/exposition.hpp"
