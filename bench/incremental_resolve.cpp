@@ -2,16 +2,14 @@
 // 6-15 sweeps re-solve one instance under a ladder of period bounds.
 // With near-miss reuse off every step pays a full prepare + solve; with
 // it on, steps whose optimum is unchanged are *dominating hits* from
-// the bounds-monotone index (bit-identical, zero solver work) and the
-// remaining solves start from warm floors. Emits BENCH_incremental.json
-// recording solver invocations and wall time for both modes, plus an
-// ILP section where the reuse is warm-started pruning rather than
-// outright hits.
+// the bounds-monotone index (bit-identical, zero solver work). Emits
+// BENCH_incremental.json recording solver invocations and wall time for
+// both modes.
 //
 //   incremental_resolve [--steps N] [--seed S] [--quick] [--out PATH]
 //
-// The output must be byte-identical between modes (the WarmStart and
-// bounds-monotone contracts); the driver verifies that and reports it.
+// The output must be byte-identical between modes (the bounds-monotone
+// contract); the driver verifies that and reports it.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -85,7 +83,6 @@ void write_section(std::ostream& out, const char* name,
       << "},\"near_miss\":{\"solver_invocations\":"
       << near.stats.solver_invocations
       << ",\"dominating_hits\":" << near.stats.dominating_hits
-      << ",\"warm_started\":" << near.stats.warm_started
       << ",\"seconds\":" << near.seconds << "}"
       << ",\"invocation_ratio\":" << ratio
       << ",\"speedup\":" << cold.seconds / near.seconds
@@ -153,13 +150,6 @@ int main(int argc, char** argv) {
   const LadderRun exact_cold = run_ladder(instance, "exact", periods, false);
   const LadderRun exact_near = run_ladder(instance, "exact", periods, true);
 
-  // The ILP ladder ascends (tightest first): every answer is a feasible
-  // incumbent for the next, looser step, so the reuse shows up as
-  // warm-started branch-and-bound pruning, not dominating hits.
-  std::vector<double> ascending(periods.rbegin(), periods.rend());
-  const LadderRun ilp_cold = run_ladder(instance, "ilp", ascending, false);
-  const LadderRun ilp_near = run_ladder(instance, "ilp", ascending, true);
-
   const double ratio =
       static_cast<double>(exact_cold.stats.solver_invocations) /
       static_cast<double>(
@@ -173,12 +163,8 @@ int main(int argc, char** argv) {
             << " dominating hits), " << exact_near.seconds << " s\n"
             << "  invocation ratio " << ratio << "x, wall speedup "
             << exact_cold.seconds / exact_near.seconds << "x\n"
-            << "  ilp warm-started " << ilp_near.stats.warm_started << "/"
-            << ilp_near.stats.solver_invocations << " solves, wall "
-            << ilp_cold.seconds << " s -> " << ilp_near.seconds << " s\n"
             << "  identical output "
-            << (identical_output(exact_cold, exact_near) &&
-                        identical_output(ilp_cold, ilp_near)
+            << (identical_output(exact_cold, exact_near)
                     ? "yes"
                     : "NO — CONTRACT BREACH")
             << "\n";
@@ -191,14 +177,11 @@ int main(int argc, char** argv) {
   out << "{\"benchmark\":\"incremental_resolve\",\"steps\":" << steps
       << ",\"seed\":" << seed << ",";
   write_section(out, "exact_ladder", exact_cold, exact_near);
-  out << ",";
-  write_section(out, "ilp_ladder", ilp_cold, ilp_near);
   out << "}\n";
 
   // The acceptance bar: >= 3x fewer full solver invocations with
   // byte-identical output. Fail loudly if a regression eats it.
-  if (!identical_output(exact_cold, exact_near) ||
-      !identical_output(ilp_cold, ilp_near)) {
+  if (!identical_output(exact_cold, exact_near)) {
     std::cerr << "FAIL: near-miss reuse changed the output\n";
     return 1;
   }

@@ -17,7 +17,9 @@
 //
 // Emits BENCH_openloop.json:
 //   {"bench":"openloop","world":3,"slo":"...","trace_deterministic":true,
-//    "sustainable_rps_at_slo":<headline>,"steps":[...]}
+//    "sustainable_rps_at_slo":<headline>,"capped":<bool>,"steps":[...]}
+// "capped":true means every step passed, so the headline is the
+// --max-rate ceiling: a lower bound on the knee, not the knee.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -138,7 +140,9 @@ int main(int argc, char** argv) {
   std::ostringstream json;
   json << "{\"bench\":\"openloop\",\"world\":3,\"slo\":\"" << slo_text
        << "\",\"trace_deterministic\":true,\"sustainable_rps_at_slo\":"
-       << search.sustainable_rate << ",\"steps\":[";
+       << search.sustainable_rate
+       << ",\"capped\":" << (search.capped ? "true" : "false")
+       << ",\"steps\":[";
   bool first = true;
   for (const load::StepOutcome& step : search.steps) {
     if (!first) json << ",";
@@ -161,6 +165,11 @@ int main(int argc, char** argv) {
   }
   out << json.str();
   std::cout << json.str();
+  std::cerr << "# openloop sustainable rate "
+            << (search.capped ? ">= " : "") << search.sustainable_rate
+            << " rps at SLO " << slo_text
+            << (search.capped ? " (every step passed; raise --max-rate)" : "")
+            << "\n";
 
   if (search.sustainable_rate <= 0.0) {
     std::cerr << "FAIL: no sustainable rate at SLO " << slo_text << "\n";

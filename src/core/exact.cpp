@@ -84,14 +84,9 @@ std::optional<double> HomogeneousExactSolver::best_log_reliability(
 }
 
 std::optional<ExactSolution> HomogeneousExactSolver::solve(
-    double period_bound, double latency_bound,
-    double log_reliability_floor) const {
+    double period_bound, double latency_bound) const {
   const PartitionRecord* best = nullptr;
   for (const PartitionRecord& record : records_) {
-    // Warm-start cut: a record strictly below a proven-achievable floor
-    // can neither win nor tie with the winner, so skipping it keeps the
-    // first-winner-on-ties selection identical to the unpruned scan.
-    if (record.log_reliability < log_reliability_floor) continue;
     if (record.period > period_bound || record.latency > latency_bound) {
       continue;
     }

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -60,17 +59,8 @@ class HomogeneousExactSolver {
 
   /// Like best_log_reliability, but materializes the optimal mapping
   /// (processor ids dealt in chain order) and its metrics.
-  ///
-  /// `log_reliability_floor` is a warm-start pruning cut (-inf: none):
-  /// records strictly below it are skipped without comparison. Callers
-  /// must pass a cut that the true optimum meets or beats (e.g.
-  /// solver::warm_floor_cut of a known-feasible incumbent's
-  /// reliability), which keeps the selected record — first winner on
-  /// ties included — identical to the unpruned scan.
-  std::optional<ExactSolution> solve(
-      double period_bound, double latency_bound,
-      double log_reliability_floor =
-          -std::numeric_limits<double>::infinity()) const;
+  std::optional<ExactSolution> solve(double period_bound,
+                                     double latency_bound) const;
 
  private:
   const TaskChain& chain_;

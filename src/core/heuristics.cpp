@@ -108,16 +108,9 @@ std::vector<HeuristicSolution> heuristic_candidates(
 
 const HeuristicSolution* best_heuristic_candidate(
     std::span<const HeuristicSolution> candidates, double period_bound,
-    double latency_bound, bool use_expected_metrics,
-    double log_reliability_floor) {
+    double latency_bound, bool use_expected_metrics) {
   const HeuristicSolution* best = nullptr;
   for (const HeuristicSolution& candidate : candidates) {
-    // Warm-start cut: strictly below a proven-achievable floor a
-    // candidate can neither win nor tie, so skipping keeps the
-    // first-winner selection identical.
-    if (candidate.metrics.reliability.log() < log_reliability_floor) {
-      continue;
-    }
     const double period = use_expected_metrics
                               ? candidate.metrics.expected_period
                               : candidate.metrics.worst_period;

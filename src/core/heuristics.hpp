@@ -74,17 +74,9 @@ std::vector<HeuristicSolution> heuristic_candidates(
 /// solver sessions (src/solver/adapters.cpp): the most reliable
 /// candidate meeting both bounds, first winner kept on ties; nullptr
 /// when none qualifies.
-///
-/// `log_reliability_floor` is a warm-start pruning cut (-inf: none):
-/// candidates strictly below it are skipped without the bounds checks.
-/// With a cut the winner meets or beats (solver::warm_floor_cut of a
-/// known-feasible incumbent), the selection — ties included — is
-/// identical to the unpruned scan.
 const HeuristicSolution* best_heuristic_candidate(
     std::span<const HeuristicSolution> candidates, double period_bound,
-    double latency_bound, bool use_expected_metrics = false,
-    double log_reliability_floor =
-        -std::numeric_limits<double>::infinity());
+    double latency_bound, bool use_expected_metrics = false);
 
 /// The most reliable candidate meeting both bounds, or nullopt. This is
 /// the selection rule used in the experiments of Section 8.

@@ -128,8 +128,7 @@ struct Arc {
 
 }  // namespace
 
-std::optional<IlpSolution> solve_ilp(const IlpFormulation& formulation,
-                                     double objective_floor) {
+std::optional<IlpSolution> solve_ilp(const IlpFormulation& formulation) {
   const TaskChain& chain = formulation.chain();
   const Platform& platform = formulation.platform();
   const std::size_t n = chain.size();
@@ -176,12 +175,6 @@ std::optional<IlpSolution> solve_ilp(const IlpFormulation& formulation,
   std::vector<std::size_t> best_chosen;
   std::vector<std::size_t> current;
 
-  // The warm-start floor only *prunes*; acceptance still starts from
-  // -inf. The uncut search's answer is the first DFS leaf attaining the
-  // optimum M, and every ancestor of that leaf has an admissible bound
-  // >= M > objective_floor (the caller's cut is strictly below M), so
-  // the extra pruning can only remove subtrees the answer is not in —
-  // same leaf, same chosen variables, same construction.
   auto dfs = [&](auto&& self, std::size_t t, std::size_t procs_left,
                  double latency_left, double value) -> void {
     if (t == n) {
@@ -191,9 +184,7 @@ std::optional<IlpSolution> solve_ilp(const IlpFormulation& formulation,
       }
       return;
     }
-    if (value + bound[t][procs_left] <= std::max(best_value, objective_floor)) {
-      return;  // prune
-    }
+    if (value + bound[t][procs_left] <= best_value) return;  // prune
     for (const Arc& arc : arcs[t]) {
       if (arc.replicas > procs_left) continue;
       if (arc.duration > latency_left) continue;

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -82,17 +81,6 @@ struct IlpSolution {
 
 /// Exact branch-and-bound over the chain structure. Returns nullopt when
 /// the constraints are infeasible.
-///
-/// `objective_floor` is a warm-start pruning cut (-inf: none): subtrees
-/// whose admissible upper bound cannot strictly beat it are pruned from
-/// the start, before the search has found its own incumbent. The
-/// incumbent-acceptance rule itself is untouched, so as long as the
-/// caller passes a cut the true optimum strictly beats (e.g.
-/// solver::warm_floor_cut of a known-feasible solution's objective),
-/// the returned solution — the first DFS attainer of the optimum — is
-/// identical to the uncut search's.
-std::optional<IlpSolution> solve_ilp(
-    const IlpFormulation& formulation,
-    double objective_floor = -std::numeric_limits<double>::infinity());
+std::optional<IlpSolution> solve_ilp(const IlpFormulation& formulation);
 
 }  // namespace prts

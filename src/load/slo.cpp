@@ -200,7 +200,10 @@ SearchResult max_sustainable_rate(
     search.steps.push_back(std::move(step));
     if (passed) {
       last_pass = rate;
-      if (rate >= max_rate) break;  // ceiling holds: call it sustainable
+      if (rate >= max_rate) {  // the ceiling holds: the knee is above it
+        search.capped = true;
+        break;
+      }
       rate = std::min(rate * 2.0, max_rate);
     } else {
       first_fail = rate;

@@ -14,7 +14,8 @@
 // (double the rate while passing) finds the first failing rate, then
 // bisection tightens the pass/fail boundary. The result is the highest
 // rate that passed, with the full step log so a report can show the
-// search path, not just the answer.
+// search path, not just the answer. When even the ceiling passes the
+// knee was never found, and the result says so (`capped`).
 #pragma once
 
 #include <functional>
@@ -101,6 +102,10 @@ struct StepOutcome {
 struct SearchResult {
   /// Highest rate that passed the SLO (0 when even min_rate failed).
   double sustainable_rate = 0.0;
+  /// True when the ramp reached max_rate and it passed: no step failed,
+  /// so sustainable_rate is the search ceiling, a lower bound on the
+  /// knee rather than the knee itself.
+  bool capped = false;
   std::vector<StepOutcome> steps;
 };
 

@@ -146,19 +146,18 @@ bool parse_cache_entry(std::string_view line, CanonicalHash& key,
   };
 
   const std::vector<std::string> fields = split(std::string(line), '\t');
-  // Infeasible entries carry 4 fields (legacy, no cost), 5, or 8 (with
-  // near-miss metadata); feasible ones 13 (legacy), 14, or 17.
-  if (fields.size() < 4) return bad("expected >= 4 tab-separated fields");
+  // Infeasible entries carry 5 fields, or 8 with near-miss metadata;
+  // feasible ones 14, or 17.
+  if (fields.size() < 5) return bad("expected >= 5 tab-separated fields");
   const auto parsed_key = hash_from_hex(fields[0]);
   if (!parsed_key) return bad("malformed hash '" + fields[0] + "'");
 
   if (fields[1] == "0") {
-    if (fields.size() != 4 && fields.size() != 5 && fields.size() != 8) {
-      return bad("infeasible entries need 4/5/8 fields");
+    if (fields.size() != 5 && fields.size() != 8) {
+      return bad("infeasible entries need 5/8 fields");
     }
     CachedSolution parsed;
-    if (fields.size() >= 5 &&
-        !parse_canonical_number(fields[4], parsed.cost_seconds)) {
+    if (!parse_canonical_number(fields[4], parsed.cost_seconds)) {
       return bad("malformed cost field");
     }
     if (fields.size() == 8 && !parse_near_metadata(fields, 5, parsed, error)) {
@@ -168,9 +167,8 @@ bool parse_cache_entry(std::string_view line, CanonicalHash& key,
     value = std::move(parsed);
     return true;
   }
-  if (fields[1] != "1" ||
-      (fields.size() != 13 && fields.size() != 14 && fields.size() != 17)) {
-    return bad("feasible entries need 13/14/17 fields");
+  if (fields[1] != "1" || (fields.size() != 14 && fields.size() != 17)) {
+    return bad("feasible entries need 14/17 fields");
   }
 
   std::vector<std::size_t> boundaries;
@@ -205,8 +203,7 @@ bool parse_cache_entry(std::string_view line, CanonicalHash& key,
       !parse_size(fields[10], metrics.interval_count) ||
       !parse_size(fields[11], metrics.processors_used) ||
       !parse_canonical_number(fields[12], metrics.replication_level) ||
-      (fields.size() >= 14 &&
-       !parse_canonical_number(fields[13], cost_seconds))) {
+      !parse_canonical_number(fields[13], cost_seconds)) {
     return bad("malformed metric fields");
   }
   metrics.reliability = LogReliability::from_log(log_r);
@@ -415,7 +412,7 @@ std::optional<CachedSolution> ShardedSolutionCache::find_feasible(
     }
     // Any cached solution satisfying the request bounds is a feasible
     // incumbent for it, wherever on the bounds lattice it came from;
-    // the most reliable one makes the strongest floor.
+    // the most reliable one is the best incumbent.
     if (summary->feasible &&
         solver::within_bounds(summary->metrics, bounds) &&
         (!best_key || summary->metrics.reliability.log() > best_log)) {
@@ -426,8 +423,8 @@ std::optional<CachedSolution> ShardedSolutionCache::find_feasible(
   }
   if (!best_key) return std::nullopt;
   auto best = peek(*best_key);
-  // The winner may have been evicted between the walks; a lost hint is
-  // only a lost acceleration.
+  // The winner may have been evicted between the walks; a lost
+  // incumbent only leaves the caller with the answer it already has.
   if (!best || !best->solution) return std::nullopt;
   return best;
 }

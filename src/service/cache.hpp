@@ -50,14 +50,15 @@ namespace prts::service {
 /// A cached answer: the canonical-space solution, or nullopt for a
 /// cached "no feasible mapping under these bounds", plus the wall-clock
 /// cost of the solve that produced it (the cost-aware retention
-/// weight; 0 when unknown, e.g. legacy warm-start files).
+/// weight; 0 when unknown).
 ///
 /// `instance_key` + `bounds` are the near-miss index metadata: the
 /// bounds-erased (canonical instance, solver) batch key this entry's
 /// request hashed under, and the bounds it was solved for. Entries
 /// carrying both feed the bounds-monotone secondary index (see
-/// find_dominating below); entries without them — legacy warm-start
-/// files, wire replies — stay plain exact-key entries.
+/// find_dominating below); entries without them — wire replies and
+/// snapshot lines written without the metadata — stay plain exact-key
+/// entries.
 struct CachedSolution {
   CachedSolution() = default;
   // Not an aggregate: the trailing members default without tripping
@@ -114,9 +115,9 @@ std::size_t cached_solution_bytes(const CachedSolution& value) noexcept;
 std::string encode_cache_entry(const CanonicalHash& key,
                                const CachedSolution& value);
 
-/// Parses encode_cache_entry output, version-tolerantly: legacy lines
-/// without the cost field load with cost 0, lines without the near-miss
-/// metadata load unindexed. False with a reason on malformed input.
+/// Parses encode_cache_entry output; lines without the near-miss
+/// metadata load unindexed. False with a reason on malformed input
+/// (including a line without the cost field).
 bool parse_cache_entry(std::string_view line, CanonicalHash& key,
                        CachedSolution& value, std::string& error);
 
@@ -185,11 +186,11 @@ class ShardedSolutionCache {
   std::optional<CachedSolution> find_dominating(
       const CanonicalHash& instance_key, const solver::Bounds& bounds);
 
-  /// The warm-start lookup: among every cached entry of `instance_key`
+  /// The incumbent lookup: among every cached entry of `instance_key`
   /// (any bounds) whose solution satisfies `bounds`, the most reliable
-  /// one — a feasible incumbent plus reliability-floor certificate for
-  /// the request, valid for *any* engine because a warm start never
-  /// changes an answer. nullopt when no cached solution fits.
+  /// one — a feasible answer for the request from the same solver at
+  /// other bounds (the deadline-downgrade path weighs it against the
+  /// fallback solver's answer). nullopt when no cached solution fits.
   std::optional<CachedSolution> find_feasible(
       const CanonicalHash& instance_key, const solver::Bounds& bounds);
 

@@ -117,7 +117,6 @@ void write_engine_stats_json(std::ostream& out, const EngineStats& stats) {
       << ",\"completed\":" << stats.completed
       << ",\"cache_hits\":" << stats.cache_hits
       << ",\"dominating_hits\":" << stats.dominating_hits
-      << ",\"warm_started\":" << stats.warm_started
       << ",\"solver_invocations\":" << stats.solver_invocations
       << ",\"deduplicated\":" << stats.deduplicated
       << ",\"batches\":" << stats.batches
@@ -129,14 +128,9 @@ void write_engine_stats_json(std::ostream& out, const EngineStats& stats) {
 }
 
 void write_hit_tiers_json(std::ostream& out, const EngineStats& stats) {
-  const std::uint64_t miss =
-      stats.solver_invocations > stats.warm_started
-          ? stats.solver_invocations - stats.warm_started
-          : 0;
   out << "{\"exact\":" << stats.cache_hits
       << ",\"dominating\":" << stats.dominating_hits
-      << ",\"warm_start\":" << stats.warm_started << ",\"miss\":" << miss
-      << "}";
+      << ",\"solver_invocations\":" << stats.solver_invocations << "}";
 }
 
 /// Seconds between two steady-clock points, floored at zero (span
@@ -294,23 +288,11 @@ std::future<SolveReply> SolveService::submit_canonicalized(
       config_.registry ? *config_.registry : solver::SolverRegistry::builtin();
   const auto engine = registry.find(request.solver);
   const CanonicalHash bkey = batch_key(*canonical, request.solver);
-  std::optional<solver::WarmStart> warm = std::move(request.warm_start);
-  // A caller-supplied hint is only a hint when its incumbent is
-  // actually feasible under *these* bounds — otherwise its floor is
-  // unproven and the downgrade path could leak a bound-violating
-  // answer. Drop it rather than trust it.
-  if (warm && (!warm->incumbent ||
-               !solver::within_bounds(warm->incumbent->metrics,
-                                      request.bounds))) {
-    warm.reset();
-  }
-  if (near_miss_enabled() && engine) {
-    if (engine->bounds_monotone(canonical->instance)) {
-      if (auto near = dominating_answer(bkey, key, request.bounds)) {
-        return serve_cached(*near, /*near_miss=*/true);
-      }
+  if (near_miss_enabled() && engine &&
+      engine->bounds_monotone(canonical->instance)) {
+    if (auto near = dominating_answer(bkey, key, request.bounds)) {
+      return serve_cached(*near, /*near_miss=*/true);
     }
-    merge_warm_hint(bkey, request.bounds, warm);
   }
 
   std::unique_lock<obs::ProfiledMutex> lock(mutex_);
@@ -361,7 +343,6 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   query->canonical = canonical;
   query->bounds = request.bounds;
   query->key = key;
-  query->warm = std::move(warm);
   query->waiters.push_back(Waiter{{}, canonical, request.deadline_seconds,
                                   request.deadline_policy, Clock::now(),
                                   false, trace_id});
@@ -412,20 +393,6 @@ std::optional<CachedSolution> SolveService::dominating_answer(
   promoted.bounds = bounds;
   cache_.insert(key, promoted);
   return near;
-}
-
-void SolveService::merge_warm_hint(const CanonicalHash& bkey,
-                                   const solver::Bounds& bounds,
-                                   std::optional<solver::WarmStart>& warm) {
-  if (!near_miss_enabled()) return;
-  auto feasible = cache_.find_feasible(bkey, bounds);
-  if (!feasible || !feasible->solution) return;
-  const double floor = feasible->solution->metrics.reliability.log();
-  if (warm && warm->reliability_floor_log >= floor) return;
-  solver::WarmStart hint;
-  hint.incumbent = std::move(feasible->solution);
-  hint.reliability_floor_log = floor;
-  warm = std::move(hint);
 }
 
 void SolveService::run_next_batch() {
@@ -533,21 +500,15 @@ void SolveService::run_next_batch() {
           }
         }
         if (!answered_from_cache) {
-          // Freshen the hint: neighbors solved since submission may
-          // carry a stronger floor than what submit harvested.
-          merge_warm_hint(batch->key, query->bounds, query->warm);
           if (!session) session = engine->prepare(batch->canonical->instance);
           const auto solve_start = Clock::now();
           std::optional<obs::ScopedSample> solve_sample;
           if (profiled) solve_sample.emplace();
-          const solver::WarmStart* hint =
-              query->warm && !query->warm->empty() ? &*query->warm : nullptr;
           // Recorded per entry so Retention::kCost can keep expensive
           // exact solves alive longer than cheap heuristic answers.
           double cost_seconds = 0.0;
-          outcome.canonical_solution = solver::timed_solve(
-              *session, query->bounds, hint, cost_seconds);
-          outcome.warm_started = hint != nullptr;
+          outcome.canonical_solution =
+              solver::timed_solve(*session, query->bounds, cost_seconds);
           outcome.invoked = true;
           outcome.cost_seconds = cost_seconds;
           const obs::WorkSample solve_work =
@@ -597,16 +558,20 @@ void SolveService::run_next_batch() {
               fallback_work.alloc_bytes});
           outcome.kind = QueryOutcome::Kind::kFallback;
           outcome.solver_used = config_.fallback_solver;
-          // A warm incumbent (cached from the *requested* solver at
-          // other bounds, feasible here by construction) may beat the
-          // fallback's answer; a degraded reply should still be the
-          // best answer available cheaply.
-          if (query->warm && query->warm->incumbent &&
+          // The best cached incumbent of the *requested* solver at
+          // other bounds that fits this request may beat the fallback's
+          // answer; a degraded reply should still be the best answer
+          // available cheaply.
+          std::optional<CachedSolution> incumbent;
+          if (near_miss_enabled()) {
+            incumbent = cache_.find_feasible(batch->key, query->bounds);
+          }
+          if (incumbent &&
               (!outcome.canonical_solution ||
                solver::tri_criteria_better(
-                   query->warm->incumbent->metrics,
+                   incumbent->solution->metrics,
                    outcome.canonical_solution->metrics))) {
-            outcome.canonical_solution = query->warm->incumbent;
+            outcome.canonical_solution = std::move(incumbent->solution);
             outcome.solver_used = batch->solver_name;
           }
         }
@@ -651,7 +616,6 @@ void SolveService::finish_query(PendingQuery& query,
     }
     if (outcome.near_miss) ++stats_.dominating_hits;
     if (outcome.cache_hit && !outcome.near_miss) ++stats_.cache_hits;
-    if (outcome.warm_started) ++stats_.warm_started;
     if (outcome.invoked) ++stats_.solver_invocations;
     --outstanding_;
     if (queue_depth_gauge_) {

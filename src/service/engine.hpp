@@ -12,10 +12,7 @@
 //      looser-bounds infeasibility. For engines declaring
 //      Solver::bounds_monotone this is bit-identical to a cold solve,
 //      so it is served like a cache hit (and promoted under the exact
-//      key). Otherwise a cached solution for *tighter* bounds that fits
-//      the request becomes a solver::WarmStart (feasible incumbent +
-//      reliability floor) attached to the query — engines prune with
-//      it, answers stay byte-identical by the WarmStart contract;
+//      key);
 //   2. an identical request is already in flight -> the new caller is
 //      attached to it (deduplication: one solve, many futures);
 //   3. otherwise the request joins the open *batch* of its
@@ -75,14 +72,12 @@ struct SolveRequest {
       Instance instance, std::string solver = "portfolio",
       solver::Bounds bounds = {},
       double deadline_seconds = std::numeric_limits<double>::infinity(),
-      DeadlinePolicy deadline_policy = DeadlinePolicy::kDowngrade,
-      std::optional<solver::WarmStart> warm_start = {})
+      DeadlinePolicy deadline_policy = DeadlinePolicy::kDowngrade)
       : instance(std::move(instance)),
         solver(std::move(solver)),
         bounds(bounds),
         deadline_seconds(deadline_seconds),
-        deadline_policy(deadline_policy),
-        warm_start(std::move(warm_start)) {}
+        deadline_policy(deadline_policy) {}
 
   Instance instance;
   std::string solver = "portfolio";  ///< registry name
@@ -92,12 +87,6 @@ struct SolveRequest {
   /// solve *starts*; <= 0 expires immediately, +inf never.
   double deadline_seconds = std::numeric_limits<double>::infinity();
   DeadlinePolicy deadline_policy = DeadlinePolicy::kDowngrade;
-
-  /// Optional caller-supplied warm start in *canonical* processor
-  /// labels (the shard router forwards its best local near-miss this
-  /// way). Merged with — and superseded by — anything stronger the
-  /// local near-miss index turns up; never changes the answer.
-  std::optional<solver::WarmStart> warm_start;
 
   /// Externally minted trace id (the remote half of a forwarded solve
   /// records its spans under the id carried on the wire). 0 = mint one
@@ -153,7 +142,6 @@ struct EngineStats {
   std::uint64_t completed = 0;
   std::uint64_t cache_hits = 0;        ///< exact-key hits
   std::uint64_t dominating_hits = 0;   ///< near-miss answers (no solve)
-  std::uint64_t warm_started = 0;      ///< solves run with a warm hint
   std::uint64_t solver_invocations = 0;  ///< session solves executed
   std::uint64_t deduplicated = 0;
   std::uint64_t batches = 0;           ///< batch tasks executed
@@ -165,10 +153,9 @@ struct EngineStats {
 };
 
 /// Writes the per-tier hit breakdown as one JSON object:
-///   {"exact":..,"dominating":..,"warm_start":..,"miss":..}
+///   {"exact":..,"dominating":..,"solver_invocations":..}
 /// exact = exact-key cache hits, dominating = near-miss answers served
-/// without a solve, warm_start = solves accelerated by a hint, miss =
-/// cold solves (solver_invocations - warm_started).
+/// without a solve, solver_invocations = session solves executed.
 void write_hit_tiers_json(std::ostream& out, const EngineStats& stats);
 
 struct ServiceConfig {
@@ -181,9 +168,10 @@ struct ServiceConfig {
   ShardedSolutionCache::Config cache;
 
   /// Near-miss reuse (requires the cache): bounds-monotone dominating
-  /// hits answer without a solve, other near misses warm-start the
-  /// solver. Both are answer-preserving, so this defaults on; turning
-  /// it off (`--near-miss off`) is for A/B measurement.
+  /// hits answer without a solve, and a deadline downgrade may answer
+  /// with a cached incumbent that fits the request. Dominating hits are
+  /// answer-preserving, so this defaults on; turning it off
+  /// (`--near-miss off`) is for A/B measurement.
   bool near_miss = true;
 
   /// Maximum number of accepted-but-unfinished requests (dedup waiters
@@ -251,10 +239,6 @@ class SolveService {
     std::shared_ptr<const CanonicalInstance> canonical;
     solver::Bounds bounds;
     CanonicalHash key;
-    /// Warm hint harvested at submission (canonical labels); refreshed
-    /// against the index again at solve time — earlier queries of the
-    /// same batch may have produced stronger floors by then.
-    std::optional<solver::WarmStart> warm;
     std::vector<Waiter> waiters;  ///< [0] = first submitter
   };
 
@@ -291,7 +275,6 @@ class SolveService {
     std::string error;
     bool cache_hit = false;    ///< answered from cache at solve time
     bool near_miss = false;    ///< ... via the bounds-monotone index
-    bool warm_started = false; ///< solve ran with a warm hint
     bool invoked = false;      ///< a session solve actually executed
     double cost_seconds = 0.0; ///< recorded cost of the answer
 
@@ -329,12 +312,6 @@ class SolveService {
   std::optional<CachedSolution> dominating_answer(
       const CanonicalHash& bkey, const CanonicalHash& key,
       const solver::Bounds& bounds);
-
-  /// Strengthens `warm` with the index's best feasible incumbent for
-  /// (bkey, bounds), keeping whichever floor is higher.
-  void merge_warm_hint(const CanonicalHash& bkey,
-                       const solver::Bounds& bounds,
-                       std::optional<solver::WarmStart>& warm);
 
   ServiceConfig config_;
   ShardedSolutionCache cache_;

@@ -188,7 +188,6 @@ void write_metrics_text(std::ostream& out, SolveService& service,
       {"completed", engine.completed},
       {"cache_hits", engine.cache_hits},
       {"dominating_hits", engine.dominating_hits},
-      {"warm_started", engine.warm_started},
       {"solver_invocations", engine.solver_invocations},
       {"deduplicated", engine.deduplicated},
       {"batches", engine.batches},
@@ -390,9 +389,7 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
       out << "# hits ";
       write_hit_tiers_json(out, engine_stats);
       out << "\n";
-      out << "# near_miss "
-          << (engine_stats.dominating_hits + engine_stats.warm_started)
-          << "\n";
+      out << "# near_miss " << engine_stats.dominating_hits << "\n";
       out << "# cache ";
       ShardedSolutionCache::write_stats_json(out, service.cache_stats());
       out << "\n";

@@ -11,8 +11,9 @@
 //         [deadline=<seconds>] [policy=reject|downgrade]
 //                            submit a request (ids count from 0)
 //   stats                    emit '# engine ...' / '# hits ...' (per-tier
-//                            breakdown: exact / dominating / warm_start /
-//                            miss) / '# near_miss N' / '# cache ...' JSON
+//                            breakdown: exact / dominating /
+//                            solver_invocations) / '# near_miss N' /
+//                            '# cache ...' JSON
 //   stats --json             one '# stats-json {...}' line: the merged
 //                            document (engine/hits/cache, router/replica/
 //                            net_clients when fabric, telemetry registry

@@ -476,23 +476,6 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   forward->canonical = canonical;
   forward->bounds = request.bounds;
   forward->solver = request.solver;
-  // Best local near-miss for the forwarded key: replicated, prefetched
-  // and fallback-solved entries of this instance live in the local
-  // cache's bounds index even though the key's owner is remote. The
-  // owner prunes with the hint; the answer bytes cannot change.
-  if (service_.config().cache_enabled && service_.config().near_miss) {
-    const CanonicalHash bkey = batch_key(*canonical, request.solver);
-    if (auto feasible =
-            service_.cache().find_feasible(bkey, request.bounds)) {
-      if (feasible->solution) {
-        solver::WarmStart hint;
-        hint.reliability_floor_log =
-            feasible->solution->metrics.reliability.log();
-        hint.incumbent = std::move(feasible->solution);
-        forward->warm = std::move(hint);
-      }
-    }
-  }
   forward->deadline_seconds = request.deadline_seconds;
   forward->deadline_policy = request.deadline_policy;
   forward->key = key;
@@ -537,7 +520,7 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
   // engine does for deduplicated twins.
   SolveRequest remote_request{forward->canonical->instance, forward->solver,
                               forward->bounds, forward->deadline_seconds,
-                              forward->deadline_policy, forward->warm};
+                              forward->deadline_policy};
   // The first submitter's trace id rides on the wire; the owner records
   // its engine spans under it and ships them back in the reply.
   remote_request.trace_id = forward->trace_id;
@@ -687,7 +670,7 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
     }
     SolveRequest local_request{forward->canonical->instance, forward->solver,
                                forward->bounds, remaining_seconds,
-                               waiter.deadline_policy, forward->warm};
+                               waiter.deadline_policy};
     // The waiter's own trace follows it onto the failover path: the
     // engine adopts the id, so the trace shows the dead wire exchange
     // AND the local rescue solve — the whole story of the request.

@@ -25,13 +25,6 @@
 // kReplicaFetch exchange), so a key that is hot *anywhere* becomes
 // cheap *everywhere* before the first local request even arrives.
 //
-// Near-miss hints: a remote-shard miss consults the *local* cache's
-// bounds-monotone index before crossing the wire — the best feasible
-// incumbent for the request (from replicated or fallback-solved entries
-// of the same instance) rides along as a solver::WarmStart, so the
-// owner prunes its solve with the requester's knowledge. Answer bytes
-// never change (the WarmStart contract); only the owner's work does.
-//
 // Degradation: a peer that cannot be reached (or answers garbage)
 // makes the request fall back to the local engine — correctness never
 // depends on the fabric, only capacity does. The mux client marks the
@@ -314,9 +307,6 @@ class ShardRouter {
     std::shared_ptr<const CanonicalInstance> canonical;
     solver::Bounds bounds;
     std::string solver;
-    /// The requester's best local near-miss (canonical labels), carried
-    /// on the wire so the owner's solve starts warm.
-    std::optional<solver::WarmStart> warm;
     /// The first submitter's deadline options, carried on the wire (a
     /// later waiter's options only matter on the failover path).
     double deadline_seconds;

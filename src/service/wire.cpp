@@ -49,14 +49,6 @@ std::string encode_wire_request(const SolveRequest& request) {
   if (request.trace_id != 0) {
     out << "trace " << obs::id_to_hex(request.trace_id) << "\n";
   }
-  if (request.warm_start && request.warm_start->incumbent) {
-    // The incumbent rides as a key-less cache entry line; the floor is
-    // recomputed from its metrics on the far side.
-    out << "warm "
-        << encode_cache_entry(CanonicalHash{},
-                              CachedSolution{request.warm_start->incumbent})
-        << "\n";
-  }
   out << "instance\n";
   write_instance_canonical(out, request.instance);
   return out.str();
@@ -119,18 +111,6 @@ std::optional<SolveRequest> decode_wire_request(std::string_view payload,
     if (trace_id == 0) return bad("malformed trace id '" + value + "'");
     if (!std::getline(in, line)) return bad("expected 'instance'");
   }
-  std::optional<Mapping> warm_mapping;
-  if (take_field(line, "warm", value)) {
-    CanonicalHash ignored_key;
-    CachedSolution entry;
-    std::string why;
-    if (!parse_cache_entry(value, ignored_key, entry, why) ||
-        !entry.solution) {
-      return bad("warm: " + why);
-    }
-    warm_mapping = std::move(entry.solution->mapping);
-    if (!std::getline(in, line)) return bad("expected 'instance'");
-  }
   if (line != "instance") return bad("expected 'instance'");
 
   std::string body;
@@ -140,26 +120,8 @@ std::optional<SolveRequest> decode_wire_request(std::string_view payload,
   }
   ParseResult parsed = instance_from_text(body);
   if (!parsed) return bad("instance: " + parsed.error);
-
-  // The hint is advisory and the peer is untrusted: carried metrics are
-  // discarded and re-evaluated against the decoded instance, so a
-  // fabricated reliability floor can never prune a real optimum (the
-  // WarmStart contract holds against lying peers, not just honest
-  // ones). A mapping that does not fit the instance drops the hint
-  // rather than the request.
-  std::optional<solver::WarmStart> warm;
-  if (warm_mapping && !warm_mapping->validate(parsed.instance->platform) &&
-      warm_mapping->partition().task_count() ==
-          parsed.instance->chain.size()) {
-    solver::WarmStart hint;
-    const MappingMetrics metrics = evaluate(
-        parsed.instance->chain, parsed.instance->platform, *warm_mapping);
-    hint.reliability_floor_log = metrics.reliability.log();
-    hint.incumbent = solver::Solution{std::move(*warm_mapping), metrics};
-    warm = std::move(hint);
-  }
   SolveRequest request{std::move(*parsed.instance), std::move(solver), bounds,
-                       deadline_seconds, policy, std::move(warm)};
+                       deadline_seconds, policy};
   request.trace_id = trace_id;
   return request;
 }

@@ -14,9 +14,6 @@
 //   trace <hex16>              (optional: the origin's trace id; the
 //                               owner records its spans under it so the
 //                               forwarded solve stays ONE trace)
-//   warm <encode_cache_entry>  (optional: the requester's best local
-//                               near-miss incumbent, canonical labels;
-//                               its key field is ignored)
 //   instance
 //   <write_instance_canonical text>
 //

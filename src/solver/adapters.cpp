@@ -35,20 +35,6 @@ class ExactSession final : public PreparedSolver {
     return Solution{std::move(solution->mapping), solution->metrics};
   }
 
-  std::optional<Solution> solve(const Bounds& bounds,
-                                const WarmStart& warm) const override {
-    auto solution =
-        solver_.solve(bounds.period_bound, bounds.latency_bound,
-                      warm_floor_cut(warm.reliability_floor_log));
-    // A feasible incumbent proves the cut scan cannot come up empty; if
-    // it somehow did (a floor above every record, i.e. a caller bug or
-    // rounding drift beyond the cut margin), fall back to the unpruned
-    // scan rather than change the answer.
-    if (!solution && warm.incumbent) return solve(bounds);
-    if (!solution) return std::nullopt;
-    return Solution{std::move(solution->mapping), solution->metrics};
-  }
-
  private:
   HomogeneousExactSolver solver_;
 };
@@ -70,12 +56,6 @@ class ExactAdapter final : public Solver {
                                 const Bounds& bounds) const override {
     if (!supports(instance)) return std::nullopt;
     return ExactSession(instance).solve(bounds);
-  }
-  std::optional<Solution> solve(const Instance& instance,
-                                const Bounds& bounds,
-                                const WarmStart& warm) const override {
-    if (!supports(instance)) return std::nullopt;
-    return ExactSession(instance).solve(bounds, warm);
   }
   std::unique_ptr<PreparedSolver> prepare(
       const Instance& instance) const override {
@@ -102,25 +82,6 @@ class IlpAdapter final : public Solver {
                                      bounds.period_bound,
                                      bounds.latency_bound);
     auto solution = solve_ilp(formulation);
-    if (!solution) return std::nullopt;
-    const MappingMetrics metrics =
-        evaluate(instance.chain, instance.platform, solution->mapping);
-    return Solution{std::move(solution->mapping), metrics};
-  }
-  std::optional<Solution> solve(const Instance& instance,
-                                const Bounds& bounds,
-                                const WarmStart& warm) const override {
-    if (!supports(instance)) return std::nullopt;
-    const IlpFormulation formulation(instance.chain, instance.platform,
-                                     bounds.period_bound,
-                                     bounds.latency_bound);
-    // The B&B objective is the Eq. (9) log reliability — the same scale
-    // the floor certificate is expressed in.
-    auto solution =
-        solve_ilp(formulation, warm_floor_cut(warm.reliability_floor_log));
-    // A feasible incumbent proves the cut search cannot come up empty;
-    // fall back to the uncut search rather than change the answer.
-    if (!solution && warm.incumbent) return solve(instance, bounds);
     if (!solution) return std::nullopt;
     const MappingMetrics metrics =
         evaluate(instance.chain, instance.platform, solution->mapping);
@@ -192,19 +153,6 @@ class HomHeuristicSession final : public PreparedSolver {
   std::optional<Solution> solve(const Bounds& bounds) const override {
     const HeuristicSolution* best = best_heuristic_candidate(
         candidates_, bounds.period_bound, bounds.latency_bound);
-    if (best == nullptr) return std::nullopt;
-    return Solution{best->mapping, best->metrics};
-  }
-
-  std::optional<Solution> solve(const Bounds& bounds,
-                                const WarmStart& warm) const override {
-    const HeuristicSolution* best = best_heuristic_candidate(
-        candidates_, bounds.period_bound, bounds.latency_bound,
-        /*use_expected_metrics=*/false,
-        warm_floor_cut(warm.reliability_floor_log));
-    // A feasible incumbent proves the cut scan cannot come up empty;
-    // fall back to the unpruned scan rather than change the answer.
-    if (best == nullptr && warm.incumbent) return solve(bounds);
     if (best == nullptr) return std::nullopt;
     return Solution{best->mapping, best->metrics};
   }

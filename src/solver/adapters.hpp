@@ -18,15 +18,9 @@
 // All adapters return nullopt (never throw) on unsupported instances or
 // infeasible bounds.
 //
-// Warm starts (solver::WarmStart, answer-preserving by contract): the
-// exact adapter prunes partition records below the floor, the ILP
-// adapter seeds its branch-and-bound pruning bound, and the homogeneous
-// heuristic sessions skip candidates below the floor. The local-search
-// variants deliberately ignore hints — a hill climb seeded elsewhere
-// converges to a different local optimum, which the contract forbids —
-// as do the bounds-driven DP/baseline engines. bounds_monotone() is
-// true for exact, dp, and the plain heuristics on homogeneous
-// platforms (first-max selections over fixed candidate sets).
+// bounds_monotone() is true for exact, dp, and the plain heuristics on
+// homogeneous platforms (first-max selections over fixed candidate
+// sets).
 #pragma once
 
 #include <memory>

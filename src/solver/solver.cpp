@@ -15,30 +15,12 @@ class ForwardingSession final : public PreparedSolver {
     return solver_.solve(instance_, bounds);
   }
 
-  std::optional<Solution> solve(const Bounds& bounds,
-                                const WarmStart& warm) const override {
-    return solver_.solve(instance_, bounds, warm);
-  }
-
  private:
   const Solver& solver_;
   const Instance& instance_;
 };
 
 }  // namespace
-
-double warm_floor_cut(double reliability_floor_log) noexcept {
-  if (!std::isfinite(reliability_floor_log)) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  // Relative safety margin: the floor was measured by evaluate() while
-  // engines accumulate their objectives in other summation orders; a
-  // few ulps of disagreement must never prune the true optimum. 1e-9
-  // relative dwarfs any realistic rounding drift on these ~15-term
-  // log sums while still cutting everything meaningfully worse.
-  return reliability_floor_log -
-         1e-9 * (1.0 + std::abs(reliability_floor_log));
-}
 
 bool within_bounds(const MappingMetrics& metrics,
                    const Bounds& bounds) noexcept {
@@ -61,12 +43,9 @@ bool tri_criteria_better(const MappingMetrics& a,
 }
 
 std::optional<Solution> timed_solve(const PreparedSolver& session,
-                                    const Bounds& bounds,
-                                    const WarmStart* warm, double& seconds) {
+                                    const Bounds& bounds, double& seconds) {
   const auto start = std::chrono::steady_clock::now();
-  std::optional<Solution> solution = warm && !warm->empty()
-                                         ? session.solve(bounds, *warm)
-                                         : session.solve(bounds);
+  std::optional<Solution> solution = session.solve(bounds);
   seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)
                 .count();

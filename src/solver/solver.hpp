@@ -15,7 +15,6 @@
 // src/exp/runner.cpp is subsumed rather than lost.
 #pragma once
 
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -41,42 +40,6 @@ struct Solution {
   MappingMetrics metrics;
 };
 
-/// An optional hint passed alongside a bound query: a known-feasible
-/// incumbent under the query's bounds and a proven-achievable
-/// log-reliability floor (the tri-criteria objective is monotone in the
-/// bounds, so a solution cached for *tighter* bounds certifies both).
-///
-/// Contract: a warm start is an accelerator, never an answer changer —
-/// an engine may use it only to skip work that provably cannot affect
-/// its result, so solve(bounds, warm) is bit-identical to solve(bounds)
-/// for every engine. Engines that cannot prune safely ignore the hint
-/// (the default), which satisfies the contract trivially. Exact
-/// enumeration skips partition records strictly below the floor, the
-/// ILP branch-and-bound seeds its pruning bound with it, and the
-/// homogeneous heuristic sessions skip candidates that cannot beat it.
-struct WarmStart {
-  /// A solution feasible under the query's bounds, in the same
-  /// processor labels as the instance being solved (the service passes
-  /// canonical-space incumbents to canonical-space solves).
-  std::optional<Solution> incumbent;
-
-  /// log(reliability) proven achievable under the query's bounds
-  /// (usually incumbent->metrics.reliability.log(); -inf when unknown).
-  double reliability_floor_log = -std::numeric_limits<double>::infinity();
-
-  bool empty() const noexcept {
-    return !incumbent.has_value() && !std::isfinite(reliability_floor_log);
-  }
-};
-
-/// The pruning cut engines derive from a floor: values strictly below
-/// `floor - margin` cannot be (or tie with) the answer. The margin
-/// absorbs the last-ulp disagreement between an engine's internal
-/// objective accumulation and the evaluate() metrics a cached floor was
-/// taken from — pruning too little is only slower, pruning the optimum
-/// would change the answer.
-double warm_floor_cut(double reliability_floor_log) noexcept;
-
 /// True when the metrics satisfy both worst-case bounds.
 bool within_bounds(const MappingMetrics& metrics,
                    const Bounds& bounds) noexcept;
@@ -98,24 +61,14 @@ class PreparedSolver {
   /// Best solution under the bounds, or nullopt when the engine finds
   /// none.
   virtual std::optional<Solution> solve(const Bounds& bounds) const = 0;
-
-  /// solve() with a warm-start hint. Bit-identical to solve(bounds) by
-  /// the WarmStart contract; the default ignores the hint.
-  virtual std::optional<Solution> solve(const Bounds& bounds,
-                                        const WarmStart& warm) const {
-    (void)warm;
-    return solve(bounds);
-  }
 };
 
-/// Runs `session.solve(bounds)` — with the hint when `warm` is
-/// non-null and non-empty — and reports the wall-clock solve time
+/// Runs `session.solve(bounds)` and reports the wall-clock solve time
 /// through `seconds`. One shared timing point, so the cache's per-entry
 /// cost accounting and the telemetry histograms can never disagree
 /// about what a solve cost.
 std::optional<Solution> timed_solve(const PreparedSolver& session,
-                                    const Bounds& bounds,
-                                    const WarmStart* warm, double& seconds);
+                                    const Bounds& bounds, double& seconds);
 
 /// The uniform engine interface. Implementations are stateless and
 /// thread-safe: concurrent solve()/prepare() calls on one solver object
@@ -142,15 +95,6 @@ class Solver {
   /// unsupported instance).
   virtual std::optional<Solution> solve(const Instance& instance,
                                         const Bounds& bounds) const = 0;
-
-  /// solve() with a warm-start hint (see WarmStart: answer-preserving;
-  /// ignored by default).
-  virtual std::optional<Solution> solve(const Instance& instance,
-                                        const Bounds& bounds,
-                                        const WarmStart& warm) const {
-    (void)warm;
-    return solve(instance, bounds);
-  }
 
   /// True when the engine's answer for `instance` is the argmax of a
   /// fixed preference order over a *fixed, bounds-filtered* candidate

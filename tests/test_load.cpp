@@ -377,11 +377,35 @@ TEST(SloSearch, ConvergesOnPassFailBoundary) {
   // Ramp: 100 200 400 800 1600(fail); bisect: 1200(fail) 1000(pass)
   // 1100(fail) -> bracket (1000, 1100) is inside the 15% tolerance.
   EXPECT_DOUBLE_EQ(search.sustainable_rate, 1000.0);
+  EXPECT_FALSE(search.capped);
   EXPECT_LE(search.steps.size(), options.max_steps);
   EXPECT_FALSE(search.steps.empty());
   for (const StepOutcome& step : search.steps) {
     EXPECT_EQ(step.pass, step.rate <= 1000.0);
   }
+}
+
+TEST(SloSearch, AllPassReportsTheCeilingAsCapped) {
+  // Every step meets the SLO: the ramp stops at max_rate, which is a
+  // lower bound on the knee, not the knee.
+  const auto run_at = [](double) {
+    RunResult result;
+    result.submitted = 10;
+    result.answered = 10;
+    result.latencies.assign(10, 0.001);
+    return result;
+  };
+  SloSpec spec;
+  ASSERT_TRUE(parse_slo("p99<=10ms", spec));
+  SearchOptions options;
+  options.min_rate = 100;
+  options.max_rate = 400;
+  const SearchResult search = max_sustainable_rate(run_at, spec, options);
+  EXPECT_TRUE(search.capped);
+  EXPECT_DOUBLE_EQ(search.sustainable_rate, 400.0);
+  // Ramp 100 200 400, all passing; no bisection.
+  ASSERT_EQ(search.steps.size(), 3u);
+  for (const StepOutcome& step : search.steps) EXPECT_TRUE(step.pass);
 }
 
 TEST(SloSearch, ZeroWhenEvenMinRateFails) {
@@ -396,6 +420,7 @@ TEST(SloSearch, ZeroWhenEvenMinRateFails) {
   ASSERT_TRUE(parse_slo("p99<=10ms", spec));
   const SearchResult search = max_sustainable_rate(run_at, spec, {});
   EXPECT_DOUBLE_EQ(search.sustainable_rate, 0.0);
+  EXPECT_FALSE(search.capped);
   EXPECT_EQ(search.steps.size(), 1u);
 }
 

@@ -1,13 +1,11 @@
-// Incremental re-solve: the bounds-monotone near-miss index and
-// warm-started solver sessions. The load-bearing guarantees:
-//   * warm-started exact/ILP/heuristic/local-search answers are
-//     bit-identical to cold solves across randomized bound ladders
-//     (the WarmStart contract), even against a lying floor;
+// Incremental re-solve: the bounds-monotone near-miss index. The
+// load-bearing guarantees:
 //   * a dominating near-miss hit is byte-identical to the originally
 //     cached entry and costs zero solver invocations;
 //   * a whole bound-ladder sweep produces byte-identical output with
 //     near-miss reuse on and off, with several-fold fewer invocations;
-//   * the index survives TSV and PRTS1 persistence and rides the wire.
+//   * the index survives TSV and PRTS1 persistence, and near-miss
+//     metadata rides the wire reply.
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -60,103 +58,6 @@ std::vector<double> period_ladder(const Instance& instance,
                                        static_cast<double>(steps - 1)));
   }
   return ladder;
-}
-
-// ---------------------------------------------------- WarmStart contract
-
-/// Warm vs cold over a randomized ascending ladder: each step's warm
-/// start is the previous feasible answer (feasible for every looser
-/// step by bounds monotonicity). Any divergence is a contract breach.
-void expect_warm_equals_cold(const std::string& solver_name) {
-  const auto engine = solver::SolverRegistry::builtin().find(solver_name);
-  ASSERT_TRUE(engine) << solver_name;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const Instance instance = random_hom_instance(seed, 8, 5);
-    std::optional<solver::Solution> incumbent;
-    for (const double period : period_ladder(instance, 10)) {
-      solver::Bounds bounds;
-      bounds.period_bound = period;
-      const auto cold = engine->solve(instance, bounds);
-      solver::WarmStart warm;
-      if (incumbent) {
-        warm.incumbent = incumbent;
-        warm.reliability_floor_log =
-            incumbent->metrics.reliability.log();
-      }
-      const auto warmed = engine->solve(instance, bounds, warm);
-      ASSERT_EQ(cold.has_value(), warmed.has_value())
-          << solver_name << " seed " << seed << " period " << period;
-      if (cold) {
-        EXPECT_EQ(cold->mapping, warmed->mapping)
-            << solver_name << " seed " << seed << " period " << period;
-        EXPECT_EQ(cold->metrics, warmed->metrics)
-            << solver_name << " seed " << seed << " period " << period;
-        incumbent = cold;
-      }
-    }
-  }
-}
-
-TEST(WarmStartContract, ExactWarmVsColdBitIdentical) {
-  expect_warm_equals_cold("exact");
-}
-
-TEST(WarmStartContract, IlpWarmVsColdBitIdentical) {
-  expect_warm_equals_cold("ilp");
-}
-
-TEST(WarmStartContract, HeuristicsWarmVsColdBitIdentical) {
-  expect_warm_equals_cold("heur-l");
-  expect_warm_equals_cold("heur-p");
-}
-
-TEST(WarmStartContract, LocalSearchWarmVsColdBitIdentical) {
-  expect_warm_equals_cold("heur-l+ls");
-  expect_warm_equals_cold("heur-p+ls");
-}
-
-TEST(WarmStartContract, PreparedSessionsHonorTheContractToo) {
-  const Instance instance = random_hom_instance(7, 8, 5);
-  for (const char* name : {"exact", "heur-p"}) {
-    const auto engine = solver::SolverRegistry::builtin().find(name);
-    const auto session = engine->prepare(instance);
-    std::optional<solver::Solution> incumbent;
-    for (const double period : period_ladder(instance, 8)) {
-      solver::Bounds bounds;
-      bounds.period_bound = period;
-      const auto cold = session->solve(bounds);
-      solver::WarmStart warm;
-      if (incumbent) {
-        warm.incumbent = incumbent;
-        warm.reliability_floor_log = incumbent->metrics.reliability.log();
-      }
-      const auto warmed = session->solve(bounds, warm);
-      ASSERT_EQ(cold.has_value(), warmed.has_value()) << name;
-      if (cold) {
-        EXPECT_EQ(cold->mapping, warmed->mapping) << name;
-        EXPECT_EQ(cold->metrics, warmed->metrics) << name;
-        incumbent = cold;
-      }
-    }
-  }
-}
-
-TEST(WarmStartContract, LyingFloorFallsBackInsteadOfChangingTheAnswer) {
-  // A floor above the true optimum would prune everything; the
-  // adapters must detect the empty cut result and re-run unpruned.
-  const Instance instance = hom_instance();
-  for (const char* name : {"exact", "ilp", "heur-p"}) {
-    const auto engine = solver::SolverRegistry::builtin().find(name);
-    const auto cold = engine->solve(instance, {});
-    ASSERT_TRUE(cold) << name;
-    solver::WarmStart lying;
-    lying.incumbent = cold;
-    lying.reliability_floor_log = cold->metrics.reliability.log() + 1.0;
-    const auto warmed = engine->solve(instance, {}, lying);
-    ASSERT_TRUE(warmed) << name;
-    EXPECT_EQ(cold->mapping, warmed->mapping) << name;
-    EXPECT_EQ(cold->metrics, warmed->metrics) << name;
-  }
 }
 
 // ------------------------------------------------- service near-miss path
@@ -214,8 +115,8 @@ TEST(NearMissService, LooserInfeasibilityAnswersTighterRequests) {
 
 TEST(NearMissService, NonMonotoneSolversNeverGetDominatingHits) {
   // dp-period reconstructs under the period bound: correct per query
-  // but not argmax-over-fixed-candidates, so near-miss must only ever
-  // warm-start it, never answer for it.
+  // but not argmax-over-fixed-candidates, so near-miss must never
+  // answer for it.
   SolveService service(near_miss_config(true));
   const Instance instance = hom_instance();
   SolveRequest loose{instance, "dp-period", {}};
@@ -275,10 +176,10 @@ TEST(NearMissService, LadderOutputByteIdenticalOnVsOffWithFewerSolves) {
   EXPECT_LE(on_stats.solver_invocations * 2, off_stats.solver_invocations);
 }
 
-TEST(NearMissService, TighterAnswersWarmStartLooserRequests) {
-  // Ascending ladder on the ILP: each answer is a feasible incumbent
-  // for the next, looser request — warm starts, never dominating hits
-  // (the ILP is not bounds-monotone), output identical to cold.
+TEST(NearMissService, IlpAscendingLadderByteIdenticalOnVsOff) {
+  // Ascending ladder on the ILP, which is not bounds-monotone: near-miss
+  // reuse must never answer for it, so every step is a real solve and
+  // the output is identical to cold.
   const Instance instance = random_hom_instance(33, 8, 5);
   const std::vector<double> ladder = period_ladder(instance, 8);
 
@@ -298,7 +199,6 @@ TEST(NearMissService, TighterAnswersWarmStartLooserRequests) {
   EngineStats on_stats;
   const auto off = sweep(false, off_stats);
   const auto on = sweep(true, on_stats);
-  EXPECT_GT(on_stats.warm_started, 0u);
   EXPECT_EQ(on_stats.dominating_hits, 0u);
   for (std::size_t i = 0; i < off.size(); ++i) {
     ASSERT_EQ(off[i].status, on[i].status) << "step " << i;
@@ -331,33 +231,40 @@ TEST(NearMissService, BurstSubmittedLadderCollapsesInsideOneBatch) {
   EXPECT_LT(stats.solver_invocations, descending.size());
 }
 
-TEST(NearMissService, ExpiredDeadlineDowngradePrefersTheWarmIncumbent) {
-  // deadline 0 expires immediately -> downgrade path; the request
-  // carries an incumbent better than anything heur-p can produce, so
-  // the degraded answer is the incumbent (canonical labels).
+TEST(NearMissService, ExpiredDeadlineDowngradePrefersTheCachedIncumbent) {
+  // deadline 0 expires immediately -> downgrade path; the cache holds
+  // an answer of the requested solver at tighter bounds that fits the
+  // request and beats anything heur-p can produce, so the degraded
+  // answer is that incumbent.
   const Instance instance = hom_instance();
+  const CanonicalInstance canonical = canonicalize(instance);
   const auto exact = solver::SolverRegistry::builtin().find("exact");
-  const auto optimum = exact->solve(instance, {});
+  const auto optimum = exact->solve(canonical.instance, {});
   ASSERT_TRUE(optimum);
 
   SolveService service(near_miss_config(true));
-  SolveRequest request{instance, "exact", {}, 0.0,
-                       DeadlinePolicy::kDowngrade};
   // An incumbent strictly better than anything the fallback can
   // produce (tri-criteria prefers higher reliability), so the choice
-  // is deterministic: the degraded answer must be the incumbent.
+  // is deterministic. Its tighter bounds keep it from dominating the
+  // unbounded request.
   solver::Solution incumbent = *optimum;
   incumbent.metrics.reliability = LogReliability::from_log(
       optimum->metrics.reliability.log() * 0.5);
-  solver::WarmStart warm;
-  warm.incumbent = incumbent;
-  warm.reliability_floor_log = incumbent.metrics.reliability.log();
-  request.warm_start = warm;
+  service.cache().insert(
+      fingerprint("tighter-neighbour"),
+      CachedSolution{incumbent, 0.0, batch_key(canonical, "exact"),
+                     solver::Bounds{incumbent.metrics.worst_period,
+                                    incumbent.metrics.worst_latency}});
+
+  SolveRequest request{instance, "exact", {}, 0.0,
+                       DeadlinePolicy::kDowngrade};
   const SolveReply reply = service.submit(request).get();
   ASSERT_EQ(reply.status, ReplyStatus::kSolved);
   EXPECT_TRUE(reply.downgraded);
+  EXPECT_FALSE(reply.near_miss);
   EXPECT_EQ(reply.solution->metrics, incumbent.metrics);
   EXPECT_EQ(reply.solver_used, "exact");
+  EXPECT_EQ(service.stats().solver_invocations, 0u);
 }
 
 TEST(NearMissService, DisabledNearMissNeverConsultsTheIndex) {
@@ -441,86 +348,6 @@ TEST(NearMissPersistence, LegacyLinesLoadUnindexed) {
   ASSERT_TRUE(parse_cache_entry(line, key, parsed, error)) << error;
   EXPECT_FALSE(parsed.indexable());
   EXPECT_EQ(parsed.cost_seconds, 0.5);
-}
-
-TEST(NearMissWire, WarmHintRidesTheRequestPayload) {
-  const Instance instance = hom_instance();
-  const auto exact = solver::SolverRegistry::builtin().find("exact");
-  const auto optimum = exact->solve(instance, {});
-  ASSERT_TRUE(optimum);
-
-  SolveRequest request{instance, "exact", {}};
-  request.bounds.period_bound = 42.0;
-  solver::WarmStart warm;
-  warm.incumbent = optimum;
-  warm.reliability_floor_log = optimum->metrics.reliability.log();
-  request.warm_start = warm;
-
-  std::string error;
-  const auto decoded =
-      decode_wire_request(encode_wire_request(request), error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  ASSERT_TRUE(decoded->warm_start.has_value());
-  ASSERT_TRUE(decoded->warm_start->incumbent.has_value());
-  EXPECT_EQ(decoded->warm_start->incumbent->mapping, optimum->mapping);
-  EXPECT_EQ(decoded->warm_start->incumbent->metrics, optimum->metrics);
-  EXPECT_EQ(decoded->warm_start->reliability_floor_log,
-            optimum->metrics.reliability.log());
-
-  // Hint-less requests stay hint-less.
-  SolveRequest plain{instance, "exact", {}};
-  const auto decoded_plain =
-      decode_wire_request(encode_wire_request(plain), error);
-  ASSERT_TRUE(decoded_plain.has_value()) << error;
-  EXPECT_FALSE(decoded_plain->warm_start.has_value());
-}
-
-TEST(NearMissWire, FabricatedHintMetricsAreReEvaluatedNotTrusted) {
-  // A peer's carried metrics are untrusted: a lying reliability floor
-  // above the true optimum would prune real answers. The decoder must
-  // discard the wire metrics and re-evaluate the mapping.
-  const Instance instance = hom_instance();
-  const auto exact = solver::SolverRegistry::builtin().find("exact");
-  const auto optimum = exact->solve(instance, {});
-
-  SolveRequest request{instance, "exact", {}};
-  solver::WarmStart lying;
-  lying.incumbent = *optimum;
-  lying.incumbent->metrics.reliability =
-      LogReliability::from_log(optimum->metrics.reliability.log() * 1e-3);
-  lying.reliability_floor_log = lying.incumbent->metrics.reliability.log();
-  request.warm_start = lying;
-
-  std::string error;
-  const auto decoded =
-      decode_wire_request(encode_wire_request(request), error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  ASSERT_TRUE(decoded->warm_start.has_value());
-  EXPECT_EQ(decoded->warm_start->incumbent->metrics, optimum->metrics);
-  EXPECT_EQ(decoded->warm_start->reliability_floor_log,
-            optimum->metrics.reliability.log());
-}
-
-TEST(NearMissService, BoundViolatingSuppliedHintIsDropped) {
-  // A caller-supplied incumbent that does not satisfy the request's
-  // bounds proves nothing — the downgrade path must not leak it.
-  const Instance instance = hom_instance();
-  const auto exact = solver::SolverRegistry::builtin().find("exact");
-  const auto optimum = exact->solve(instance, {});
-
-  SolveService service(near_miss_config(true));
-  SolveRequest request{instance, "exact", {}, 0.0,
-                       DeadlinePolicy::kDowngrade};
-  request.bounds.period_bound = optimum->metrics.worst_period * 0.5;
-  solver::WarmStart warm;
-  warm.incumbent = *optimum;  // violates the tightened period bound
-  warm.reliability_floor_log = optimum->metrics.reliability.log();
-  request.warm_start = warm;
-  const SolveReply reply = service.submit(request).get();
-  if (reply.solution) {
-    EXPECT_LE(reply.solution->metrics.worst_period,
-              request.bounds.period_bound);
-  }
 }
 
 TEST(NearMissWire, ReplyCarriesCostAndNearFlag) {

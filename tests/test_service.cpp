@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -67,12 +68,22 @@ class GatedSolver final : public solver::Solver {
 
   std::optional<solver::Solution> solve(
       const Instance& instance, const solver::Bounds& bounds) const override {
+    entered_.fetch_add(1);
     gate_.wait();
     return inner_->solve(instance, bounds);
   }
 
+  /// Blocks until a solve is waiting at the gate, i.e. the worker that
+  /// runs it is occupied.
+  void wait_until_entered() const {
+    while (entered_.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
  private:
   std::shared_future<void> gate_;
+  mutable std::atomic<int> entered_{0};
   std::shared_ptr<const solver::Solver> inner_;
 };
 
@@ -258,7 +269,8 @@ TEST(SolveService, DeduplicatedIsomorphicTwinsGetTheirOwnLabels) {
 TEST(SolveService, PatientDedupWaiterKeepsAnExpiredTwinAlive) {
   std::promise<void> gate;
   solver::SolverRegistry registry;
-  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
+  const auto gated = std::make_shared<GatedSolver>(gate.get_future().share());
+  registry.add(gated);
 
   ServiceConfig config;
   config.registry = &registry;
@@ -269,6 +281,7 @@ TEST(SolveService, PatientDedupWaiterKeepsAnExpiredTwinAlive) {
   // their batch finally runs.
   std::future<SolveReply> blocker =
       service.submit(SolveRequest{het_instance(), "gated", {}});
+  gated->wait_until_entered();
 
   // First submitter: already-expired deadline, reject policy. Its twin
   // has no deadline — the query must be solved for real, not rejected
@@ -295,7 +308,8 @@ TEST(SolveService, PatientDedupWaiterKeepsAnExpiredTwinAlive) {
 TEST(SolveService, AllExpiredMixedPoliciesSplitPerWaiter) {
   std::promise<void> gate;
   solver::SolverRegistry registry;
-  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
+  const auto gated = std::make_shared<GatedSolver>(gate.get_future().share());
+  registry.add(gated);
   // The downgrade target must exist in the service's registry.
   registry.add(solver::make_heuristic_solver(HeuristicKind::kHeurP, false));
 
@@ -306,6 +320,7 @@ TEST(SolveService, AllExpiredMixedPoliciesSplitPerWaiter) {
 
   std::future<SolveReply> blocker =
       service.submit(SolveRequest{het_instance(), "gated", {}});
+  gated->wait_until_entered();
 
   // Both waiters expired: the downgrade waiter gets the fallback
   // answer, the reject waiter a rejection — per-waiter statuses.
@@ -333,7 +348,8 @@ TEST(SolveService, AllExpiredMixedPoliciesSplitPerWaiter) {
 TEST(SolveService, CompatibleRequestsShareOneBatch) {
   std::promise<void> gate;
   solver::SolverRegistry registry;
-  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
+  const auto gated = std::make_shared<GatedSolver>(gate.get_future().share());
+  registry.add(gated);
 
   ServiceConfig config;
   config.registry = &registry;
@@ -344,6 +360,7 @@ TEST(SolveService, CompatibleRequestsShareOneBatch) {
   // batch (same instance + solver, different bounds).
   std::future<SolveReply> blocker =
       service.submit(SolveRequest{het_instance(), "gated", {}});
+  gated->wait_until_entered();
 
   SolveRequest loose{hom_instance(), "gated", {}};
   SolveRequest tight = loose;
@@ -591,6 +608,21 @@ TEST(WireCodec, GarbageIsRejectedWithReason) {
   EXPECT_FALSE(
       decode_wire_request("prts-solve-request v1\nsolver\n", error)
           .has_value());
+
+  // A 'warm' hint line before the instance is not part of the format.
+  const Instance instance = hom_instance();
+  const auto solution =
+      solver::SolverRegistry::builtin().find("exact")->solve(instance, {});
+  ASSERT_TRUE(solution.has_value());
+  std::string payload =
+      encode_wire_request(SolveRequest{instance, "exact", {}});
+  payload.insert(payload.find("instance\n"),
+                 "warm " +
+                     encode_cache_entry(CanonicalHash{},
+                                        CachedSolution{solution}) +
+                     "\n");
+  EXPECT_FALSE(decode_wire_request(payload, error).has_value());
+  EXPECT_EQ(error, "expected 'instance'");
 }
 
 TEST(WireCodec, PeerListParses) {

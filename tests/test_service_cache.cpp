@@ -161,14 +161,23 @@ TEST(SolutionCachePersistence, TsvRoundTripPreservesSolveCost) {
   EXPECT_EQ(reloaded.lookup(key_of(2))->cost_seconds, 1.5);
 }
 
-TEST(SolutionCachePersistence, LegacyTsvLinesWithoutCostStillLoad) {
+TEST(SolutionCachePersistence, TsvLinesWithoutCostAreRejected) {
+  // A negative entry without the cost field (4 fields).
   ShardedSolutionCache cache;
-  // A pre-cost-field negative entry (4 fields).
-  std::stringstream file(to_hex(key_of(3)) + "\t0\t-\t-\n");
-  const auto result = cache.load_tsv(file);
-  EXPECT_EQ(result.error, "");
-  EXPECT_EQ(result.loaded, 1u);
-  EXPECT_EQ(cache.lookup(key_of(3))->cost_seconds, 0.0);
+  std::stringstream negative(to_hex(key_of(3)) + "\t0\t-\t-\n");
+  auto result = cache.load_tsv(negative);
+  EXPECT_EQ(result.error, "line 1: expected >= 5 tab-separated fields");
+  EXPECT_EQ(result.loaded, 0u);
+
+  // A feasible entry without the cost field (13 fields).
+  std::string line = encode_cache_entry(
+      key_of(4), CachedSolution{feasible_entry(tiny_instance()).solution});
+  line.erase(line.rfind('\t'));
+  std::stringstream feasible(line + "\n");
+  result = cache.load_tsv(feasible);
+  EXPECT_EQ(result.error, "line 1: feasible entries need 14/17 fields");
+  EXPECT_EQ(result.loaded, 0u);
+  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(SolutionCachePersistence, BinaryRoundTripIsBitIdentical) {

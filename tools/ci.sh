@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build (with the project's always-on
 # -Wall -Wextra), run the tier-1 ctest suite, smoke-test near-miss
-# reuse on a bound sweep, run the concurrent suites under ThreadSanitizer
-# in a second build tree, then smoke-test the distributed solve fabric
+# reuse on a bound sweep, run every suite under AddressSanitizer +
+# UndefinedBehaviorSanitizer and the concurrent suites under
+# ThreadSanitizer (each in its own build tree), then smoke-test the distributed solve fabric
 # with three real prts_cli processes on loopback — including hot-entry
 # replication, telemetry scrapes (prometheus exposition from every rank,
 # monotone counters, a cross-rank trace), killing a rank mid-run, and an
@@ -16,7 +17,7 @@
 #   tools/ci.sh                 # Release build into ./build
 #   BUILD_TYPE=Debug tools/ci.sh
 #   BUILD_DIR=/tmp/ci tools/ci.sh
-#   SKIP_SANITIZE=1 tools/ci.sh       # no ThreadSanitizer stage
+#   SKIP_SANITIZE=1 tools/ci.sh       # no sanitizer stages
 #   SKIP_FABRIC_SMOKE=1 tools/ci.sh   # no fabric / elastic smokes
 set -euo pipefail
 
@@ -93,14 +94,24 @@ fi
 echo "near-miss smoke test OK: near_miss=$near_miss"
 
 # ---------------------------------------------------------------------------
-# ThreadSanitizer stage: a second tree, built with -fsanitize=thread,
-# runs the suites whose threads share sockets, queues and counters. Any
+# Sanitizer stages, each in its own tree. AddressSanitizer +
+# UndefinedBehaviorSanitizer run every ctest suite; any memory error or
+# undefined behaviour aborts the suite and fails CI. ThreadSanitizer
+# runs the suites whose threads share sockets, queues and counters; any
 # race report halts the suite and fails CI.
 # ---------------------------------------------------------------------------
 if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
+  ASAN_BUILD="$BUILD-asan"
+  cmake -B "$ASAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+  cmake --build "$ASAN_BUILD" -j "$JOBS"
+  (cd "$ASAN_BUILD" &&
+     UBSAN_OPTIONS=print_stacktrace=1 ctest --output-on-failure -j "$JOBS")
+  echo "address/undefined sanitizer stage OK: all ctest suites"
+
   TSAN_BUILD="$BUILD-tsan"
   TSAN_SUITES=(test_net test_service test_obs test_fabric_replication
-               test_membership)
+               test_membership test_load test_thread_pool)
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS=-fsanitize=thread
   cmake --build "$TSAN_BUILD" -j "$JOBS" --target "${TSAN_SUITES[@]}"

@@ -51,7 +51,7 @@
 //       --gossip-interval enables periodic hot-key digests so peers
 //       prefetch each other's hot entries (0 disables gossip);
 //       --near-miss off disables bounds-monotone near-miss reuse
-//       (dominating hits + warm starts; on by default, answer bytes
+//       (dominating hits; on by default, answer bytes
 //       are identical either way); --no-input serves network traffic
 //       only until SIGINT/SIGTERM; every serve carries telemetry (a
 //       metrics registry + request tracer, see src/obs/) reachable via
@@ -1170,7 +1170,9 @@ int cmd_loadgen(const Flags& flags) {
     const load::SearchResult search =
         load::max_sustainable_rate(run_at, slo, search_options);
     report << "{\"mode\":\"search\",\"sustainable_rps_at_slo\":"
-           << search.sustainable_rate << ",\"steps\":[";
+           << search.sustainable_rate
+           << ",\"capped\":" << (search.capped ? "true" : "false")
+           << ",\"steps\":[";
     bool first = true;
     for (const load::StepOutcome& step : search.steps) {
       if (!first) report << ",";
