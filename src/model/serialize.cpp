@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <istream>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -55,12 +56,14 @@ std::string instance_to_text(const Instance& instance) {
 }
 
 std::string canonical_number(double value) {
+  char buffer[kCanonicalNumberMaxChars];
+  return std::string(buffer, write_canonical_number(buffer, value));
+}
+
+char* write_canonical_number(char* out, double value) noexcept {
   if (value == 0.0) value = 0.0;  // collapse -0.0
-  char buffer[64];
-  const auto [end, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  (void)ec;  // shortest form always fits in 64 chars
-  return std::string(buffer, end);
+  // The shortest form always fits in kCanonicalNumberMaxChars.
+  return std::to_chars(out, out + kCanonicalNumberMaxChars, value).ptr;
 }
 
 bool parse_canonical_number(std::string_view text, double& value) {
@@ -80,22 +83,56 @@ bool parse_canonical_number(std::string_view text, double& value) {
   return true;
 }
 
-void write_instance_canonical(std::ostream& out, const Instance& instance) {
-  out << "prts-instance v1\n";
-  out << "tasks " << instance.chain.size() << "\n";
-  for (const Task& task : instance.chain.tasks()) {
-    out << canonical_number(task.work) << " "
-        << canonical_number(task.out_size) << "\n";
-  }
+std::string canonical_instance_text(const Instance& instance) {
+  const TaskChain& chain = instance.chain;
   const Platform& platform = instance.platform;
-  out << "platform " << platform.processor_count() << " "
-      << canonical_number(platform.bandwidth()) << " "
-      << canonical_number(platform.link_failure_rate()) << " "
-      << platform.max_replication() << "\n";
-  for (const Processor& proc : platform.processors()) {
-    out << canonical_number(proc.speed) << " "
-        << canonical_number(proc.failure_rate) << "\n";
+  // Upper bound of the text: fixed words, two counts and a replication
+  // bound of at most 20 digits each, and every number line at its
+  // widest. Typical instances fit the stack buffer; the text is then
+  // copied once into a string of its exact size.
+  constexpr std::size_t kLine = 2 * kCanonicalNumberMaxChars + 2;
+  const std::size_t bound = 64 + 3 * 20 + 2 * kCanonicalNumberMaxChars +
+                            kLine * (chain.size() + platform.processor_count());
+  char stack[4096];
+  std::unique_ptr<char[]> heap;
+  if (bound > sizeof(stack)) heap = std::make_unique<char[]>(bound);
+  char* const begin = heap ? heap.get() : stack;
+  char* out = begin;
+  const auto put = [&out](std::string_view text) {
+    out = std::copy(text.begin(), text.end(), out);
+  };
+  const auto put_integer = [&out](std::uint64_t value) {
+    out = std::to_chars(out, out + 20, value).ptr;
+  };
+  put("prts-instance v1\ntasks ");
+  put_integer(chain.size());
+  *out++ = '\n';
+  for (const Task& task : chain.tasks()) {
+    out = write_canonical_number(out, task.work);
+    *out++ = ' ';
+    out = write_canonical_number(out, task.out_size);
+    *out++ = '\n';
   }
+  put("platform ");
+  put_integer(platform.processor_count());
+  *out++ = ' ';
+  out = write_canonical_number(out, platform.bandwidth());
+  *out++ = ' ';
+  out = write_canonical_number(out, platform.link_failure_rate());
+  *out++ = ' ';
+  put_integer(platform.max_replication());
+  *out++ = '\n';
+  for (const Processor& proc : platform.processors()) {
+    out = write_canonical_number(out, proc.speed);
+    *out++ = ' ';
+    out = write_canonical_number(out, proc.failure_rate);
+    *out++ = '\n';
+  }
+  return std::string(begin, out);
+}
+
+void write_instance_canonical(std::ostream& out, const Instance& instance) {
+  out << canonical_instance_text(instance);
 }
 
 ParseResult read_instance(std::istream& in) {

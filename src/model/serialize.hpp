@@ -45,16 +45,28 @@ std::string instance_to_text(const Instance& instance);
 /// the service layer's content hashing needs.
 std::string canonical_number(double value);
 
+/// Room canonical_number output needs ("-2.2250738585072014e-308" is
+/// 24 chars; the margin keeps callers' size bounds simple).
+inline constexpr std::size_t kCanonicalNumberMaxChars = 32;
+
+/// canonical_number written straight into `out`, which must have room
+/// for kCanonicalNumberMaxChars chars; returns one past the last char.
+char* write_canonical_number(char* out, double value) noexcept;
+
 /// Inverse of canonical_number (from_chars round-trips to_chars
 /// exactly; "inf"/"-inf" accepted). False on trailing garbage or
 /// malformed input; `value` is untouched on failure.
 bool parse_canonical_number(std::string_view text, double& value);
 
-/// Writes the v1 text format with canonical_number formatting and no
+/// The v1 text format with canonical_number formatting and no
 /// information loss: the byte-level canonical form of an instance
 /// (read_instance parses it back bit-exactly). Processor *order* is
 /// preserved; isomorphism-safe normalization is layered on top by
-/// src/service/canonical.hpp.
+/// src/service/canonical.hpp. Written with to_chars into one exactly
+/// sized string: no stream and no per-number strings.
+std::string canonical_instance_text(const Instance& instance);
+
+/// Streams canonical_instance_text(instance).
 void write_instance_canonical(std::ostream& out, const Instance& instance);
 
 /// Result of parsing: either an instance or a human-readable error.

@@ -27,34 +27,60 @@ Tracer::Tracer(TracerConfig config) : config_(config) {
                 reinterpret_cast<std::uintptr_t>(this));
 }
 
-std::uint64_t Tracer::start(const std::string& label) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+std::uint64_t Tracer::mint_locked() {
   std::uint64_t id = 0;
   // 0 is the "no trace" sentinel; skip it in the astronomically
   // unlikely case the mix lands there.
   while (id == 0) id = mix64(salt_ ^ ++sequence_);
-  ring_.push_back(Trace{id, label, {}, 0.0, false, false});
-  index_[id] = std::prev(ring_.end());
-  evict_locked();
+  return id;
+}
+
+Trace& Tracer::open_locked(std::uint64_t id, std::string_view label) {
+  if (ring_.size() < config_.capacity) {
+    ring_.emplace_back();
+    index_[id] = std::prev(ring_.end());
+  } else {
+    auto node = index_.extract(ring_.front().id);
+    ring_.splice(ring_.end(), ring_, ring_.begin());
+    if (node.empty()) {
+      index_[id] = std::prev(ring_.end());
+    } else {
+      node.key() = id;
+      node.mapped() = std::prev(ring_.end());
+      index_.insert(std::move(node));
+    }
+  }
+  Trace& trace = ring_.back();
+  trace.id = id;
+  trace.label.assign(label);
+  trace.spans.clear();
+  trace.total_seconds = 0.0;
+  trace.finished = false;
+  trace.slow_logged = false;
+  return trace;
+}
+
+std::uint64_t Tracer::start(const std::string& label) {
+  const std::lock_guard<ProfiledMutex> lock(mutex_);
+  const std::uint64_t id = mint_locked();
+  open_locked(id, label);
   return id;
 }
 
 void Tracer::start_with_id(std::uint64_t id, const std::string& label) {
   if (id == 0) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<ProfiledMutex> lock(mutex_);
   const auto it = index_.find(id);
   if (it != index_.end()) {
     if (it->second->label.empty()) it->second->label = label;
     return;
   }
-  ring_.push_back(Trace{id, label, {}, 0.0, false, false});
-  index_[id] = std::prev(ring_.end());
-  evict_locked();
+  open_locked(id, label);
 }
 
 void Tracer::record(std::uint64_t id, Span span) {
   if (id == 0) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<ProfiledMutex> lock(mutex_);
   const auto it = index_.find(id);
   if (it == index_.end()) return;
   it->second->spans.push_back(std::move(span));
@@ -65,12 +91,25 @@ void Tracer::record(std::uint64_t id, const std::string& name, int rank,
   record(id, Span{name, rank, start_seconds, duration_seconds});
 }
 
+std::uint64_t Tracer::record_single(std::string_view label, Span span,
+                                    double total_seconds) {
+  const std::lock_guard<ProfiledMutex> lock(mutex_);
+  const std::uint64_t id = mint_locked();
+  Trace& trace = open_locked(id, label);
+  trace.spans.push_back(std::move(span));
+  finish_locked(trace, total_seconds);
+  return id;
+}
+
 void Tracer::finish(std::uint64_t id, double total_seconds) {
   if (id == 0) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<ProfiledMutex> lock(mutex_);
   const auto it = index_.find(id);
   if (it == index_.end()) return;
-  Trace& trace = *it->second;
+  finish_locked(*it->second, total_seconds);
+}
+
+void Tracer::finish_locked(Trace& trace, double total_seconds) {
   trace.finished = true;
   // Upsert: an amended finish (failover) extends the total.
   if (total_seconds > trace.total_seconds) trace.total_seconds = total_seconds;
@@ -81,7 +120,7 @@ void Tracer::finish(std::uint64_t id, double total_seconds) {
 }
 
 bool Tracer::find(std::uint64_t id, Trace& out) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<ProfiledMutex> lock(mutex_);
   const auto it = index_.find(id);
   if (it == index_.end()) return false;
   out = *it->second;
@@ -89,7 +128,7 @@ bool Tracer::find(std::uint64_t id, Trace& out) const {
 }
 
 std::vector<Trace> Tracer::recent(std::size_t limit) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<ProfiledMutex> lock(mutex_);
   std::vector<Trace> out;
   out.reserve(std::min(limit, ring_.size()));
   for (auto it = ring_.rbegin(); it != ring_.rend() && out.size() < limit;
@@ -100,7 +139,7 @@ std::vector<Trace> Tracer::recent(std::size_t limit) const {
 }
 
 std::vector<Trace> Tracer::slow(std::size_t limit) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<ProfiledMutex> lock(mutex_);
   std::vector<Trace> out;
   out.reserve(std::min(limit, slow_ring_.size()));
   for (auto it = slow_ring_.rbegin();
@@ -111,15 +150,8 @@ std::vector<Trace> Tracer::slow(std::size_t limit) const {
 }
 
 std::uint64_t Tracer::slow_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<ProfiledMutex> lock(mutex_);
   return slow_count_;
-}
-
-void Tracer::evict_locked() {
-  while (ring_.size() > config_.capacity) {
-    index_.erase(ring_.front().id);
-    ring_.pop_front();
-  }
 }
 
 void Tracer::mark_slow_locked(Trace& trace) {
@@ -178,6 +210,8 @@ void Telemetry::init() {
       .set(std::chrono::duration<double>(
                std::chrono::system_clock::now().time_since_epoch())
                .count());
+  tracer_probe_ = ProfiledMutex::make_probe(metrics, "tracer");
+  tracer.attach_mutex_probe(&tracer_probe_);
   recorder.set_observer(
       [this](const FlightRecorder::Tick& tick) { alerts.evaluate(tick); });
 }

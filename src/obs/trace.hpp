@@ -19,8 +19,8 @@
 #include <iosfwd>
 #include <limits>
 #include <list>
-#include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -76,10 +76,19 @@ struct TracerConfig {
 
 /// Bounded ring of recent traces with an id index. All methods are
 /// thread-safe; tracing is the cold path (one lock per span, not per
-/// cache probe), the metrics registry is the hot one.
+/// cache probe), the metrics registry is the hot one. Once the ring is
+/// full, opening a trace recycles the oldest one's list node, index
+/// node, label and span storage, so steady-state tracing does not
+/// allocate.
 class Tracer {
  public:
   explicit Tracer(TracerConfig config = {});
+
+  /// Contention-profiles the tracer lock (nullptr detaches); the probe
+  /// must outlive the tracer.
+  void attach_mutex_probe(const ProfiledMutex::Probe* probe) noexcept {
+    mutex_.attach(probe);
+  }
 
   /// Mint a process-unique, cross-rank-unlikely-to-collide trace id
   /// and open a trace for it.
@@ -94,6 +103,12 @@ class Tracer {
   void record(std::uint64_t id, Span span);
   void record(std::uint64_t id, const std::string& name, int rank,
               double start_seconds, double duration_seconds);
+
+  /// start(label), record(id, span) and finish(id, total_seconds) in
+  /// one call under one lock: the whole trace of a request that ends
+  /// in a single span (a warm cache hit). Returns the minted id.
+  std::uint64_t record_single(std::string_view label, Span span,
+                              double total_seconds);
 
   /// Mark the trace finished with the given total. Upsert-merge:
   /// finishing an already-finished trace updates the total (the router
@@ -116,11 +131,15 @@ class Tracer {
   double slow_threshold_seconds() const { return config_.slow_threshold_seconds; }
 
  private:
-  void evict_locked();
+  std::uint64_t mint_locked();
+  /// Appends a fresh trace (recycling the oldest one when the ring is
+  /// full) and indexes it under `id`.
+  Trace& open_locked(std::uint64_t id, std::string_view label);
+  void finish_locked(Trace& trace, double total_seconds);
   void mark_slow_locked(Trace& trace);
 
   TracerConfig config_;
-  mutable std::mutex mutex_;
+  mutable ProfiledMutex mutex_;
   // Ring as list + index: O(1) eviction, stable iterators for the map.
   std::list<Trace> ring_;  ///< oldest at front
   std::unordered_map<std::uint64_t, std::list<Trace>::iterator> index_;
@@ -166,9 +185,12 @@ struct Telemetry {
 
  private:
   /// Shared constructor tail: stamps process_start_time_seconds (the
-  /// restart discriminator scrape --watch keys on) and routes recorder
-  /// ticks into the alert engine.
+  /// restart discriminator scrape --watch keys on), attaches the
+  /// "tracer" contention probe and routes recorder ticks into the
+  /// alert engine.
   void init();
+
+  ProfiledMutex::Probe tracer_probe_;
 };
 
 }  // namespace prts::obs

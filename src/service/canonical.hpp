@@ -27,9 +27,11 @@
 // standard libraries — a requirement for warm-start cache files.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,11 +51,28 @@ struct CanonicalHash {
   auto operator<=>(const CanonicalHash&) const noexcept = default;
 };
 
+/// The fingerprint's two mix chains and byte count before finalization.
+/// Hashing is byte-serial, so a prefix's chains can be kept and
+/// continued later: chains over `a`, updated with `b`, then finished,
+/// equal fingerprint(a + b) bit for bit.
+struct FingerprintChains {
+  std::uint64_t lo = 0xcbf29ce484222325ULL;  ///< FNV-1a offset basis
+  std::uint64_t hi = 0x9e3779b97f4a7c15ULL;  ///< golden-ratio basis
+  std::uint64_t length = 0;
+
+  void update(std::string_view bytes) noexcept;
+  CanonicalHash finish() const noexcept;
+};
+
 /// Hashes a byte string with the fixed 128-bit function described above.
 CanonicalHash fingerprint(std::string_view bytes) noexcept;
 
 /// 32 lowercase hex digits (hi then lo).
 std::string to_hex(const CanonicalHash& hash);
+
+/// "<solver>:<to_hex(key)>", a request's trace label, in one allocation.
+std::string trace_label(std::string_view solver_name,
+                        const CanonicalHash& key);
 
 /// Parses to_hex output; nullopt on malformed input.
 std::optional<CanonicalHash> hash_from_hex(std::string_view hex);
@@ -80,27 +99,73 @@ struct CanonicalInstance {
   /// Inverse: to_canonical[o] = canonical index of request processor o.
   std::vector<std::size_t> to_canonical;
 
-  /// The canonical byte form (write_instance_canonical of `instance`).
+  /// The canonical byte form (canonical_instance_text of `instance`).
   std::string text;
 
   /// fingerprint(text).
   CanonicalHash instance_hash;
+
+  /// The unfinalized chains over `text`: the request and batch keys
+  /// continue them over their short suffix instead of rehashing (or
+  /// copying) the text.
+  FingerprintChains text_chains;
 };
 
 /// Canonicalizes an instance. Deterministic: equal instances (after
 /// label erasure) produce byte-identical `text` and equal hashes.
 CanonicalInstance canonicalize(const Instance& instance);
 
-/// Cache key of a full request: canonical instance + solver name +
-/// canonically formatted bounds.
+/// Cache key of a full request: fingerprint(text + "solver <name>\n"
+/// "bounds <period> <latency>\n"), bounds in canonical_number form.
 CanonicalHash request_key(const CanonicalInstance& canonical,
                           const std::string& solver_name,
                           const solver::Bounds& bounds);
 
-/// Batching key: canonical instance + solver name, bounds excluded —
-/// requests sharing it can be answered by one prepared solver session.
+/// Batching key: fingerprint(text + "solver <name>\n"), bounds excluded
+/// — requests sharing it can be answered by one prepared solver session.
 CanonicalHash batch_key(const CanonicalInstance& canonical,
                         const std::string& solver_name);
+
+/// A bounded, thread-safe memo of canonical forms, keyed by the exact
+/// bit patterns of the *request* instance (labels as sent, -0.0 and 0.0
+/// distinct). A bound sweep, or any repeated instance, is canonicalized
+/// once. A hit is trusted only after every field of the request matched
+/// the stored canonical form through its to_canonical permutation, so a
+/// hash collision or a bit-different twin can never reuse another
+/// request's form: canonicalize() through the memo returns exactly what
+/// the free function returns.
+///
+/// Layout: kSets sets of kWays slots, each set under its own
+/// reader-writer lock, so concurrent hits share it. A per-slot tag (the
+/// request hash) filters the ways before any form is compared. A miss
+/// canonicalizes outside the lock and replaces an empty or the next
+/// round-robin way of its set. The capacity is fixed: every slot pins a
+/// full canonical form (about 2 KB for a 15-task, 10-processor
+/// instance), and one memo per service must not grow a fleet's memory.
+class CanonicalMemo {
+ public:
+  static constexpr std::size_t kWays = 8;
+  static constexpr std::size_t kSets = 32;
+  static constexpr std::size_t kCapacity = kWays * kSets;
+
+  /// canonicalize(instance), shared, from the memo when it holds it.
+  std::shared_ptr<const CanonicalInstance> canonicalize(
+      const Instance& instance);
+
+ private:
+  struct alignas(64) Set {
+    std::shared_mutex mutex;
+    std::array<std::uint64_t, kWays> tags{};  ///< 0 = empty way
+    std::array<std::shared_ptr<const CanonicalInstance>, kWays> forms;
+    std::size_t next_victim = 0;
+  };
+
+  /// The way of `set` holding the form of `instance`, or kWays.
+  static std::size_t find_locked(const Set& set, std::uint64_t tag,
+                                 const Instance& instance) noexcept;
+
+  std::array<Set, kSets> sets_;
+};
 
 /// Translates a solution expressed in canonical processor indices into
 /// the request's own labels (replica sets re-sorted ascending; metrics

@@ -26,8 +26,10 @@ struct SubmitProfile {
   std::optional<obs::AllocScope> allocs;
   std::optional<obs::ScopedSample> sample;
 
-  void start(bool sampled) {
-    allocs.emplace();
+  /// `entry` marks where the request's allocation bill starts (the
+  /// submit() entry, before canonicalization).
+  void start(bool sampled, const obs::AllocScope& entry) {
+    allocs.emplace(entry);
     if (sampled) sample.emplace();
   }
 
@@ -186,6 +188,7 @@ SolveService::SolveService(ServiceConfig config)
 SolveService::~SolveService() { wait_idle(); }
 
 std::future<SolveReply> SolveService::submit(SolveRequest request) {
+  const obs::AllocScope entry;
   // Canonicalization runs on every submit, so its dual-clock sample is
   // 1-in-N — two CPU-clock syscalls per request would dominate the warm
   // path's own cost.
@@ -193,20 +196,24 @@ std::future<SolveReply> SolveService::submit(SolveRequest request) {
       config_.telemetry && config_.telemetry->profiler.should_sample();
   std::optional<obs::ScopedSample> sample;
   if (sampled) sample.emplace();
-  auto canonical = std::make_shared<const CanonicalInstance>(
-      canonicalize(request.instance));
+  std::shared_ptr<const CanonicalInstance> canonical =
+      canonical_form(request.instance);
   const CanonicalHash key =
       request_key(*canonical, request.solver, request.bounds);
   if (sampled) obs::Profiler::record(*prof_canonicalize_, sample->finish());
-  return submit_canonicalized(std::move(request), std::move(canonical), key);
+  return submit_canonicalized(std::move(request), std::move(canonical), key,
+                              entry);
 }
 
 std::future<SolveReply> SolveService::submit_canonicalized(
     SolveRequest request, std::shared_ptr<const CanonicalInstance> canonical,
-    const CanonicalHash& key) {
+    const CanonicalHash& key, const obs::AllocScope& entry) {
   // Trace opening: a carried id (forwarded solve) is adopted so the
   // origin's trace id resolves on this rank too; otherwise one is
-  // minted. All span offsets are measured from this arrival point.
+  // minted. All span offsets are measured from this arrival point. A
+  // minted trace opens late: a cache hit records its whole one-span
+  // trace in a single tracer call, and every other path opens it right
+  // after the cache tiers missed.
   obs::Telemetry* const telemetry = config_.telemetry;
   const Clock::time_point arrival = Clock::now();
   std::uint64_t trace_id = request.trace_id;
@@ -221,19 +228,17 @@ std::future<SolveReply> SolveService::submit_canonicalized(
       submit_profile.alloc_bytes_total = request_alloc_bytes_counter_;
       submit_profile.requests_total = requests_counter_;
       submit_profile.per_request = allocs_per_request_gauge_;
-      submit_profile.start(telemetry->profiler.should_sample());
+      submit_profile.start(telemetry->profiler.should_sample(), entry);
     }
-    const std::string label = request.solver + ":" + to_hex(key);
-    if (trace_id == 0) {
-      trace_id = telemetry->tracer.start(label);
-    } else {
-      telemetry->tracer.start_with_id(trace_id, label);
+    if (trace_id != 0) {
+      telemetry->tracer.start_with_id(trace_id,
+                                      trace_label(request.solver, key));
     }
   }
 
   // One construction for both served-from-cache tiers (exact and
   // dominating) — they differ only in the near_miss flag and which
-  // counter they bump.
+  // counter they bump. Neither takes the engine mutex.
   const auto serve_cached = [&](const CachedSolution& cached,
                                 bool near_miss) {
     SolveReply reply;
@@ -242,7 +247,6 @@ std::future<SolveReply> SolveService::submit_canonicalized(
     reply.near_miss = near_miss;
     reply.solver_used = request.solver;
     reply.cost_seconds = cached.cost_seconds;
-    reply.trace_id = trace_id;
     if (cached.solution) {
       reply.status = ReplyStatus::kSolved;
       reply.solution = to_original_labels(*cached.solution, *canonical);
@@ -260,8 +264,13 @@ std::future<SolveReply> SolveService::submit_canonicalized(
                                                     : elapsed;
       span.alloc_count = work.alloc_count;
       span.alloc_bytes = work.alloc_bytes;
-      telemetry->tracer.record(trace_id, std::move(span));
-      telemetry->tracer.finish(trace_id, elapsed);
+      if (trace_id == 0) {
+        trace_id = telemetry->tracer.record_single(
+            trace_label(request.solver, key), std::move(span), elapsed);
+      } else {
+        telemetry->tracer.record(trace_id, std::move(span));
+        telemetry->tracer.finish(trace_id, elapsed);
+      }
       request_latency_hist_->record(elapsed);
       if (submit_profile.sample) {
         obs::Profiler::record(near_miss ? *prof_near_miss_
@@ -269,10 +278,9 @@ std::future<SolveReply> SolveService::submit_canonicalized(
                               work);
       }
     }
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    ++stats_.submitted;
-    ++(near_miss ? stats_.dominating_hits : stats_.cache_hits);
-    ++stats_.completed;
+    reply.trace_id = trace_id;
+    (near_miss ? submit_dominating_hits_ : submit_exact_hits_)
+        .fetch_add(1, std::memory_order_relaxed);
     return ready_reply_future(std::move(reply));
   };
 
@@ -295,6 +303,11 @@ std::future<SolveReply> SolveService::submit_canonicalized(
     }
   }
 
+  // Not served from the cache: the minted trace opens now, before any
+  // path below records under it.
+  if (telemetry && trace_id == 0) {
+    trace_id = telemetry->tracer.start(trace_label(request.solver, key));
+  }
   std::unique_lock<obs::ProfiledMutex> lock(mutex_);
   ++stats_.submitted;
 
@@ -706,8 +719,20 @@ void SolveService::wait_idle() {
 }
 
 EngineStats SolveService::stats() const {
-  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-  return stats_;
+  EngineStats stats;
+  {
+    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+    stats = stats_;
+  }
+  const std::uint64_t exact =
+      submit_exact_hits_.load(std::memory_order_relaxed);
+  const std::uint64_t dominating =
+      submit_dominating_hits_.load(std::memory_order_relaxed);
+  stats.submitted += exact + dominating;
+  stats.completed += exact + dominating;
+  stats.cache_hits += exact;
+  stats.dominating_hits += dominating;
+  return stats;
 }
 
 CacheStats SolveService::cache_stats() const { return cache_.stats(); }

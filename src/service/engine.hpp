@@ -2,8 +2,9 @@
 // front end that turns the solver library into a long-running solve
 // service.
 //
-// A submit() call canonicalizes the request, then takes the cheapest
-// path that answers it:
+// A submit() call canonicalizes the request (through a bounded memo, so
+// a bound sweep over one instance canonicalizes it once), then takes
+// the cheapest path that answers it:
 //   1. cache hit  -> the reply future is ready immediately;
 //   1b. near-miss hit: no entry under the exact key, but the
 //      bounds-monotone index (service/cache.hpp) holds an answer for
@@ -36,6 +37,7 @@
 // mapping whether served cold, deduplicated, or from the cache.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -205,11 +207,21 @@ class SolveService {
   /// submit() for callers that already canonicalized the request (the
   /// shard router does, to pick the owner shard) — skips the second
   /// canonicalization on the hot path. `canonical` MUST be
-  /// canonicalize(request.instance) and `key` its request_key.
+  /// canonicalize(request.instance) and `key` its request_key. The
+  /// request's allocation bill (engine_request_allocs_total) starts at
+  /// `entry`: a caller passes the scope it opened before its own
+  /// canonicalization.
   std::future<SolveReply> submit_canonicalized(
       SolveRequest request,
       std::shared_ptr<const CanonicalInstance> canonical,
-      const CanonicalHash& key);
+      const CanonicalHash& key, const obs::AllocScope& entry = {});
+
+  /// canonicalize(instance) through this service's canonical-form memo
+  /// (CanonicalMemo): a repeated or swept instance is canonicalized once.
+  std::shared_ptr<const CanonicalInstance> canonical_form(
+      const Instance& instance) {
+    return memo_.canonicalize(instance);
+  }
 
   /// Blocks until every accepted request has been answered.
   void wait_idle();
@@ -315,6 +327,7 @@ class SolveService {
 
   ServiceConfig config_;
   ShardedSolutionCache cache_;
+  CanonicalMemo memo_;
 
   /// The engine's central lock, contention-profiled as "engine_queue"
   /// when telemetry is on.
@@ -326,7 +339,14 @@ class SolveService {
   std::unordered_map<CanonicalHash, std::shared_ptr<Batch>, CanonicalKeyHasher>
       open_batches_;
   std::uint64_t next_batch_sequence_ = 0;
+  /// Under mutex_; requests answered from the cache at submit time are
+  /// counted in the two atomics below instead.
   EngineStats stats_;
+  /// Requests served from the cache at submit time, exact and
+  /// dominating: relaxed atomics, so a hit never takes mutex_. stats()
+  /// folds them into submitted, completed and the hit tiers.
+  std::atomic<std::uint64_t> submit_exact_hits_{0};
+  std::atomic<std::uint64_t> submit_dominating_hits_{0};
 
   /// Telemetry handles resolved once at construction (registration
   /// locks the registry); non-null iff config_.telemetry is set, and

@@ -376,8 +376,11 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
     return service_.submit(std::move(request));
   }
 
-  auto canonical = std::make_shared<const CanonicalInstance>(
-      canonicalize(request.instance));
+  // The local path's allocation bill starts here, canonicalization
+  // included, as it does in SolveService::submit.
+  const obs::AllocScope entry;
+  std::shared_ptr<const CanonicalInstance> canonical =
+      service_.canonical_form(request.instance);
   const CanonicalHash key =
       request_key(*canonical, request.solver, request.bounds);
   const std::size_t owner = shard_of(key);
@@ -393,7 +396,7 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
     // The canonical form was already computed to pick the shard; the
     // engine must not pay for it twice.
     return service_.submit_canonicalized(std::move(request),
-                                         std::move(canonical), key);
+                                         std::move(canonical), key, entry);
   }
 
   // Remote shard: the router owns this request's trace from here on.
@@ -404,7 +407,7 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   obs::Telemetry* const telemetry = config_.telemetry;
   const Clock::time_point arrival = Clock::now();
   if (telemetry != nullptr) {
-    const std::string label = request.solver + ":" + to_hex(key);
+    const std::string label = trace_label(request.solver, key);
     if (request.trace_id == 0) {
       request.trace_id = telemetry->tracer.start(label);
     } else {

@@ -1,14 +1,22 @@
 // Canonicalization invariants the solve service's cache keys rest on:
-// serialize -> canonicalize round trips, hash stability, and hash
+// serialize -> canonicalize round trips, hash and key stability, hash
 // equality for stage-relabeled / processor-permuted isomorphic
-// instances.
+// instances, and a canonical-form memo that answers exactly like a
+// fresh canonicalize.
 #include "service/canonical.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cmath>
+#include <numeric>
+#include <thread>
 
+#include "common/rng.hpp"
 #include "eval/evaluation.hpp"
+#include "model/generator.hpp"
 #include "model/serialize.hpp"
 
 namespace prts::service {
@@ -157,6 +165,209 @@ TEST(RequestKeys, SolverAndBoundsSeparateRequests) {
   // The batch key folds bounds away but keeps the solver.
   EXPECT_EQ(batch_key(canonical, "exact"), batch_key(canonical, "exact"));
   EXPECT_NE(batch_key(canonical, "exact"), batch_key(canonical, "heur-p"));
+}
+
+TEST(RequestKeys, GoldenKeyPinsCrossRunStability) {
+  // Pinned request and batch keys: the streamed key suffixes must hash
+  // exactly like fingerprint(text + suffix) always has, at infinite
+  // bounds (the default) and at finite ones.
+  const CanonicalInstance canonical = canonicalize(small_het_instance());
+  const solver::Bounds infinite;
+  solver::Bounds finite;
+  finite.period_bound = 25.5;
+  finite.latency_bound = 90.0;
+  EXPECT_EQ(to_hex(request_key(canonical, "exact", infinite)),
+            "cfaaf031fcb4f221dfefd02c7291276a");
+  EXPECT_EQ(to_hex(request_key(canonical, "exact", finite)),
+            "38c2d95794dfda0d46f437a7ef6a493c");
+  EXPECT_EQ(to_hex(request_key(canonical, "heur-p", finite)),
+            "3a2718786693c67b35d5f0addf55fc82");
+  EXPECT_EQ(to_hex(batch_key(canonical, "exact")),
+            "2caa44f862bbcbf3aea226434cade2fb");
+  EXPECT_EQ(to_hex(batch_key(canonical, "heur-p")),
+            "955fdad3d9729cc1b68fcd468bffea72");
+}
+
+TEST(RequestKeys, StreamedSuffixEqualsHashingTheConcatenation) {
+  const CanonicalInstance canonical = canonicalize(small_het_instance());
+  solver::Bounds bounds;
+  bounds.period_bound = 1e-300;
+  bounds.latency_bound = -0.0;  // canonical_number writes it as "0"
+  EXPECT_EQ(request_key(canonical, "portfolio", bounds),
+            fingerprint(canonical.text + "solver portfolio\nbounds " +
+                        canonical_number(bounds.period_bound) + " " +
+                        canonical_number(bounds.latency_bound) + "\n"));
+  EXPECT_EQ(batch_key(canonical, "portfolio"),
+            fingerprint(canonical.text + "solver portfolio\n"));
+
+  FingerprintChains chains;
+  chains.update("split ");
+  chains.update("");
+  chains.update("anywhere");
+  EXPECT_EQ(chains.finish(), fingerprint("split anywhere"));
+}
+
+// ------------------------------------------------ canonical-form memo
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Field-by-field, bit-exact equality of two canonical forms.
+void expect_same_form(const CanonicalInstance& got,
+                      const CanonicalInstance& fresh) {
+  EXPECT_EQ(got.text, fresh.text);
+  EXPECT_EQ(got.instance_hash, fresh.instance_hash);
+  EXPECT_EQ(got.text_chains.lo, fresh.text_chains.lo);
+  EXPECT_EQ(got.text_chains.hi, fresh.text_chains.hi);
+  EXPECT_EQ(got.text_chains.length, fresh.text_chains.length);
+  EXPECT_EQ(got.to_original, fresh.to_original);
+  EXPECT_EQ(got.to_canonical, fresh.to_canonical);
+  const TaskChain& chain = got.instance.chain;
+  ASSERT_EQ(chain.size(), fresh.instance.chain.size());
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    EXPECT_EQ(bits(chain.work(i)), bits(fresh.instance.chain.work(i)));
+    EXPECT_EQ(bits(chain.out_size(i)), bits(fresh.instance.chain.out_size(i)));
+  }
+  const Platform& platform = got.instance.platform;
+  const Platform& expected = fresh.instance.platform;
+  ASSERT_EQ(platform.processor_count(), expected.processor_count());
+  EXPECT_EQ(bits(platform.bandwidth()), bits(expected.bandwidth()));
+  EXPECT_EQ(bits(platform.link_failure_rate()),
+            bits(expected.link_failure_rate()));
+  EXPECT_EQ(platform.max_replication(), expected.max_replication());
+  for (std::size_t c = 0; c < platform.processor_count(); ++c) {
+    EXPECT_EQ(bits(platform.speed(c)), bits(expected.speed(c)));
+    EXPECT_EQ(bits(platform.failure_rate(c)), bits(expected.failure_rate(c)));
+  }
+}
+
+/// `base` with its processors listed in `order`.
+Instance with_processor_order(const Instance& base,
+                              const std::vector<std::size_t>& order) {
+  std::vector<Processor> procs;
+  for (const std::size_t u : order) procs.push_back(base.platform.processor(u));
+  return Instance{base.chain,
+                  Platform(std::move(procs), base.platform.bandwidth(),
+                           base.platform.link_failure_rate(),
+                           base.platform.max_replication())};
+}
+
+/// `count` distinct Section 8.2 instances, each followed by a
+/// processor-shuffled copy of itself.
+std::vector<Instance> memo_requests(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Instance> requests;
+  for (std::size_t i = 0; i < count; ++i) {
+    Instance base{paper::chain(rng), paper::het_platform(rng)};
+    std::vector<std::size_t> order(base.platform.processor_count());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::shuffle(order.begin(), order.end(), rng);
+    Instance shuffled = with_processor_order(base, order);
+    requests.push_back(std::move(base));
+    requests.push_back(std::move(shuffled));
+  }
+  return requests;
+}
+
+TEST(CanonicalMemo, HitsAndMissesEqualAFreshCanonicalize) {
+  CanonicalMemo memo;
+  const std::vector<Instance> requests = memo_requests(16, 11);
+  for (int round = 0; round < 2; ++round) {
+    for (const Instance& request : requests) {
+      expect_same_form(*memo.canonicalize(request), canonicalize(request));
+    }
+  }
+  // A repeat is served from the memo: the very same form comes back.
+  EXPECT_EQ(memo.canonicalize(requests[0]).get(),
+            memo.canonicalize(requests[0]).get());
+}
+
+TEST(CanonicalMemo, PermutedCopiesKeepTheirOwnLabels) {
+  // Isomorphic requests share the canonical text and instance but each
+  // gets its own permutation, whatever the memo held before.
+  CanonicalMemo memo;
+  const Instance base = small_het_instance();
+  std::vector<std::size_t> order{0, 1, 2};
+  do {
+    const Instance permuted = with_processor_order(base, order);
+    const auto form = memo.canonicalize(permuted);
+    expect_same_form(*form, canonicalize(permuted));
+    EXPECT_EQ(form->text, canonicalize(base).text);
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(CanonicalMemo, BitDifferentTwinsNeverShareAnEntry) {
+  // -0.0 and 0.0 print alike, so the two canonical texts (and keys) are
+  // equal, but the solver sees the instance's own doubles: the memo
+  // must hand each request the form made from its own bits.
+  std::vector<Task> tasks{{10.0, 0.0}, {4.0, 1.0}};
+  const Instance positive{
+      TaskChain(tasks),
+      Platform({{1.0, 0.0}, {2.0, 1e-8}}, 1.0, 0.0, 2)};
+  tasks[0].out_size = -0.0;
+  const Instance negative{
+      TaskChain(tasks),
+      Platform({{1.0, -0.0}, {2.0, 1e-8}}, 1.0, -0.0, 2)};
+
+  CanonicalMemo memo;
+  for (int round = 0; round < 2; ++round) {
+    const auto pos = memo.canonicalize(positive);
+    const auto neg = memo.canonicalize(negative);
+    EXPECT_NE(pos.get(), neg.get());
+    EXPECT_EQ(pos->text, neg->text);
+    expect_same_form(*pos, canonicalize(positive));
+    expect_same_form(*neg, canonicalize(negative));
+    EXPECT_FALSE(std::signbit(pos->instance.platform.failure_rate(0)));
+    EXPECT_TRUE(std::signbit(neg->instance.platform.failure_rate(0)));
+    EXPECT_TRUE(std::signbit(neg->instance.chain.out_size(0)));
+    EXPECT_TRUE(std::signbit(neg->instance.platform.link_failure_rate()));
+  }
+}
+
+TEST(CanonicalMemo, MoreInstancesThanSlotsStillAnswerExactly) {
+  CanonicalMemo memo;
+  const std::vector<Instance> requests =
+      memo_requests(CanonicalMemo::kCapacity, 23);  // 2x the capacity
+  for (int round = 0; round < 2; ++round) {
+    for (const Instance& request : requests) {
+      expect_same_form(*memo.canonicalize(request), canonicalize(request));
+    }
+  }
+}
+
+TEST(CanonicalMemo, ConcurrentLookupsEqualAFreshCanonicalize) {
+  // Four threads over more instances than the memo holds: hits, misses
+  // and evictions race, and every answer must still be exact.
+  CanonicalMemo memo;
+  const std::vector<Instance> requests =
+      memo_requests(CanonicalMemo::kCapacity / 2 + 16, 31);
+  std::vector<CanonicalInstance> fresh;
+  for (const Instance& request : requests) {
+    fresh.push_back(canonicalize(request));
+  }
+
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t n = 0; n < 2 * requests.size(); ++n) {
+        const std::size_t i = (n * (2 * t + 1) + t) % requests.size();
+        const auto form = memo.canonicalize(requests[i]);
+        if (form->text != fresh[i].text ||
+            form->to_original != fresh[i].to_original ||
+            form->to_canonical != fresh[i].to_canonical ||
+            form->instance_hash != fresh[i].instance_hash ||
+            form->text_chains.lo != fresh[i].text_chains.lo ||
+            form->text_chains.hi != fresh[i].text_chains.hi) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_same_form(*memo.canonicalize(requests[i]), fresh[i]);
+  }
 }
 
 TEST(LabelTranslation, MapsCanonicalSolutionsBackToRequestLabels) {

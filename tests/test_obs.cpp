@@ -319,6 +319,104 @@ TEST(EngineTelemetry, SolveAndCacheHitEachGetTheirOwnTrace) {
             2u);
 }
 
+TEST(EngineTelemetry, AllocsPerRequestCountFromSubmitEntry) {
+  // The engine_request_allocs_total bill starts at submit() entry, so it
+  // covers canonicalization: summed over every request it equals what
+  // an AllocScope around each submit() call saw, and the gauge is that
+  // sum per request. The permuted twin is a cache hit whose canonical
+  // form is not memoized yet, so its bill includes a canonicalize.
+  obs::Telemetry telemetry;
+  ServiceConfig config;
+  config.threads = 2;
+  config.telemetry = &telemetry;
+  SolveService engine(config);
+  // hom_instance with one processor made distinct, and a rotation of it.
+  const Instance hom = hom_instance();
+  std::vector<Processor> procs(hom.platform.processors().begin(),
+                               hom.platform.processors().end());
+  procs.front().failure_rate = 2e-8;
+  const Instance base{hom.chain, Platform(procs, 1.0, 1e-5, 2)};
+  std::rotate(procs.begin(), procs.begin() + 1, procs.end());
+  const Instance rotated{base.chain, Platform(procs, 1.0, 1e-5, 2)};
+  std::vector<SolveRequest> requests{SolveRequest{base, "heur-p", {}},
+                                     SolveRequest{base, "heur-p", {}},
+                                     SolveRequest{rotated, "heur-p", {}}};
+
+  std::uint64_t scoped = 0;
+  std::vector<bool> hits;
+  for (SolveRequest& request : requests) {
+    std::future<SolveReply> reply;
+    {
+      const obs::AllocScope scope;
+      reply = engine.submit(std::move(request));
+      scoped += scope.delta().count;
+    }
+    hits.push_back(reply.get().cache_hit);
+  }
+  EXPECT_EQ(hits, (std::vector<bool>{false, true, true}));
+  EXPECT_EQ(telemetry.metrics.counter("engine_request_allocs_total").value(),
+            scoped);
+  EXPECT_DOUBLE_EQ(
+      telemetry.metrics.gauge("engine_allocs_per_request").value(),
+      static_cast<double>(scoped) / 3.0);
+}
+
+TEST(ObsTracer, RecordSingleEqualsStartRecordFinishInOneLock) {
+  obs::Registry registry;
+  const obs::ProfiledMutex::Probe probe =
+      obs::ProfiledMutex::make_probe(registry, "tracer");
+  obs::TracerConfig config;
+  config.capacity = 4;
+  config.slow_threshold_seconds = 0.01;
+  obs::Tracer tracer(config);
+  tracer.attach_mutex_probe(&probe);
+
+  const std::uint64_t id = tracer.record_single(
+      "heur-p:abc", obs::Span{"cache_lookup", 2, 0.0, 0.02}, 0.02);
+  EXPECT_EQ(probe.acquisitions->value(), 1u);
+  obs::Trace trace;
+  ASSERT_TRUE(tracer.find(id, trace));
+  EXPECT_EQ(trace.label, "heur-p:abc");
+  EXPECT_TRUE(trace.finished);
+  EXPECT_DOUBLE_EQ(trace.total_seconds, 0.02);
+  ASSERT_EQ(trace.spans.size(), 1u);
+  EXPECT_TRUE(has_span(trace, "cache_lookup", 2));
+  EXPECT_EQ(tracer.slow_count(), 1u);
+
+  // A full ring recycles its oldest trace: the newest four survive, and
+  // opening one more allocates nothing.
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(tracer.record_single(
+        "heur-p:abc", obs::Span{"cache_lookup", 0, 0.0, 0.001}, 0.001));
+  }
+  EXPECT_FALSE(tracer.find(ids[3], trace));
+  for (int i = 4; i < 8; ++i) EXPECT_TRUE(tracer.find(ids[i], trace));
+  EXPECT_EQ(tracer.recent(32).size(), 4u);
+  const obs::AllocScope scope;
+  tracer.record_single("heur-p:abc",
+                       obs::Span{"cache_lookup", 0, 0.0, 0.001}, 0.001);
+  EXPECT_EQ(scope.delta().count, 0u);
+}
+
+TEST(ObsTracer, TelemetryProfilesTheTracerLock) {
+  obs::Telemetry telemetry;
+  telemetry.tracer.finish(telemetry.tracer.start("t"), 0.001);
+  EXPECT_EQ(
+      telemetry.metrics.counter("mutex_tracer_acquisitions_total").value(),
+      2u);
+  std::ostringstream exposition;
+  telemetry.metrics.write_prometheus(exposition);
+  EXPECT_NE(exposition.str().find("mutex_tracer_contended_total"),
+            std::string::npos);
+  const auto mutexes = telemetry.profiler.mutexes();
+  EXPECT_TRUE(std::any_of(mutexes.begin(), mutexes.end(),
+                          [](const obs::Profiler::MutexStats& stats) {
+                            return stats.name == "tracer" &&
+                                   stats.acquisitions == 2;
+                          }));
+}
+
 TEST(ProtocolTelemetry, ServeCommandsExposeMetricsAndTraces) {
   obs::Telemetry telemetry;
   ServiceConfig config;

@@ -136,6 +136,78 @@ TEST(SolveService, IsomorphicRequestsShareOneCacheEntry) {
             std::nullopt);
 }
 
+// Warm-hit cost gates. They count instead of timing: lock acquisitions
+// from the contention probes, allocations from the per-thread tally.
+
+TEST(SolveService, WarmHitTakesNoEngineLockAndOneTracerLock) {
+  obs::Telemetry telemetry;
+  ServiceConfig config = small_config();
+  config.telemetry = &telemetry;
+  SolveService service(config);
+  const SolveRequest request{het_instance(), "heur-p", {}};
+  ASSERT_EQ(service.submit(request).get().status, ReplyStatus::kSolved);
+  ASSERT_TRUE(service.submit(request).get().cache_hit);
+
+  const auto acquisitions = [&telemetry](const std::string& lock) {
+    return telemetry.metrics.counter("mutex_" + lock + "_acquisitions_total")
+        .value();
+  };
+  const std::uint64_t engine_before = acquisitions("engine_queue");
+  const std::uint64_t tracer_before = acquisitions("tracer");
+  const std::uint64_t cache_before = acquisitions("cache_shard");
+  constexpr std::uint64_t kHits = 64;
+  for (std::uint64_t i = 0; i < kHits; ++i) {
+    const SolveReply hit = service.submit(request).get();
+    ASSERT_TRUE(hit.cache_hit);
+    ASSERT_NE(hit.trace_id, 0u);
+  }
+  EXPECT_EQ(acquisitions("engine_queue") - engine_before, 0u);
+  EXPECT_EQ(acquisitions("tracer") - tracer_before, kHits);
+  EXPECT_EQ(acquisitions("cache_shard") - cache_before, kHits);
+
+  // The lock-free hit counters still add up in stats().
+  const EngineStats stats = service.stats();
+  EXPECT_EQ(stats.submitted, kHits + 2);
+  EXPECT_EQ(stats.completed, kHits + 2);
+  EXPECT_EQ(stats.cache_hits, kHits + 1);
+  EXPECT_EQ(stats.solver_invocations, 1u);
+}
+
+TEST(SolveService, WarmHitAllocatesAtMostHalfOfItsFormerCount) {
+  // Before the canonical-form memo, the streamed keys and the recycled
+  // trace ring, a warm hit of this request made 26 allocations counted
+  // from submit() entry (canonicalization included). Half of that is
+  // the gate. The ring is small and pre-filled so the hits measured
+  // run in its steady state.
+  obs::TracerConfig tracer_config;
+  tracer_config.capacity = 8;
+  obs::Telemetry telemetry(tracer_config);
+  ServiceConfig config = small_config();
+  config.telemetry = &telemetry;
+  SolveService service(config);
+  const SolveRequest request{het_instance(), "heur-p", {}};
+  ASSERT_EQ(service.submit(request).get().status, ReplyStatus::kSolved);
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(service.submit(request).get().cache_hit);
+  }
+
+  constexpr std::uint64_t kFormerAllocsPerHit = 26;
+  constexpr std::uint64_t kHits = 32;
+  std::uint64_t allocations = 0;
+  for (std::uint64_t i = 0; i < kHits; ++i) {
+    SolveRequest hit = request;
+    std::future<SolveReply> reply;
+    {
+      const obs::AllocScope scope;
+      reply = service.submit(std::move(hit));
+      allocations += scope.delta().count;
+    }
+    ASSERT_TRUE(reply.get().cache_hit);
+  }
+  EXPECT_LE(allocations, kHits * kFormerAllocsPerHit / 2)
+      << static_cast<double>(allocations) / kHits << " allocations per hit";
+}
+
 TEST(SolveService, InfeasibleAnswersAreCachedToo) {
   SolveService service(small_config());
   SolveRequest request{hom_instance(), "exact", {}};

@@ -97,8 +97,8 @@ echo "near-miss smoke test OK: near_miss=$near_miss"
 # Sanitizer stages, each in its own tree. AddressSanitizer +
 # UndefinedBehaviorSanitizer run every ctest suite; any memory error or
 # undefined behaviour aborts the suite and fails CI. ThreadSanitizer
-# runs the suites whose threads share sockets, queues and counters; any
-# race report halts the suite and fails CI.
+# runs the suites whose threads share sockets, queues, counters and the
+# canonical-form memo; any race report halts the suite and fails CI.
 # ---------------------------------------------------------------------------
 if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   ASAN_BUILD="$BUILD-asan"
@@ -111,7 +111,7 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
 
   TSAN_BUILD="$BUILD-tsan"
   TSAN_SUITES=(test_net test_service test_obs test_fabric_replication
-               test_membership test_load test_thread_pool)
+               test_membership test_load test_thread_pool test_canonical)
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS=-fsanitize=thread
   cmake --build "$TSAN_BUILD" -j "$JOBS" --target "${TSAN_SUITES[@]}"
