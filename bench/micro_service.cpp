@@ -1,7 +1,8 @@
 // Microbenchmarks of the solve service's warm-hit layers, one by one:
-// a fresh canonicalize, a canonical-form memo hit, the request key over
-// the kept hash chains, and a whole warm submit().get() with telemetry
-// on. The warm hit is the sum of the last three plus the cache lookup.
+// a fresh canonicalize, a canonical-form memo hit and miss, the request
+// key over the kept hash chains, and a whole warm submit().get() with
+// telemetry on, which spends a memo hit, the request key and a cache
+// lookup among its work.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -45,6 +46,28 @@ void BM_CanonicalMemoHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CanonicalMemoHit);
+
+void BM_CanonicalMemoMiss(benchmark::State& state) {
+  // Twice the capacity, cycled: every set sees twice its ways in
+  // round-robin order, so every lookup misses, canonicalizes, inserts
+  // and evicts. Against BM_Canonicalize this is the memo's cost where
+  // instances do not repeat.
+  const Instance base = paper_het_request();
+  std::vector<Instance> requests;
+  for (std::size_t i = 0; i < 2 * service::CanonicalMemo::kCapacity; ++i) {
+    std::vector<Task> tasks(base.chain.tasks().begin(),
+                            base.chain.tasks().end());
+    tasks[0].work += static_cast<double>(i + 1);
+    requests.push_back(Instance{TaskChain(std::move(tasks)), base.platform});
+  }
+  service::CanonicalMemo memo;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(memo.canonicalize(requests[next]));
+    next = (next + 1) % requests.size();
+  }
+}
+BENCHMARK(BM_CanonicalMemoMiss);
 
 void BM_RequestKey(benchmark::State& state) {
   const service::CanonicalInstance canonical =

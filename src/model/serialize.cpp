@@ -83,20 +83,17 @@ bool parse_canonical_number(std::string_view text, double& value) {
   return true;
 }
 
-std::string canonical_instance_text(const Instance& instance) {
+CanonicalInstanceText::CanonicalInstanceText(const Instance& instance) {
   const TaskChain& chain = instance.chain;
   const Platform& platform = instance.platform;
   // Upper bound of the text: fixed words, two counts and a replication
   // bound of at most 20 digits each, and every number line at its
-  // widest. Typical instances fit the stack buffer; the text is then
-  // copied once into a string of its exact size.
+  // widest. Typical instances fit the stack buffer.
   constexpr std::size_t kLine = 2 * kCanonicalNumberMaxChars + 2;
   const std::size_t bound = 64 + 3 * 20 + 2 * kCanonicalNumberMaxChars +
                             kLine * (chain.size() + platform.processor_count());
-  char stack[4096];
-  std::unique_ptr<char[]> heap;
-  if (bound > sizeof(stack)) heap = std::make_unique<char[]>(bound);
-  char* const begin = heap ? heap.get() : stack;
+  if (bound > sizeof(stack_)) heap_ = std::make_unique<char[]>(bound);
+  char* const begin = heap_ ? heap_.get() : stack_;
   char* out = begin;
   const auto put = [&out](std::string_view text) {
     out = std::copy(text.begin(), text.end(), out);
@@ -128,11 +125,12 @@ std::string canonical_instance_text(const Instance& instance) {
     out = write_canonical_number(out, proc.failure_rate);
     *out++ = '\n';
   }
-  return std::string(begin, out);
+  begin_ = begin;
+  size_ = static_cast<std::size_t>(out - begin);
 }
 
 void write_instance_canonical(std::ostream& out, const Instance& instance) {
-  out << canonical_instance_text(instance);
+  out << CanonicalInstanceText(instance).view();
 }
 
 ParseResult read_instance(std::istream& in) {

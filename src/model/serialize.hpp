@@ -17,6 +17,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -62,11 +63,25 @@ bool parse_canonical_number(std::string_view text, double& value);
 /// information loss: the byte-level canonical form of an instance
 /// (read_instance parses it back bit-exactly). Processor *order* is
 /// preserved; isomorphism-safe normalization is layered on top by
-/// src/service/canonical.hpp. Written with to_chars into one exactly
-/// sized string: no stream and no per-number strings.
-std::string canonical_instance_text(const Instance& instance);
+/// src/service/canonical.hpp. Written with to_chars into a 4 KB stack
+/// buffer (a heap buffer only beyond it): callers hash or stream the
+/// bytes, and no string is built.
+class CanonicalInstanceText {
+ public:
+  explicit CanonicalInstanceText(const Instance& instance);
+  CanonicalInstanceText(const CanonicalInstanceText&) = delete;
+  CanonicalInstanceText& operator=(const CanonicalInstanceText&) = delete;
 
-/// Streams canonical_instance_text(instance).
+  std::string_view view() const noexcept { return {begin_, size_}; }
+
+ private:
+  char stack_[4096];
+  std::unique_ptr<char[]> heap_;
+  const char* begin_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+/// Streams CanonicalInstanceText(instance).
 void write_instance_canonical(std::ostream& out, const Instance& instance);
 
 /// Result of parsing: either an instance or a human-readable error.

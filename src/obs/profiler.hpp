@@ -243,11 +243,11 @@ class Profiler {
   /// Fast-path sampling stride, odd on purpose: a warm request calls
   /// should_sample() a fixed number of times (canonicalize, then the
   /// submit profile), so an even period would parity-lock every hit
-  /// onto one call site and starve the other. A sample costs about
-  /// 1.5 us of CPU-clock syscalls and a warm hit about 1.5 us in all,
-  /// so 1 in 67 gate checks keeps sampling near 2% of the warm path,
-  /// inside the 5% A/B budget (1 in 17 cost about 9%), while rotating
-  /// hits across the fast-path sites.
+  /// onto one call site and starve the other. A sample's two CPU-clock
+  /// syscalls (about 0.3 us each on a 4-core VM) weigh on a warm hit of
+  /// about 1.5 us: on profile_overhead, 1 in 67 reads within noise of
+  /// no sampling and 1 in 17 about 1.5 points more, out of a 5% budget
+  /// that the exact per-request allocation bill already nearly fills.
   std::atomic<std::uint32_t> sample_period_{67};
   mutable std::mutex mutex_;
   /// unique_ptr slots: Component addresses stay stable across growth.

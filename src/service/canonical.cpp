@@ -122,10 +122,9 @@ CanonicalInstance canonicalize(const Instance& instance) {
       std::move(order),
       std::move(to_canonical),
       {},
-      {},
       {}};
-  canonical.text = canonical_instance_text(canonical.instance);
-  canonical.text_chains.update(canonical.text);
+  const CanonicalInstanceText text(canonical.instance);
+  canonical.text_chains.update(text.view());
   canonical.instance_hash = canonical.text_chains.finish();
   return canonical;
 }

@@ -178,5 +178,26 @@ TEST(Serialize, CanonicalWriterIsLossless) {
             original.platform.failure_rate(0));
 }
 
+TEST(Serialize, CanonicalTextBeyondTheStackBufferRoundTrips) {
+  // 200 tasks of full-precision numbers need far more than the 4 KB
+  // stack buffer, so the text is written into its heap buffer.
+  std::vector<Task> tasks;
+  for (int i = 0; i < 200; ++i) {
+    tasks.push_back({1.0 / (i + 3.0), 2.2250738585072014e-308 * (i + 1)});
+  }
+  const Instance original{TaskChain(tasks),
+                          Platform({{1.0 / 7.0, 1e-300}}, 1.0, 1e-5, 1)};
+  const CanonicalInstanceText text(original);
+  ASSERT_GT(text.view().size(), 4096u);
+  const ParseResult parsed = instance_from_text(std::string(text.view()));
+  ASSERT_TRUE(parsed) << parsed.error;
+  ASSERT_EQ(parsed.instance->chain.size(), tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(parsed.instance->chain.work(i), tasks[i].work);
+    EXPECT_EQ(parsed.instance->chain.out_size(i), tasks[i].out_size);
+  }
+  EXPECT_EQ(parsed.instance->platform.speed(0), 1.0 / 7.0);
+}
+
 }  // namespace
 }  // namespace prts
