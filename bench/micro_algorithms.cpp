@@ -1,9 +1,10 @@
 // Microbenchmarks of the optimization kernels: the Algorithm 1/2 dynamic
-// programs (O(n^2 p K)), Algo-Alloc, the two interval heuristics, and the
-// Eq. (3)-(9) evaluator.
+// programs (O(n^2 p K)), Algo-Alloc, the exact partition enumeration, the
+// two interval heuristics, and the Eq. (3)-(9) evaluator.
 #include <benchmark/benchmark.h>
 
 #include "core/alloc.hpp"
+#include "core/exact.hpp"
 #include "core/heuristics.hpp"
 #include "core/period_dp.hpp"
 #include "core/reliability_dp.hpp"
@@ -81,6 +82,34 @@ void BM_AlgoAllocCounts(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AlgoAllocCounts)->RangeMultiplier(4)->Range(4, 256);
+
+// The exact solver's build: every partition of a paper instance (14 913
+// at n = 15, p = 10) with its Algo-Alloc replication.
+void BM_ExactPrepare(benchmark::State& state) {
+  Rng rng(17);
+  const TaskChain chain = paper::chain(rng);
+  const Platform platform = paper::hom_platform();
+  for (auto _ : state) {
+    const HomogeneousExactSolver solver(chain, platform);
+    benchmark::DoNotOptimize(solver.records().data());
+  }
+}
+BENCHMARK(BM_ExactPrepare);
+
+// One Figure 6/7 ladder as a service batch runs it: build, then the ten
+// period rungs 50..500 at L = 750.
+void BM_ExactLadder(benchmark::State& state) {
+  Rng rng(17);
+  const TaskChain chain = paper::chain(rng);
+  const Platform platform = paper::hom_platform();
+  for (auto _ : state) {
+    const HomogeneousExactSolver solver(chain, platform);
+    for (int period = 50; period <= 500; period += 50) {
+      benchmark::DoNotOptimize(solver.solve(period, 750.0));
+    }
+  }
+}
+BENCHMARK(BM_ExactLadder);
 
 void BM_AllocateProcessorsHet(benchmark::State& state) {
   Rng rng(7);

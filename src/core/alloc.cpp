@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/dp_detail.hpp"
 #include "eval/evaluation.hpp"
 
 namespace prts {
@@ -26,25 +27,42 @@ std::vector<unsigned> algo_alloc_counts(std::span<const double> branch_failure,
                                         std::size_t processor_count,
                                         unsigned max_replication) {
   const std::size_t m = branch_failure.size();
-  if (m > processor_count) return {};
-  std::vector<unsigned> counts(m, 1);
-  std::size_t used = m;
+  if (m == 0 || m > processor_count) return {};
+  // No interval can get more than the processors the others leave it.
+  const std::size_t row_length =
+      std::min<std::size_t>(max_replication, processor_count - m + 1) + 1;
+  std::vector<double> table(m * row_length);
+  std::vector<const double*> rows(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    double* row = table.data() + j * row_length;
+    for (std::size_t q = 0; q < row_length; ++q) {
+      row[q] = detail::stage_log_reliability(branch_failure[j],
+                                             static_cast<unsigned>(q));
+    }
+    rows[j] = row;
+  }
+  std::vector<unsigned> counts(m);
+  algo_alloc_counts_from_rows(rows, processor_count, max_replication,
+                              counts);
+  return counts;
+}
 
+void algo_alloc_counts_from_rows(std::span<const double* const> rows,
+                                 std::size_t processor_count,
+                                 unsigned max_replication,
+                                 std::span<unsigned> counts) noexcept {
+  const std::size_t m = rows.size();
+  std::fill(counts.begin(), counts.end(), 1u);
   // log-reliability gain of going from q to q+1 replicas on interval j:
   // log1p(-f^(q+1)) - log1p(-f^q); Theorem 4 shows it decreases with q, so
   // the greedy argmax over intervals is optimal.
-  auto gain = [&](std::size_t j) {
-    const double f = branch_failure[j];
-    const double q = static_cast<double>(counts[j]);
-    return std::log1p(-std::pow(f, q + 1.0)) - std::log1p(-std::pow(f, q));
-  };
-
-  while (used < processor_count) {
+  for (std::size_t used = m; used < processor_count; ++used) {
     double best_gain = -1.0;
     std::size_t best_j = m;
     for (std::size_t j = 0; j < m; ++j) {
-      if (counts[j] >= max_replication) continue;
-      const double g = gain(j);
+      const unsigned q = counts[j];
+      if (q >= max_replication) continue;
+      const double g = rows[j][q + 1] - rows[j][q];
       if (g > best_gain) {
         best_gain = g;
         best_j = j;
@@ -52,9 +70,7 @@ std::vector<unsigned> algo_alloc_counts(std::span<const double> branch_failure,
     }
     if (best_j == m) break;  // every interval already at K replicas
     ++counts[best_j];
-    ++used;
   }
-  return counts;
 }
 
 std::optional<Mapping> allocate_processors(const TaskChain& chain,

@@ -16,6 +16,8 @@
 
 #include <limits>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "model/constraints.hpp"
 #include "model/mapping.hpp"
@@ -57,5 +59,18 @@ std::optional<Mapping> allocate_processors(const TaskChain& chain,
 std::vector<unsigned> algo_alloc_counts(std::span<const double> branch_failure,
                                         std::size_t processor_count,
                                         unsigned max_replication);
+
+/// The greedy core of algo_alloc_counts, on precomputed stage
+/// log-reliabilities: `rows[j][q]` holds
+/// detail::stage_log_reliability(f_j, q) for every q up to
+/// min(max_replication, processor_count - rows.size() + 1). The gain of
+/// one more replica is rows[j][q+1] - rows[j][q], so a caller that
+/// tabulates each interval once pays no pow/log1p per gain. Writes one
+/// count per row into `counts`; requires rows.size() <= processor_count
+/// and counts.size() == rows.size().
+void algo_alloc_counts_from_rows(std::span<const double* const> rows,
+                                 std::size_t processor_count,
+                                 unsigned max_replication,
+                                 std::span<unsigned> counts) noexcept;
 
 }  // namespace prts

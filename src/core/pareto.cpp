@@ -57,16 +57,7 @@ std::vector<ParetoPoint> exact_pareto_front(const TaskChain& chain,
   std::vector<ParetoPoint> candidates;
   candidates.reserve(solver.records().size());
   for (const auto& record : solver.records()) {
-    std::vector<std::vector<std::size_t>> procs;
-    std::size_t next_proc = 0;
-    for (unsigned q : record.replicas) {
-      std::vector<std::size_t> replica_set(q);
-      for (unsigned r = 0; r < q; ++r) replica_set[r] = next_proc++;
-      procs.push_back(std::move(replica_set));
-    }
-    Mapping mapping(
-        IntervalPartition::from_boundaries(record.lasts, chain.size()),
-        std::move(procs));
+    Mapping mapping = solver.mapping(record);
     MappingMetrics metrics = evaluate(chain, platform, mapping);
     candidates.push_back(ParetoPoint{std::move(mapping), metrics});
   }

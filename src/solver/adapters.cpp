@@ -46,7 +46,9 @@ class ExactAdapter final : public Solver {
     return "exact partition enumeration + Algo-Alloc (homogeneous only)";
   }
   bool supports(const Instance& instance) const override {
-    return instance.platform.is_homogeneous();
+    // Homogeneous, and small enough to enumerate: a larger instance gets
+    // the heterogeneous answer rather than an enumeration that never ends.
+    return HomogeneousExactSolver::accepts(instance.chain, instance.platform);
   }
   bool bounds_monotone(const Instance& instance) const override {
     // First-max over the fixed partition-record list.

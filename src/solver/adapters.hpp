@@ -2,7 +2,8 @@
 // uniform Solver interface:
 //
 //   exact       HomogeneousExactSolver partition enumeration (Section 5.4
-//               role; homogeneous only)
+//               role; homogeneous instances small enough to enumerate,
+//               see HomogeneousExactSolver::accepts)
 //   ilp         the Section 5.4 ILP via in-house branch-and-bound
 //               (homogeneous only)
 //   dp          Algorithm 1 mono-criterion reliability DP (homogeneous

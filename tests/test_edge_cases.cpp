@@ -74,16 +74,7 @@ TEST(EdgeCases, ExactRecordsMatchEvaluator) {
   const Platform platform = testutil::small_hom_platform(5, 2);
   const HomogeneousExactSolver solver(chain, platform);
   for (const auto& record : solver.records()) {
-    std::vector<std::vector<std::size_t>> procs;
-    std::size_t next = 0;
-    for (unsigned q : record.replicas) {
-      std::vector<std::size_t> set(q);
-      for (unsigned r = 0; r < q; ++r) set[r] = next++;
-      procs.push_back(std::move(set));
-    }
-    const Mapping mapping(
-        IntervalPartition::from_boundaries(record.lasts, chain.size()),
-        std::move(procs));
+    const Mapping mapping = solver.mapping(record);
     const MappingMetrics metrics = evaluate(chain, platform, mapping);
     ASSERT_NEAR(metrics.worst_period, record.period, 1e-9);
     ASSERT_NEAR(metrics.worst_latency, record.latency, 1e-9);

@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "eval/evaluation.hpp"
+#include "model/generator.hpp"
 #include "net/frame_server.hpp"
 #include "scenario/emit.hpp"
 #include "service/fusion.hpp"
@@ -218,6 +219,30 @@ TEST(SolveService, InfeasibleAnswersAreCachedToo) {
   const SolveReply warm = service.submit(request).get();
   EXPECT_EQ(warm.status, ReplyStatus::kInfeasible);
   EXPECT_TRUE(warm.cache_hit);
+}
+
+TEST(SolveService, ExactAnswersPromptlyBeyondItsEnumerationBound) {
+  // 40 tasks on the paper's 10 processors: about 2.9e8 partitions. The
+  // exact solver refuses to enumerate them and answers as it does on a
+  // heterogeneous platform; the portfolio skips that member and answers
+  // from its heuristics.
+  Rng rng(40);
+  ChainConfig chain_config;
+  chain_config.task_count = 40;
+  const Instance instance{random_chain(rng, chain_config),
+                          paper::hom_platform()};
+  SolveService service(small_config());
+  auto exact = service.submit(SolveRequest{instance, "exact", {}});
+  auto portfolio = service.submit(SolveRequest{instance, "portfolio", {}});
+  ASSERT_EQ(exact.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready);
+  ASSERT_EQ(portfolio.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready);
+  EXPECT_EQ(exact.get().status, ReplyStatus::kInfeasible);
+  const SolveReply answered = portfolio.get();
+  ASSERT_EQ(answered.status, ReplyStatus::kSolved);
+  EXPECT_EQ(answered.solution->mapping.validate(instance.platform),
+            std::nullopt);
 }
 
 TEST(SolveService, UnknownSolverIsAnErrorReply) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "core/exact.hpp"
 #include "core/heuristics.hpp"
 #include "model/generator.hpp"
+#include "service/canonical.hpp"
 #include "solver/adapters.hpp"
 #include "test_util.hpp"
 
@@ -182,6 +185,75 @@ TEST(SolverAdapters, TriCriteriaOrderingPrefersReliabilityFirst) {
 
   // Fully equal metrics: neither is strictly better.
   EXPECT_FALSE(tri_criteria_better(a, a));
+}
+
+// ------------------------------------------------------- golden answers
+//
+// 128-bit digests of the exact and portfolio answers on the Section 8
+// ladder (period 50..500 step 50, L = 750) for three seeded paper
+// instances, chosen because their ladders are feasible on 9 of 10
+// rungs. The digests were computed with Algo-Alloc taking pow/log1p per
+// gain; a kernel change that moves one bit of a mapping or a metric
+// fails here.
+
+template <typename T>
+void append_bits(std::string& out, T value) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  out.append(bytes, sizeof(T));
+}
+
+std::string ladder_digest(const Instance& instance, const char* name) {
+  const auto session = SolverRegistry::builtin().find(name)->prepare(instance);
+  std::string bytes;
+  for (int period = 50; period <= 500; period += 50) {
+    Bounds bounds;
+    bounds.period_bound = period;
+    bounds.latency_bound = 750.0;
+    const auto solution = session->solve(bounds);
+    bytes.push_back(solution ? 'S' : 'I');
+    if (!solution) continue;
+    const Mapping& mapping = solution->mapping;
+    append_bits(bytes, mapping.interval_count());
+    for (std::size_t j = 0; j < mapping.interval_count(); ++j) {
+      append_bits(bytes, mapping.partition().interval(j).last);
+      for (std::size_t u : mapping.processors(j)) append_bits(bytes, u);
+      bytes.push_back(';');
+    }
+    const MappingMetrics& m = solution->metrics;
+    append_bits(bytes, m.reliability.log());
+    append_bits(bytes, m.failure);
+    append_bits(bytes, m.expected_latency);
+    append_bits(bytes, m.worst_latency);
+    append_bits(bytes, m.expected_period);
+    append_bits(bytes, m.worst_period);
+    append_bits(bytes, m.processors_used);
+  }
+  return service::to_hex(service::fingerprint(bytes));
+}
+
+TEST(SolverGoldenAnswers, SectionEightLadderDigestsArePinned) {
+  struct Pin {
+    std::uint64_t seed;
+    const char* exact;
+    const char* portfolio;
+  };
+  const Pin pins[] = {
+      {4, "7dfcd552eab36a0ae5656798daca68d5",
+       "7dfcd552eab36a0ae5656798daca68d5"},
+      {22, "cb8b7438965c8bec62ddc2cc1c3af12d",
+       "cb8b7438965c8bec62ddc2cc1c3af12d"},
+      {25, "2e95364d561565978ca749735646277e",
+       "2e95364d561565978ca749735646277e"},
+  };
+  for (const Pin& pin : pins) {
+    Rng rng(pin.seed);
+    const Instance instance{paper::chain(rng), paper::hom_platform()};
+    EXPECT_EQ(ladder_digest(instance, "exact"), pin.exact)
+        << "seed " << pin.seed;
+    EXPECT_EQ(ladder_digest(instance, "portfolio"), pin.portfolio)
+        << "seed " << pin.seed;
+  }
 }
 
 }  // namespace
