@@ -1,6 +1,7 @@
 // Microbenchmarks of the optimization kernels: the Algorithm 1/2 dynamic
 // programs (O(n^2 p K)), Algo-Alloc, the exact partition enumeration, the
-// two interval heuristics, and the Eq. (3)-(9) evaluator.
+// two interval heuristics, the Eq. (3)-(9) evaluator, the local-search
+// polish and the default portfolio.
 #include <benchmark/benchmark.h>
 
 #include "core/alloc.hpp"
@@ -10,6 +11,7 @@
 #include "core/reliability_dp.hpp"
 #include "eval/evaluation.hpp"
 #include "model/generator.hpp"
+#include "solver/registry.hpp"
 
 namespace {
 
@@ -167,6 +169,37 @@ void BM_RunHeuristicHet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RunHeuristicHet);
+
+// One Figure 6/7 ladder through a registry solver as a service batch
+// runs it: prepare the session, then the ten period rungs 50..500 at
+// L = 750 on a Section 8.1 paper instance.
+void solver_ladder(benchmark::State& state, const char* name) {
+  Rng rng(17);
+  const Instance instance{paper::chain(rng), paper::hom_platform()};
+  const auto engine = solver::SolverRegistry::builtin().find(name);
+  for (auto _ : state) {
+    const auto session = engine->prepare(instance);
+    for (int period = 50; period <= 500; period += 50) {
+      solver::Bounds bounds;
+      bounds.period_bound = period;
+      bounds.latency_bound = 750.0;
+      benchmark::DoNotOptimize(session->solve(bounds));
+    }
+  }
+}
+
+// heur-l+ls (arg 0) or heur-p+ls (arg 1): the portfolio's two
+// local-search members.
+void BM_LocalSearchLadder(benchmark::State& state) {
+  solver_ladder(state, state.range(0) == 0 ? "heur-l+ls" : "heur-p+ls");
+}
+BENCHMARK(BM_LocalSearchLadder)->Arg(0)->Arg(1);
+
+// The default portfolio: exact, heur-l+ls, heur-p+ls and baseline.
+void BM_PortfolioLadder(benchmark::State& state) {
+  solver_ladder(state, "portfolio");
+}
+BENCHMARK(BM_PortfolioLadder);
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "eval/evaluation.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <vector>
 
@@ -20,8 +21,16 @@ double expected_computation_time(const Platform& platform, double work,
                                  std::span<const std::size_t> procs) noexcept {
   // Eq. (3): processors ordered fastest first; the u-th term is the case
   // where the u-1 faster replicas fail and the u-th succeeds, conditioned
-  // on at least one success.
-  std::vector<std::size_t> order(procs.begin(), procs.end());
+  // on at least one success. Replica sets are small (<= K), so the order
+  // lives on the stack unless the set is unusually large.
+  std::array<std::size_t, 16> stack_order;
+  std::vector<std::size_t> heap_order;
+  if (procs.size() > stack_order.size()) heap_order.resize(procs.size());
+  const std::span<std::size_t> order =
+      heap_order.empty()
+          ? std::span<std::size_t>(stack_order).first(procs.size())
+          : std::span<std::size_t>(heap_order);
+  std::copy(procs.begin(), procs.end(), order.begin());
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) {
               if (platform.speed(a) != platform.speed(b)) {

@@ -69,7 +69,7 @@ bool read_trace(std::istream& in, LoadTrace& trace, std::string* error) {
   if (!have_events_line) return fail(error, "load trace: missing events line");
 
   // `line` currently holds the first event (or "end" for empty traces).
-  trace.events.reserve(expected);
+  trace.events.reserve(records_that_fit(in, expected));
   while (line != "end") {
     std::istringstream tokens(line);
     std::string time_text, period_text, latency_text;

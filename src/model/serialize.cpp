@@ -133,6 +133,13 @@ void write_instance_canonical(std::ostream& out, const Instance& instance) {
   out << CanonicalInstanceText(instance).view();
 }
 
+std::size_t records_that_fit(std::istream& in, std::size_t claimed) {
+  const std::streamsize remaining =
+      in.rdbuf() != nullptr ? in.rdbuf()->in_avail() : 0;
+  if (remaining <= 0) return 0;
+  return std::min(claimed, static_cast<std::size_t>(remaining) / 2);
+}
+
 ParseResult read_instance(std::istream& in) {
   std::string line;
   std::size_t lineno = 0;
@@ -160,7 +167,7 @@ ParseResult read_instance(std::istream& in) {
   }
 
   std::vector<Task> tasks;
-  tasks.reserve(n);
+  tasks.reserve(records_that_fit(in, n));
   // Labeled form: 'task <id> <work> <out_size>' lines in any order; the
   // ascending id order defines the chain order (ids are labels only).
   std::vector<std::pair<std::int64_t, Task>> labeled;
@@ -238,7 +245,7 @@ ParseResult read_instance(std::istream& in) {
   }
 
   std::vector<Processor> processors;
-  processors.reserve(p);
+  processors.reserve(records_that_fit(in, p));
   for (std::size_t u = 0; u < p; ++u) {
     if (!next_line(in, line, lineno)) {
       return fail(lineno, "expected " + std::to_string(p) +

@@ -59,6 +59,12 @@ char* write_canonical_number(char* out, double value) noexcept;
 /// malformed input; `value` is untouched on failure.
 bool parse_canonical_number(std::string_view text, double& value);
 
+/// How many of `claimed` one-line records the unread rest of `in` can
+/// still hold (each takes at least a character and a newline); 0 when
+/// the stream cannot tell. Decoders reserve this, never the claimed
+/// count, so a count in hostile bytes allocates no more than the bytes.
+std::size_t records_that_fit(std::istream& in, std::size_t claimed);
+
 /// The v1 text format with canonical_number formatting and no
 /// information loss: the byte-level canonical form of an instance
 /// (read_instance parses it back bit-exactly). Processor *order* is

@@ -105,6 +105,20 @@ void FrameServer::end_handler() {
   drained_cv_.notify_all();
 }
 
+namespace {
+
+/// The answer to a request whose handler threw (say, a decode that ran
+/// out of memory): an error frame for that request only. The connection
+/// stays up for its other multiplexed requests.
+Frame handler_failure(std::string message) {
+  Frame failure;
+  failure.type = FrameType::kError;
+  failure.payload = std::move(message);
+  return failure;
+}
+
+}  // namespace
+
 bool FrameServer::handle_frame(const Frame& request, Socket& socket,
                                std::mutex& write_mutex) {
   // Load brackets the handler call: a frame stuck inside the handler
@@ -116,25 +130,9 @@ bool FrameServer::handle_frame(const Frame& request, Socket& socket,
   try {
     reply = handler_(request);
   } catch (const std::exception& error) {
-    // A throwing handler must not kill the connection's bookkeeping —
-    // answer with an error frame and close.
-    if (heartbeat_) {
-      heartbeat_->add_load(-1);
-      heartbeat_->beat();
-    }
-    Frame failure;
-    failure.request_id = request.request_id;
-    failure.type = FrameType::kError;
-    failure.payload = std::string("handler error: ") + error.what();
-    const std::lock_guard<std::mutex> write_lock(write_mutex);
-    write_frame(socket, failure);
-    return false;
+    reply = handler_failure(std::string("handler error: ") + error.what());
   } catch (...) {
-    if (heartbeat_) {
-      heartbeat_->add_load(-1);
-      heartbeat_->beat();
-    }
-    return false;
+    reply = handler_failure("handler error");
   }
   if (handler_sample) {
     obs::Profiler::record(*handler_component_, handler_sample->finish());

@@ -27,39 +27,38 @@ void set_nodelay(int fd) noexcept {
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
+    fd_.store(other.fd_.exchange(-1));
   }
   return *this;
 }
 
 void Socket::close() noexcept {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) ::close(fd);
 }
 
 void Socket::shutdown() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+  const int fd = this->fd();
+  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
 bool Socket::set_receive_timeout(double seconds) noexcept {
-  if (fd_ < 0) return false;
+  const int fd = this->fd();
+  if (fd < 0) return false;
   struct timeval tv {};
   if (seconds > 0.0) {
     tv.tv_sec = static_cast<time_t>(seconds);
     tv.tv_usec = static_cast<suseconds_t>(
         (seconds - std::floor(seconds)) * 1e6);
   }
-  return ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) == 0;
+  return ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) == 0;
 }
 
 bool Socket::send_all(const void* data, std::size_t size) noexcept {
   const char* bytes = static_cast<const char*>(data);
   while (size > 0) {
     // MSG_NOSIGNAL: a reset peer must yield an error, not SIGPIPE.
-    const ssize_t sent = ::send(fd_, bytes, size, MSG_NOSIGNAL);
+    const ssize_t sent = ::send(fd(), bytes, size, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -95,7 +94,7 @@ Socket::RecvStatus Socket::recv_some_status(void* data, std::size_t capacity,
                                             std::size_t& got) noexcept {
   got = 0;
   for (;;) {
-    const ssize_t received = ::recv(fd_, data, capacity, 0);
+    const ssize_t received = ::recv(fd(), data, capacity, 0);
     if (received > 0) {
       got = static_cast<std::size_t>(received);
       return RecvStatus::kOk;

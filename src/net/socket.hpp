@@ -10,6 +10,7 @@
 // src/service/engine.*.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -27,14 +28,16 @@ class Socket {
   explicit Socket(int fd) : fd_(fd) {}
   ~Socket() { close(); }
 
-  Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  Socket(Socket&& other) noexcept : fd_(other.fd_.exchange(-1)) {}
   Socket& operator=(Socket&& other) noexcept;
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
 
-  bool valid() const noexcept { return fd_ >= 0; }
-  int fd() const noexcept { return fd_; }
+  bool valid() const noexcept { return fd() >= 0; }
+  int fd() const noexcept { return fd_.load(); }
 
+  /// Releases the descriptor once, even when another thread calls
+  /// shutdown() concurrently (the descriptor is taken by an exchange).
   void close() noexcept;
 
   /// Wakes any thread blocked in recv/send on this socket (they fail),
@@ -75,7 +78,7 @@ class Socket {
                               std::size_t& got) noexcept;
 
  private:
-  int fd_ = -1;
+  std::atomic<int> fd_{-1};
 };
 
 /// Connects to host:port with a bounded connect timeout (name resolution

@@ -142,25 +142,45 @@ class PeriodDpAdapter final : public Solver {
 
 // -------------------------------------------------------------- heuristics
 
+/// Polishes a heuristic answer by local search under the same bounds;
+/// the answer itself when the search cannot start from it.
+Solution polish(const Instance& instance, const HeuristicSolution& start,
+                const Bounds& bounds) {
+  LocalSearchOptions search;
+  search.period_bound = bounds.period_bound;
+  search.latency_bound = bounds.latency_bound;
+  auto improved = improve_mapping(instance.chain, instance.platform,
+                                  start.mapping, search);
+  if (!improved) return Solution{start.mapping, start.metrics};
+  return Solution{std::move(improved->mapping), improved->metrics};
+}
+
 /// Homogeneous session: the allocation does not depend on the bounds, so
 /// the candidate list (one per interval count) is computed once and each
 /// query filters it — the same caching src/exp/runner.cpp used to
-/// hand-roll per experiment.
+/// hand-roll per experiment. With local search on, the filtered winner
+/// is the start run_heuristic would pick, and each query polishes it.
 class HomHeuristicSession final : public PreparedSolver {
  public:
-  HomHeuristicSession(const Instance& instance, HeuristicKind kind)
-      : candidates_(heuristic_candidates(instance.chain, instance.platform,
-                                         kind)) {}
+  HomHeuristicSession(const Instance& instance, HeuristicKind kind,
+                      bool local_search)
+      : instance_(instance),
+        candidates_(heuristic_candidates(instance.chain, instance.platform,
+                                         kind)),
+        local_search_(local_search) {}
 
   std::optional<Solution> solve(const Bounds& bounds) const override {
     const HeuristicSolution* best = best_heuristic_candidate(
         candidates_, bounds.period_bound, bounds.latency_bound);
     if (best == nullptr) return std::nullopt;
+    if (local_search_) return polish(instance_, *best, bounds);
     return Solution{best->mapping, best->metrics};
   }
 
  private:
+  const Instance& instance_;
   std::vector<HeuristicSolution> candidates_;
+  bool local_search_;
 };
 
 class HeuristicAdapter final : public Solver {
@@ -198,26 +218,17 @@ class HeuristicAdapter final : public Solver {
     auto heuristic =
         run_heuristic(instance.chain, instance.platform, kind_, options);
     if (!heuristic) return std::nullopt;
-    if (!local_search_) {
-      return Solution{std::move(heuristic->mapping), heuristic->metrics};
-    }
-    LocalSearchOptions search;
-    search.period_bound = bounds.period_bound;
-    search.latency_bound = bounds.latency_bound;
-    auto improved = improve_mapping(instance.chain, instance.platform,
-                                    heuristic->mapping, search);
-    if (!improved) {
-      return Solution{std::move(heuristic->mapping), heuristic->metrics};
-    }
-    return Solution{std::move(improved->mapping), improved->metrics};
+    if (local_search_) return polish(instance, *heuristic, bounds);
+    return Solution{std::move(heuristic->mapping), heuristic->metrics};
   }
 
   std::unique_ptr<PreparedSolver> prepare(
       const Instance& instance) const override {
     // The candidate cache is only valid where allocation ignores the
-    // bounds (homogeneous platforms) and no local-search polish runs.
-    if (!local_search_ && instance.platform.is_homogeneous()) {
-      return std::make_unique<HomHeuristicSession>(instance, kind_);
+    // bounds (homogeneous platforms).
+    if (instance.platform.is_homogeneous()) {
+      return std::make_unique<HomHeuristicSession>(instance, kind_,
+                                                   local_search_);
     }
     return Solver::prepare(instance);
   }

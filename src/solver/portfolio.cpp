@@ -1,57 +1,29 @@
 #include "solver/portfolio.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
 
-#include "common/thread_pool.hpp"
-
 namespace prts::solver {
 namespace {
 
-/// Best in-budget feasible answer, ties to the earliest slot (so
-/// selection is deterministic for a fixed member order).
-std::optional<Solution> select_best(
-    std::vector<std::optional<Solution>>& answers, const Bounds& bounds) {
-  std::optional<Solution> best;
-  for (std::optional<Solution>& answer : answers) {
-    if (!answer || !within_bounds(answer->metrics, bounds)) continue;
-    if (!best || tri_criteria_better(answer->metrics, best->metrics)) {
-      best = std::move(answer);
-    }
-  }
-  return best;
-}
-
-/// One prepared member session per supported engine, raced over a pool
-/// that lives as long as the session (no per-query pool churn inside
-/// campaign workers).
+/// One prepared member session per supported engine, run in member
+/// order on the caller's thread: the engine workers and the campaign
+/// runner are the parallel layers, so a pool here only oversubscribes.
 class PortfolioSession final : public PreparedSolver {
  public:
   PortfolioSession(const std::vector<PortfolioMember>& members,
-                   const Instance& instance, std::size_t threads) {
+                   const Instance& instance) {
     for (const PortfolioMember& member : members) {
       if (!member.solver->supports(instance)) continue;
       entries_.push_back(Entry{member.solver->prepare(instance),
                                member.time_budget_seconds});
     }
-    if (!entries_.empty()) {
-      // Never more workers than members: portfolios run nested inside
-      // campaign worker threads, where a hardware-sized pool per
-      // session would explode the thread count.
-      const std::size_t workers =
-          threads == 0 ? entries_.size()
-                       : std::min(threads, entries_.size());
-      pool_ = std::make_unique<ThreadPool>(workers);
-    }
   }
 
   std::optional<Solution> solve(const Bounds& bounds) const override {
-    if (entries_.empty()) return std::nullopt;
-    std::vector<std::optional<Solution>> answers(entries_.size());
-    pool_->parallel_for(entries_.size(), [&](std::size_t i) {
-      const Entry& entry = entries_[i];
+    std::optional<Solution> best;
+    for (const Entry& entry : entries_) {
       const auto start = std::chrono::steady_clock::now();
       auto answer = entry.session->solve(bounds);
       const double elapsed =
@@ -59,11 +31,16 @@ class PortfolioSession final : public PreparedSolver {
                                         start)
               .count();
       // Engines are uninterruptible black boxes: the budget gates which
-      // answers count, not how long the race takes.
-      if (elapsed > entry.time_budget_seconds) return;
-      answers[i] = std::move(answer);
-    });
-    return select_best(answers, bounds);
+      // answers count, not how long the member runs.
+      if (elapsed > entry.time_budget_seconds) continue;
+      // Best in-bounds answer; ties go to the earliest member, so
+      // selection is deterministic for a fixed member order.
+      if (!answer || !within_bounds(answer->metrics, bounds)) continue;
+      if (!best || tri_criteria_better(answer->metrics, best->metrics)) {
+        best = std::move(answer);
+      }
+    }
+    return best;
   }
 
  private:
@@ -73,17 +50,13 @@ class PortfolioSession final : public PreparedSolver {
   };
 
   std::vector<Entry> entries_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace
 
 PortfolioSolver::PortfolioSolver(std::string name,
-                                 std::vector<PortfolioMember> members,
-                                 std::size_t threads)
-    : name_(std::move(name)),
-      members_(std::move(members)),
-      threads_(threads) {
+                                 std::vector<PortfolioMember> members)
+    : name_(std::move(name)), members_(std::move(members)) {
   for (const PortfolioMember& member : members_) {
     if (!member.solver) {
       throw std::invalid_argument("PortfolioSolver: null member solver");
@@ -94,7 +67,8 @@ PortfolioSolver::PortfolioSolver(std::string name,
 std::string PortfolioSolver::description() const {
   std::string text = "portfolio of";
   for (const PortfolioMember& member : members_) {
-    text += " " + member.solver->name();
+    text += ' ';
+    text += member.solver->name();
   }
   return text;
 }
@@ -108,18 +82,18 @@ bool PortfolioSolver::supports(const Instance& instance) const {
 
 std::optional<Solution> PortfolioSolver::solve(const Instance& instance,
                                                const Bounds& bounds) const {
-  return PortfolioSession(members_, instance, threads_).solve(bounds);
+  return PortfolioSession(members_, instance).solve(bounds);
 }
 
 std::unique_ptr<PreparedSolver> PortfolioSolver::prepare(
     const Instance& instance) const {
-  return std::make_unique<PortfolioSession>(members_, instance, threads_);
+  return std::make_unique<PortfolioSession>(members_, instance);
 }
 
 std::shared_ptr<const Solver> make_portfolio(
     const SolverRegistry& registry, const std::string& name,
-    const std::vector<std::string>& member_names, double time_budget_seconds,
-    std::size_t threads) {
+    const std::vector<std::string>& member_names,
+    double time_budget_seconds) {
   if (member_names.empty()) {
     throw std::invalid_argument("make_portfolio: empty member list");
   }
@@ -134,8 +108,7 @@ std::shared_ptr<const Solver> make_portfolio(
     members.push_back(PortfolioMember{std::move(solver),
                                       time_budget_seconds});
   }
-  return std::make_shared<PortfolioSolver>(name, std::move(members),
-                                           threads);
+  return std::make_shared<PortfolioSolver>(name, std::move(members));
 }
 
 }  // namespace prts::solver

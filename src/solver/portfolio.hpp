@@ -1,10 +1,11 @@
-// Portfolio solving: fan a query out to several registered engines
-// across the shared ThreadPool, discard members that blow their time
-// budget, and keep the best answer under the tri-criteria ordering.
-// This is the "race interchangeable engines" pattern of the
-// portfolio-of-methods literature: heuristics answer quickly on every
+// Portfolio solving: run a query through several registered engines in
+// member order, discard members that blow their time budget, and keep
+// the best answer under the tri-criteria ordering. This is the
+// portfolio-of-methods pattern: heuristics answer quickly on every
 // platform, exact engines answer optimally where they apply, and the
-// portfolio returns the best of whatever came back in time.
+// portfolio returns the best of whatever came back in time. Members run
+// on the caller's thread; the solve engine's workers and the campaign
+// runner are the parallel layers above it.
 #pragma once
 
 #include <limits>
@@ -26,15 +27,13 @@ struct PortfolioMember {
   double time_budget_seconds = std::numeric_limits<double>::infinity();
 };
 
-/// Races its members across a thread pool and selects the best in-budget
-/// feasible answer (tri-criteria ordering, ties to the earliest member,
-/// so selection is deterministic for a fixed member order).
+/// Runs its members in order and selects the best in-budget feasible
+/// answer (tri-criteria ordering, ties to the earliest member, so
+/// selection is deterministic for a fixed member order).
 class PortfolioSolver final : public Solver {
  public:
-  /// `threads` = 0 sizes the pool to the hardware; members must be
-  /// non-null (throws std::invalid_argument otherwise).
-  PortfolioSolver(std::string name, std::vector<PortfolioMember> members,
-                  std::size_t threads = 0);
+  /// Members must be non-null (throws std::invalid_argument otherwise).
+  PortfolioSolver(std::string name, std::vector<PortfolioMember> members);
 
   std::string name() const override { return name_; }
   std::string description() const override;
@@ -45,9 +44,9 @@ class PortfolioSolver final : public Solver {
   std::optional<Solution> solve(const Instance& instance,
                                 const Bounds& bounds) const override;
 
-  /// Prepares every supported member once and races the member
-  /// sessions per query over one reused pool — campaign sweeps pay the
-  /// expensive per-instance engine setups once, not per sweep point.
+  /// Prepares every supported member once and runs the member sessions
+  /// per query — campaign sweeps pay the expensive per-instance engine
+  /// setups once, not per sweep point.
   std::unique_ptr<PreparedSolver> prepare(
       const Instance& instance) const override;
 
@@ -56,7 +55,6 @@ class PortfolioSolver final : public Solver {
  private:
   std::string name_;
   std::vector<PortfolioMember> members_;
-  std::size_t threads_;
 };
 
 /// Builds a portfolio from registry names with one shared budget. Throws
@@ -64,7 +62,6 @@ class PortfolioSolver final : public Solver {
 std::shared_ptr<const Solver> make_portfolio(
     const SolverRegistry& registry, const std::string& name,
     const std::vector<std::string>& member_names,
-    double time_budget_seconds = std::numeric_limits<double>::infinity(),
-    std::size_t threads = 0);
+    double time_budget_seconds = std::numeric_limits<double>::infinity());
 
 }  // namespace prts::solver

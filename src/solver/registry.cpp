@@ -46,7 +46,7 @@ const SolverRegistry& SolverRegistry::builtin() {
   static const SolverRegistry registry = [] {
     SolverRegistry built;
     register_builtin_solvers(built);
-    // The default racer: exact answers where it applies, the heuristics
+    // The default portfolio: exact answers where it applies, the heuristics
     // cover heterogeneous platforms, the baseline backstops tiny chains.
     built.add(std::make_shared<PortfolioSolver>(
         "portfolio",

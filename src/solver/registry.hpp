@@ -33,7 +33,7 @@ class SolverRegistry {
   std::size_t size() const noexcept { return solvers_.size(); }
 
   /// The registry of every built-in engine adapter (see
-  /// solver/adapters.hpp) plus the default "portfolio" racer. Built once,
+  /// solver/adapters.hpp) plus the default "portfolio". Built once,
   /// shared, immutable.
   static const SolverRegistry& builtin();
 

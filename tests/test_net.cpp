@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <future>
 #include <limits>
+#include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -352,6 +354,36 @@ TEST(FrameServerTest, EchoRoundTripAndStats) {
   EXPECT_EQ(stats.connections, 1u);  // one client, one connection reused
   EXPECT_EQ(stats.frames, 4u);       // the connect ping + three calls
   EXPECT_EQ(stats.protocol_errors, 0u);
+}
+
+TEST(FrameServerTest, ThrowingHandlerFailsOnlyItsOwnRequest) {
+  // A handler that throws answers kError for that request id; the
+  // connection and its other multiplexed requests carry on.
+  ThreadPool pool(2);
+  auto server = FrameServer::start(
+      0,
+      [](const Frame& request) -> std::optional<Frame> {
+        if (request.payload == "boom") throw std::bad_alloc();
+        Frame reply = request;
+        reply.type = FrameType::kPong;
+        return reply;
+      },
+      pool);
+  ASSERT_NE(server, nullptr);
+  MuxFrameClient client("127.0.0.1", server->port());
+  auto failed = client.call_async(make_frame(FrameType::kPing, "boom"));
+  auto answered = client.call_async(make_frame(FrameType::kPing, "alive"));
+  const auto failure = failed.get();
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->type, FrameType::kError);
+  EXPECT_NE(failure->payload.find("handler error"), std::string::npos);
+  const auto reply = answered.get();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->payload, "alive");
+  const auto after = client.call(make_frame(FrameType::kPing, "after"));
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->payload, "after");
+  EXPECT_EQ(server->stats().connections, 1u);
 }
 
 TEST(FrameServerTest, ManyConcurrentClients) {

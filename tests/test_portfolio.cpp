@@ -63,22 +63,21 @@ TEST(Portfolio, MatchesExactOnHomogeneousPlatforms) {
                    exact->metrics.reliability.log());
 }
 
-TEST(Portfolio, DeterministicAcrossRepeatsAndThreadCounts) {
+TEST(Portfolio, DeterministicAcrossRepeats) {
   const auto& registry = SolverRegistry::builtin();
   const Instance instance = small_het_instance(7);
   const Bounds bounds = loose_bounds();
-  const auto serial = make_portfolio(registry, "serial",
-                                     {"heur-l", "heur-p", "baseline"},
-                                     std::numeric_limits<double>::infinity(),
-                                     1);
-  const auto wide = make_portfolio(registry, "wide",
-                                   {"heur-l", "heur-p", "baseline"});
-  const auto a = serial->solve(instance, bounds);
-  const auto b = serial->solve(instance, bounds);
-  const auto c = wide->solve(instance, bounds);
+  const auto first = make_portfolio(registry, "first",
+                                    {"heur-l", "heur-p", "baseline"});
+  const auto second = make_portfolio(registry, "second",
+                                     {"heur-l", "heur-p", "baseline"});
+  const auto a = first->solve(instance, bounds);
+  const auto b = first->solve(instance, bounds);
+  const auto c = second->solve(instance, bounds);
   ASSERT_TRUE(a && b && c);
   EXPECT_EQ(a->mapping, b->mapping);
   EXPECT_EQ(a->mapping, c->mapping);
+  EXPECT_EQ(a->metrics, c->metrics);
 }
 
 TEST(Portfolio, PreparedSessionAgreesWithDirectSolve) {

@@ -20,6 +20,8 @@
 #include "eval/evaluation.hpp"
 #include "model/generator.hpp"
 #include "net/frame_server.hpp"
+#include "net/mux_client.hpp"
+#include "obs/profiler.hpp"
 #include "scenario/emit.hpp"
 #include "service/fusion.hpp"
 #include "service/protocol.hpp"
@@ -720,6 +722,64 @@ TEST(WireCodec, GarbageIsRejectedWithReason) {
                      "\n");
   EXPECT_FALSE(decode_wire_request(payload, error).has_value());
   EXPECT_EQ(error, "expected 'instance'");
+}
+
+/// A wire solve request whose instance claims `count` tasks (or
+/// processors) but carries the few lines of hom_instance().
+std::string hostile_request(const char* field, const char* count) {
+  std::string payload =
+      encode_wire_request(SolveRequest{hom_instance(), "heur-p", {}});
+  const std::size_t at = payload.find(std::string("\n") + field + " ");
+  const std::size_t number = payload.find(' ', at) + 1;
+  const std::size_t end = payload.find_first_of(" \n", number);
+  payload.replace(number, end - number, count);
+  return payload;
+}
+
+TEST(WireCodec, HugeClaimedCountsAllocateNoMoreThanTheBytes) {
+  // A ~200-byte request claiming 10^8 tasks once reserved 1.6 GB; every
+  // reserve is now bounded by the bytes that remain.
+  for (const char* field : {"tasks", "platform"}) {
+    for (const char* count : {"100000000", "1000000000000000000"}) {
+      const std::string payload = hostile_request(field, count);
+      EXPECT_LT(payload.size(), 256u);
+      std::string error;
+      const obs::AllocScope scope;
+      const auto decoded = decode_wire_request(payload, error);
+      const obs::AllocCounts spent = scope.delta();
+      EXPECT_FALSE(decoded.has_value()) << field << " " << count;
+      EXPECT_LT(spent.bytes, 4096u) << field << " " << count;
+    }
+  }
+}
+
+TEST(FabricHandler, HostileRequestFailsAloneAndTheConnectionStaysUp) {
+  SolveService service(small_config());
+  ThreadPool server_pool(2);
+  auto server =
+      net::FrameServer::start(0, make_fabric_handler(service), server_pool);
+  ASSERT_NE(server, nullptr);
+  net::MuxFrameClient client("127.0.0.1", server->port());
+
+  net::Frame hostile;
+  hostile.type = net::FrameType::kSolveRequest;
+  hostile.payload = hostile_request("tasks", "100000000");
+  const auto refused = client.call(hostile);
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->type, net::FrameType::kError);
+
+  net::Frame valid;
+  valid.type = net::FrameType::kSolveRequest;
+  valid.payload =
+      encode_wire_request(SolveRequest{hom_instance(), "heur-p", {}});
+  const auto answered = client.call(valid);
+  ASSERT_TRUE(answered.has_value());
+  ASSERT_EQ(answered->type, net::FrameType::kSolveReply);
+  std::string error;
+  const auto reply = decode_wire_reply(answered->payload, error);
+  ASSERT_TRUE(reply.has_value()) << error;
+  EXPECT_EQ(reply->status, ReplyStatus::kSolved);
+  EXPECT_EQ(server->stats().connections, 1u);
 }
 
 TEST(WireCodec, PeerListParses) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "core/exact.hpp"
 #include "core/heuristics.hpp"
@@ -203,13 +204,15 @@ void append_bits(std::string& out, T value) {
   out.append(bytes, sizeof(T));
 }
 
-std::string ladder_digest(const Instance& instance, const char* name) {
+/// The ten rungs step, 2 step, ..., 10 step at one latency bound.
+std::string ladder_digest(const Instance& instance, const char* name,
+                          double step = 50.0, double latency = 750.0) {
   const auto session = SolverRegistry::builtin().find(name)->prepare(instance);
   std::string bytes;
-  for (int period = 50; period <= 500; period += 50) {
+  for (int rung = 1; rung <= 10; ++rung) {
     Bounds bounds;
-    bounds.period_bound = period;
-    bounds.latency_bound = 750.0;
+    bounds.period_bound = rung * step;
+    bounds.latency_bound = latency;
     const auto solution = session->solve(bounds);
     bytes.push_back(solution ? 'S' : 'I');
     if (!solution) continue;
@@ -253,6 +256,102 @@ TEST(SolverGoldenAnswers, SectionEightLadderDigestsArePinned) {
         << "seed " << pin.seed;
     EXPECT_EQ(ladder_digest(instance, "portfolio"), pin.portfolio)
         << "seed " << pin.seed;
+  }
+}
+
+// The portfolio's local-search members on the same three homogeneous
+// instances, and on Section 8.2 heterogeneous platforms drawn from the
+// same seeds. Their speeds reach 100, so the heterogeneous ladder is
+// period 2..20 at L = 30 (on the paper's 50..500 ladder every rung gets
+// the unbounded optimum). Digests computed at the parent commit, before
+// the incremental local search and the prepared +ls sessions.
+TEST(SolverGoldenAnswers, LocalSearchLadderDigestsArePinned) {
+  struct Pin {
+    std::uint64_t seed;
+    bool heterogeneous;
+    const char* heur_l;
+    const char* heur_p;
+    const char* portfolio;
+  };
+  const Pin pins[] = {
+      {4, false, "3a684f8aad5dafb010c59a1cf07b2752",
+       "a8c1dd60ffc2508068a0f13c51a04b31",
+       "7dfcd552eab36a0ae5656798daca68d5"},
+      {22, false, "84e893fc4afce96c31e2622491dbd77c",
+       "6e758dcb33d03fd844552cd271ee45ad",
+       "cb8b7438965c8bec62ddc2cc1c3af12d"},
+      {25, false, "9d16d0b6bf5fa2a02023709a74d31ce3",
+       "323876bcfe6fd4dda130f1fd99e66d13",
+       "2e95364d561565978ca749735646277e"},
+      {4, true, "70c86fe6d7fa95c635f7fabe494459d7",
+       "859ecb1a1a419da8e2b6eb3893134ae4",
+       "70c86fe6d7fa95c635f7fabe494459d7"},
+      {22, true, "dc0e52853d13cf182c49408743bfdd07",
+       "b2e9bc574714b5f225e92375038d57b2",
+       "dc0e52853d13cf182c49408743bfdd07"},
+      {25, true, "bd9c9a581d8f199aad38787b12151e96",
+       "0c43de001a9657ebf9b6276bb3e562e8",
+       "bd9c9a581d8f199aad38787b12151e96"},
+  };
+  for (const Pin& pin : pins) {
+    Rng rng(pin.seed);
+    TaskChain chain = paper::chain(rng);
+    Platform platform =
+        pin.heterogeneous ? paper::het_platform(rng) : paper::hom_platform();
+    const Instance instance{std::move(chain), std::move(platform)};
+    const double step = pin.heterogeneous ? 2.0 : 50.0;
+    const double latency = pin.heterogeneous ? 30.0 : 750.0;
+    const std::string where = std::string(pin.heterogeneous ? "het" : "hom") +
+                              " seed " + std::to_string(pin.seed);
+    EXPECT_EQ(ladder_digest(instance, "heur-l+ls", step, latency),
+              pin.heur_l)
+        << where;
+    EXPECT_EQ(ladder_digest(instance, "heur-p+ls", step, latency),
+              pin.heur_p)
+        << where;
+    EXPECT_EQ(ladder_digest(instance, "portfolio", step, latency),
+              pin.portfolio)
+        << where;
+  }
+}
+
+TEST(SolverAdapters, LocalSearchSessionAgreesWithDirectSolveOnTheLadder) {
+  // The prepared +ls session polishes the bounds-free candidate list's
+  // winner; it must answer exactly like run_heuristic + improve_mapping
+  // at every rung, on both platform kinds.
+  for (const std::uint64_t seed : {4u, 9u, 22u}) {
+    for (const bool heterogeneous : {false, true}) {
+      Rng rng(seed);
+      TaskChain chain = paper::chain(rng);
+      Platform platform = heterogeneous ? paper::het_platform(rng)
+                                        : paper::hom_platform();
+      const Instance instance{std::move(chain), std::move(platform)};
+      const double step = heterogeneous ? 2.0 : 50.0;
+      std::vector<Bounds> ladder;
+      for (int rung = 1; rung <= 10; ++rung) {
+        ladder.push_back(Bounds{rung * step, heterogeneous ? 30.0 : 750.0});
+      }
+      ladder.push_back(Bounds{});
+      for (const char* name : {"heur-l+ls", "heur-p+ls"}) {
+        const auto solver = SolverRegistry::builtin().find(name);
+        const auto session = solver->prepare(instance);
+        for (const Bounds& bounds : ladder) {
+          const auto from_session = session->solve(bounds);
+          const auto from_solver = solver->solve(instance, bounds);
+          const std::string where = std::string(name) + " seed " +
+                                    std::to_string(seed) +
+                                    (heterogeneous ? " het" : " hom") +
+                                    " P=" +
+                                    std::to_string(bounds.period_bound);
+          ASSERT_EQ(from_session.has_value(), from_solver.has_value())
+              << where;
+          if (!from_session) continue;
+          EXPECT_EQ(from_session->mapping, from_solver->mapping) << where;
+          EXPECT_TRUE(from_session->metrics == from_solver->metrics)
+              << where;
+        }
+      }
+    }
   }
 }
 

@@ -95,15 +95,17 @@ echo "near-miss smoke test OK: near_miss=$near_miss"
 
 # ---------------------------------------------------------------------------
 # Sanitizer stages, each in its own tree. AddressSanitizer +
-# UndefinedBehaviorSanitizer run every ctest suite; any memory error or
-# undefined behaviour aborts the suite and fails CI. ThreadSanitizer
+# UndefinedBehaviorSanitizer run every ctest suite with libstdc++'s
+# container assertions on (-D_GLIBCXX_ASSERTIONS: out-of-range indexing
+# into a vector, span or array traps); any memory error, undefined
+# behaviour or assertion aborts the suite and fails CI. ThreadSanitizer
 # runs the suites whose threads share sockets, queues, counters and the
 # canonical-form memo; any race report halts the suite and fails CI.
 # ---------------------------------------------------------------------------
 if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   ASAN_BUILD="$BUILD-asan"
   cmake -B "$ASAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+        "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
   cmake --build "$ASAN_BUILD" -j "$JOBS"
   (cd "$ASAN_BUILD" &&
      UBSAN_OPTIONS=print_stacktrace=1 ctest --output-on-failure -j "$JOBS")
