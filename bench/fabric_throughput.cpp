@@ -210,11 +210,13 @@ int main(int argc, char** argv) {
     std::cerr << "cannot open a loopback listener\n";
     return 1;
   }
+  // A boot-list fleet of two; the remote runs no router, so no
+  // heartbeats.
   service::RouterConfig router_config;
-  router_config.world_size = 2;
   router_config.rank = 0;
   router_config.peers = {{"127.0.0.1", 1},
                          {"127.0.0.1", server->port()}};
+  router_config.heartbeat_interval_seconds = 0.0;
   service::ShardRouter router(local, router_config);
 
   std::size_t solved = 0;

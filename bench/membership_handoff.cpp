@@ -31,7 +31,7 @@ using service::testing::FabricHarness;
 FabricHarness::Options harness_options() {
   FabricHarness::Options options;
   options.world = 3;
-  options.elastic = true;
+  options.join_founded = true;
   options.service.threads = 2;
   options.router.client.connect_timeout_seconds = 1.0;
   options.router.client.reply_timeout_seconds = 5.0;

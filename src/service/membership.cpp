@@ -12,7 +12,7 @@ std::chrono::steady_clock::duration seconds_duration(double seconds) {
 
 }  // namespace
 
-Membership::Membership(Config config) : config_(config), ring_(config.ring) {
+Membership::Membership(Config config) : config_(config) {
   if (config_.dead_after_seconds < config_.suspect_after_seconds) {
     config_.dead_after_seconds = config_.suspect_after_seconds;
   }

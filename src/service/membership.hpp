@@ -1,8 +1,11 @@
-// Dynamic fabric membership: the epoch-stamped member list that turns
-// the static `--world/--rank/--peers` fleet into an elastic one. Every
-// rank runs one `Membership` instance; ranks join by dialing any seed
-// (kJoinRequest), then exchange full views on the heartbeat timer
-// (kMembershipUpdate) — a tiny anti-entropy protocol, not consensus:
+// Fabric membership: the epoch-stamped member list every fleet routes
+// by. Every rank runs one `Membership` instance. A `--peers` fleet
+// bootstraps it with every listed rank at epoch 1, so all ranks build
+// the same ring without any exchange; a `--join` rank dials any member
+// (kJoinRequest) and adopts the view it answers with; a rank with
+// neither founds a fleet of one. From then on ranks exchange full views
+// on the heartbeat timer (kMembershipUpdate) — a tiny anti-entropy
+// protocol, not consensus:
 //
 //   * every view change bumps a monotone `epoch`;
 //   * a received view with a HIGHER epoch is adopted wholesale;
@@ -71,7 +74,6 @@ class Membership {
     double suspect_after_seconds = 2.0;
     /// Silence before a member is declared dead and removed.
     double dead_after_seconds = 5.0;
-    RingConfig ring;
   };
 
   /// What one join/update/tick changed — the router turns this into

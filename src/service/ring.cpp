@@ -23,9 +23,9 @@ void HashRing::rebuild(const std::vector<std::size_t>& ranks) {
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
 
   points_.clear();
-  points_.reserve(unique.size() * config_.virtual_nodes);
+  points_.reserve(unique.size() * kVirtualNodes);
   for (const std::size_t rank : unique) {
-    for (std::size_t v = 0; v < config_.virtual_nodes; ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       Point point;
       // Two mix rounds decorrelate (rank, replica) pairs; a single
       // xor'd round leaves neighbouring ranks' points clustered.

@@ -1,16 +1,14 @@
 // Consistent-hash ring over the canonical 128-bit key space: the
-// elastic fabric's replacement for the static `shard = hash mod world`
-// partition. Every member rank contributes `virtual_nodes` points on a
-// 64-bit circle (a fixed splitmix-style mix of (rank, replica index),
-// never std::hash, so every rank computes the identical ring); a key is
-// owned by the member whose point is the first at or after the key's
-// own position, wrapping at the top.
+// fabric's one ownership function. Every member rank contributes
+// kVirtualNodes points on a 64-bit circle (a fixed splitmix-style mix
+// of (rank, point index), never std::hash, so every rank computes the
+// identical ring); a key is owned by the member whose point is the
+// first at or after the key's own position, wrapping at the top.
 //
-// The property the elastic fabric needs is *minimal disruption*: when a
-// member joins, the only keys that change owner are the ones the new
-// member takes; when a member leaves, only its keys move (each to the
-// next point's owner). `mod world` reshuffles almost everything on any
-// world-size change — the difference between streaming one rank's slice
+// The property the fabric needs is *minimal disruption*: when a member
+// joins, the only keys that change owner are the ones the new member
+// takes; when a member leaves, only its keys move (each to the next
+// point's owner) — the difference between streaming one rank's slice
 // and re-warming the whole fleet.
 //
 // The ring itself is a pure value (rebuild from a member set, query);
@@ -25,20 +23,14 @@
 
 namespace prts::service {
 
-struct RingConfig {
-  /// Points per member. More points = smoother balance (relative load
-  /// spread shrinks like 1/sqrt(virtual_nodes)) at the cost of a larger
-  /// sorted array; 64 keeps the worst member within ~25% of fair share.
-  std::size_t virtual_nodes = 64;
-};
+/// Points per member. More points = smoother balance (relative load
+/// spread shrinks like 1/sqrt(points)) at the cost of a larger sorted
+/// array; 64 keeps the worst member within ~25% of fair share. Fixed:
+/// ranks built with different counts would disagree about owners.
+inline constexpr std::size_t kVirtualNodes = 64;
 
 class HashRing {
  public:
-  HashRing() : HashRing(RingConfig{}) {}
-  explicit HashRing(RingConfig config) : config_(config) {
-    if (config_.virtual_nodes == 0) config_.virtual_nodes = 1;
-  }
-
   /// Replaces the member set (duplicates collapse to one member).
   void rebuild(const std::vector<std::size_t>& ranks);
 
@@ -57,7 +49,6 @@ class HashRing {
     std::size_t rank = 0;
   };
 
-  RingConfig config_;
   std::vector<Point> points_;  ///< sorted by position
   std::size_t members_ = 0;
 };

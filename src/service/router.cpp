@@ -31,11 +31,30 @@ constexpr std::size_t kMaxFetchKeys = 1024;
 /// map stays bounded even when gossip never runs to clear it.
 constexpr std::size_t kMaxTrackedHotKeys = 4096;
 
+/// Submits `task` to `pool`. A shut-down pool never runs it (its future
+/// is ready with an exception), so `refused` runs instead: it answers
+/// the waiters or releases the bookkeeping the task would have.
+template <typename Refused>
+void submit_or(ThreadPool& pool, std::function<void()> task,
+               Refused&& refused) {
+  auto done = pool.submit(std::move(task));
+  if (done.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    return;
+  }
+  try {
+    done.get();
+  } catch (...) {
+    refused();
+  }
+}
+
 /// Config invariants the rest of the router leans on, applied before
 /// any member (the Membership in particular) is constructed from it.
 RouterConfig normalize(RouterConfig config) {
-  if (config.world_size == 0) config.world_size = 1;
   config.membership.self_rank = config.rank;
+  if (config.advertise.port == 0 && config.rank < config.peers.size()) {
+    config.advertise = config.peers[config.rank];
+  }
   if (config.advertise.host.empty()) config.advertise.host = "127.0.0.1";
   return config;
 }
@@ -71,9 +90,9 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         // FrameServer runs this on its own pool.
         SolveReply answer = service.submit(std::move(*decoded)).get();
         // Peer traffic is what makes an owned key hot — feed the
-        // gossip digest. And under elastic membership, an answer for a
-        // key the ring has since assigned elsewhere is copied to its
-        // new owner (the handoff-window double-write).
+        // gossip digest. And an answer for a key the ring has since
+        // assigned elsewhere is copied to its new owner (the
+        // handoff-window double-write).
         if (ShardRouter* owner = router ? router() : nullptr) {
           owner->note_owned_hit(answer.key);
           owner->maybe_double_write(answer.key);
@@ -145,9 +164,9 @@ net::FrameHandler make_fabric_handler(SolveService& service,
       case net::FrameType::kHandoffBegin:
       case net::FrameType::kHandoffChunk:
       case net::FrameType::kHandoffDone: {
-        // The elastic-membership frame families belong to the router
-        // (the Membership merge rules + handoff bookkeeping live
-        // there). A node without one cannot host a fleet.
+        // The membership frame families belong to the router (the
+        // Membership merge rules + handoff bookkeeping live there). A
+        // node without one cannot host a fleet.
         if (ShardRouter* member = router ? router() : nullptr) {
           return member->handle_fabric_frame(request);
         }
@@ -209,83 +228,79 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
     prof_replica_ = &config_.telemetry->profiler.component("replica_lookup");
     inflight_probe_ = obs::ProfiledMutex::make_probe(metrics, "router_inflight");
     mutex_.attach(&inflight_probe_);
-    if (config_.elastic) {
-      epoch_gauge_ = &metrics.gauge("membership_epoch");
-      members_gauge_ = &metrics.gauge("membership_members");
-      joins_counter_ = &metrics.counter("membership_joins_total");
-      deaths_counter_ = &metrics.counter("membership_deaths_total");
-      suspects_counter_ = &metrics.counter("membership_suspects_total");
-      handoff_entries_sent_counter_ =
-          &metrics.counter("handoff_entries_sent_total");
-      handoff_entries_received_counter_ =
-          &metrics.counter("handoff_entries_received_total");
-      handoff_chunk_hist_ = &metrics.histogram("handoff_chunk_seconds");
+    epoch_gauge_ = &metrics.gauge("membership_epoch");
+    members_gauge_ = &metrics.gauge("membership_members");
+    joins_counter_ = &metrics.counter("membership_joins_total");
+    deaths_counter_ = &metrics.counter("membership_deaths_total");
+    suspects_counter_ = &metrics.counter("membership_suspects_total");
+    handoff_entries_sent_counter_ =
+        &metrics.counter("handoff_entries_sent_total");
+    handoff_entries_received_counter_ =
+        &metrics.counter("handoff_entries_received_total");
+    handoff_chunk_hist_ = &metrics.histogram("handoff_chunk_seconds");
+  }
+  // Every listed rank at epoch 1 (the boot list), or a fleet of one;
+  // the seed (when configured) merges us into the real fleet below, or
+  // the heartbeat loop retries while alone.
+  std::vector<Member> members;
+  for (std::size_t r = 0; r < config_.peers.size(); ++r) {
+    if (r != config_.rank) {
+      members.push_back(
+          Member{r, config_.peers[r].host, config_.peers[r].port});
     }
   }
-  if (config_.elastic) {
-    // Found a fleet of one; the seed (when configured) merges us into
-    // the real fleet below, or the heartbeat loop retries while alone.
-    Member self;
-    self.rank = config_.rank;
-    self.host = config_.advertise.host;
-    self.port = config_.advertise.port;
-    membership_.bootstrap({std::move(self)});
-    publish_membership_gauges();
-    if (config_.join_seed) join_now();
-  } else {
-    // The static fabric wires every peer up front (the addresses are
-    // fixed for the process lifetime).
-    for (std::size_t r = 0; r < config_.world_size; ++r) {
-      if (r != config_.rank) client_for(r);
-    }
-  }
+  members.push_back(Member{config_.rank, config_.advertise.host,
+                           config_.advertise.port});
+  membership_.bootstrap(std::move(members));
+  publish_membership_gauges();
+  if (config_.join_seed) join_now();
 
-  // The fabric timer: gossip rounds on a static router, heartbeat
-  // rounds (+ gossip, when due) on an elastic one.
-  const double interval_seconds = config_.elastic
-                                      ? config_.heartbeat_interval_seconds
-                                      : config_.gossip_interval_seconds;
-  const bool want_timer =
-      interval_seconds > 0.0 && (config_.elastic || config_.world_size > 1);
-  if (want_timer) {
-    if (config_.telemetry != nullptr) {
-      if (config_.elastic) {
-        membership_heartbeat_ = &config_.telemetry->watchdog.component(
-            "router_membership", interval_seconds);
-      } else {
-        gossip_heartbeat_ = &config_.telemetry->watchdog.component(
-            "router_gossip", config_.gossip_interval_seconds);
-      }
+  // The fabric timer: heartbeat rounds and gossip rounds, each when its
+  // own interval has lapsed; it wakes at the shorter of the two.
+  const double heartbeat_seconds = config_.heartbeat_interval_seconds;
+  const double gossip_seconds = config_.gossip_interval_seconds;
+  if (heartbeat_seconds <= 0.0 && gossip_seconds <= 0.0) return;
+  const double interval_seconds =
+      heartbeat_seconds <= 0.0 ? gossip_seconds
+      : gossip_seconds <= 0.0  ? heartbeat_seconds
+                               : std::min(heartbeat_seconds, gossip_seconds);
+  if (config_.telemetry != nullptr) {
+    if (heartbeat_seconds > 0.0) {
+      membership_heartbeat_ = &config_.telemetry->watchdog.component(
+          "router_membership", heartbeat_seconds);
     }
-    gossip_thread_ = std::thread([this, interval_seconds] {
-      const std::chrono::duration<double> interval(interval_seconds);
-      Clock::time_point last_gossip = Clock::now();
-      std::unique_lock<std::mutex> lock(gossip_mutex_);
-      while (!gossip_stop_) {
-        if (gossip_cv_.wait_for(lock, interval,
-                                [this] { return gossip_stop_; })) {
-          break;
-        }
-        lock.unlock();
-        if (config_.elastic) {
-          heartbeat_now();
-          if (membership_heartbeat_ != nullptr) membership_heartbeat_->beat();
-          // Gossip piggybacks on the heartbeat timer: run a round
-          // whenever its own (usually longer) interval has lapsed.
-          if (config_.gossip_interval_seconds > 0.0 &&
-              seconds_since(last_gossip, Clock::now()) >=
-                  config_.gossip_interval_seconds) {
-            gossip_now();
-            last_gossip = Clock::now();
-          }
-        } else {
-          gossip_now();
-          if (gossip_heartbeat_ != nullptr) gossip_heartbeat_->beat();
-        }
-        lock.lock();
-      }
-    });
+    if (gossip_seconds > 0.0) {
+      gossip_heartbeat_ = &config_.telemetry->watchdog.component(
+          "router_gossip", gossip_seconds);
+    }
   }
+  gossip_thread_ = std::thread([this, interval_seconds, heartbeat_seconds,
+                                gossip_seconds] {
+    const std::chrono::duration<double> interval(interval_seconds);
+    Clock::time_point last_heartbeat = Clock::now();
+    Clock::time_point last_gossip = last_heartbeat;
+    std::unique_lock<std::mutex> lock(gossip_mutex_);
+    while (!gossip_stop_) {
+      if (gossip_cv_.wait_for(lock, interval,
+                              [this] { return gossip_stop_; })) {
+        break;
+      }
+      lock.unlock();
+      if (heartbeat_seconds > 0.0 &&
+          seconds_since(last_heartbeat, Clock::now()) >= heartbeat_seconds) {
+        last_heartbeat = Clock::now();
+        heartbeat_now();
+        if (membership_heartbeat_ != nullptr) membership_heartbeat_->beat();
+      }
+      if (gossip_seconds > 0.0 &&
+          seconds_since(last_gossip, Clock::now()) >= gossip_seconds) {
+        last_gossip = Clock::now();
+        gossip_now();
+        if (gossip_heartbeat_ != nullptr) gossip_heartbeat_->beat();
+      }
+      lock.lock();
+    }
+  });
 }
 
 ShardRouter::~ShardRouter() {
@@ -299,17 +314,11 @@ ShardRouter::~ShardRouter() {
 
 net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
   if (rank == config_.rank) return nullptr;
+  const auto member = membership_.member(rank);
+  if (!member || member->port == 0) return nullptr;
   PeerAddress address;
-  if (config_.elastic) {
-    const auto member = membership_.member(rank);
-    if (!member || member->port == 0) return nullptr;
-    address.host = member->host.empty() ? "127.0.0.1" : member->host;
-    address.port = member->port;
-  } else {
-    if (rank >= config_.peers.size()) return nullptr;
-    address = config_.peers[rank];
-    if (address.port == 0) return nullptr;
-  }
+  address.host = member->host.empty() ? "127.0.0.1" : member->host;
+  address.port = member->port;
   {
     const std::lock_guard<std::mutex> lock(clients_mutex_);
     const auto it = clients_.find(rank);
@@ -350,21 +359,10 @@ net::MuxFrameClient* ShardRouter::client_lookup(std::size_t rank) const {
 
 std::vector<std::size_t> ShardRouter::peer_ranks() const {
   std::vector<std::size_t> ranks;
-  if (config_.elastic) {
-    for (const Member& member : membership_.view().members) {
-      if (member.rank != config_.rank) ranks.push_back(member.rank);
-    }
-  } else {
-    for (std::size_t r = 0; r < config_.world_size; ++r) {
-      if (r != config_.rank && r < config_.peers.size()) ranks.push_back(r);
-    }
+  for (const Member& member : membership_.view().members) {
+    if (member.rank != config_.rank) ranks.push_back(member.rank);
   }
   return ranks;
-}
-
-bool ShardRouter::known_rank(std::size_t rank) const {
-  return config_.elastic ? membership_.contains(rank)
-                         : rank < config_.world_size;
 }
 
 std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
@@ -496,23 +494,18 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   }
   lock.unlock();
 
-  auto task = forward_pool_.submit(
-      [this, forward]() mutable { run_forward(std::move(forward)); });
-  // A shut-down pool never runs the task; answer the waiters here
-  // rather than leaving broken promises behind.
-  if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    try {
-      task.get();
-    } catch (...) {
-      run_forward(std::move(forward));
-    }
-  }
+  // A refused task must still answer its waiters, never leave broken
+  // promises behind.
+  submit_or(
+      forward_pool_,
+      [this, forward]() mutable { run_forward(std::move(forward)); },
+      [&] { run_forward(std::move(forward)); });
   return future;
 }
 
 void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
-  // Resolved at run time, not submit time: under elastic membership the
-  // owner may have died (or been rewired) since the forward was queued.
+  // Resolved at run time, not submit time: the owner may have died (or
+  // been rewired) since the forward was queued.
   // A vanished client degrades to the failover path below, exactly like
   // an unreachable peer.
   net::MuxFrameClient* const client = client_for(forward->owner_rank);
@@ -777,7 +770,7 @@ void ShardRouter::handle_gossip_digest(GossipDigest digest) {
   }
   // Only the sender's own keys are prefetchable from the sender; a
   // digest naming an unknown rank (or this one) is ignored.
-  if (digest.rank == config_.rank || !known_rank(digest.rank) ||
+  if (digest.rank == config_.rank || !membership_.contains(digest.rank) ||
       !replicas_.enabled()) {
     return;
   }
@@ -802,18 +795,12 @@ void ShardRouter::handle_gossip_digest(GossipDigest digest) {
     const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
     ++outstanding_prefetches_;
   }
-  auto task = forward_pool_.submit(
+  submit_or(
+      forward_pool_,
       [this, owner = digest.rank, wanted = std::move(wanted)]() mutable {
         run_prefetch(owner, std::move(wanted));
-      });
-  // A shut-down pool never runs the task; release the bookkeeping.
-  if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    try {
-      task.get();
-    } catch (...) {
-      finish_prefetch(0);
-    }
-  }
+      },
+      [this] { finish_prefetch(0); });
 }
 
 void ShardRouter::run_prefetch(std::size_t owner,
@@ -862,7 +849,7 @@ bool ShardRouter::peer_suspect(std::size_t rank) const {
   return client != nullptr && client->suspect();
 }
 
-// --- Elastic membership -------------------------------------------------
+// --- Membership -----------------------------------------------------------
 
 std::uint64_t ShardRouter::epoch() const { return membership_.epoch(); }
 
@@ -882,13 +869,16 @@ MembershipStats ShardRouter::membership_stats() const {
 }
 
 bool ShardRouter::join_now() {
-  if (!config_.elastic || !config_.join_seed) return false;
+  return config_.join_seed && join_via(*config_.join_seed);
+}
+
+bool ShardRouter::join_via(const PeerAddress& address) {
   // A transient client: the join is a one-shot exchange with whatever
-  // seed the operator named, not necessarily a future peer — no counter
-  // family, no persistent connection.
+  // address the operator named, not necessarily a future peer — no
+  // counter family, no persistent connection.
   net::FrameClientConfig seed_config = config_.client;
   seed_config.metrics = nullptr;
-  net::MuxFrameClient seed(config_.join_seed->host, config_.join_seed->port,
+  net::MuxFrameClient seed(address.host, address.port,
                            std::move(seed_config));
   Member self;
   self.rank = config_.rank;
@@ -911,7 +901,6 @@ bool ShardRouter::join_now() {
 }
 
 void ShardRouter::heartbeat_now() {
-  if (!config_.elastic) return;
   // A rank still alone keeps dialing its seed — an unreachable seed at
   // startup (rolling restart, slow peer) must not strand the rank
   // outside the fleet forever.
@@ -938,6 +927,17 @@ void ShardRouter::heartbeat_now() {
     publish_membership_gauges();
   }
 
+  // The boot list doubles as a seed list: a listed rank missing from
+  // the view (it, or this rank, was cut off past dead_after) is dialled
+  // with a join every round, so a healed partition or a resumed process
+  // merges the two sides again without a restart.
+  for (std::size_t r = 0; r < config_.peers.size(); ++r) {
+    if (r == config_.rank || membership_.contains(r)) continue;
+    dispatch_exchange(r, [this, address = config_.peers[r]] {
+      join_via(address);
+    });
+  }
+
   // One view exchange per live peer, dispatched to the forward pool so
   // a dead peer's connect timeout stalls a pool worker, never the
   // timer. At most one exchange per peer in flight: the timer must not
@@ -951,11 +951,7 @@ void ShardRouter::heartbeat_now() {
   frame.payload = encode_membership_update(update);
   for (const Member& member : view.members) {
     if (member.rank == config_.rank) continue;
-    {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      if (!heartbeats_in_flight_.insert(member.rank).second) continue;
-    }
-    auto task = forward_pool_.submit([this, rank = member.rank, frame] {
+    dispatch_exchange(member.rank, [this, rank = member.rank, frame] {
       std::optional<net::Frame> reply;
       if (net::MuxFrameClient* const client = client_for(rank)) {
         reply = client->call(frame);
@@ -969,20 +965,27 @@ void ShardRouter::heartbeat_now() {
           apply_membership_changes(changes);
         }
       }
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      heartbeats_in_flight_.erase(rank);
     });
-    // A shut-down pool never runs the task; release the in-flight
-    // marker so a later (revived) round is not blocked forever.
-    if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      try {
-        task.get();
-      } catch (...) {
-        const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-        heartbeats_in_flight_.erase(member.rank);
-      }
-    }
   }
+}
+
+void ShardRouter::dispatch_exchange(std::size_t rank,
+                                    std::function<void()> exchange) {
+  {
+    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+    if (!heartbeats_in_flight_.insert(rank).second) return;
+  }
+  const auto done = [this, rank] {
+    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+    heartbeats_in_flight_.erase(rank);
+  };
+  submit_or(
+      forward_pool_,
+      [exchange = std::move(exchange), done] {
+        exchange();
+        done();
+      },
+      done);
 }
 
 void ShardRouter::apply_membership_changes(
@@ -1030,16 +1033,9 @@ void ShardRouter::schedule_handoff(const Member& target) {
     ++membership_stats_.handoffs_started;
     ++outstanding_handoffs_;
   }
-  auto task = forward_pool_.submit(
-      [this, target, epoch] { run_handoff(target, epoch); });
-  // A shut-down pool never runs the task; release the bookkeeping.
-  if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    try {
-      task.get();
-    } catch (...) {
-      finish_handoff(false);
-    }
-  }
+  submit_or(
+      forward_pool_, [this, target, epoch] { run_handoff(target, epoch); },
+      [this] { finish_handoff(false); });
 }
 
 void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
@@ -1144,14 +1140,15 @@ void ShardRouter::wait_handoffs_idle() {
 }
 
 void ShardRouter::maybe_double_write(const CanonicalHash& key) {
-  if (!config_.elastic) return;
   const std::size_t owner = membership_.owner_of(key);
   if (owner == config_.rank) return;
   // The transition-window write path: this rank just answered a key the
   // ring assigns elsewhere (the requester dialed the old owner, or the
   // bulk stream has not reached this entry yet). Copy the answer over
   // asynchronously — the reply to the requester must not wait on it.
-  auto task = forward_pool_.submit([this, key, owner] {
+  // Best-effort: a shut-down pool never runs the task, which simply
+  // drops the copy.
+  forward_pool_.submit([this, key, owner] {
     auto value = service_.cache().peek(key);
     if (!value) return;  // evicted already; the new owner will re-solve
     net::MuxFrameClient* const client = client_for(owner);
@@ -1169,22 +1166,9 @@ void ShardRouter::maybe_double_write(const CanonicalHash& key) {
       ++membership_stats_.double_writes;
     }
   });
-  // Best-effort: a shut-down pool simply drops the copy.
-  if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    try {
-      task.get();
-    } catch (...) {
-    }
-  }
 }
 
 net::Frame ShardRouter::handle_fabric_frame(const net::Frame& request) {
-  net::Frame reply;
-  if (!config_.elastic) {
-    reply.type = net::FrameType::kError;
-    reply.payload = "membership disabled";
-    return reply;
-  }
   switch (request.type) {
     case net::FrameType::kJoinRequest:
       return handle_join_frame(request);
@@ -1194,10 +1178,12 @@ net::Frame ShardRouter::handle_fabric_frame(const net::Frame& request) {
     case net::FrameType::kHandoffChunk:
     case net::FrameType::kHandoffDone:
       return handle_handoff_frame(request);
-    default:
+    default: {
+      net::Frame reply;
       reply.type = net::FrameType::kError;
       reply.payload = "unexpected membership frame";
       return reply;
+    }
   }
 }
 

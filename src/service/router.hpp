@@ -1,8 +1,16 @@
 // The shard router (top of the distributed solve fabric): N cooperating
 // `prts_cli serve` processes present one logical cache whose capacity
-// scales with N, by partitioning the canonical-hash keyspace
+// scales with N, by partitioning the canonical-hash keyspace over the
+// consistent-hash ring of the fleet's members (service/ring.hpp):
 //
-//   shard(key) = key.hi mod world_size
+//   shard(key) = ring owner of key under the current membership view
+//
+// The member list is known at boot (`--peers`: every rank starts with
+// all of them at epoch 1, and re-dials any of them missing from its
+// view) or learned from a seed (`--join`); either way heartbeats keep it
+// current (service/membership.hpp), and a join, leave or death moves
+// only the affected key slices, streamed by their old owners as
+// kHandoff* frames.
 //
 // A submitted request is canonicalized once; keys this rank owns go
 // straight to the local SolveService, keys owned by a peer are
@@ -90,30 +98,28 @@ std::optional<std::vector<PeerAddress>> parse_peer_list(
     const std::string& text);
 
 struct RouterConfig {
-  std::size_t world_size = 1;
   std::size_t rank = 0;
-  /// One address per rank; the entry at `rank` is ignored (self).
-  /// Unused in elastic mode, where the member list is dynamic.
+  /// The boot member list: one address per rank, in rank order (the
+  /// entry at `rank` is this rank's own). Every rank bootstraps its
+  /// membership with all of them at epoch 1, so a fleet booted from the
+  /// same list builds the same ring without a join exchange. The list
+  /// also serves as seeds: a listed rank missing from the view is
+  /// dialled with a join on every heartbeat round. Empty: the rank
+  /// founds a fleet of one (and joins `join_seed`, when set).
   std::vector<PeerAddress> peers;
   net::FrameClientConfig client;
 
-  /// Elastic membership (src/service/membership.hpp): ranks join by
-  /// dialing any seed, ownership follows the consistent-hash ring, and
-  /// join/leave/death moves only the affected key slices (streamed by
-  /// their old owners as kHandoff* frames). When false the router is
-  /// the classic static fabric: fixed world_size, `hi mod world`.
-  bool elastic = false;
   /// Failure-detection knobs (self_rank is overwritten with `rank`).
   Membership::Config membership;
   /// This rank's own address, announced to the fleet on join and
-  /// carried in every membership view.
+  /// carried in every membership view; defaults to `peers[rank]`.
   PeerAddress advertise;
-  /// Any live member to dial on startup; nullopt founds a new fleet.
-  /// Unreachable seeds are retried from the heartbeat loop.
+  /// Any live member to dial on startup. Unreachable seeds are retried
+  /// from the heartbeat loop.
   std::optional<PeerAddress> join_seed;
   /// Seconds between heartbeat rounds (membership-view exchanges +
-  /// failure-detection ticks); <= 0 disables the timer (tests drive
-  /// rounds via heartbeat_now()). Elastic only.
+  /// failure-detection ticks); <= 0 disables them (tests drive rounds
+  /// via heartbeat_now()).
   double heartbeat_interval_seconds = 0.5;
   /// Cache entries per kHandoffChunk frame — bounds both the frame
   /// size and how long the receiving rank's handler holds its cache.
@@ -127,7 +133,7 @@ struct RouterConfig {
 
   /// The replica tier (capacity_bytes 0 disables replication).
   ReplicaCache::Config replica;
-  /// Seconds between gossip rounds; <= 0 disables the timer (tests and
+  /// Seconds between gossip rounds; <= 0 disables them (tests and
   /// benches drive rounds explicitly via gossip_now()).
   double gossip_interval_seconds = 0.0;
   /// At most this many keys per digest, and at most this many
@@ -161,8 +167,7 @@ struct RouterStats {
   std::uint64_t gossip_received = 0;  ///< digests received from peers
 };
 
-/// Elastic-membership counters (snapshot via membership_stats; all
-/// zero on a static router).
+/// Membership counters (snapshot via membership_stats).
 struct MembershipStats {
   std::uint64_t epoch = 0;   ///< current membership epoch
   std::size_t members = 0;   ///< current member count (incl. self)
@@ -194,23 +199,15 @@ class ShardRouter {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   std::size_t rank() const noexcept { return config_.rank; }
-  std::size_t world_size() const noexcept { return config_.world_size; }
-  bool elastic() const noexcept { return config_.elastic; }
 
-  /// The rank owning `key`: the consistent-hash ring under elastic
-  /// membership, `hi mod world` on the static fabric.
+  /// The rank owning `key`: its owner on the current membership ring.
   std::size_t shard_of(const CanonicalHash& key) const {
-    return config_.elastic
-               ? membership_.owner_of(key)
-               : static_cast<std::size_t>(key.hi % config_.world_size);
+    return membership_.owner_of(key);
   }
 
-  /// True when requests can route to another rank right now (static:
-  /// world > 1; elastic: more than one live member).
-  bool distributed() const {
-    return config_.elastic ? membership_.member_count() > 1
-                           : config_.world_size > 1;
-  }
+  /// True when requests can route to another rank right now (the fleet
+  /// has more than one member).
+  bool distributed() const { return membership_.member_count() > 1; }
 
   /// Routes one request; the future resolves exactly like
   /// SolveService::submit's (statuses, never exceptions).
@@ -242,9 +239,9 @@ class ShardRouter {
   /// bench determinism).
   void wait_prefetches_idle();
 
-  // --- Elastic membership (no-ops / empty on a static router) ---
+  // --- Membership ---
 
-  /// The current membership epoch (0 when not elastic).
+  /// The current membership epoch.
   std::uint64_t epoch() const;
   MembershipView membership_view() const;
   MembershipStats membership_stats() const;
@@ -255,22 +252,22 @@ class ShardRouter {
   /// retried by the heartbeat loop while the rank is still alone.
   bool join_now();
 
-  /// One synchronous heartbeat round: failure-detection tick, then one
-  /// kMembershipUpdate exchange per live peer (dispatched to the
+  /// One synchronous heartbeat round: failure-detection tick, one join
+  /// toward every boot-list rank missing from the view, then one
+  /// kMembershipUpdate exchange per live peer (all dispatched to the
   /// forward pool — a dead peer's connect timeout never stalls the
   /// caller). Also called by the interval timer.
   void heartbeat_now();
 
   /// Handles the membership/handoff frame families (kJoinRequest,
   /// kMembershipUpdate, kHandoffBegin/Chunk/Done) — the server half of
-  /// the elastic protocol, called by make_fabric_handler. kError on a
-  /// static router.
+  /// the membership protocol, called by make_fabric_handler.
   net::Frame handle_fabric_frame(const net::Frame& request);
 
   /// Ships the freshly-answered `key` to its new ring owner when the
   /// ring no longer assigns it here (one async single-entry handoff
-  /// chunk): the handoff-window double-write. No-op when not elastic
-  /// or the key is still ours.
+  /// chunk): the handoff-window double-write. No-op while the key is
+  /// still ours.
   void maybe_double_write(const CanonicalHash& key);
 
   /// Blocks until every scheduled handoff stream has completed (test
@@ -324,18 +321,15 @@ class ShardRouter {
   void finish_prefetch(std::size_t fetched);
 
   /// The client wired to `rank`, lazily created from the membership
-  /// view (elastic) or the static peer list; nullptr for self and for
-  /// ranks with no known address. Created clients live until the
+  /// view; nullptr for self and for ranks with no known address. Created clients live until the
   /// router dies (an address change retires the old client without
   /// destroying it — in-flight exchanges may still hold it).
   net::MuxFrameClient* client_for(std::size_t rank);
   /// client_for without the create (health probes).
   net::MuxFrameClient* client_lookup(std::size_t rank) const;
-  /// Every rank this one should talk to right now (membership view or
-  /// static peer list; never self).
+  /// Every rank this one should talk to right now (the membership
+  /// view, never self).
   std::vector<std::size_t> peer_ranks() const;
-  /// True when `rank` is a rank gossip/prefetch may trust.
-  bool known_rank(std::size_t rank) const;
 
   /// Reacts to a membership change: counters/gauges, client retirement
   /// on address change, and one scheduled handoff stream per joined
@@ -348,13 +342,20 @@ class ShardRouter {
   /// Updates the epoch/member-count gauges from the current view.
   void publish_membership_gauges();
 
+  /// join_now toward any address.
+  bool join_via(const PeerAddress& address);
+  /// Runs one membership exchange with `rank` on the forward pool,
+  /// unless one is already in flight (the timer must not stack rounds
+  /// onto a slow or unreachable peer).
+  void dispatch_exchange(std::size_t rank, std::function<void()> exchange);
+
   net::Frame handle_join_frame(const net::Frame& request);
   net::Frame handle_membership_frame(const net::Frame& request);
   net::Frame handle_handoff_frame(const net::Frame& request);
 
   SolveService& service_;
   RouterConfig config_;
-  Membership membership_;  ///< inert on a static router
+  Membership membership_;
 
   /// Guards the client map only (leaf lock: taken while neither mutex_
   /// nor the membership lock is held... and never the reverse).
@@ -386,8 +387,8 @@ class ShardRouter {
   /// dedup that keeps one membership change from streaming the same
   /// slice twice (equal-epoch updates arrive from several peers).
   std::unordered_map<std::size_t, std::uint64_t> handoff_epochs_;
-  /// Ranks with a heartbeat exchange currently in flight (the timer
-  /// must not stack exchanges onto a slow peer).
+  /// Ranks with a membership exchange (view or join) currently in
+  /// flight (the timer must not stack exchanges onto a slow peer).
   std::unordered_set<std::size_t> heartbeats_in_flight_;
 
   /// Telemetry handles resolved once at construction; non-null iff
@@ -405,8 +406,7 @@ class ShardRouter {
   /// Contention probe the in-flight mutex points at.
   obs::ProfiledMutex::Probe inflight_probe_;
 
-  /// Elastic telemetry handles; non-null iff telemetry is on AND the
-  /// router is elastic.
+  /// Membership telemetry handles; non-null iff telemetry is on.
   obs::Gauge* epoch_gauge_ = nullptr;
   obs::Gauge* members_gauge_ = nullptr;
   obs::Counter* joins_counter_ = nullptr;
@@ -415,11 +415,11 @@ class ShardRouter {
   obs::Counter* handoff_entries_sent_counter_ = nullptr;
   obs::Counter* handoff_entries_received_counter_ = nullptr;
   obs::Histogram* handoff_chunk_hist_ = nullptr;
-  /// Periodic "router_membership" heartbeat (elastic timer liveness).
+  /// Periodic "router_membership" heartbeat (heartbeat timer liveness).
   obs::Heartbeat* membership_heartbeat_ = nullptr;
 
-  /// The periodic fabric timer: gossip rounds on a static router,
-  /// heartbeat rounds (+ gossip, when due) on an elastic one.
+  /// The periodic fabric timer: heartbeat rounds and gossip rounds, each
+  /// when its own interval has lapsed.
   std::mutex gossip_mutex_;
   std::condition_variable gossip_cv_;
   bool gossip_stop_ = false;

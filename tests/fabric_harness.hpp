@@ -126,22 +126,31 @@ class FabricHarness {
     std::size_t world = 3;
     /// Applied to every rank's SolveService.
     ServiceConfig service;
-    /// Template for every rank's router: world_size/rank/peers are
-    /// overwritten, everything else (replica geometry, gossip knobs,
-    /// client timeouts) is taken as configured.
+    /// Template for every rank's router: rank/peers/advertise/join_seed
+    /// are overwritten, everything else (replica geometry, gossip and
+    /// membership knobs, client timeouts) is taken as configured — but
+    /// see `join_founded` for what a boot-list fleet overrides.
     RouterConfig router;
     /// Per-rank FrameServer pool size; must exceed the number of
     /// long-lived inbound peer connections (each occupies a thread).
-    std::size_t server_threads = 0;  ///< 0: world + 2 (elastic: world + 8)
-    /// Elastic fleet instead of the static one: rank 0 founds it alone,
-    /// every later rank joins by dialing rank 0, ownership follows the
-    /// consistent-hash ring and joins stream handoffs. `world` is the
-    /// *initial* size — add_rank() grows the fleet mid-test, retire()
-    /// shrinks it (true process death, unlike kill()). The router
-    /// template's membership / heartbeat knobs apply as configured;
-    /// with heartbeat_interval_seconds <= 0 the harness drives rounds
-    /// itself inside wait_for_members().
-    bool elastic = false;
+    /// 0: world + 2 (join-founded: world + 8).
+    std::size_t server_threads = 0;
+    /// How the fleet is founded. false, the boot list (`--peers`):
+    /// every rank boots with all `world` members at epoch 1; the
+    /// heartbeat timer is off and no member is ever declared dead, so
+    /// the member set stays fixed unless the test calls add_rank() (or
+    /// sets detect_failures).
+    /// true (`--join`): rank 0 founds the fleet alone and every later
+    /// rank joins by dialing rank 0; the router template's membership
+    /// and heartbeat knobs apply as configured, and retire() shrinks
+    /// the fleet (true process death, unlike kill()). Either way, with
+    /// heartbeat_interval_seconds <= 0 the harness drives heartbeat
+    /// rounds itself inside wait_for_members().
+    bool join_founded = false;
+    /// Boot-list fleet only: keep the template's heartbeat and
+    /// failure-detection knobs as configured (a `--peers` fleet as
+    /// deployed), so silent members are dropped and must heal back.
+    bool detect_failures = false;
   };
 
   FabricHarness() : FabricHarness(Options()) {}
@@ -150,52 +159,37 @@ class FabricHarness {
     if (options_.world == 0) throw std::runtime_error("world must be >= 1");
     server_threads_ = options_.server_threads
                           ? options_.server_threads
-                          : options_.world + (options_.elastic ? 8 : 2);
-    if (options_.elastic) {
-      // Elastic fleet: rank 0 founds it, later ranks join through it.
+                          : options_.world + (options_.join_founded ? 8 : 2);
+    if (options_.join_founded) {
       // Each rank is fully wired (server AND router) before the next
       // joins — the join exchange needs a live seed router.
       for (std::size_t r = 0; r < options_.world; ++r) {
-        spawn_elastic_rank(r == 0 ? std::optional<PeerAddress>()
-                                  : std::optional<PeerAddress>(PeerAddress{
-                                        "127.0.0.1", ranks_[0]->port}));
+        std::optional<PeerAddress> seed;
+        if (r > 0) seed = PeerAddress{"127.0.0.1", ranks_[0]->port};
+        attach_router(add_node(), {}, seed);
       }
       // Ranks > 1 learned of each other only via rank 0; let the view
       // spread before the test starts routing.
       wait_for_members(options_.world);
       return;
     }
-    // Phase 1: services + servers on ephemeral ports (the handler
-    // resolves its rank's router lazily — it does not exist yet).
-    for (std::size_t r = 0; r < options_.world; ++r) {
-      auto rank = std::make_unique<Rank>();
-      // Every rank gets its own telemetry (the real deployment shape:
-      // one Telemetry per process), shared by its service and router so
-      // a forwarded solve's spans land in one trace per rank.
-      rank->telemetry = std::make_unique<obs::Telemetry>();
-      rank->telemetry->rank = static_cast<int>(r);
-      ServiceConfig service_config = options_.service;
-      service_config.telemetry = rank->telemetry.get();
-      rank->service = std::make_unique<SolveService>(service_config);
-      rank->server_pool = std::make_unique<ThreadPool>(server_threads_);
-      start_server(*rank, /*port=*/0);
-      rank->port = rank->server->port();
-      ranks_.push_back(std::move(rank));
+    // The boot list: no heartbeat traffic and no failure detection,
+    // unless asked for.
+    if (!options_.detect_failures) {
+      options_.router.heartbeat_interval_seconds = 0.0;
+      options_.router.membership.suspect_after_seconds = kNeverSeconds;
+      options_.router.membership.dead_after_seconds = kNeverSeconds;
     }
-    // Phase 2: now every port is known, wire the routers.
+    // Every server first (the handler resolves its rank's router
+    // lazily — it does not exist yet), then every router from the
+    // complete list of ports.
+    for (std::size_t r = 0; r < options_.world; ++r) add_node();
     std::vector<PeerAddress> peers;
     for (const auto& rank : ranks_) {
       peers.push_back(PeerAddress{"127.0.0.1", rank->port});
     }
     for (std::size_t r = 0; r < options_.world; ++r) {
-      RouterConfig config = options_.router;
-      config.world_size = options_.world;
-      config.rank = r;
-      config.peers = peers;
-      config.telemetry = ranks_[r]->telemetry.get();
-      ranks_[r]->router =
-          std::make_unique<ShardRouter>(*ranks_[r]->service, config);
-      ranks_[r]->router_ptr.store(ranks_[r]->router.get());
+      attach_router(r, peers, std::nullopt);
     }
   }
 
@@ -252,18 +246,18 @@ class FabricHarness {
   }
 
   /// Spawns one brand-new rank that joins the fleet by dialing `seed`;
-  /// returns its index. Elastic mode only. The caller typically follows
-  /// with wait_for_members(expected) — the join reaches the seed
+  /// returns its index. The caller typically follows with
+  /// wait_for_members(expected) — the join reaches the seed
   /// synchronously, the rest of the fleet learns by heartbeat.
   std::size_t add_rank(std::size_t seed = 0) {
-    if (!options_.elastic) {
-      throw std::runtime_error("add_rank: static fleets cannot grow");
-    }
     const auto& seed_node = *ranks_.at(seed);
     if (!seed_node.server || !seed_node.router) {
       throw std::runtime_error("add_rank: seed rank is down");
     }
-    return spawn_elastic_rank(PeerAddress{"127.0.0.1", seed_node.port});
+    const PeerAddress seed_address{"127.0.0.1", seed_node.port};
+    const std::size_t r = add_node();
+    attach_router(r, {}, seed_address);
+    return r;
   }
 
   /// Tears the rank down for good — server, router, heartbeat timer,
@@ -326,24 +320,22 @@ class FabricHarness {
   /// request key lands on `owner`; `salt` de-overlaps scans so repeated
   /// calls mint distinct keys. Other bounds are taken from `base` (set
   /// base.period_bound *before* calling — bounds are part of the key).
-  /// On an elastic fleet ownership is the ring's *current* opinion
-  /// (asked of the first live router) — mint keys after convergence,
-  /// and expect them to migrate when the fleet changes.
+  /// Ownership is the ring's *current* opinion (asked of the first
+  /// live router) — mint keys after convergence, and expect them to
+  /// migrate when the fleet changes.
   solver::Bounds bounds_on_rank(const Instance& instance,
                                 const std::string& solver_name,
                                 std::size_t owner, double salt = 0.0,
                                 solver::Bounds base = {}) const {
     const ShardRouter* ring = nullptr;
-    if (options_.elastic) {
-      for (const auto& rank : ranks_) {
-        if (rank->router) {
-          ring = rank->router.get();
-          break;
-        }
+    for (const auto& rank : ranks_) {
+      if (rank->router) {
+        ring = rank->router.get();
+        break;
       }
-      if (ring == nullptr) {
-        throw std::runtime_error("bounds_on_rank: no live rank to ask");
-      }
+    }
+    if (ring == nullptr) {
+      throw std::runtime_error("bounds_on_rank: no live rank to ask");
     }
     const CanonicalInstance canonical = canonicalize(instance);
     for (double latency = 1000.0 + salt; latency < 4000.0 + salt;
@@ -351,9 +343,7 @@ class FabricHarness {
       solver::Bounds bounds = base;
       bounds.latency_bound = latency;
       const CanonicalHash key = request_key(canonical, solver_name, bounds);
-      const std::size_t landed =
-          ring != nullptr ? ring->shard_of(key) : key.hi % ranks_.size();
-      if (landed == owner) return bounds;
+      if (ring->shard_of(key) == owner) return bounds;
     }
     throw std::runtime_error("no bounds found landing on rank " +
                              std::to_string(owner));
@@ -373,39 +363,49 @@ class FabricHarness {
     std::uint16_t port = 0;
   };
 
-  /// Builds one fully-wired elastic rank (telemetry, service, server on
-  /// an ephemeral port, router) at index ranks_.size(); with a seed it
-  /// joins synchronously inside the router constructor.
-  std::size_t spawn_elastic_rank(std::optional<PeerAddress> seed) {
-    const std::size_t r = ranks_.size();
+  /// Silence no boot-list member ever reaches (about 31 years).
+  static constexpr double kNeverSeconds = 1e9;
+
+  /// Appends one rank with its telemetry, service and a server on an
+  /// ephemeral port; returns its index. Its router comes from
+  /// attach_router().
+  std::size_t add_node() {
     auto rank = std::make_unique<Rank>();
+    // Every rank gets its own telemetry (the real deployment shape: one
+    // Telemetry per process), shared by its service and router so a
+    // forwarded solve's spans land in one trace per rank.
     rank->telemetry = std::make_unique<obs::Telemetry>();
-    rank->telemetry->rank = static_cast<int>(r);
+    rank->telemetry->rank = static_cast<int>(ranks_.size());
     ServiceConfig service_config = options_.service;
     service_config.telemetry = rank->telemetry.get();
     rank->service = std::make_unique<SolveService>(service_config);
     rank->server_pool = std::make_unique<ThreadPool>(server_threads_);
     start_server(*rank, /*port=*/0);
     rank->port = rank->server->port();
+    ranks_.push_back(std::move(rank));
+    return ranks_.size() - 1;
+  }
+
+  /// Builds rank r's router from the template: booted from `peers`, or
+  /// joining `seed` synchronously inside the router constructor.
+  void attach_router(std::size_t r, std::vector<PeerAddress> peers,
+                     std::optional<PeerAddress> seed) {
+    Rank& node = *ranks_[r];
     RouterConfig config = options_.router;
-    config.world_size = 1;
     config.rank = r;
-    config.peers.clear();
-    config.elastic = true;
-    config.advertise = PeerAddress{"127.0.0.1", rank->port};
+    config.peers = std::move(peers);
+    config.advertise = PeerAddress{"127.0.0.1", node.port};
     config.join_seed = std::move(seed);
-    config.telemetry = rank->telemetry.get();
+    config.telemetry = node.telemetry.get();
     // Hold inbound frames while the router is being born: the seed
     // schedules its handoff stream the moment it admits the join (which
     // happens *inside* this router constructor), so the first
     // kHandoffBegin can beat the router_ptr publication. The pause gate
     // turns that race into a short wait.
-    rank->faults.pause();
-    rank->router = std::make_unique<ShardRouter>(*rank->service, config);
-    rank->router_ptr.store(rank->router.get());
-    rank->faults.resume();
-    ranks_.push_back(std::move(rank));
-    return r;
+    node.faults.pause();
+    node.router = std::make_unique<ShardRouter>(*node.service, config);
+    node.router_ptr.store(node.router.get());
+    node.faults.resume();
   }
 
   void start_server(Rank& rank, std::uint16_t port) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "core/exact.hpp"
@@ -20,10 +21,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ------------------------------------------------------------ oracle
 //
-// The full-evaluation search, kept verbatim as a differential oracle:
-// every candidate copies the state, builds a Mapping and runs
-// `evaluate`. The incremental search must make the same decisions and
-// return bit-identical results.
+// The full-evaluation search, kept as a differential oracle (its split
+// move bounded like the search's): every candidate copies the state,
+// builds a Mapping and runs `evaluate`. The incremental search must
+// make the same decisions and return bit-identical results.
 namespace oracle {
 namespace {
 
@@ -80,12 +81,22 @@ std::optional<MappingMetrics> check(const TaskChain& chain,
 
 /// All ways to split a replica set into two non-empty halves (by bitmask;
 /// set sizes are <= K, typically <= 4, so this is at most 14 options).
+/// Sets of more than 10 replicas split only in order: the first i
+/// replicas go left.
 std::vector<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
 two_way_splits(const std::vector<std::size_t>& procs) {
   std::vector<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
       splits;
   const std::size_t k = procs.size();
   if (k < 2) return splits;
+  if (k > 10) {
+    for (std::size_t i = 1; i < k; ++i) {
+      splits.emplace_back(
+          std::vector<std::size_t>(procs.begin(), procs.begin() + i),
+          std::vector<std::size_t>(procs.begin() + i, procs.end()));
+    }
+    return splits;
+  }
   for (std::size_t mask = 1; mask + 1 < (std::size_t{1} << k); ++mask) {
     std::vector<std::size_t> left;
     std::vector<std::size_t> right;
@@ -615,6 +626,36 @@ TEST(LocalSearchDifferential, SmallAggressiveInstancesAreBitIdentical) {
     }
   }
   EXPECT_GT(tally.moves, tally.answered);
+}
+
+TEST(LocalSearchDifferential, ReplicaSetsAroundTheSplitLimitAreBitIdentical) {
+  // The split move divides a set of up to 10 replicas every way and a
+  // larger one only in order: K = 10 and 11 sit on either side of that
+  // limit, and K = 40 is a request-sized set. Each start is one
+  // interval on K of K + 10 processors.
+  Tally tally;
+  Rng rng(37);
+  for (const unsigned k : {10u, 11u, 40u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::size_t n = 3 + static_cast<std::size_t>(trial % 3);
+      const TaskChain chain = testutil::small_chain(rng, n);
+      const Platform platform =
+          trial % 2 == 0 ? testutil::small_hom_platform(k + 10, k)
+                         : testutil::small_het_platform(rng, k + 10, k);
+      std::vector<std::size_t> replicas(k);
+      std::iota(replicas.begin(), replicas.end(), std::size_t{0});
+      const Mapping start(IntervalPartition::single(n), {replicas});
+      for (const double period : {20.0, kInf}) {
+        LocalSearchOptions options;
+        options.period_bound = period;
+        options.latency_bound = period * 4.0;
+        expect_identical(chain, platform, start, options, tally,
+                         "K " + std::to_string(k) + " trial " +
+                             std::to_string(trial));
+      }
+    }
+  }
+  EXPECT_GT(tally.moves, 0u);
 }
 
 TEST(LocalSearch, PaperInstanceCallsAllocateAFixedFew) {

@@ -5,7 +5,9 @@
 // membership/handoff wire codecs, the background checkpointer, and the
 // live fabric itself: a rank joining a serving fleet receives its ring
 // slice by handoff, a retired rank is detected through silence, and
-// answers stay byte-identical across every reshape.
+// answers stay byte-identical across every reshape. Last, the one
+// ownership function: a boot-list fleet owns keys exactly as a
+// join-founded one does, grows by join, and warm-starts its own slice.
 #include "service/membership.hpp"
 
 #include <gtest/gtest.h>
@@ -422,10 +424,10 @@ TEST(Checkpointer, IntervalTimerSnapshotsInTheBackground) {
 
 // ------------------------------------------------------ live fabric
 
-FabricHarness::Options elastic_options(std::size_t world) {
+FabricHarness::Options join_options(std::size_t world) {
   FabricHarness::Options options;
   options.world = world;
-  options.elastic = true;
+  options.join_founded = true;
   options.service.threads = 2;
   options.router.client.connect_timeout_seconds = 1.0;
   options.router.client.reply_timeout_seconds = 10.0;
@@ -443,12 +445,11 @@ Instance hom_instance() {
 }
 
 TEST(ElasticFabric, FleetConvergesAndRoutesByRing) {
-  FabricHarness harness(elastic_options(3));
+  FabricHarness harness(join_options(3));
   const Instance instance = hom_instance();
   for (std::size_t r = 0; r < 3; ++r) {
     const MembershipView view = harness.router(r).membership_view();
     EXPECT_EQ(view.members.size(), 3u) << "rank " << r;
-    EXPECT_TRUE(harness.router(r).elastic());
     EXPECT_TRUE(harness.router(r).distributed());
   }
   // Ring agreement: every rank routes a key to the same owner.
@@ -467,8 +468,10 @@ TEST(ElasticFabric, FleetConvergesAndRoutesByRing) {
   EXPECT_EQ(harness.router(0).stats().forwarded, 1u);
 }
 
-TEST(ElasticFabric, JoinStreamsHandoffAndAnswersStayByteIdentical) {
-  FabricHarness harness(elastic_options(2));
+/// Grows a serving 2-rank fleet by one joiner: the originals stream the
+/// joiner's slice to it, and every answer minted before the join
+/// replays byte-identically from whoever owns its key now.
+void expect_join_streams_handoff_and_replays(FabricHarness& harness) {
   const Instance instance = hom_instance();
 
   // Warm both original ranks with answers across the keyspace.
@@ -515,8 +518,13 @@ TEST(ElasticFabric, JoinStreamsHandoffAndAnswersStayByteIdentical) {
   }
 }
 
+TEST(ElasticFabric, JoinStreamsHandoffAndAnswersStayByteIdentical) {
+  FabricHarness harness(join_options(2));
+  expect_join_streams_handoff_and_replays(harness);
+}
+
 TEST(ElasticFabric, RetiredRankIsDetectedAndEpochAdvances) {
-  FabricHarness harness(elastic_options(3));
+  FabricHarness harness(join_options(3));
   const std::uint64_t epoch_before = harness.router(0).epoch();
 
   harness.retire(1);
@@ -541,6 +549,107 @@ TEST(ElasticFabric, RetiredRankIsDetectedAndEpochAdvances) {
   const CanonicalHash key =
       request_key(canonicalize(instance), "heur-p", request.bounds);
   EXPECT_NE(harness.router(0).shard_of(key), 1u);
+}
+
+// ----------------------------------------- one ownership function
+
+/// A boot-list fleet, as `prts_cli serve --peers` starts one.
+FabricHarness::Options boot_options(std::size_t world) {
+  FabricHarness::Options options = join_options(world);
+  options.join_founded = false;
+  return options;
+}
+
+TEST(OneOwnership, BootListAndJoinFoundedFleetsAgreeOnEveryKey) {
+  FabricHarness booted(boot_options(3));
+  FabricHarness joined(join_options(3));
+  std::map<std::size_t, int> owned;
+  for (int i = 0; i < 4000; ++i) {
+    const CanonicalHash key = key_of(i);
+    const std::size_t owner = booted.router(0).shard_of(key);
+    ++owned[owner];
+    for (std::size_t r = 0; r < 3; ++r) {
+      ASSERT_EQ(booted.router(r).shard_of(key), owner) << "key " << i;
+      ASSERT_EQ(joined.router(r).shard_of(key), owner) << "key " << i;
+    }
+  }
+  EXPECT_EQ(owned.size(), 3u);
+}
+
+TEST(OneOwnership, BootListFleetGrowsByJoin) {
+  FabricHarness::Options options = boot_options(2);
+  options.server_threads = 10;
+  FabricHarness harness(options);
+  EXPECT_EQ(harness.router(0).epoch(), 1u);
+  expect_join_streams_handoff_and_replays(harness);
+}
+
+TEST(OneOwnership, BootListFleetHealsAfterARankIsCutOff) {
+  FabricHarness::Options options = boot_options(3);
+  options.detect_failures = true;
+  // Heartbeat rounds are driven by hand, so "cut off" is exact: rank 0
+  // neither answers (server down) nor speaks (no rounds of its own).
+  options.router.heartbeat_interval_seconds = 0.0;
+  options.router.membership.suspect_after_seconds = 0.1;
+  options.router.membership.dead_after_seconds = 0.2;
+  FabricHarness harness(options);
+
+  harness.kill(0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (harness.router(1).membership_view().members.size() != 2 ||
+         harness.router(2).membership_view().members.size() != 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "ranks 1 and 2 never dropped the silent rank 0";
+    harness.router(1).heartbeat_now();
+    harness.router(2).heartbeat_now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  // Rank 0 comes back: its first round drops both silent peers (it is
+  // alone), and only the boot list can bring the two sides together.
+  harness.revive(0);
+  harness.router(0).heartbeat_now();
+  harness.wait_for_members(3);
+  for (int i = 0; i < 500; ++i) {
+    const CanonicalHash key = key_of(i);
+    const std::size_t owner = harness.router(0).shard_of(key);
+    for (std::size_t r = 1; r < 3; ++r) {
+      ASSERT_EQ(harness.router(r).shard_of(key), owner) << "key " << i;
+    }
+  }
+}
+
+TEST(OneOwnership, SelectiveWarmStartKeepsExactlyTheOwnedKeys) {
+  FabricHarness harness(boot_options(3));
+  constexpr int kKeys = 600;
+  ShardedSolutionCache full;
+  for (int i = 0; i < kKeys; ++i) full.insert(key_of(i), CachedSolution{});
+  std::stringstream file;
+  full.save_binary(file);
+  // Independently of the router: the boot ring is the ring over the
+  // listed ranks.
+  HashRing ring;
+  ring.rebuild({0, 1, 2});
+  for (std::size_t r = 0; r < 3; ++r) {
+    ShardRouter& router = harness.router(r);
+    ShardedSolutionCache slice;
+    std::istringstream in(file.str());
+    // The filter `prts_cli serve --peers ... --warm-start FILE.bin`
+    // applies.
+    const auto loaded =
+        slice.load_binary(in, [&](const CanonicalHash& key) {
+          return router.shard_of(key) == r;
+        });
+    std::size_t owned = 0;
+    for (int i = 0; i < kKeys; ++i) {
+      const bool mine = ring.owner_of(key_of(i)) == r;
+      owned += mine ? 1 : 0;
+      EXPECT_EQ(slice.lookup(key_of(i)).has_value(), mine) << "key " << i;
+    }
+    EXPECT_EQ(loaded.loaded, owned) << "rank " << r;
+    EXPECT_EQ(loaded.loaded + loaded.skipped, std::size_t{kKeys});
+  }
 }
 
 }  // namespace

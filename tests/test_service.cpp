@@ -28,6 +28,7 @@
 #include "service/router.hpp"
 #include "service/wire.hpp"
 #include "solver/adapters.hpp"
+#include "solver/registry.hpp"
 
 namespace prts::service {
 namespace {
@@ -801,10 +802,22 @@ TEST(WireCodec, PeerListParses) {
 
 // ------------------------------------------------------------ shard router
 
+/// Rank 0 of a boot-list fleet of two whose rank 1 listens on
+/// `remote_port` (rank 0's own entry is never dialled). The remote runs
+/// no router, so heartbeats are off.
+RouterConfig two_rank_config(std::uint16_t remote_port) {
+  RouterConfig config;
+  config.rank = 0;
+  config.peers = {{"127.0.0.1", 1}, {"127.0.0.1", remote_port}};
+  config.heartbeat_interval_seconds = 0.0;
+  return config;
+}
+
 /// Latency bounds >= 1000 are effectively unconstrained for the tiny
 /// test instances, so varying them mints distinct *solvable* cache keys;
-/// this scans for one whose key lands on the wanted world-of-2 shard.
-solver::Bounds bounds_on_shard(const Instance& instance,
+/// this scans for one whose key `router` assigns to `shard`.
+solver::Bounds bounds_on_shard(const ShardRouter& router,
+                               const Instance& instance,
                                const std::string& solver_name,
                                std::size_t shard, double salt = 0.0) {
   const CanonicalInstance canonical = canonicalize(instance);
@@ -812,7 +825,8 @@ solver::Bounds bounds_on_shard(const Instance& instance,
        latency += 1.0) {
     solver::Bounds bounds;
     bounds.latency_bound = latency;
-    if (request_key(canonical, solver_name, bounds).hi % 2 == shard) {
+    if (router.shard_of(request_key(canonical, solver_name, bounds)) ==
+        shard) {
       return bounds;
     }
   }
@@ -822,9 +836,7 @@ solver::Bounds bounds_on_shard(const Instance& instance,
 
 TEST(ShardRouterTest, WorldOfOneNeverTouchesTheNetwork) {
   SolveService service(small_config());
-  RouterConfig config;
-  config.world_size = 1;
-  ShardRouter router(service, config);
+  ShardRouter router(service, RouterConfig{});
   const SolveReply reply =
       router.submit(SolveRequest{hom_instance(), "heur-p", {}}).get();
   EXPECT_EQ(reply.status, ReplyStatus::kSolved);
@@ -840,10 +852,7 @@ TEST(ShardRouterTest, RemoteShardForwardedSolvedOnceCachedOnOwner) {
       net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
   ASSERT_NE(server, nullptr);
 
-  RouterConfig config;
-  config.world_size = 2;
-  config.rank = 0;
-  config.peers = {{"127.0.0.1", 1}, {"127.0.0.1", server->port()}};
+  RouterConfig config = two_rank_config(server->port());
   // Replica tier off: this test pins the *owner-cache* forwarding path
   // a repeat takes when replication cannot absorb it
   // (tests/test_fabric_replication.cpp covers the replica tier).
@@ -852,7 +861,7 @@ TEST(ShardRouterTest, RemoteShardForwardedSolvedOnceCachedOnOwner) {
 
   const Instance instance = hom_instance();
   SolveRequest request{instance, "heur-p",
-                       bounds_on_shard(instance, "heur-p", 1)};
+                       bounds_on_shard(router, instance, "heur-p", 1)};
 
   // Cold: forwarded, solved by the owner, not a hit anywhere.
   const SolveReply cold = router.submit(request).get();
@@ -876,7 +885,7 @@ TEST(ShardRouterTest, RemoteShardForwardedSolvedOnceCachedOnOwner) {
 
   // A local-shard request never leaves the process.
   SolveRequest local_request{instance, "heur-p",
-                             bounds_on_shard(instance, "heur-p", 0)};
+                             bounds_on_shard(router, instance, "heur-p", 0)};
   const SolveReply local_reply = router.submit(local_request).get();
   ASSERT_EQ(local_reply.status, ReplyStatus::kSolved);
   EXPECT_EQ(router.stats().local, 1u);
@@ -898,15 +907,11 @@ TEST(ShardRouterTest, InFlightForwardsDeduplicate) {
       net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
   ASSERT_NE(server, nullptr);
 
-  RouterConfig config;
-  config.world_size = 2;
-  config.rank = 0;
-  config.peers = {{"127.0.0.1", 1}, {"127.0.0.1", server->port()}};
-  ShardRouter router(local, config);
+  ShardRouter router(local, two_rank_config(server->port()));
 
   const Instance instance = hom_instance();
   SolveRequest request{instance, "gated",
-                       bounds_on_shard(instance, "gated", 1)};
+                       bounds_on_shard(router, instance, "gated", 1)};
 
   // First submit opens the forward; the owner blocks on the gate, so
   // the identical second submit must attach, not forward again.
@@ -934,16 +939,13 @@ TEST(ShardRouterTest, IsomorphicTwinsGetOwnLabelsThroughForward) {
       net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
   ASSERT_NE(server, nullptr);
 
-  RouterConfig config;
-  config.world_size = 2;
-  config.rank = 0;
-  config.peers = {{"127.0.0.1", 1}, {"127.0.0.1", server->port()}};
-  ShardRouter router(local, config);
+  ShardRouter router(local, two_rank_config(server->port()));
 
   // Isomorphic instances share one canonical key, hence one shard.
   const Instance original = het_instance();
   const Instance permuted = het_instance_permuted();
-  const solver::Bounds bounds = bounds_on_shard(original, "heur-p", 1);
+  const solver::Bounds bounds =
+      bounds_on_shard(router, original, "heur-p", 1);
 
   const SolveReply first =
       router.submit(SolveRequest{original, "heur-p", bounds}).get();
@@ -970,10 +972,7 @@ TEST(ShardRouterTest, PeerDeathDegradesToLocalSolveWithoutErrors) {
       net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
   ASSERT_NE(server, nullptr);
 
-  RouterConfig config;
-  config.world_size = 2;
-  config.rank = 0;
-  config.peers = {{"127.0.0.1", 1}, {"127.0.0.1", server->port()}};
+  RouterConfig config = two_rank_config(server->port());
   config.client.connect_timeout_seconds = 0.5;
   config.client.backoff_initial_seconds = 0.05;
   ShardRouter router(local, config);
@@ -982,7 +981,7 @@ TEST(ShardRouterTest, PeerDeathDegradesToLocalSolveWithoutErrors) {
   const SolveReply before =
       router
           .submit(SolveRequest{instance, "heur-p",
-                               bounds_on_shard(instance, "heur-p", 1)})
+                               bounds_on_shard(router, instance, "heur-p", 1)})
           .get();
   ASSERT_EQ(before.status, ReplyStatus::kSolved);
   EXPECT_EQ(router.stats().forwarded, 1u);
@@ -993,7 +992,7 @@ TEST(ShardRouterTest, PeerDeathDegradesToLocalSolveWithoutErrors) {
   const SolveReply after =
       router
           .submit(SolveRequest{instance, "heur-p",
-                               bounds_on_shard(instance, "heur-p", 1,
+                               bounds_on_shard(router, instance, "heur-p", 1,
                                                /*salt=*/5000.0)})
           .get();
   ASSERT_EQ(after.status, ReplyStatus::kSolved);
@@ -1002,6 +1001,43 @@ TEST(ShardRouterTest, PeerDeathDegradesToLocalSolveWithoutErrors) {
   EXPECT_EQ(stats.local_fallbacks, 1u);
   EXPECT_GE(local.stats().submitted, 1u);
   EXPECT_TRUE(router.peer_suspect(1));
+}
+
+// -------------------------------------------------- wide replication
+
+/// `prts_cli generate --seed 1 --tasks 2 --procs 40` with K = 40: the
+/// local search's split move enumerates every division only of small
+/// replica sets, so this 378-byte request must not take 2^40 candidates.
+Instance wide_replication_instance() {
+  Rng rng(1);
+  ChainConfig chain_config;
+  chain_config.task_count = 2;
+  return Instance{random_chain(rng, chain_config),
+                  Platform::homogeneous(40, 1.0, paper::kProcessorFailureRate,
+                                        1.0, paper::kLinkFailureRate, 40)};
+}
+
+TEST(WideReplication, LocalSearchSolversAnswerWithinASecond) {
+  const Instance instance = wide_replication_instance();
+  SolveService service(small_config());
+  for (const std::string name : {"heur-l+ls", "heur-p+ls", "portfolio"}) {
+    const auto solver = solver::SolverRegistry::builtin().find(name);
+    ASSERT_NE(solver, nullptr) << name;
+    auto start = std::chrono::steady_clock::now();
+    const auto direct = solver->solve(instance, solver::Bounds{});
+    const std::chrono::duration<double> direct_seconds =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(direct.has_value()) << name;
+    EXPECT_LT(direct_seconds.count(), 1.0) << name;
+
+    start = std::chrono::steady_clock::now();
+    const SolveReply reply =
+        service.submit(SolveRequest{instance, name, {}}).get();
+    const std::chrono::duration<double> service_seconds =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(reply.status, ReplyStatus::kSolved) << name;
+    EXPECT_LT(service_seconds.count(), 1.0) << name;
+  }
 }
 
 // ------------------------------------------------- campaign x service

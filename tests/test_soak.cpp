@@ -163,7 +163,7 @@ TEST(FabricSoak, OpenLoopSurvivesContinuousFaultInjection) {
 TEST(FabricSoak, ElasticJoinAndDeathUnderOpenLoopLoad) {
   FabricHarness::Options options;
   options.world = 3;
-  options.elastic = true;
+  options.join_founded = true;
   options.service.threads = 2;
   options.router.client.connect_timeout_seconds = 1.0;
   options.router.client.reply_timeout_seconds = 5.0;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: configure, build (with the project's always-on
-# -Wall -Wextra), run the tier-1 ctest suite, smoke-test near-miss
-# reuse on a bound sweep, run every suite under AddressSanitizer +
+# CI entry point: configure, build (the project's always-on -Wall
+# -Wextra, plus -Werror: any warning fails CI), run the tier-1 ctest
+# suite, smoke-test near-miss reuse on a bound sweep, run every suite
+# under AddressSanitizer +
 # UndefinedBehaviorSanitizer and the concurrent suites under
 # ThreadSanitizer (each in its own build tree), then smoke-test the distributed solve fabric
 # with three real prts_cli processes on loopback — including hot-entry
@@ -9,8 +10,8 @@
 # monotone counters, a cross-rank trace), killing a rank mid-run, and an
 # open-loop SLO smoke (watch-mode scrape deltas, 5s of Poisson load with
 # another mid-run rank kill, watchdog verdict asserted clean). Last, an
-# elastic-membership smoke: a 2-rank fleet founded by join (no static
-# --peers), a 3rd rank joining under open-loop load (live handoff
+# elastic-membership smoke: a 2-rank fleet founded by join (no --peers
+# boot list), a 3rd rank joining under open-loop load (live handoff
 # asserted), a SIGKILL'd rank detected dead, and a warm rejoin from its
 # background checkpoint (cache entries > 0 on the first scrape).
 #
@@ -25,7 +26,8 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE="${BUILD_TYPE:-Release}"
+cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE="${BUILD_TYPE:-Release}" \
+      -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD" -j "$JOBS"
 # (cd form rather than ctest --test-dir: that flag needs CTest >= 3.20,
 # the project supports CMake 3.16.)
@@ -165,14 +167,14 @@ for attempt in 1 2 3 4 5; do
   # Gossip enabled on every rank: the smoke run exercises digest and
   # prefetch frames for real (assertions stay on the replica counters,
   # which do not depend on gossip timing).
-  "$CLI" serve --listen "$P2" --world 3 --rank 2 --peers "$PEERS" \
+  "$CLI" serve --listen "$P2" --rank 2 --peers "$PEERS" \
       --gossip-interval 0.25 --no-input > "$FAB/out2" 2> "$FAB/err2" &
   PID2=$!
-  "$CLI" serve "$FAB/in1" --listen "$P1" --world 3 --rank 1 \
+  "$CLI" serve "$FAB/in1" --listen "$P1" --rank 1 \
       --peers "$PEERS" --gossip-interval 0.25 \
       > "$FAB/out1" 2> "$FAB/err1" &
   PID1=$!
-  "$CLI" serve "$FAB/in0" --listen "$P0" --world 3 --rank 0 \
+  "$CLI" serve "$FAB/in0" --listen "$P0" --rank 0 \
       --peers "$PEERS" --gossip-interval 0.25 --stats \
       > "$FAB/out0" 2> "$FAB/err0" &
   PID0=$!
@@ -474,7 +476,7 @@ echo "fabric smoke test OK: forwarded=$forwarded" \
      "prefetched=$(counter "$FAB/out0" prefetched)"
 
 # ---------------------------------------------------------------------------
-# Elastic membership smoke: real prts_cli processes, no static --peers.
+# Elastic membership smoke: real prts_cli processes, no --peers boot list.
 # Rank 0 founds the fleet, rank 1 joins it; under 6 s of open-loop load
 # a 3rd rank joins (rank 0's membership converges to 3 and the joiner
 # receives handoff entries for its ring slice), then rank 1 is
@@ -505,8 +507,7 @@ wait_metric() {
 }
 
 # Fast-failure-detection knobs shared by every elastic rank.
-ELASTIC_KNOBS="--elastic --heartbeat-interval 0.1 --suspect-after 0.8 \
-  --dead-after 1.6"
+ELASTIC_KNOBS="--heartbeat-interval 0.1 --suspect-after 0.8 --dead-after 1.6"
 
 elastic_up=0
 for attempt in 1 2 3 4 5; do

@@ -31,19 +31,23 @@
 //       [--retention lru|cost] [--near-miss on|off]
 //       [--warm-start cache.{tsv,bin}] [--save-cache cache.{tsv,bin}]
 //       [--stats]
-//       [--listen PORT] [--world N] [--rank R] [--peers h:p,h:p,...]
+//       [--listen PORT] [--rank R] [--peers h:p,h:p,... | --join HOST:PORT]
+//       [--advertise HOST:PORT]
 //       [--replica-mb M] [--replica-ttl SECONDS]
 //       [--replica-ttl-cost FACTOR] [--gossip-interval S]
-//       [--elastic] [--advertise HOST:PORT] [--join HOST:PORT]
 //       [--heartbeat-interval S] [--suspect-after S] [--dead-after S]
-//       [--vnodes N] [--checkpoint cache.bin] [--checkpoint-interval S]
+//       [--checkpoint cache.bin] [--checkpoint-interval S]
 //       [--auth-token TOKEN]
 //       [--no-input] [--slow-ms MS] [--alert RULE]...
 //       run the batched solve service over a line-protocol request
 //       stream (see src/service/protocol.hpp for the format); with
-//       --listen/--world/--rank/--peers the process joins the
-//       distributed solve fabric (shard = hash.hi mod world), forwarding
-//       remote-shard misses to their owner and answering peers' frames;
+//       --listen the process is a rank of the distributed solve fabric:
+//       keys are owned along a consistent-hash ring over the fleet's
+//       members, remote-shard misses are forwarded to their owner and
+//       peers' frames are answered. The member list is --peers (one
+//       host:port per rank, this --rank's own included: every rank
+//       boots with the whole list), or whatever the fleet answers to
+//       --join HOST:PORT (any live member), or this rank alone;
 //       --replica-mb/--replica-ttl size the hot-entry replica tier
 //       absorbing repeat remote-shard hits (0 MB disables it),
 //       --replica-ttl-cost grants extra replica lifetime per second of
@@ -70,15 +74,12 @@
 //       "engine_queue_depth>100;for=3") adds health-alert rules
 //       evaluated every flight-recorder tick, on top of the always-on
 //       default rule "watchdog_stalls_total_delta>0;hold=5";
-//       --elastic replaces the static --world/--rank/--peers fleet
-//       with dynamic membership: the rank founds a fleet of one (or
-//       dials --join HOST:PORT, any live member), announces itself as
-//       --advertise HOST:PORT (default 127.0.0.1:listen-port),
-//       exchanges heartbeat views every --heartbeat-interval seconds,
-//       suspects a silent peer after --suspect-after and removes it
-//       after --dead-after; ownership follows a consistent-hash ring
-//       (--vnodes virtual nodes per member) and join/leave streams
-//       only the affected key slices between owners; --checkpoint
+//       every rank announces itself as --advertise HOST:PORT (default:
+//       its --peers entry, else 127.0.0.1:listen-port), exchanges
+//       heartbeat views every --heartbeat-interval seconds, suspects a
+//       silent peer after --suspect-after and removes it after
+//       --dead-after; any fleet can be joined, and a join or death
+//       streams only the affected key slices between owners; --checkpoint
 //       snapshots the cache to a PRTS1 file (atomic rename) every
 //       --checkpoint-interval seconds (0 = only the `checkpoint`
 //       command and the shutdown snapshot), so a SIGKILLed rank
@@ -591,27 +592,16 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   }
 
   // Fabric topology: every flag validated before any thread starts.
-  const bool elastic = flags.has("elastic");
-  const std::size_t world =
-      static_cast<std::size_t>(flags.number("world", 1));
   const std::size_t rank = static_cast<std::size_t>(flags.number("rank", 0));
-  if (elastic) {
-    // Elastic membership replaces the static topology wholesale: the
-    // fleet is whatever joined, not a fixed world size.
-    if (world != 1 || flags.has("peers")) {
-      std::cerr << "--elastic is incompatible with --world/--peers (the "
-                   "member list is dynamic)\n";
+  std::vector<service::PeerAddress> peers;
+  if (flags.has("peers")) {
+    const auto parsed = service::parse_peer_list(flags.get("peers"));
+    if (!parsed || rank >= parsed->size()) {
+      std::cerr << "--peers needs one host:port per rank, this --rank "
+                   "included\n";
       return 2;
     }
-    if (!flags.has("listen")) {
-      std::cerr << "--elastic requires --listen (members must be able to "
-                   "reach this rank)\n";
-      return 2;
-    }
-  } else if (world == 0 || rank >= world) {
-    std::cerr << "--rank must be < --world (got rank " << rank << ", world "
-              << world << ")\n";
-    return 2;
+    peers = *parsed;
   }
   const double replica_mb = flags.number("replica-mb", 16);
   const double replica_ttl = flags.number("replica-ttl", 300);
@@ -623,15 +613,13 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     return 2;
   }
 
-  // Elastic-membership knobs (ignored when not --elastic).
+  // Membership knobs (used by every --listen rank).
   const double heartbeat_interval = flags.number("heartbeat-interval", 0.5);
   const double suspect_after = flags.number("suspect-after", 2.0);
   const double dead_after = flags.number("dead-after", 5.0);
-  const double vnodes = flags.number("vnodes", 64);
-  if (heartbeat_interval < 0 || suspect_after <= 0 || dead_after <= 0 ||
-      vnodes < 1) {
+  if (heartbeat_interval < 0 || suspect_after <= 0 || dead_after <= 0) {
     std::cerr << "--heartbeat-interval must be >= 0; --suspect-after, "
-                 "--dead-after > 0; --vnodes >= 1\n";
+                 "--dead-after > 0\n";
     return 2;
   }
   std::optional<service::PeerAddress> join_seed;
@@ -641,11 +629,19 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
       std::cerr << "--join needs one HOST:PORT\n";
       return 2;
     }
-    if (!elastic) {
-      std::cerr << "--join requires --elastic\n";
+    if (!peers.empty()) {
+      std::cerr << "--join and --peers are exclusive (the boot list "
+                   "already names the fleet)\n";
       return 2;
     }
     join_seed = parsed->front();
+  }
+  if ((!peers.empty() || join_seed) && !flags.has("listen")) {
+    // A rank that cannot be reached silently breaks the one-logical-
+    // cache property (peers' forwards to it all time out).
+    std::cerr << "--peers and --join require --listen (members must be "
+                 "able to reach this rank)\n";
+    return 2;
   }
   service::PeerAddress advertise;
   if (flags.has("advertise")) {
@@ -668,24 +664,6 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   if (checkpoint_interval > 0 && checkpoint_path.empty()) {
     std::cerr << "--checkpoint-interval requires --checkpoint PATH\n";
     return 2;
-  }
-
-  std::vector<service::PeerAddress> peers;
-  if (world > 1) {
-    const auto parsed = service::parse_peer_list(flags.get("peers"));
-    if (!parsed || parsed->size() != world) {
-      std::cerr << "--world " << world
-                << " needs --peers with one host:port per rank\n";
-      return 2;
-    }
-    peers = *parsed;
-    if (!flags.has("listen")) {
-      // A rank that cannot be reached silently breaks the one-logical-
-      // cache property (peers' forwards to it all time out).
-      std::cerr << "--world > 1 requires --listen (peers must be able to "
-                   "reach this rank)\n";
-      return 2;
-    }
   }
 
   const bool no_input = flags.has("no-input");
@@ -736,7 +714,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     std::vector<std::string> alert_rules = flags.all("alert");
     alert_rules.insert(alert_rules.begin(),
                        "watchdog_stalls_total_delta>0;hold=5");
-    if (elastic) {
+    if (flags.has("listen")) {
       // A member going suspect is the membership layer's page-worthy
       // signal: either a peer is dying or this rank is partitioned.
       alert_rules.insert(alert_rules.begin(),
@@ -751,8 +729,17 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     }
   }
 
-  // Open the request stream before constructing the service, so an
-  // error exit never abandons live worker threads.
+  // Open the request stream and the warm-start file before constructing
+  // the service, so an error exit never abandons live worker threads.
+  const std::string warm_path = flags.get("warm-start");
+  std::ifstream warm_file;
+  if (flags.has("warm-start")) {
+    warm_file.open(warm_path, std::ios::binary);
+    if (!warm_file) {
+      std::cerr << "cannot open warm-start file '" << warm_path << "'\n";
+      return 1;
+    }
+  }
   std::ifstream request_file;
   if (!no_input && request_path != "-") {
     request_file.open(request_path);
@@ -766,44 +753,12 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
 
   service::SolveService engine(config);
 
-  if (flags.has("warm-start")) {
-    const std::string path = flags.get("warm-start");
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-      std::cerr << "cannot open warm-start file '" << path << "'\n";
-      return 1;
-    }
-    service::ShardedSolutionCache::LoadResult loaded;
-    if (is_binary_cache_path(path)) {
-      // Fabric nodes selectively load just the keys they own — the
-      // PRTS1 index makes that O(1) per key.
-      std::function<bool(const service::CanonicalHash&)> filter;
-      if (world > 1) {
-        filter = [world, rank](const service::CanonicalHash& key) {
-          return key.hi % world == rank;
-        };
-      }
-      loaded = engine.cache().load_binary(file, filter);
-    } else {
-      loaded = engine.cache().load_tsv(file);
-    }
-    if (!loaded.error.empty()) {
-      std::cerr << "warm-start '" << path << "': " << loaded.error << "\n";
-      return 1;
-    }
-    std::cerr << "# warm-start: " << loaded.loaded << " entries from "
-              << path;
-    if (loaded.skipped > 0) {
-      std::cerr << " (" << loaded.skipped << " foreign-shard keys skipped)";
-    }
-    std::cerr << "\n";
-  }
-
   // Fabric wiring: the FrameServer answers peers' frames on its own
   // small pool (connections are long-lived; sharing the solve pool
   // would starve it), the router forwards remote-shard misses. The
-  // router is constructed after the server (peers need the bound port),
-  // so the handler resolves it lazily.
+  // router is constructed after the server (a join seed streams this
+  // rank its slice the moment it admits the join), so the handler
+  // resolves it lazily.
   std::unique_ptr<ThreadPool> server_pool;
   // Written once the router exists, read by server pool threads — a
   // peer's frame can arrive the instant the port is bound, so the
@@ -820,7 +775,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     }
     const auto port = static_cast<std::uint16_t>(listen_value);
     server_pool = std::make_unique<ThreadPool>(
-        std::max<std::size_t>(2, 2 * world));
+        std::max<std::size_t>(2, 2 * peers.size()));
     server = net::FrameServer::start(
         port,
         service::make_fabric_handler(
@@ -831,17 +786,10 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
       std::cerr << "cannot listen on port " << port << "\n";
       return 1;
     }
-    if (elastic) {
-      std::cerr << "# listening on port " << server->port() << " (rank "
-                << rank << ", elastic)\n";
-    } else {
-      std::cerr << "# listening on port " << server->port() << " (rank "
-                << rank << "/" << world << ")\n";
-    }
   }
-  if (world > 1 || elastic) {
+  const bool booted_from_list = !peers.empty();
+  if (server) {
     service::RouterConfig router_config;
-    router_config.world_size = world;
     router_config.rank = rank;
     router_config.peers = std::move(peers);
     router_config.client.auth_token = auth_token;
@@ -851,28 +799,61 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     router_config.replica.ttl_cost_factor = replica_ttl_cost;
     router_config.gossip_interval_seconds = gossip_interval;
     router_config.telemetry = &telemetry;
-    if (elastic) {
-      router_config.elastic = true;
-      router_config.membership.suspect_after_seconds = suspect_after;
-      router_config.membership.dead_after_seconds = dead_after;
-      router_config.membership.ring.virtual_nodes =
-          static_cast<std::size_t>(vnodes);
-      router_config.heartbeat_interval_seconds = heartbeat_interval;
-      router_config.join_seed = join_seed;
-      if (advertise.port == 0) {
-        // The natural default: this rank is reachable where it listens.
-        advertise.host = "127.0.0.1";
-        advertise.port = server->port();
-      }
-      router_config.advertise = advertise;
+    router_config.membership.suspect_after_seconds = suspect_after;
+    router_config.membership.dead_after_seconds = dead_after;
+    router_config.heartbeat_interval_seconds = heartbeat_interval;
+    router_config.join_seed = join_seed;
+    if (advertise.port == 0 && router_config.peers.empty()) {
+      // The natural default: this rank is reachable where it listens
+      // (a boot-list rank is reachable at its own --peers entry).
+      advertise.host = "127.0.0.1";
+      advertise.port = server->port();
     }
+    router_config.advertise = advertise;
     router = std::make_unique<service::ShardRouter>(engine, router_config);
     router_ptr.store(router.get());
     options.router = router.get();
-    if (elastic) {
-      std::cerr << "# membership: epoch " << router->epoch() << ", "
-                << router->membership_view().members.size() << " member(s)\n";
+  }
+
+  if (warm_file.is_open()) {
+    service::ShardedSolutionCache::LoadResult loaded;
+    if (is_binary_cache_path(warm_path)) {
+      // A boot-list rank selectively loads just the keys its router
+      // assigns to it (the PRTS1 index makes that O(1) per key); a
+      // joining rank may still be handed more of the keyspace as the
+      // fleet settles, so it loads everything.
+      std::function<bool(const service::CanonicalHash&)> filter;
+      if (router && booted_from_list) {
+        filter = [&router, rank](const service::CanonicalHash& key) {
+          return router->shard_of(key) == rank;
+        };
+      }
+      loaded = engine.cache().load_binary(warm_file, filter);
+    } else {
+      loaded = engine.cache().load_tsv(warm_file);
     }
+    if (!loaded.error.empty()) {
+      std::cerr << "warm-start '" << warm_path << "': " << loaded.error
+                << "\n";
+      // No handler may still be inside the router when it is destroyed.
+      if (server) server->stop();
+      return 1;
+    }
+    std::cerr << "# warm-start: " << loaded.loaded << " entries from "
+              << warm_path;
+    if (loaded.skipped > 0) {
+      std::cerr << " (" << loaded.skipped << " foreign-shard keys skipped)";
+    }
+    std::cerr << "\n";
+  }
+
+  // Announced once the warm-start has landed, so whoever waits for the
+  // `listening` line finds the old entries in place.
+  if (server) {
+    std::cerr << "# listening on port " << server->port() << " (rank "
+              << rank << ")\n";
+    std::cerr << "# membership: epoch " << router->epoch() << ", "
+              << router->membership_view().members.size() << " member(s)\n";
   }
 
   // Live background checkpointing: snapshots keep flowing while the
