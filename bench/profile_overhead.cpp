@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   obs::Counter& allocs_counter =
       telemetry.metrics.counter("engine_request_allocs_total");
   obs::Counter& requests_counter =
-      telemetry.metrics.counter("engine_requests_total");
+      telemetry.metrics.counter("prts_engine_submitted_total");
   const std::uint64_t allocs_before = allocs_counter.value();
   const std::uint64_t requests_before = requests_counter.value();
   const std::size_t warm_requests = std::min<std::size_t>(requests, 500);

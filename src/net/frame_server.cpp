@@ -12,42 +12,33 @@ std::unique_ptr<FrameServer> FrameServer::start(std::uint16_t port,
                                                 FrameHandler handler,
                                                 ThreadPool& pool,
                                                 std::size_t max_payload,
-                                                obs::Registry* metrics,
-                                                obs::Watchdog* watchdog,
-                                                obs::Profiler* profiler,
+                                                obs::Telemetry* telemetry,
                                                 std::string auth_token) {
   auto listener = Listener::open(port);
   if (!listener) return nullptr;
   return std::unique_ptr<FrameServer>(
       new FrameServer(std::move(*listener), std::move(handler), pool,
-                      max_payload, metrics, watchdog, profiler,
-                      std::move(auth_token)));
+                      max_payload, telemetry, std::move(auth_token)));
 }
 
 FrameServer::FrameServer(Listener listener, FrameHandler handler,
                          ThreadPool& pool, std::size_t max_payload,
-                         obs::Registry* metrics, obs::Watchdog* watchdog,
-                         obs::Profiler* profiler, std::string auth_token)
+                         obs::Telemetry* telemetry, std::string auth_token)
     : listener_(std::move(listener)),
       handler_(std::move(handler)),
       pool_(pool),
       max_payload_(max_payload),
       auth_token_(std::move(auth_token)),
-      connections_counter_(
-          metrics ? &metrics->counter("net_server_connections_total")
-                  : nullptr),
-      frames_counter_(
-          metrics ? &metrics->counter("net_server_frames_total") : nullptr),
-      protocol_errors_counter_(
-          metrics ? &metrics->counter("net_server_protocol_errors_total")
-                  : nullptr),
-      auth_failures_counter_(
-          metrics ? &metrics->counter("net_server_auth_failures_total")
-                  : nullptr),
-      heartbeat_(watchdog ? &watchdog->component("frame_server") : nullptr),
-      profiler_(profiler),
-      handler_component_(profiler ? &profiler->component("frame_handler")
-                                  : nullptr),
+      telemetry_(obs::given_or_owned(telemetry, owned_telemetry_)),
+      connections_total_(
+          telemetry_.metrics.counter("net_server_connections_total")),
+      frames_total_(telemetry_.metrics.counter("net_server_frames_total")),
+      protocol_errors_total_(
+          telemetry_.metrics.counter("net_server_protocol_errors_total")),
+      auth_failures_total_(
+          telemetry_.metrics.counter("net_server_auth_failures_total")),
+      heartbeat_(telemetry_.watchdog.component("frame_server")),
+      handler_component_(telemetry_.profiler.component("frame_handler")),
       accept_thread_([this] { accept_loop(); }) {}
 
 FrameServer::~FrameServer() { stop(); }
@@ -58,15 +49,14 @@ void FrameServer::accept_loop() {
     if (!accepted) break;  // listener closed
     reap_finished();
     auto socket = std::make_shared<Socket>(std::move(*accepted));
-    if (heartbeat_) heartbeat_->beat();
+    heartbeat_.beat();
     const int fd = socket->fd();
     {
       // Register before the reader thread exists: stop() must be able
       // to wake this connection even if the thread has not started yet.
       const std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_.load()) break;
-      ++stats_.connections;
-      if (connections_counter_) connections_counter_->add();
+      connections_total_.add();
       open_fds_.insert(fd);
       const std::uint64_t conn_id = next_conn_id_++;
       connections_.emplace(
@@ -123,9 +113,9 @@ bool FrameServer::handle_frame(const Frame& request, Socket& socket,
                                std::mutex& write_mutex) {
   // Load brackets the handler call: a frame stuck inside the handler
   // keeps load > 0, so a silent wedge ages into a stall.
-  if (heartbeat_) heartbeat_->add_load(1);
+  heartbeat_.add_load(1);
   std::optional<obs::ScopedSample> handler_sample;
-  if (profiler_ && profiler_->enabled()) handler_sample.emplace();
+  if (telemetry_.profiler.enabled()) handler_sample.emplace();
   std::optional<Frame> reply;
   try {
     reply = handler_(request);
@@ -135,12 +125,10 @@ bool FrameServer::handle_frame(const Frame& request, Socket& socket,
     reply = handler_failure("handler error");
   }
   if (handler_sample) {
-    obs::Profiler::record(*handler_component_, handler_sample->finish());
+    obs::Profiler::record(handler_component_, handler_sample->finish());
   }
-  if (heartbeat_) {
-    heartbeat_->add_load(-1);
-    heartbeat_->beat();
-  }
+  heartbeat_.add_load(-1);
+  heartbeat_.beat();
   if (!reply) return false;
   reply->request_id = request.request_id;
   const std::lock_guard<std::mutex> write_lock(write_mutex);
@@ -158,11 +146,7 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
     const FrameReadStatus status =
         read_frame(socket, *request, max_payload_);
     if (status == FrameReadStatus::kOk) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.frames;
-      }
-      if (frames_counter_) frames_counter_->add();
+      frames_total_.add();
       if (request->type == FrameType::kAuth || !authed) {
         // The auth gate runs before the handler ever sees a frame.
         // kAuth on an open (or already-authed) server is answered
@@ -178,11 +162,7 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
           if (!write_frame(socket, reply)) break;
           continue;
         }
-        {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.auth_failures;
-        }
-        if (auth_failures_counter_) auth_failures_counter_->add();
+        auth_failures_total_.add();
         reply.type = FrameType::kError;
         reply.payload = "authentication required";
         const std::lock_guard<std::mutex> write_lock(*write_mutex);
@@ -222,11 +202,7 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
         status == FrameReadStatus::kBadVersion ||
         status == FrameReadStatus::kOversized ||
         status == FrameReadStatus::kTruncated) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.protocol_errors;
-      }
-      if (protocol_errors_counter_) protocol_errors_counter_->add();
+      protocol_errors_total_.add();
       if (status != FrameReadStatus::kTruncated) {
         Frame error;
         error.type = FrameType::kError;
@@ -282,8 +258,12 @@ void FrameServer::stop() {
 }
 
 FrameServerStats FrameServer::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  FrameServerStats stats;
+  stats.connections = connections_total_.value();
+  stats.frames = frames_total_.value();
+  stats.protocol_errors = protocol_errors_total_.value();
+  stats.auth_failures = auth_failures_total_.value();
+  return stats;
 }
 
 }  // namespace prts::net

@@ -31,9 +31,7 @@
 #include "common/thread_pool.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/watchdog.hpp"
+#include "obs/trace.hpp"
 
 namespace prts::net {
 
@@ -44,7 +42,8 @@ namespace prts::net {
 /// concurrent frames of ONE connection.
 using FrameHandler = std::function<std::optional<Frame>(const Frame&)>;
 
-/// Monotonic counters (snapshot; the server keeps running).
+/// Monotonic counters (snapshot; the server keeps running), each read
+/// from the registry counter net_server_<field>_total.
 struct FrameServerStats {
   std::uint64_t connections = 0;
   std::uint64_t frames = 0;           ///< well-formed frames handled
@@ -55,26 +54,24 @@ struct FrameServerStats {
 class FrameServer {
  public:
   /// Binds `port` (0 = ephemeral) and starts the accept thread.
-  /// nullptr when the port cannot be bound. When `metrics` is set the
-  /// server mirrors its counters into it as net_server_connections_total
-  /// / net_server_frames_total / net_server_protocol_errors_total (the
-  /// registry must outlive the server). When `watchdog` is set the
-  /// server registers a "frame_server" heartbeat: load tracks frames
-  /// currently inside the handler, beats mark accepts and handled
-  /// frames — a handler wedged on a dead peer shows up as a stall.
-  /// When `profiler` is set every handler invocation is sampled into
-  /// the "frame_handler" component (cpu/wall/alloc attribution of peer
-  /// traffic). When `auth_token` is non-empty every connection must
-  /// present it in a kAuth frame before anything else: any other first
-  /// frame (or a wrong token) is answered with kError, counted in
-  /// net_server_auth_failures_total, and the connection is closed.
+  /// nullptr when the port cannot be bound. The server records into
+  /// `telemetry` (which must outlive it; nullptr: the server owns one):
+  /// - the net_server_{connections,frames,protocol_errors,
+  ///   auth_failures}_total counters;
+  /// - a "frame_server" watchdog heartbeat: load tracks frames inside
+  ///   the handler, beats mark accepts and handled frames, so a handler
+  ///   wedged on a dead peer shows up as a stall;
+  /// - the "frame_handler" profile component, sampled on every handler
+  ///   call while the profiler is on (cpu/wall/alloc attribution of
+  ///   peer traffic).
+  /// When `auth_token` is non-empty every connection must present it
+  /// in a kAuth frame before anything else: any other first frame (or
+  /// a wrong token) is answered with kError, counted as an auth
+  /// failure, and the connection is closed.
   static std::unique_ptr<FrameServer> start(
       std::uint16_t port, FrameHandler handler, ThreadPool& pool,
       std::size_t max_payload = kDefaultMaxPayload,
-      obs::Registry* metrics = nullptr,
-      obs::Watchdog* watchdog = nullptr,
-      obs::Profiler* profiler = nullptr,
-      std::string auth_token = {});
+      obs::Telemetry* telemetry = nullptr, std::string auth_token = {});
 
   ~FrameServer();
 
@@ -92,8 +89,7 @@ class FrameServer {
 
  private:
   FrameServer(Listener listener, FrameHandler handler, ThreadPool& pool,
-              std::size_t max_payload, obs::Registry* metrics,
-              obs::Watchdog* watchdog, obs::Profiler* profiler,
+              std::size_t max_payload, obs::Telemetry* telemetry,
               std::string auth_token);
 
   void accept_loop();
@@ -128,18 +124,15 @@ class FrameServer {
   std::unordered_map<std::uint64_t, std::thread> connections_;
   std::vector<std::uint64_t> finished_;  ///< conn ids ready to join
   std::size_t pending_handlers_ = 0;     ///< handlers in the pool
-  FrameServerStats stats_;
-  /// Registry counters resolved once at construction; null when
-  /// mirroring is off.
-  obs::Counter* connections_counter_ = nullptr;
-  obs::Counter* frames_counter_ = nullptr;
-  obs::Counter* protocol_errors_counter_ = nullptr;
-  obs::Counter* auth_failures_counter_ = nullptr;
-  /// "frame_server" liveness handle; null when no watchdog was given.
-  obs::Heartbeat* heartbeat_ = nullptr;
-  /// "frame_handler" profile component; null when no profiler was given.
-  obs::Profiler* profiler_ = nullptr;
-  obs::Profiler::Component* handler_component_ = nullptr;
+  /// Handles resolved once at construction.
+  std::unique_ptr<obs::Telemetry> owned_telemetry_;
+  obs::Telemetry& telemetry_;
+  obs::Counter& connections_total_;
+  obs::Counter& frames_total_;
+  obs::Counter& protocol_errors_total_;
+  obs::Counter& auth_failures_total_;
+  obs::Heartbeat& heartbeat_;  ///< "frame_server" liveness
+  obs::Profiler::Component& handler_component_;  ///< "frame_handler"
   std::thread accept_thread_;
 };
 

@@ -50,24 +50,25 @@ std::uint64_t jitter_seed_for(const std::string& host, std::uint16_t port) {
 
 MuxFrameClient::MuxFrameClient(std::string host, std::uint16_t port,
                                FrameClientConfig config)
-    : host_(std::move(host)), port_(port), config_(std::move(config)) {
+    : host_(std::move(host)),
+      port_(port),
+      config_(std::move(config)),
+      metrics_(obs::given_or_owned(config_.metrics, owned_metrics_)),
+      calls_(metrics_.counter(config_.metrics_prefix + "calls_total")),
+      failures_(metrics_.counter(config_.metrics_prefix + "failures_total")),
+      connects_(metrics_.counter(config_.metrics_prefix + "connects_total")),
+      fast_failures_(
+          metrics_.counter(config_.metrics_prefix + "fast_failures_total")),
+      suspects_(metrics_.counter(config_.metrics_prefix + "suspects_total")),
+      timeouts_(metrics_.counter(config_.metrics_prefix + "timeouts_total")),
+      unknown_replies_(
+          metrics_.counter(config_.metrics_prefix + "unknown_replies_total")),
+      inflight_gauge_(metrics_.gauge(config_.metrics_prefix + "inflight")),
+      depth_histogram_(
+          metrics_.histogram(config_.metrics_prefix + "mux_depth")) {
   jitter_state_ = config_.backoff_jitter_seed != 0
                       ? config_.backoff_jitter_seed
                       : jitter_seed_for(host_, port_);
-  if (config_.metrics != nullptr) {
-    const std::string& prefix = config_.metrics_prefix;
-    calls_counter_ = &config_.metrics->counter(prefix + "calls_total");
-    failures_counter_ = &config_.metrics->counter(prefix + "failures_total");
-    connects_counter_ = &config_.metrics->counter(prefix + "connects_total");
-    fast_failures_counter_ =
-        &config_.metrics->counter(prefix + "fast_failures_total");
-    suspects_counter_ = &config_.metrics->counter(prefix + "suspects_total");
-    timeouts_counter_ = &config_.metrics->counter(prefix + "timeouts_total");
-    unknown_replies_counter_ =
-        &config_.metrics->counter(prefix + "unknown_replies_total");
-    inflight_gauge_ = &config_.metrics->gauge(prefix + "inflight");
-    depth_histogram_ = &config_.metrics->histogram(prefix + "mux_depth");
-  }
   worker_ = std::thread(&MuxFrameClient::worker_loop, this);
 }
 
@@ -101,16 +102,11 @@ std::future<std::optional<Frame>> MuxFrameClient::call_async(
   std::promise<std::optional<Frame>> promise;
   std::future<std::optional<Frame>> future = promise.get_future();
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.calls;
-  if (calls_counter_) calls_counter_->add();
+  calls_.add();
   if (stop_ ||
       (backoff_seconds_ > 0.0 && Clock::now() < next_attempt_)) {
-    if (!stop_) {
-      ++stats_.fast_failures;
-      if (fast_failures_counter_) fast_failures_counter_->add();
-    }
-    ++stats_.failures;
-    if (failures_counter_) failures_counter_->add();
+    if (!stop_) fast_failures_.add();
+    failures_.add();
     promise.set_value(std::nullopt);
     return future;
   }
@@ -120,10 +116,9 @@ std::future<std::optional<Frame>> MuxFrameClient::call_async(
   job.deadline = deadline_from(deadline_seconds);
   queue_.push_back(std::move(job));
   const std::size_t depth = queue_.size() + pending_.size();
-  stats_.max_inflight =
-      std::max<std::uint64_t>(stats_.max_inflight, depth);
-  if (inflight_gauge_) inflight_gauge_->set(static_cast<double>(depth));
-  if (depth_histogram_) depth_histogram_->record(static_cast<double>(depth));
+  max_inflight_ = std::max<std::uint64_t>(max_inflight_, depth);
+  inflight_gauge_.set(static_cast<double>(depth));
+  depth_histogram_.record(static_cast<double>(depth));
   cv_.notify_all();
   return future;
 }
@@ -138,13 +133,20 @@ bool MuxFrameClient::suspect() const {
 }
 
 FrameClientStats MuxFrameClient::stats() const {
+  FrameClientStats stats;
+  stats.calls = calls_.value();
+  stats.failures = failures_.value();
+  stats.connects = connects_.value();
+  stats.fast_failures = fast_failures_.value();
+  stats.suspects = suspects_.value();
+  stats.timeouts = timeouts_.value();
   const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  stats.max_inflight = max_inflight_;
+  return stats;
 }
 
 std::uint64_t MuxFrameClient::unknown_replies() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return unknown_replies_;
+  return unknown_replies_.value();
 }
 
 void MuxFrameClient::reset() {
@@ -174,18 +176,14 @@ void MuxFrameClient::worker_loop() {
       lock.lock();
       if (stop_) return;  // destructor resolves the queue
       if (!socket) {
-        if (timeout) {
-          ++stats_.timeouts;
-          if (timeouts_counter_) timeouts_counter_->add();
-        }
+        if (timeout) timeouts_.add();
         arm_backoff_locked(timeout);
         fail_queue_locked(/*fast=*/false);
         continue;
       }
       conn_ = std::move(socket);
       last_rx_ = Clock::now();
-      ++stats_.connects;
-      if (connects_counter_) connects_counter_->add();
+      connects_.add();
       reader_ = std::thread(&MuxFrameClient::reader_loop, this, conn_,
                             generation_);
     }
@@ -233,8 +231,7 @@ void MuxFrameClient::reader_loop(std::shared_ptr<Socket> socket,
       if (it == pending_.end()) {
         // Late reply for an expired request, or a confused peer:
         // drop it, the connection itself is healthy.
-        ++unknown_replies_;
-        if (unknown_replies_counter_) unknown_replies_counter_->add();
+        unknown_replies_.add();
       } else {
         it->second.promise.set_value(std::move(reply));
         pending_.erase(it);
@@ -312,8 +309,7 @@ void MuxFrameClient::fail_connection_locked(std::uint64_t generation,
   if (conn_) conn_->shutdown();  // wake the peer thread's blocked IO
   conn_.reset();
   for (auto& [id, pending] : pending_) {
-    ++stats_.failures;
-    if (failures_counter_) failures_counter_->add();
+    failures_.add();
     pending.promise.set_value(std::nullopt);
   }
   pending_.clear();
@@ -326,12 +322,8 @@ void MuxFrameClient::fail_connection_locked(std::uint64_t generation,
 
 void MuxFrameClient::fail_queue_locked(bool fast) {
   for (auto& job : queue_) {
-    ++stats_.failures;
-    if (failures_counter_) failures_counter_->add();
-    if (fast) {
-      ++stats_.fast_failures;
-      if (fast_failures_counter_) fast_failures_counter_->add();
-    }
+    failures_.add();
+    if (fast) fast_failures_.add();
     job.promise.set_value(std::nullopt);
   }
   queue_.clear();
@@ -339,10 +331,7 @@ void MuxFrameClient::fail_queue_locked(bool fast) {
 }
 
 void MuxFrameClient::arm_backoff_locked(bool timeout) {
-  if (backoff_seconds_ == 0.0) {
-    ++stats_.suspects;
-    if (suspects_counter_) suspects_counter_->add();
-  }
+  if (backoff_seconds_ == 0.0) suspects_.add();
   const double initial = timeout ? config_.backoff_timeout_initial_seconds
                                  : config_.backoff_initial_seconds;
   backoff_seconds_ =
@@ -359,9 +348,7 @@ void MuxFrameClient::arm_backoff_locked(bool timeout) {
 }
 
 void MuxFrameClient::update_depth_locked() {
-  if (inflight_gauge_) {
-    inflight_gauge_->set(static_cast<double>(queue_.size() + pending_.size()));
-  }
+  inflight_gauge_.set(static_cast<double>(queue_.size() + pending_.size()));
 }
 
 void MuxFrameClient::sweep_deadlines_locked(std::uint64_t generation) {
@@ -379,10 +366,8 @@ void MuxFrameClient::sweep_deadlines_locked(std::uint64_t generation) {
         silent_peer = true;
         break;
       }
-      ++stats_.timeouts;
-      if (timeouts_counter_) timeouts_counter_->add();
-      ++stats_.failures;
-      if (failures_counter_) failures_counter_->add();
+      timeouts_.add();
+      failures_.add();
       it->second.promise.set_value(std::nullopt);
       it = pending_.erase(it);
     } else {
@@ -391,8 +376,7 @@ void MuxFrameClient::sweep_deadlines_locked(std::uint64_t generation) {
     }
   }
   if (silent_peer) {
-    ++stats_.timeouts;
-    if (timeouts_counter_) timeouts_counter_->add();
+    timeouts_.add();
     fail_connection_locked(generation, /*timeout=*/true);
     return;
   }

@@ -82,17 +82,18 @@ struct FrameClientConfig {
   /// connection and arms the normal backoff.
   std::string auth_token;
 
-  /// When set, the client mirrors its counters into this registry under
-  /// `metrics_prefix` + {calls,failures,connects,fast_failures,suspects,
-  /// timeouts,unknown_replies} + "_total" — reconnect churn and suspect
-  /// transitions become scrapeable instead of silent — and keeps
-  /// prefix+"inflight" (gauge) and prefix+"mux_depth" (histogram) live.
-  /// Must outlive the client.
+  /// The registry the client counts in, under `metrics_prefix` +
+  /// {calls,failures,connects,fast_failures,suspects,timeouts,
+  /// unknown_replies} + "_total" — reconnect churn and suspect
+  /// transitions are scrapeable, not silent — with prefix+"inflight"
+  /// (gauge) and prefix+"mux_depth" (histogram) kept live. Must outlive
+  /// the client; nullptr: the client owns a registry of its own.
   obs::Registry* metrics = nullptr;
   std::string metrics_prefix = "net_client_";
 };
 
-/// Monotonic counters, snapshot under the client mutex.
+/// Monotonic counters (snapshot via MuxFrameClient::stats), each read
+/// from its registry counter but max_inflight, a high-water mark.
 struct FrameClientStats {
   std::uint64_t calls = 0;
   std::uint64_t failures = 0;  ///< calls answered nullopt
@@ -201,21 +202,22 @@ class MuxFrameClient {
   double backoff_seconds_ = 0.0;
   Clock::time_point next_attempt_{};
   std::uint64_t jitter_state_;  ///< advanced per armed backoff window
-  FrameClientStats stats_;
-  std::uint64_t unknown_replies_ = 0;
+  std::uint64_t max_inflight_ = 0;
 
   std::thread worker_;
   std::thread reader_;  ///< joined by the worker between connections
 
-  obs::Counter* calls_counter_ = nullptr;
-  obs::Counter* failures_counter_ = nullptr;
-  obs::Counter* connects_counter_ = nullptr;
-  obs::Counter* fast_failures_counter_ = nullptr;
-  obs::Counter* suspects_counter_ = nullptr;
-  obs::Counter* timeouts_counter_ = nullptr;
-  obs::Counter* unknown_replies_counter_ = nullptr;
-  obs::Gauge* inflight_gauge_ = nullptr;
-  obs::Histogram* depth_histogram_ = nullptr;
+  std::unique_ptr<obs::Registry> owned_metrics_;
+  obs::Registry& metrics_;
+  obs::Counter& calls_;
+  obs::Counter& failures_;
+  obs::Counter& connects_;
+  obs::Counter& fast_failures_;
+  obs::Counter& suspects_;
+  obs::Counter& timeouts_;
+  obs::Counter& unknown_replies_;
+  obs::Gauge& inflight_gauge_;
+  obs::Histogram& depth_histogram_;
 };
 
 }  // namespace prts::net

@@ -97,28 +97,25 @@ bool parse_alert_rule(const std::string& text, AlertRule& rule,
   return true;
 }
 
-AlertEngine::AlertEngine(Registry* registry) : registry_(registry) {
-  if (registry_ != nullptr) {
-    // Registered up front so a scrape sees alerts_firing 0, not an
-    // absent family, on a rank with no rules (or none fired yet).
-    firing_total_gauge_ = &registry_->gauge("alerts_firing");
-    firing_total_gauge_->set(0.0);
-  }
+AlertEngine::AlertEngine(Registry& registry)
+    : registry_(registry),
+      firing_total_gauge_(registry.gauge("alerts_firing")) {
+  // Set up front so a scrape sees alerts_firing 0, not an absent
+  // family, on a rank with no rules (or none fired yet).
+  firing_total_gauge_.set(0.0);
 }
 
 void AlertEngine::add_rule(AlertRule rule) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  Entry entry;
+  const std::string slug = rule_slug(rule.expr);
+  Entry entry{RuleState{},
+              0,
+              0,
+              registry_.counter("alert_" + slug + "_fired_total"),
+              registry_.counter("alert_" + slug + "_resolved_total"),
+              registry_.gauge("alert_" + slug + "_firing")};
   entry.state.rule = std::move(rule);
-  if (registry_ != nullptr) {
-    const std::string slug = rule_slug(entry.state.rule.expr);
-    entry.fired_counter =
-        &registry_->counter("alert_" + slug + "_fired_total");
-    entry.resolved_counter =
-        &registry_->counter("alert_" + slug + "_resolved_total");
-    entry.firing_gauge = &registry_->gauge("alert_" + slug + "_firing");
-    entry.firing_gauge->set(0.0);
-  }
+  entry.firing_gauge.set(0.0);
   entries_.push_back(std::move(entry));
 }
 
@@ -138,11 +135,14 @@ double AlertEngine::rule_value(const AlertRule& rule,
                                const FlightRecorder::Tick& tick) {
   const std::string& metric = rule.metric;
   if (metric == "error_rate" || metric == "reject_rate") {
-    const std::uint64_t submitted = tick_delta(tick, "engine_requests_total");
+    const std::uint64_t submitted =
+        tick_delta(tick, "prts_engine_submitted_total");
     if (submitted == 0) return 0.0;
-    const std::uint64_t bad = tick_delta(
-        tick, metric == "error_rate" ? "engine_errors_total"
-                                     : "engine_rejected_total");
+    const std::uint64_t bad =
+        metric == "error_rate"
+            ? tick_delta(tick, "prts_engine_errors_total")
+            : tick_delta(tick, "prts_engine_rejected_queue_total") +
+                  tick_delta(tick, "prts_engine_rejected_deadline_total");
     return static_cast<double>(bad) / static_cast<double>(submitted);
   }
   if (ends_with(metric, "_delta")) {
@@ -186,34 +186,34 @@ void AlertEngine::evaluate(const FlightRecorder::Tick& tick) {
       entry.clear_streak = 0;
       if (!state.firing && entry.breach_streak >= state.rule.for_ticks) {
         state.firing = true;
-        ++state.fired_total;
         state.changed_uptime_seconds = tick.uptime_seconds;
-        if (entry.fired_counter) entry.fired_counter->add();
-        if (entry.firing_gauge) entry.firing_gauge->set(1.0);
+        entry.fired_counter.add();
+        entry.firing_gauge.set(1.0);
       }
     } else {
       ++entry.clear_streak;
       entry.breach_streak = 0;
       if (state.firing && entry.clear_streak >= state.rule.hold_ticks) {
         state.firing = false;
-        ++state.resolved_total;
         state.changed_uptime_seconds = tick.uptime_seconds;
-        if (entry.resolved_counter) entry.resolved_counter->add();
-        if (entry.firing_gauge) entry.firing_gauge->set(0.0);
+        entry.resolved_counter.add();
+        entry.firing_gauge.set(0.0);
       }
     }
     if (state.firing) ++firing;
   }
-  if (firing_total_gauge_) {
-    firing_total_gauge_->set(static_cast<double>(firing));
-  }
+  firing_total_gauge_.set(static_cast<double>(firing));
 }
 
 std::vector<AlertEngine::RuleState> AlertEngine::states() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<RuleState> out;
   out.reserve(entries_.size());
-  for (const Entry& entry : entries_) out.push_back(entry.state);
+  for (const Entry& entry : entries_) {
+    out.push_back(entry.state);
+    out.back().fired_total = entry.fired_counter.value();
+    out.back().resolved_total = entry.resolved_counter.value();
+  }
   return out;
 }
 

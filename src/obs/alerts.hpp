@@ -64,9 +64,9 @@ bool parse_alert_rule(const std::string& text, AlertRule& rule,
 
 class AlertEngine {
  public:
-  /// `registry` (optional, must outlive the engine) receives the
-  /// alerts_firing gauge and the per-rule mirrors.
-  explicit AlertEngine(Registry* registry = nullptr);
+  /// `registry` (must outlive the engine) holds the alerts_firing gauge
+  /// and every rule's fired/resolved counters and firing gauge.
+  explicit AlertEngine(Registry& registry);
 
   AlertEngine(const AlertEngine&) = delete;
   AlertEngine& operator=(const AlertEngine&) = delete;
@@ -87,8 +87,8 @@ class AlertEngine {
     AlertRule rule;
     bool firing = false;
     double last_value = 0.0;  ///< metric value at the last evaluation
-    std::uint64_t fired_total = 0;
-    std::uint64_t resolved_total = 0;
+    std::uint64_t fired_total = 0;     ///< read from the registry
+    std::uint64_t resolved_total = 0;  ///< read from the registry
     /// Tick uptime when the rule last changed state (0 if never).
     double changed_uptime_seconds = 0.0;
     std::uint64_t ticks_evaluated = 0;
@@ -107,17 +107,17 @@ class AlertEngine {
     RuleState state;
     int breach_streak = 0;
     int clear_streak = 0;
-    Counter* fired_counter = nullptr;      ///< non-null iff registry
-    Counter* resolved_counter = nullptr;
-    Gauge* firing_gauge = nullptr;
+    Counter& fired_counter;
+    Counter& resolved_counter;
+    Gauge& firing_gauge;
   };
 
   /// The rule's metric value in this tick window (absent reads as 0).
   static double rule_value(const AlertRule& rule,
                            const FlightRecorder::Tick& tick);
 
-  Registry* const registry_;
-  Gauge* firing_total_gauge_ = nullptr;  ///< non-null iff registry
+  Registry& registry_;
+  Gauge& firing_total_gauge_;
 
   mutable std::mutex mutex_;
   std::vector<Entry> entries_;

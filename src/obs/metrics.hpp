@@ -62,6 +62,10 @@ class Gauge {
   void set(double value) noexcept {
     value_.store(value, std::memory_order_relaxed);
   }
+  /// For a gauge that tracks a live count (entries in and out).
+  void add(double delta) noexcept {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
@@ -170,5 +174,16 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
+
+/// What a component records into: `given` when its caller passed one,
+/// else a fresh one it keeps in `owned`. A component built without a
+/// registry (or a Telemetry) still counts every event, and its code
+/// never tests for null.
+template <typename T>
+T& given_or_owned(T* given, std::unique_ptr<T>& owned) {
+  if (given != nullptr) return *given;
+  owned = std::make_unique<T>();
+  return *owned;
+}
 
 }  // namespace prts::obs

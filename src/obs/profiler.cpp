@@ -84,36 +84,33 @@ double thread_cpu_seconds() noexcept {
 
 // ------------------------------------------------------------ Profiler
 
-Profiler::Profiler(Registry* registry) : registry_(registry) {}
+Profiler::Profiler(Registry& registry) : registry_(registry) {}
 
 Profiler::Component& Profiler::component(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = components_[name];
   if (!slot) {
-    slot = std::make_unique<Component>();
-    if (registry_ != nullptr) {
-      const std::string prefix = "profile_" + name;
-      slot->samples = &registry_->counter(prefix + "_samples_total");
-      slot->wall_us = &registry_->counter(prefix + "_wall_us_total");
-      slot->cpu_us = &registry_->counter(prefix + "_cpu_us_total");
-      slot->allocs = &registry_->counter(prefix + "_allocs_total");
-      slot->alloc_bytes = &registry_->counter(prefix + "_alloc_bytes_total");
-    }
+    const std::string prefix = "profile_" + name;
+    slot = std::make_unique<Component>(Component{
+        registry_.counter(prefix + "_samples_total"),
+        registry_.counter(prefix + "_wall_us_total"),
+        registry_.counter(prefix + "_cpu_us_total"),
+        registry_.counter(prefix + "_allocs_total"),
+        registry_.counter(prefix + "_alloc_bytes_total")});
   }
   return *slot;
 }
 
 void Profiler::record(Component& component, const WorkSample& sample) noexcept {
-  if (component.samples == nullptr) return;  // null-registry profiler
   const auto to_us = [](double seconds) {
     return seconds <= 0.0 ? std::uint64_t{0}
                           : static_cast<std::uint64_t>(seconds * 1e6 + 0.5);
   };
-  component.samples->add();
-  component.wall_us->add(to_us(sample.wall_seconds));
-  component.cpu_us->add(to_us(sample.cpu_seconds));
-  component.allocs->add(sample.alloc_count);
-  component.alloc_bytes->add(sample.alloc_bytes);
+  component.samples.add();
+  component.wall_us.add(to_us(sample.wall_seconds));
+  component.cpu_us.add(to_us(sample.cpu_seconds));
+  component.allocs.add(sample.alloc_count);
+  component.alloc_bytes.add(sample.alloc_bytes);
 }
 
 void Profiler::record(const std::string& name, const WorkSample& sample) {
@@ -146,12 +143,11 @@ std::uint64_t counter_or_zero(const RegistrySnapshot& snap,
 std::vector<Profiler::ComponentStats> Profiler::stats(
     const std::string& filter) const {
   std::vector<ComponentStats> out;
-  if (registry_ == nullptr) return out;
   // Decoded from the registry, not the handle map: components recorded
   // by other layers of this rank (frame server, router) show up even
   // though they resolved their handles through the same Profiler — and
   // a merged remote snapshot could be decoded the same way.
-  const RegistrySnapshot snap = registry_->snapshot();
+  const RegistrySnapshot snap = registry_.snapshot();
   for (const auto& [name, value] : snap.counters) {
     std::string component_name;
     if (!strip_affixes(name, "profile_", "_samples_total", component_name)) {
@@ -180,8 +176,7 @@ std::vector<Profiler::ComponentStats> Profiler::stats(
 
 std::vector<Profiler::MutexStats> Profiler::mutexes() const {
   std::vector<MutexStats> out;
-  if (registry_ == nullptr) return out;
-  const RegistrySnapshot snap = registry_->snapshot();
+  const RegistrySnapshot snap = registry_.snapshot();
   for (const auto& [name, value] : snap.counters) {
     std::string mutex_name;
     if (!strip_affixes(name, "mutex_", "_acquisitions_total", mutex_name)) {

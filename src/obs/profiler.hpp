@@ -150,14 +150,13 @@ class ScopedSample {
 /// locks the registry) and recording afterward is relaxed atomics only.
 class Profiler {
  public:
-  /// `registry` may be null (a profiler that swallows everything —
-  /// keeps call sites unconditional). Must outlive the profiler.
-  explicit Profiler(Registry* registry = nullptr);
+  /// `registry` must outlive the profiler.
+  explicit Profiler(Registry& registry);
 
   /// The master switch instrumented call sites check before paying for
   /// clock/TLS reads. Defaults on.
   bool enabled() const noexcept {
-    return registry_ != nullptr && enabled_.load(std::memory_order_relaxed);
+    return enabled_.load(std::memory_order_relaxed);
   }
   void set_enabled(bool enabled) noexcept {
     enabled_.store(enabled, std::memory_order_relaxed);
@@ -189,11 +188,11 @@ class Profiler {
   /// Resolved counter handles for one component. Stable address for the
   /// profiler's lifetime.
   struct Component {
-    Counter* samples = nullptr;
-    Counter* wall_us = nullptr;
-    Counter* cpu_us = nullptr;
-    Counter* allocs = nullptr;
-    Counter* alloc_bytes = nullptr;
+    Counter& samples;
+    Counter& wall_us;
+    Counter& cpu_us;
+    Counter& allocs;
+    Counter& alloc_bytes;
   };
 
   /// Registers (or looks up) profile_<name>_* counters. Call sites on
@@ -238,7 +237,7 @@ class Profiler {
   void write_json(std::ostream& out, const std::string& filter = "") const;
 
  private:
-  Registry* const registry_;
+  Registry& registry_;
   std::atomic<bool> enabled_{true};
   /// Fast-path sampling stride, odd on purpose: a warm request calls
   /// should_sample() a fixed number of times (canonicalize, then the

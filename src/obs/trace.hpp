@@ -154,29 +154,29 @@ std::string id_to_hex(std::uint64_t id);
 /// Returns 0 on malformed input (0 is never a minted id).
 std::uint64_t id_from_hex(const std::string& text);
 
-/// Everything a fabric layer needs to observe itself. One per rank;
-/// plumbed through configs as a raw pointer where nullptr means
-/// telemetry is off and instrumentation must cost nothing.
+/// Everything a fabric layer needs to observe itself. One per rank,
+/// shared by the rank's service, router and server; a component built
+/// without one owns one, so telemetry is never off.
 struct Telemetry {
   int rank = 0;
   Registry metrics;
   Tracer tracer;
   /// Per-component heartbeats + stall detection, mirrored into
   /// `metrics`. Inert (no thread) until watchdog.start().
-  Watchdog watchdog{&metrics};
+  Watchdog watchdog{metrics};
   /// Dual-clock + allocation + contention attribution, accumulated
   /// into `metrics` as profile_*/mutex_* families. On by default;
   /// instrumented call sites check profiler.enabled() per request.
-  Profiler profiler{&metrics};
+  Profiler profiler{metrics};
   /// Alert rules over flight-recorder tick windows, mirrored into
   /// `metrics` (alerts_firing + per-rule families). Evaluated on every
   /// recorder tick via the observer hooked up below.
-  AlertEngine alerts{&metrics};
+  AlertEngine alerts{metrics};
   /// Bounded ring of per-tick metric deltas (the `timeseries` protocol
   /// command). Inert until recorder.start() or a manual tick_now().
   /// Declared after `alerts`: the tick thread calls into the alert
   /// engine, so the recorder must be destroyed first.
-  FlightRecorder recorder{&metrics};
+  FlightRecorder recorder{metrics};
 
   Telemetry() { init(); }
   explicit Telemetry(TracerConfig tracer_config) : tracer(tracer_config) {

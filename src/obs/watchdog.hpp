@@ -119,10 +119,10 @@ struct Stall {
 
 class Watchdog {
  public:
-  /// `metrics` (optional, must outlive the watchdog) receives
-  /// watchdog_stalls_total / watchdog_stalled_components /
-  /// watchdog_components mirrors.
-  explicit Watchdog(Registry* metrics = nullptr);
+  /// `metrics` (must outlive the watchdog) holds the stall count as
+  /// watchdog_stalls_total, plus the watchdog_stalled_components and
+  /// watchdog_components gauges.
+  explicit Watchdog(Registry& metrics);
   ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
@@ -159,17 +159,15 @@ class Watchdog {
   void write_json(std::ostream& out);
 
  private:
-  Registry* const metrics_;
-  Counter* stalls_counter_ = nullptr;      ///< non-null iff metrics_
-  Gauge* stalled_gauge_ = nullptr;
-  Gauge* components_gauge_ = nullptr;
+  Counter& stalls_counter_;
+  Gauge& stalled_gauge_;
+  Gauge& components_gauge_;
 
   mutable std::mutex mutex_;
   WatchdogConfig config_;
   /// unique_ptr slots: Heartbeat addresses stay stable across growth.
   std::vector<std::unique_ptr<Heartbeat>> components_;
   std::vector<bool> stalled_;  ///< parallel to components_
-  std::uint64_t stalls_total_ = 0;
 
   std::condition_variable monitor_cv_;
   bool monitor_stop_ = false;

@@ -301,6 +301,7 @@ void ShardedSolutionCache::evict_one(Shard& shard) {
   shard.index.erase(victim->key);
   shard.lru.erase(victim);
   ++shard.evictions;
+  entries_->add(-1.0);
 }
 
 void ShardedSolutionCache::insert(const CanonicalHash& key,
@@ -328,6 +329,7 @@ void ShardedSolutionCache::insert(const CanonicalHash& key,
       shard.index.emplace(key, shard.lru.begin());
       shard.bytes += bytes;
       ++shard.insertions;
+      entries_->add(1.0);
     }
     while (shard.bytes > per_shard_capacity_ && shard.lru.size() > 1) {
       evict_one(shard);
@@ -432,6 +434,7 @@ std::optional<CachedSolution> ShardedSolutionCache::find_feasible(
 void ShardedSolutionCache::clear() {
   for (Shard& shard : shards_) {
     const std::lock_guard<obs::ProfiledMutex> lock(shard.mutex);
+    entries_->add(-static_cast<double>(shard.lru.size()));
     shard.lru.clear();
     shard.index.clear();
     shard.bytes = 0;
@@ -635,13 +638,24 @@ void ShardedSolutionCache::attach_mutex_probe(
   for (NearShard& near : near_shards_) near.mutex.attach(probe);
 }
 
+void ShardedSolutionCache::attach_entries_gauge(obs::Gauge& gauge) noexcept {
+  gauge.set(entries_->value());
+  entries_ = &gauge;
+}
+
 // ----------------------------------------------------------- replica tier
 
-ReplicaCache::ReplicaCache(Config config)
+ReplicaCache::ReplicaCache(Config config, obs::Registry* metrics)
     : capacity_bytes_(config.capacity_bytes),
       ttl_seconds_(config.ttl_seconds),
       ttl_cost_factor_(std::max(0.0, config.ttl_cost_factor)),
-      ttl_max_seconds_(config.ttl_max_seconds) {}
+      ttl_max_seconds_(config.ttl_max_seconds),
+      metrics_(obs::given_or_owned(metrics, owned_metrics_)),
+      hits_(metrics_.counter("prts_router_replica_hits_total")),
+      misses_(metrics_.counter("replica_misses_total")),
+      insertions_(metrics_.counter("replica_insertions_total")),
+      evictions_(metrics_.counter("replica_evictions_total")),
+      expirations_(metrics_.counter("replica_expirations_total")) {}
 
 ReplicaCache::Clock::time_point ReplicaCache::expiry_for(
     Clock::time_point now, double cost_seconds) const noexcept {
@@ -671,18 +685,18 @@ std::optional<CachedSolution> ReplicaCache::lookup(const CanonicalHash& key,
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    ++stats_.misses;
+    misses_.add();
     return std::nullopt;
   }
   if (now >= it->second->expires_at) {
     bytes_ -= it->second->bytes;
     lru_.erase(it->second);
     index_.erase(it);
-    ++stats_.expirations;
-    ++stats_.misses;
+    expirations_.add();
+    misses_.add();
     return std::nullopt;
   }
-  ++stats_.hits;
+  hits_.add();
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->value;
 }
@@ -712,7 +726,7 @@ void ReplicaCache::insert(const CanonicalHash& key, CachedSolution value,
     lru_.push_front(Entry{key, std::move(value), bytes, expires_at});
     index_.emplace(key, lru_.begin());
     bytes_ += bytes;
-    ++stats_.insertions;
+    insertions_.add();
   }
   // Never evict the entry just inserted; one oversized entry is kept
   // (and displaced by the next insertion), mirroring the engine cache.
@@ -721,7 +735,7 @@ void ReplicaCache::insert(const CanonicalHash& key, CachedSolution value,
     bytes_ -= victim->bytes;
     index_.erase(victim->key);
     lru_.erase(victim);
-    ++stats_.evictions;
+    evictions_.add();
   }
 }
 
@@ -733,8 +747,13 @@ void ReplicaCache::clear() {
 }
 
 ReplicaStats ReplicaCache::stats() const {
+  ReplicaStats stats;
+  stats.hits = hits_.value();
+  stats.misses = misses_.value();
+  stats.insertions = insertions_.value();
+  stats.evictions = evictions_.value();
+  stats.expirations = expirations_.value();
   const std::lock_guard<std::mutex> lock(mutex_);
-  ReplicaStats stats = stats_;
   stats.entries = lru_.size();
   stats.bytes = bytes_;
   stats.capacity_bytes = capacity_bytes_;

@@ -242,6 +242,11 @@ class ShardedSolutionCache {
   /// probe must outlive the cache; nullptr detaches.
   void attach_mutex_probe(const obs::ProfiledMutex::Probe* probe) noexcept;
 
+  /// Tracks the live entry count in `gauge` from now on (a registry's
+  /// prts_cache_entries). The gauge must outlive the cache; until one
+  /// is attached the cache keeps the count in a gauge of its own.
+  void attach_entries_gauge(obs::Gauge& gauge) noexcept;
+
  private:
   struct Entry {
     CanonicalHash key;
@@ -302,9 +307,14 @@ class ShardedSolutionCache {
   Retention retention_;
   std::size_t cost_window_;
   std::size_t near_index_per_instance_;
+  obs::Gauge own_entries_;
+  obs::Gauge* entries_ = &own_entries_;  ///< live entries, all shards
 };
 
-/// Replica-tier counters (monotonic except entries/bytes snapshots).
+/// Replica-tier counters (monotonic except entries/bytes snapshots),
+/// read from the registry: hits from prts_router_replica_hits_total
+/// (the router's replica_hits is the same counter), the rest from
+/// replica_<field>_total.
 struct ReplicaStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -346,7 +356,9 @@ class ReplicaCache {
   };
 
   ReplicaCache() : ReplicaCache(Config()) {}
-  explicit ReplicaCache(Config config);
+  /// `metrics` (must outlive the cache) holds the counters; nullptr:
+  /// the cache owns a registry of its own.
+  explicit ReplicaCache(Config config, obs::Registry* metrics = nullptr);
 
   bool enabled() const noexcept { return capacity_bytes_ > 0; }
 
@@ -387,12 +399,19 @@ class ReplicaCache {
   const double ttl_cost_factor_;
   const double ttl_max_seconds_;
 
+  std::unique_ptr<obs::Registry> owned_metrics_;
+  obs::Registry& metrics_;
+  obs::Counter& hits_;
+  obs::Counter& misses_;
+  obs::Counter& insertions_;
+  obs::Counter& evictions_;
+  obs::Counter& expirations_;
+
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  ///< front = most recent
   std::unordered_map<CanonicalHash, std::list<Entry>::iterator, CanonicalKeyHasher>
       index_;
   std::size_t bytes_ = 0;
-  ReplicaStats stats_;
 };
 
 }  // namespace prts::service

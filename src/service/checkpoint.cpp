@@ -8,13 +8,12 @@
 namespace prts::service {
 
 Checkpointer::Checkpointer(const ShardedSolutionCache& cache, Config config)
-    : cache_(cache), config_(std::move(config)) {
-  if (config_.telemetry != nullptr) {
-    obs::Registry& metrics = config_.telemetry->metrics;
-    checkpoints_counter_ = &metrics.counter("checkpoint_total");
-    failures_counter_ = &metrics.counter("checkpoint_failures_total");
-    duration_hist_ = &metrics.histogram("checkpoint_seconds");
-  }
+    : cache_(cache),
+      config_(std::move(config)),
+      metrics_(obs::given_or_owned(config_.metrics, owned_metrics_)),
+      checkpoints_(metrics_.counter("checkpoint_total")),
+      failures_(metrics_.counter("checkpoint_failures_total")),
+      duration_hist_(metrics_.histogram("checkpoint_seconds")) {
   if (config_.interval_seconds > 0.0) {
     timer_ = std::thread(&Checkpointer::timer_loop, this);
   }
@@ -60,25 +59,31 @@ bool Checkpointer::checkpoint_now(std::string* error) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
           .count();
 
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ok) {
-    ++stats_.checkpoints;
-    stats_.last_entries = cache_.stats().entries;
-    stats_.last_bytes = bytes;
-    stats_.last_seconds = seconds;
-    if (checkpoints_counter_) checkpoints_counter_->add();
-    if (duration_hist_) duration_hist_->record(seconds);
-  } else {
-    ++stats_.failures;
-    if (failures_counter_) failures_counter_->add();
+  if (!ok) {
+    failures_.add();
     if (error) *error = reason;
+    return false;
   }
-  return ok;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    last_.last_entries = cache_.stats().entries;
+    last_.last_bytes = bytes;
+    last_.last_seconds = seconds;
+  }
+  checkpoints_.add();
+  duration_hist_.record(seconds);
+  return true;
 }
 
 Checkpointer::Stats Checkpointer::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats stats;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stats = last_;
+  }
+  stats.checkpoints = checkpoints_.value();
+  stats.failures = failures_.value();
+  return stats;
 }
 
 void Checkpointer::timer_loop() {

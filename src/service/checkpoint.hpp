@@ -19,7 +19,7 @@
 #include <string>
 #include <thread>
 
-#include "obs/trace.hpp"
+#include "obs/metrics.hpp"
 #include "service/cache.hpp"
 
 namespace prts::service {
@@ -34,14 +34,15 @@ class Checkpointer {
     /// Seconds between background snapshots; <= 0 disables the timer
     /// (checkpoint_now() still works — manual / shutdown checkpoints).
     double interval_seconds = 0.0;
-    /// Mirrors checkpoint counters + duration histogram when set; must
-    /// outlive the checkpointer.
-    obs::Telemetry* telemetry = nullptr;
+    /// Holds the checkpoint_total / checkpoint_failures_total counters
+    /// and the checkpoint_seconds histogram; must outlive the
+    /// checkpointer. nullptr: the checkpointer owns a registry.
+    obs::Registry* metrics = nullptr;
   };
 
   struct Stats {
-    std::uint64_t checkpoints = 0;  ///< successful snapshots
-    std::uint64_t failures = 0;     ///< write or rename errors
+    std::uint64_t checkpoints = 0;  ///< successful snapshots (registry)
+    std::uint64_t failures = 0;     ///< write or rename errors (registry)
     std::size_t last_entries = 0;   ///< entries in the last snapshot
     std::size_t last_bytes = 0;     ///< bytes of the last snapshot file
     double last_seconds = 0.0;      ///< wall time of the last snapshot
@@ -75,11 +76,13 @@ class Checkpointer {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
-  Stats stats_;
+  Stats last_;  ///< the last_* fields; the counts live in the registry
 
-  obs::Counter* checkpoints_counter_ = nullptr;
-  obs::Counter* failures_counter_ = nullptr;
-  obs::Histogram* duration_hist_ = nullptr;
+  std::unique_ptr<obs::Registry> owned_metrics_;
+  obs::Registry& metrics_;
+  obs::Counter& checkpoints_;
+  obs::Counter& failures_;
+  obs::Histogram& duration_hist_;
 
   std::thread timer_;  ///< joinable iff the interval timer is on
 };

@@ -18,11 +18,11 @@ using Clock = std::chrono::steady_clock;
 /// sample costs CPU-clock syscalls and is taken only when the
 /// profiler's 1-in-N gate says so. Inert until start().
 struct SubmitProfile {
-  obs::Profiler::Component* component = nullptr;
-  obs::Counter* allocs_total = nullptr;
-  obs::Counter* alloc_bytes_total = nullptr;
-  obs::Counter* requests_total = nullptr;
-  obs::Gauge* per_request = nullptr;
+  obs::Profiler::Component& component;
+  obs::Counter& allocs_total;
+  obs::Counter& alloc_bytes_total;
+  obs::Counter& requests_total;
+  obs::Gauge& per_request;
   std::optional<obs::AllocScope> allocs;
   std::optional<obs::ScopedSample> sample;
 
@@ -50,18 +50,14 @@ struct SubmitProfile {
   ~SubmitProfile() {
     if (!allocs) return;
     const obs::AllocCounts delta = allocs->delta();
-    if (allocs_total) allocs_total->add(delta.count);
-    if (alloc_bytes_total) alloc_bytes_total->add(delta.bytes);
-    if (per_request && requests_total && allocs_total) {
-      const std::uint64_t requests = requests_total->value();
-      if (requests > 0) {
-        per_request->set(static_cast<double>(allocs_total->value()) /
-                         static_cast<double>(requests));
-      }
+    allocs_total.add(delta.count);
+    alloc_bytes_total.add(delta.bytes);
+    const std::uint64_t requests = requests_total.value();
+    if (requests > 0) {
+      per_request.set(static_cast<double>(allocs_total.value()) /
+                      static_cast<double>(requests));
     }
-    if (sample && component != nullptr) {
-      obs::Profiler::record(*component, sample->finish());
-    }
+    if (sample) obs::Profiler::record(component, sample->finish());
   }
 };
 
@@ -146,43 +142,47 @@ static double seconds_since(Clock::time_point from,
 
 SolveService::SolveService(ServiceConfig config)
     : config_(std::move(config)),
+      telemetry_(obs::given_or_owned(config_.telemetry, owned_telemetry_)),
       cache_(config_.cache),
       pool_(config_.threads) {
-  if (obs::Telemetry* telemetry = config_.telemetry) {
-    requests_counter_ = &telemetry->metrics.counter("engine_requests_total");
-    errors_counter_ = &telemetry->metrics.counter("engine_errors_total");
-    rejected_counter_ = &telemetry->metrics.counter("engine_rejected_total");
-    request_allocs_counter_ =
-        &telemetry->metrics.counter("engine_request_allocs_total");
-    request_alloc_bytes_counter_ =
-        &telemetry->metrics.counter("engine_request_alloc_bytes_total");
-    allocs_per_request_gauge_ =
-        &telemetry->metrics.gauge("engine_allocs_per_request");
-    request_latency_hist_ =
-        &telemetry->metrics.histogram("engine_request_latency_seconds");
-    batch_wait_hist_ =
-        &telemetry->metrics.histogram("engine_batch_wait_seconds");
-    solver_run_hist_ =
-        &telemetry->metrics.histogram("engine_solver_run_seconds");
-    queue_depth_gauge_ = &telemetry->metrics.gauge("engine_queue_depth");
-    heartbeat_ = &telemetry->watchdog.component("engine");
-    prof_canonicalize_ = &telemetry->profiler.component("canonicalize");
-    prof_submit_ = &telemetry->profiler.component("submit_path");
-    prof_cache_lookup_ = &telemetry->profiler.component("cache_lookup");
-    prof_near_miss_ = &telemetry->profiler.component("near_miss_lookup");
-    prof_solver_run_ = &telemetry->profiler.component("solver_run");
-    prof_fallback_ = &telemetry->profiler.component("fallback_solve");
-    prof_batch_wait_ = &telemetry->profiler.component("batch_wait");
-    queue_probe_ =
-        obs::ProfiledMutex::make_probe(telemetry->metrics, "engine_queue");
-    mutex_.attach(&queue_probe_);
-    cache_probe_ =
-        obs::ProfiledMutex::make_probe(telemetry->metrics, "cache_shard");
-    cache_.attach_mutex_probe(&cache_probe_);
-    pool_probe_ =
-        obs::ProfiledMutex::make_probe(telemetry->metrics, "engine_pool");
-    pool_.attach_mutex_probe(&pool_probe_);
-  }
+  obs::Registry& metrics = telemetry_.metrics;
+  const auto engine_counter = [&metrics](const std::string& field) {
+    return &metrics.counter("prts_engine_" + field + "_total");
+  };
+  submitted_ = engine_counter("submitted");
+  cache_hits_ = engine_counter("cache_hits");
+  dominating_hits_ = engine_counter("dominating_hits");
+  solver_invocations_ = engine_counter("solver_invocations");
+  deduplicated_ = engine_counter("deduplicated");
+  batches_ = engine_counter("batches");
+  batched_requests_ = engine_counter("batched_requests");
+  downgraded_ = engine_counter("downgraded");
+  rejected_queue_ = engine_counter("rejected_queue");
+  rejected_deadline_ = engine_counter("rejected_deadline");
+  errors_ = engine_counter("errors");
+  request_allocs_counter_ = &metrics.counter("engine_request_allocs_total");
+  request_alloc_bytes_counter_ =
+      &metrics.counter("engine_request_alloc_bytes_total");
+  allocs_per_request_gauge_ = &metrics.gauge("engine_allocs_per_request");
+  request_latency_hist_ = &metrics.histogram("engine_request_latency_seconds");
+  batch_wait_hist_ = &metrics.histogram("engine_batch_wait_seconds");
+  solver_run_hist_ = &metrics.histogram("engine_solver_run_seconds");
+  queue_depth_gauge_ = &metrics.gauge("engine_queue_depth");
+  heartbeat_ = &telemetry_.watchdog.component("engine");
+  prof_canonicalize_ = &telemetry_.profiler.component("canonicalize");
+  prof_submit_ = &telemetry_.profiler.component("submit_path");
+  prof_cache_lookup_ = &telemetry_.profiler.component("cache_lookup");
+  prof_near_miss_ = &telemetry_.profiler.component("near_miss_lookup");
+  prof_solver_run_ = &telemetry_.profiler.component("solver_run");
+  prof_fallback_ = &telemetry_.profiler.component("fallback_solve");
+  prof_batch_wait_ = &telemetry_.profiler.component("batch_wait");
+  cache_.attach_entries_gauge(metrics.gauge("prts_cache_entries"));
+  queue_probe_ = obs::ProfiledMutex::make_probe(metrics, "engine_queue");
+  mutex_.attach(&queue_probe_);
+  cache_probe_ = obs::ProfiledMutex::make_probe(metrics, "cache_shard");
+  cache_.attach_mutex_probe(&cache_probe_);
+  pool_probe_ = obs::ProfiledMutex::make_probe(metrics, "engine_pool");
+  pool_.attach_mutex_probe(&pool_probe_);
 }
 
 SolveService::~SolveService() { wait_idle(); }
@@ -192,8 +192,7 @@ std::future<SolveReply> SolveService::submit(SolveRequest request) {
   // Canonicalization runs on every submit, so its dual-clock sample is
   // 1-in-N — two CPU-clock syscalls per request would dominate the warm
   // path's own cost.
-  const bool sampled =
-      config_.telemetry && config_.telemetry->profiler.should_sample();
+  const bool sampled = telemetry_.profiler.should_sample();
   std::optional<obs::ScopedSample> sample;
   if (sampled) sample.emplace();
   std::shared_ptr<const CanonicalInstance> canonical =
@@ -214,31 +213,24 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   // minted trace opens late: a cache hit records its whole one-span
   // trace in a single tracer call, and every other path opens it right
   // after the cache tiers missed.
-  obs::Telemetry* const telemetry = config_.telemetry;
   const Clock::time_point arrival = Clock::now();
   std::uint64_t trace_id = request.trace_id;
   // Submit-path attribution: one sample covering this call however it
   // exits, feeding submit_path and the allocations-per-request gauge.
-  SubmitProfile submit_profile;
-  if (telemetry) {
-    requests_counter_->add();
-    if (telemetry->profiler.enabled()) {
-      submit_profile.component = prof_submit_;
-      submit_profile.allocs_total = request_allocs_counter_;
-      submit_profile.alloc_bytes_total = request_alloc_bytes_counter_;
-      submit_profile.requests_total = requests_counter_;
-      submit_profile.per_request = allocs_per_request_gauge_;
-      submit_profile.start(telemetry->profiler.should_sample(), entry);
-    }
-    if (trace_id != 0) {
-      telemetry->tracer.start_with_id(trace_id,
-                                      trace_label(request.solver, key));
-    }
+  SubmitProfile submit_profile{*prof_submit_, *request_allocs_counter_,
+                               *request_alloc_bytes_counter_, *submitted_,
+                               *allocs_per_request_gauge_, {}, {}};
+  if (telemetry_.profiler.enabled()) {
+    submit_profile.start(telemetry_.profiler.should_sample(), entry);
+  }
+  if (trace_id != 0) {
+    telemetry_.tracer.start_with_id(trace_id, trace_label(request.solver, key));
   }
 
   // One construction for both served-from-cache tiers (exact and
   // dominating) — they differ only in the near_miss flag and which
-  // counter they bump. Neither takes the engine mutex.
+  // counter they bump. Neither takes the engine mutex; each bumps
+  // submitted_ and its tier's counter, nothing else.
   const auto serve_cached = [&](const CachedSolution& cached,
                                 bool near_miss) {
     SolveReply reply;
@@ -253,34 +245,30 @@ std::future<SolveReply> SolveService::submit_canonicalized(
     } else {
       reply.status = ReplyStatus::kInfeasible;
     }
-    if (telemetry) {
-      const double elapsed = seconds_since(arrival, Clock::now());
-      const obs::WorkSample work = submit_profile.snapshot();
-      obs::Span span;
-      span.name = near_miss ? "near_miss_lookup" : "cache_lookup";
-      span.rank = telemetry->rank;
-      span.duration_seconds = elapsed;
-      span.cpu_seconds = work.cpu_seconds < elapsed ? work.cpu_seconds
-                                                    : elapsed;
-      span.alloc_count = work.alloc_count;
-      span.alloc_bytes = work.alloc_bytes;
-      if (trace_id == 0) {
-        trace_id = telemetry->tracer.record_single(
-            trace_label(request.solver, key), std::move(span), elapsed);
-      } else {
-        telemetry->tracer.record(trace_id, std::move(span));
-        telemetry->tracer.finish(trace_id, elapsed);
-      }
-      request_latency_hist_->record(elapsed);
-      if (submit_profile.sample) {
-        obs::Profiler::record(near_miss ? *prof_near_miss_
-                                        : *prof_cache_lookup_,
-                              work);
-      }
+    const double elapsed = seconds_since(arrival, Clock::now());
+    const obs::WorkSample work = submit_profile.snapshot();
+    obs::Span span;
+    span.name = near_miss ? "near_miss_lookup" : "cache_lookup";
+    span.rank = telemetry_.rank;
+    span.duration_seconds = elapsed;
+    span.cpu_seconds = work.cpu_seconds < elapsed ? work.cpu_seconds : elapsed;
+    span.alloc_count = work.alloc_count;
+    span.alloc_bytes = work.alloc_bytes;
+    if (trace_id == 0) {
+      trace_id = telemetry_.tracer.record_single(
+          trace_label(request.solver, key), std::move(span), elapsed);
+    } else {
+      telemetry_.tracer.record(trace_id, std::move(span));
+      telemetry_.tracer.finish(trace_id, elapsed);
+    }
+    request_latency_hist_->record(elapsed);
+    if (submit_profile.sample) {
+      obs::Profiler::record(near_miss ? *prof_near_miss_ : *prof_cache_lookup_,
+                            work);
     }
     reply.trace_id = trace_id;
-    (near_miss ? submit_dominating_hits_ : submit_exact_hits_)
-        .fetch_add(1, std::memory_order_relaxed);
+    submitted_->add();
+    (near_miss ? dominating_hits_ : cache_hits_)->add();
     return ready_reply_future(std::move(reply));
   };
 
@@ -305,17 +293,18 @@ std::future<SolveReply> SolveService::submit_canonicalized(
 
   // Not served from the cache: the minted trace opens now, before any
   // path below records under it.
-  if (telemetry && trace_id == 0) {
-    trace_id = telemetry->tracer.start(trace_label(request.solver, key));
+  if (trace_id == 0) {
+    trace_id = telemetry_.tracer.start(trace_label(request.solver, key));
   }
   std::unique_lock<obs::ProfiledMutex> lock(mutex_);
-  ++stats_.submitted;
+  submitted_->add();
 
   // Deduplication: attach to an identical in-flight request. The waiter
   // carries its own canonical form and deadline options — the shared
   // solve must not leak the first submitter's labels or policy.
   if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
-    ++stats_.deduplicated;
+    deduplicated_->add();
+    ++waiting_;
     it->second->waiters.push_back(
         Waiter{{}, canonical, request.deadline_seconds,
                request.deadline_policy, Clock::now(), true, trace_id});
@@ -324,33 +313,26 @@ std::future<SolveReply> SolveService::submit_canonicalized(
 
   // Admission control: bounded backlog.
   if (outstanding_ >= config_.max_queue_depth) {
-    ++stats_.rejected_queue;
-    ++stats_.completed;
+    rejected_queue_->add();
     lock.unlock();
     SolveReply reply;
     reply.status = ReplyStatus::kRejectedQueue;
     reply.key = key;
     reply.trace_id = trace_id;
-    if (telemetry) {
-      rejected_counter_->add();
-      const double elapsed = seconds_since(arrival, Clock::now());
-      telemetry->tracer.record(trace_id, "rejected_queue", telemetry->rank,
-                               0.0, elapsed);
-      telemetry->tracer.finish(trace_id, elapsed);
-    }
+    const double elapsed = seconds_since(arrival, Clock::now());
+    telemetry_.tracer.record(trace_id, "rejected_queue", telemetry_.rank, 0.0,
+                             elapsed);
+    telemetry_.tracer.finish(trace_id, elapsed);
     return ready_reply_future(std::move(reply));
   }
   ++outstanding_;
-  if (queue_depth_gauge_) {
-    queue_depth_gauge_->set(static_cast<double>(outstanding_));
-  }
-  if (heartbeat_) {
-    // The idle→busy transition beats once so the runner gets a full
-    // stall threshold to pick the work up; after that only the runner's
-    // own progress resets the age.
-    if (outstanding_ == 1) heartbeat_->beat();
-    heartbeat_->set_load(static_cast<std::int64_t>(outstanding_));
-  }
+  ++waiting_;
+  queue_depth_gauge_->set(static_cast<double>(outstanding_));
+  // The idle→busy transition beats once so the runner gets a full stall
+  // threshold to pick the work up; after that only the runner's own
+  // progress resets the age.
+  if (outstanding_ == 1) heartbeat_->beat();
+  heartbeat_->set_load(static_cast<std::int64_t>(outstanding_));
 
   auto query = std::make_unique<PendingQuery>();
   query->canonical = canonical;
@@ -368,7 +350,7 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   const Clock::time_point query_deadline = waiter_deadline(
       request.deadline_seconds, query->waiters.back().submitted);
   if (const auto it = open_batches_.find(bkey); it != open_batches_.end()) {
-    ++stats_.batched_requests;
+    batched_requests_->add();
     it->second->queries.push_back(std::move(query));
     it->second->earliest_deadline =
         std::min(it->second->earliest_deadline, query_deadline);
@@ -429,17 +411,16 @@ void SolveService::run_next_batch() {
     batch = best->second;
     open_batches_.erase(best);
     queries = std::move(batch->queries);
-    ++stats_.batches;
   }
-  if (heartbeat_) heartbeat_->beat();
+  batches_->add();
+  heartbeat_->beat();
 
   const solver::SolverRegistry& registry =
       config_.registry ? *config_.registry : solver::SolverRegistry::builtin();
   const auto engine = registry.find(batch->solver_name);
   const bool monotone =
       engine && engine->bounds_monotone(batch->canonical->instance);
-  const bool profiled =
-      config_.telemetry && config_.telemetry->profiler.enabled();
+  const bool profiled = telemetry_.profiler.enabled();
   std::unique_ptr<solver::PreparedSolver> session;
 
   for (auto& query : queries) {
@@ -533,7 +514,7 @@ void SolveService::run_next_batch() {
               "solver_run", solve_start, cost_seconds,
               solve_work.cpu_seconds, solve_work.alloc_count,
               solve_work.alloc_bytes});
-          if (solver_run_hist_) solver_run_hist_->record(cost_seconds);
+          solver_run_hist_->record(cost_seconds);
           if (config_.cache_enabled) {
             // The near-miss metadata makes this solve a reusable point
             // of the instance's sweep history.
@@ -617,63 +598,50 @@ void SolveService::finish_query(PendingQuery& query,
         any_rejected = true;
       }
     }
-    stats_.completed += waiters.size();
-    if (outcome.kind == QueryOutcome::Kind::kError) {
-      ++stats_.errors;
-      if (errors_counter_) errors_counter_->add();
-    }
-    if (outcome.kind == QueryOutcome::Kind::kFallback) ++stats_.downgraded;
-    if (any_rejected) {
-      ++stats_.rejected_deadline;
-      if (rejected_counter_) rejected_counter_->add();
-    }
-    if (outcome.near_miss) ++stats_.dominating_hits;
-    if (outcome.cache_hit && !outcome.near_miss) ++stats_.cache_hits;
-    if (outcome.invoked) ++stats_.solver_invocations;
+    waiting_ -= waiters.size();
+    if (outcome.kind == QueryOutcome::Kind::kError) errors_->add();
+    if (outcome.kind == QueryOutcome::Kind::kFallback) downgraded_->add();
+    if (any_rejected) rejected_deadline_->add();
+    if (outcome.near_miss) dominating_hits_->add();
+    if (outcome.cache_hit && !outcome.near_miss) cache_hits_->add();
+    if (outcome.invoked) solver_invocations_->add();
     --outstanding_;
-    if (queue_depth_gauge_) {
-      queue_depth_gauge_->set(static_cast<double>(outstanding_));
-    }
-    if (heartbeat_) {
-      heartbeat_->set_load(static_cast<std::int64_t>(outstanding_));
-      heartbeat_->beat();
-    }
+    queue_depth_gauge_->set(static_cast<double>(outstanding_));
+    heartbeat_->set_load(static_cast<std::int64_t>(outstanding_));
+    heartbeat_->beat();
     if (outstanding_ == 0) idle_cv_.notify_all();
   }
-  obs::Telemetry* const telemetry = config_.telemetry;
   const Clock::time_point finished_at = Clock::now();
   for (Waiter& waiter : waiters) {
     // Per-waiter trace rendering: every attached caller (including
     // dedup twins) gets the shared work phases expressed as offsets
     // from its *own* submit time, under its *own* trace id.
-    if (telemetry && waiter.trace_id != 0) {
-      const double total = seconds_since(waiter.submitted, finished_at);
-      const double wait =
-          seconds_since(waiter.submitted, outcome.processing_started);
-      telemetry->tracer.record(waiter.trace_id, "batch_wait",
-                               telemetry->rank, 0.0, wait);
-      if (telemetry->profiler.enabled() && prof_batch_wait_) {
-        // Queue wait is blocked time by construction: the request was
-        // owned by no thread, so the sample is wall-only.
-        obs::WorkSample queued;
-        queued.wall_seconds = wait;
-        obs::Profiler::record(*prof_batch_wait_, queued);
-      }
-      for (const QueryOutcome::TimedSpan& span : outcome.spans) {
-        obs::Span rendered;
-        rendered.name = span.name;
-        rendered.rank = telemetry->rank;
-        rendered.start_seconds = seconds_since(waiter.submitted, span.start);
-        rendered.duration_seconds = span.duration_seconds;
-        rendered.cpu_seconds = span.cpu_seconds;
-        rendered.alloc_count = span.alloc_count;
-        rendered.alloc_bytes = span.alloc_bytes;
-        telemetry->tracer.record(waiter.trace_id, std::move(rendered));
-      }
-      telemetry->tracer.finish(waiter.trace_id, total);
-      request_latency_hist_->record(total);
-      batch_wait_hist_->record(wait);
+    const double total = seconds_since(waiter.submitted, finished_at);
+    const double wait =
+        seconds_since(waiter.submitted, outcome.processing_started);
+    telemetry_.tracer.record(waiter.trace_id, "batch_wait", telemetry_.rank,
+                             0.0, wait);
+    if (telemetry_.profiler.enabled()) {
+      // Queue wait is blocked time by construction: the request was
+      // owned by no thread, so the sample is wall-only.
+      obs::WorkSample queued;
+      queued.wall_seconds = wait;
+      obs::Profiler::record(*prof_batch_wait_, queued);
     }
+    for (const QueryOutcome::TimedSpan& span : outcome.spans) {
+      obs::Span rendered;
+      rendered.name = span.name;
+      rendered.rank = telemetry_.rank;
+      rendered.start_seconds = seconds_since(waiter.submitted, span.start);
+      rendered.duration_seconds = span.duration_seconds;
+      rendered.cpu_seconds = span.cpu_seconds;
+      rendered.alloc_count = span.alloc_count;
+      rendered.alloc_bytes = span.alloc_bytes;
+      telemetry_.tracer.record(waiter.trace_id, std::move(rendered));
+    }
+    telemetry_.tracer.finish(waiter.trace_id, total);
+    request_latency_hist_->record(total);
+    batch_wait_hist_->record(wait);
     SolveReply reply;
     reply.key = query.key;
     reply.deduplicated = waiter.deduplicated;
@@ -721,17 +689,22 @@ void SolveService::wait_idle() {
 EngineStats SolveService::stats() const {
   EngineStats stats;
   {
+    // Under mutex_: a request past the cache tiers bumps submitted_ and
+    // waiting_ in one critical section, so the difference is exact.
     const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    stats = stats_;
+    stats.submitted = submitted_->value();
+    stats.completed = stats.submitted - waiting_;
   }
-  const std::uint64_t exact =
-      submit_exact_hits_.load(std::memory_order_relaxed);
-  const std::uint64_t dominating =
-      submit_dominating_hits_.load(std::memory_order_relaxed);
-  stats.submitted += exact + dominating;
-  stats.completed += exact + dominating;
-  stats.cache_hits += exact;
-  stats.dominating_hits += dominating;
+  stats.cache_hits = cache_hits_->value();
+  stats.dominating_hits = dominating_hits_->value();
+  stats.solver_invocations = solver_invocations_->value();
+  stats.deduplicated = deduplicated_->value();
+  stats.batches = batches_->value();
+  stats.batched_requests = batched_requests_->value();
+  stats.downgraded = downgraded_->value();
+  stats.rejected_queue = rejected_queue_->value();
+  stats.rejected_deadline = rejected_deadline_->value();
+  stats.errors = errors_->value();
   return stats;
 }
 

@@ -37,7 +37,6 @@
 // mapping whether served cold, deduplicated, or from the cache.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -92,7 +91,7 @@ struct SolveRequest {
 
   /// Externally minted trace id (the remote half of a forwarded solve
   /// records its spans under the id carried on the wire). 0 = mint one
-  /// locally when telemetry is on.
+  /// locally.
   std::uint64_t trace_id = 0;
 };
 
@@ -126,7 +125,7 @@ struct SolveReply {
   /// so a requesting rank's replica tier can scale its TTL with it.
   double cost_seconds = 0.0;
   std::string error;          ///< set iff status == kError
-  /// The trace this reply was recorded under (0 when telemetry is off).
+  /// The trace this reply was recorded under.
   std::uint64_t trace_id = 0;
   /// Spans the *answering* rank recorded for a forwarded solve, decoded
   /// off the wire reply; the origin shifts them by the wire span's
@@ -138,7 +137,11 @@ struct SolveReply {
 /// rejections, replica hits) that answer without touching a worker.
 std::future<SolveReply> ready_reply_future(SolveReply reply);
 
-/// Engine counters (monotonic; snapshot via SolveService::stats).
+/// Engine counters (monotonic; snapshot via SolveService::stats). Every
+/// field but `completed` is read from the registry counter
+/// prts_engine_<field>_total; `completed` is `submitted` less the
+/// waiters still unanswered, so a cache hit bumps two counters, not
+/// three.
 struct EngineStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -183,9 +186,9 @@ struct ServiceConfig {
   /// Deadline downgrade target; must answer on any platform.
   std::string fallback_solver = "heur-p";
 
-  /// Per-rank telemetry (metrics + tracer). nullptr = observability off:
-  /// the hot path pays one null check and nothing else. Must outlive
-  /// the service.
+  /// Per-rank telemetry (metrics, tracer, profiler), shared with the
+  /// rank's router and server; must outlive the service. nullptr: the
+  /// service builds and owns one, so it counts and traces either way.
   obs::Telemetry* telemetry = nullptr;
 };
 
@@ -230,7 +233,7 @@ class SolveService {
   CacheStats cache_stats() const;
   ShardedSolutionCache& cache() noexcept { return cache_; }
   const ServiceConfig& config() const noexcept { return config_; }
-  obs::Telemetry* telemetry() const noexcept { return config_.telemetry; }
+  obs::Telemetry& telemetry() const noexcept { return telemetry_; }
 
  private:
   /// One caller attached to a pending query. Each waiter keeps its own
@@ -326,11 +329,12 @@ class SolveService {
       const solver::Bounds& bounds);
 
   ServiceConfig config_;
+  std::unique_ptr<obs::Telemetry> owned_telemetry_;  ///< when none was given
+  obs::Telemetry& telemetry_;
   ShardedSolutionCache cache_;
   CanonicalMemo memo_;
 
-  /// The engine's central lock, contention-profiled as "engine_queue"
-  /// when telemetry is on.
+  /// The engine's central lock, contention-profiled as "engine_queue".
   mutable obs::ProfiledMutex mutex_;
   /// _any: idle_cv_ waits on the ProfiledMutex above.
   std::condition_variable_any idle_cv_;
@@ -339,26 +343,27 @@ class SolveService {
   std::unordered_map<CanonicalHash, std::shared_ptr<Batch>, CanonicalKeyHasher>
       open_batches_;
   std::uint64_t next_batch_sequence_ = 0;
-  /// Under mutex_; requests answered from the cache at submit time are
-  /// counted in the two atomics below instead.
-  EngineStats stats_;
-  /// Requests served from the cache at submit time, exact and
-  /// dominating: relaxed atomics, so a hit never takes mutex_. stats()
-  /// folds them into submitted, completed and the hit tiers.
-  std::atomic<std::uint64_t> submit_exact_hits_{0};
-  std::atomic<std::uint64_t> submit_dominating_hits_{0};
+  /// Accepted waiters not yet answered (stats() derives `completed`).
+  std::size_t waiting_ = 0;
 
   /// Telemetry handles resolved once at construction (registration
-  /// locks the registry); non-null iff config_.telemetry is set, and
-  /// every record afterward is a lock-free relaxed add.
-  obs::Counter* requests_counter_ = nullptr;
-  /// Error/rejection counters, the alert engine's error_rate /
-  /// reject_rate numerators (rejected = queue + deadline rejections).
-  obs::Counter* errors_counter_ = nullptr;
-  obs::Counter* rejected_counter_ = nullptr;
+  /// locks the registry); every record afterward is a lock-free relaxed
+  /// add. The EngineStats counters first (prts_engine_<field>_total);
+  /// a hit bumps submitted_ and its tier's counter without mutex_.
+  obs::Counter* submitted_ = nullptr;
+  obs::Counter* cache_hits_ = nullptr;
+  obs::Counter* dominating_hits_ = nullptr;
+  obs::Counter* solver_invocations_ = nullptr;
+  obs::Counter* deduplicated_ = nullptr;
+  obs::Counter* batches_ = nullptr;
+  obs::Counter* batched_requests_ = nullptr;
+  obs::Counter* downgraded_ = nullptr;
+  obs::Counter* rejected_queue_ = nullptr;
+  obs::Counter* rejected_deadline_ = nullptr;
+  obs::Counter* errors_ = nullptr;
   /// Submit-path allocation bill: totals plus the derived
-  /// engine_allocs_per_request gauge (allocs_total / requests_total) —
-  /// the zero-allocation rebuild's headline number.
+  /// engine_allocs_per_request gauge (allocs_total / submitted) — the
+  /// zero-allocation rebuild's headline number.
   obs::Counter* request_allocs_counter_ = nullptr;
   obs::Counter* request_alloc_bytes_counter_ = nullptr;
   obs::Gauge* allocs_per_request_gauge_ = nullptr;
@@ -366,7 +371,7 @@ class SolveService {
   obs::Histogram* batch_wait_hist_ = nullptr;
   obs::Histogram* solver_run_hist_ = nullptr;
   /// Profiler component handles (profile_<name>_* counters), resolved
-  /// once; null iff the telemetry registry is absent.
+  /// once.
   obs::Profiler::Component* prof_canonicalize_ = nullptr;
   obs::Profiler::Component* prof_submit_ = nullptr;
   obs::Profiler::Component* prof_cache_lookup_ = nullptr;

@@ -160,85 +160,20 @@ void write_merged_stats_json(std::ostream& out, SolveService& service,
     out << "},\"membership\":";
     ShardRouter::write_membership_stats_json(out, router->membership_stats());
   }
-  if (obs::Telemetry* telemetry = service.telemetry()) {
-    out << ",\"telemetry\":";
-    telemetry->metrics.write_json(out);
-    out << ",\"watchdog\":";
-    telemetry->watchdog.write_json(out);
-    out << ",\"profile\":";
-    telemetry->profiler.write_json(out);
-    out << ",\"alerts\":";
-    telemetry->alerts.write_json(out);
-  }
+  obs::Telemetry& telemetry = service.telemetry();
+  out << ",\"telemetry\":";
+  telemetry.metrics.write_json(out);
+  out << ",\"watchdog\":";
+  telemetry.watchdog.write_json(out);
+  out << ",\"profile\":";
+  telemetry.profiler.write_json(out);
+  out << ",\"alerts\":";
+  telemetry.alerts.write_json(out);
   out << "}";
 }
 
-void write_metrics_text(std::ostream& out, SolveService& service,
-                        ShardRouter* router) {
-  if (obs::Telemetry* telemetry = service.telemetry()) {
-    telemetry->metrics.write_prometheus(out);
-  }
-  const EngineStats engine = service.stats();
-  const std::pair<const char*, std::uint64_t> engine_counters[] = {
-      {"submitted", engine.submitted},
-      {"completed", engine.completed},
-      {"cache_hits", engine.cache_hits},
-      {"dominating_hits", engine.dominating_hits},
-      {"solver_invocations", engine.solver_invocations},
-      {"deduplicated", engine.deduplicated},
-      {"batches", engine.batches},
-      {"batched_requests", engine.batched_requests},
-      {"downgraded", engine.downgraded},
-      {"rejected_queue", engine.rejected_queue},
-      {"rejected_deadline", engine.rejected_deadline},
-      {"errors", engine.errors},
-  };
-  for (const auto& [name, value] : engine_counters) {
-    out << "# TYPE prts_engine_" << name << "_total counter\n"
-        << "prts_engine_" << name << "_total " << value << "\n";
-  }
-  // Live cache occupancy: the warm-rejoin signal (a restarted rank that
-  // loaded its checkpoint scrapes > 0 before the first request lands).
-  out << "# TYPE prts_cache_entries gauge\n"
-      << "prts_cache_entries " << service.cache_stats().entries << "\n";
-  if (router == nullptr) return;
-  const RouterStats rs = router->stats();
-  const std::pair<const char*, std::uint64_t> router_counters[] = {
-      {"local", rs.local},
-      {"forwarded", rs.forwarded},
-      {"forward_hits", rs.forward_hits},
-      {"forward_failures", rs.forward_failures},
-      {"local_fallbacks", rs.local_fallbacks},
-      {"deduplicated", rs.deduplicated},
-      {"replica_hits", rs.replica_hits},
-      {"prefetched", rs.prefetched},
-      {"gossip_sent", rs.gossip_sent},
-      {"gossip_failures", rs.gossip_failures},
-      {"gossip_received", rs.gossip_received},
-  };
-  for (const auto& [name, value] : router_counters) {
-    out << "# TYPE prts_router_" << name << "_total counter\n"
-        << "prts_router_" << name << "_total " << value << "\n";
-  }
-  const MembershipStats ms = router->membership_stats();
-  out << "# TYPE prts_membership_epoch gauge\n"
-      << "prts_membership_epoch " << ms.epoch << "\n"
-      << "# TYPE prts_membership_members gauge\n"
-      << "prts_membership_members " << ms.members << "\n";
-  const std::pair<const char*, std::uint64_t> membership_counters[] = {
-      {"joins", ms.joins},
-      {"deaths", ms.deaths},
-      {"suspects", ms.suspects},
-      {"handoffs_started", ms.handoffs_started},
-      {"handoffs_completed", ms.handoffs_completed},
-      {"handoff_entries_sent", ms.handoff_entries_sent},
-      {"handoff_entries_received", ms.handoff_entries_received},
-      {"double_writes", ms.double_writes},
-  };
-  for (const auto& [name, value] : membership_counters) {
-    out << "# TYPE prts_membership_" << name << "_total counter\n"
-        << "prts_membership_" << name << "_total " << value << "\n";
-  }
+void write_metrics_text(std::ostream& out, SolveService& service) {
+  service.telemetry().metrics.write_prometheus(out);
 }
 
 ServeResult run_serve(std::istream& in, std::ostream& out,
@@ -399,20 +334,15 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
       out.flush();
     } else if (command == "metrics") {
       out << "# metrics begin\n";
-      write_metrics_text(out, service, options.router);
+      write_metrics_text(out, service);
       out << "# metrics end\n";
       out.flush();
     } else if (command == "trace") {
       std::string id_text;
       tokens >> id_text;
-      obs::Telemetry* const telemetry = service.telemetry();
-      if (telemetry == nullptr) {
-        error("trace: telemetry disabled");
-        continue;
-      }
       const std::uint64_t id = obs::id_from_hex(id_text);
       obs::Trace trace;
-      if (id == 0 || !telemetry->tracer.find(id, trace)) {
+      if (id == 0 || !service.telemetry().tracer.find(id, trace)) {
         out << "# trace " << (id_text.empty() ? "-" : id_text)
             << " not-found\n";
         out.flush();
@@ -421,11 +351,7 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
       print_trace(out, trace);
       out.flush();
     } else if (command == "traces" || command == "slowlog") {
-      obs::Telemetry* const telemetry = service.telemetry();
-      if (telemetry == nullptr) {
-        error(command + ": telemetry disabled");
-        continue;
-      }
+      const obs::Tracer& tracer = service.telemetry().tracer;
       double limit = 32;
       std::string limit_text;
       if (tokens >> limit_text &&
@@ -435,18 +361,13 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
       }
       const auto count = static_cast<std::size_t>(limit);
       const std::vector<obs::Trace> list =
-          command == "traces" ? telemetry->tracer.recent(count)
-                              : telemetry->tracer.slow(count);
+          command == "traces" ? tracer.recent(count) : tracer.slow(count);
       for (const obs::Trace& trace : list) {
         print_trace_header(out, "trace-entry", trace);
       }
       out.flush();
     } else if (command == "timeseries") {
-      obs::Telemetry* const telemetry = service.telemetry();
-      if (telemetry == nullptr) {
-        error("timeseries: telemetry disabled");
-        continue;
-      }
+      const obs::FlightRecorder& recorder = service.telemetry().recorder;
       double limit = 0;  // 0 = whole ring
       std::string limit_text;
       if (tokens >> limit_text &&
@@ -455,8 +376,8 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
         continue;
       }
       const std::vector<obs::FlightRecorder::Tick> ticks =
-          telemetry->recorder.recent(static_cast<std::size_t>(limit));
-      out << "# timeseries ticks=" << telemetry->recorder.total_ticks()
+          recorder.recent(static_cast<std::size_t>(limit));
+      out << "# timeseries ticks=" << recorder.total_ticks()
           << " window=" << ticks.size() << "\n";
       for (const obs::FlightRecorder::Tick& tick : ticks) {
         print_tick(out, tick);
@@ -464,25 +385,15 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
       out << "# timeseries end\n";
       out.flush();
     } else if (command == "profile") {
-      obs::Telemetry* const telemetry = service.telemetry();
-      if (telemetry == nullptr) {
-        error("profile: telemetry disabled");
-        continue;
-      }
       std::string filter;
       tokens >> filter;  // optional component-name substring
       out << "# profile ";
-      telemetry->profiler.write_json(out, filter);
+      service.telemetry().profiler.write_json(out, filter);
       out << "\n";
       out.flush();
     } else if (command == "alerts") {
-      obs::Telemetry* const telemetry = service.telemetry();
-      if (telemetry == nullptr) {
-        error("alerts: telemetry disabled");
-        continue;
-      }
       out << "# alerts ";
-      telemetry->alerts.write_json(out);
+      service.telemetry().alerts.write_json(out);
       out << "\n";
       out.flush();
     } else if (command == "checkpoint") {

@@ -17,7 +17,7 @@
 //   stats --json             one '# stats-json {...}' line: the merged
 //                            document (engine/hits/cache, router/replica/
 //                            net_clients when fabric, telemetry registry
-//                            + watchdog verdict when on)
+//                            + watchdog verdict)
 //   metrics                  prometheus text exposition between
 //                            '# metrics begin' and '# metrics end'
 //   trace <hex-id>           render one trace: a '# trace ...' header
@@ -85,17 +85,16 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
 ///   {"engine":..,"hits":..,"cache":..
 ///    [,"router":..,"replica":..,"net_clients":{"rank<r>":{..}},
 ///      "membership":..]
-///    [,"telemetry":<registry JSON>,"watchdog":<stall verdict>]}
+///    ,"telemetry":<registry JSON>,"watchdog":<stall verdict>,
+///    "profile":..,"alerts":..}
 /// — the payload of `stats --json` and of the fabric's kStatsRequest.
 void write_merged_stats_json(std::ostream& out, SolveService& service,
                              ShardRouter* router);
 
-/// Prometheus text exposition: the telemetry registry (when the service
-/// has one) plus prts_engine_* / prts_router_* counter lines derived
-/// from the stats snapshots — the monotone counters a scraper needs
-/// exist even with telemetry off. Payload of the `metrics` command and
-/// of the fabric's kMetricsRequest.
-void write_metrics_text(std::ostream& out, SolveService& service,
-                        ShardRouter* router);
+/// Prometheus text exposition of the service's telemetry registry,
+/// where the engine, cache, router, membership, replica, client and
+/// server counters all live. Payload of the `metrics` command and of
+/// the fabric's kMetricsRequest.
+void write_metrics_text(std::ostream& out, SolveService& service);
 
 }  // namespace prts::service

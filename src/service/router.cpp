@@ -101,22 +101,19 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         // into the one trace the request travels under. The local
         // tracer keeps its copy — `trace <id>` resolves on either
         // rank.
-        if (obs::Telemetry* telemetry = service.telemetry();
-            telemetry != nullptr && answer.trace_id != 0) {
-          obs::Trace trace;
-          if (telemetry->tracer.find(answer.trace_id, trace)) {
-            answer.remote_spans = std::move(trace.spans);
-          }
+        if (obs::Trace trace;
+            service.telemetry().tracer.find(answer.trace_id, trace)) {
+          answer.remote_spans = std::move(trace.spans);
         }
         reply.type = net::FrameType::kSolveReply;
         reply.payload = encode_wire_reply(answer);
         return reply;
       }
       case net::FrameType::kMetricsRequest: {
-        // Any rank can scrape any other: the full text exposition of
-        // this rank's registry (plus the engine/router counter sets).
+        // Any rank can scrape any other: the text exposition of this
+        // rank's registry.
         std::ostringstream out;
-        write_metrics_text(out, service, router ? router() : nullptr);
+        write_metrics_text(out, service);
         reply.type = net::FrameType::kMetricsReply;
         reply.payload = out.str();
         return reply;
@@ -215,30 +212,48 @@ std::optional<std::vector<PeerAddress>> parse_peer_list(
 
 ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
     : service_(service),
+      telemetry_(service.telemetry()),
       config_(normalize(std::move(config))),
       membership_(config_.membership),
-      replicas_(config_.replica),
+      replicas_(config_.replica, &telemetry_.metrics),
       forward_pool_(std::max<std::size_t>(1, config_.forward_threads)) {
-  if (config_.telemetry != nullptr) {
-    obs::Registry& metrics = config_.telemetry->metrics;
-    wire_hist_ = &metrics.histogram("router_wire_seconds");
-    router_latency_hist_ = &metrics.histogram("router_request_latency_seconds");
-    inflight_gauge_ = &metrics.gauge("router_inflight_forwards");
-    prof_wire_ = &config_.telemetry->profiler.component("wire_round_trip");
-    prof_replica_ = &config_.telemetry->profiler.component("replica_lookup");
-    inflight_probe_ = obs::ProfiledMutex::make_probe(metrics, "router_inflight");
-    mutex_.attach(&inflight_probe_);
-    epoch_gauge_ = &metrics.gauge("membership_epoch");
-    members_gauge_ = &metrics.gauge("membership_members");
-    joins_counter_ = &metrics.counter("membership_joins_total");
-    deaths_counter_ = &metrics.counter("membership_deaths_total");
-    suspects_counter_ = &metrics.counter("membership_suspects_total");
-    handoff_entries_sent_counter_ =
-        &metrics.counter("handoff_entries_sent_total");
-    handoff_entries_received_counter_ =
-        &metrics.counter("handoff_entries_received_total");
-    handoff_chunk_hist_ = &metrics.histogram("handoff_chunk_seconds");
-  }
+  obs::Registry& metrics = telemetry_.metrics;
+  const auto router_counter = [&metrics](const std::string& field) {
+    return &metrics.counter("prts_router_" + field + "_total");
+  };
+  local_ = router_counter("local");
+  forwarded_ = router_counter("forwarded");
+  forward_hits_ = router_counter("forward_hits");
+  forward_failures_ = router_counter("forward_failures");
+  local_fallbacks_ = router_counter("local_fallbacks");
+  deduplicated_ = router_counter("deduplicated");
+  prefetched_ = router_counter("prefetched");
+  gossip_sent_ = router_counter("gossip_sent");
+  gossip_failures_ = router_counter("gossip_failures");
+  gossip_received_ = router_counter("gossip_received");
+  wire_hist_ = &metrics.histogram("router_wire_seconds");
+  router_latency_hist_ = &metrics.histogram("router_request_latency_seconds");
+  inflight_gauge_ = &metrics.gauge("router_inflight_forwards");
+  prof_wire_ = &telemetry_.profiler.component("wire_round_trip");
+  prof_replica_ = &telemetry_.profiler.component("replica_lookup");
+  inflight_probe_ = obs::ProfiledMutex::make_probe(metrics, "router_inflight");
+  mutex_.attach(&inflight_probe_);
+  const auto membership_counter = [&metrics](const std::string& field) {
+    return &metrics.counter("prts_membership_" + field + "_total");
+  };
+  epoch_gauge_ = &metrics.gauge("prts_membership_epoch");
+  members_gauge_ = &metrics.gauge("prts_membership_members");
+  joins_ = membership_counter("joins");
+  deaths_ = membership_counter("deaths");
+  suspects_ = membership_counter("suspects");
+  handoffs_started_ = membership_counter("handoffs_started");
+  handoffs_completed_ = membership_counter("handoffs_completed");
+  handoff_chunks_sent_ = membership_counter("handoff_chunks_sent");
+  handoff_chunks_received_ = membership_counter("handoff_chunks_received");
+  handoff_entries_sent_ = membership_counter("handoff_entries_sent");
+  handoff_entries_received_ = membership_counter("handoff_entries_received");
+  double_writes_ = membership_counter("double_writes");
+  handoff_chunk_hist_ = &metrics.histogram("handoff_chunk_seconds");
   // Every listed rank at epoch 1 (the boot list), or a fleet of one;
   // the seed (when configured) merges us into the real fleet below, or
   // the heartbeat loop retries while alone.
@@ -264,15 +279,13 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
       heartbeat_seconds <= 0.0 ? gossip_seconds
       : gossip_seconds <= 0.0  ? heartbeat_seconds
                                : std::min(heartbeat_seconds, gossip_seconds);
-  if (config_.telemetry != nullptr) {
-    if (heartbeat_seconds > 0.0) {
-      membership_heartbeat_ = &config_.telemetry->watchdog.component(
-          "router_membership", heartbeat_seconds);
-    }
-    if (gossip_seconds > 0.0) {
-      gossip_heartbeat_ = &config_.telemetry->watchdog.component(
-          "router_gossip", gossip_seconds);
-    }
+  if (heartbeat_seconds > 0.0) {
+    membership_heartbeat_ =
+        &telemetry_.watchdog.component("router_membership", heartbeat_seconds);
+  }
+  if (gossip_seconds > 0.0) {
+    gossip_heartbeat_ =
+        &telemetry_.watchdog.component("router_gossip", gossip_seconds);
   }
   gossip_thread_ = std::thread([this, interval_seconds, heartbeat_seconds,
                                 gossip_seconds] {
@@ -290,13 +303,13 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
           seconds_since(last_heartbeat, Clock::now()) >= heartbeat_seconds) {
         last_heartbeat = Clock::now();
         heartbeat_now();
-        if (membership_heartbeat_ != nullptr) membership_heartbeat_->beat();
+        membership_heartbeat_->beat();
       }
       if (gossip_seconds > 0.0 &&
           seconds_since(last_gossip, Clock::now()) >= gossip_seconds) {
         last_gossip = Clock::now();
         gossip_now();
-        if (gossip_heartbeat_ != nullptr) gossip_heartbeat_->beat();
+        gossip_heartbeat_->beat();
       }
       lock.lock();
     }
@@ -333,15 +346,12 @@ net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
       clients_.erase(it);
     }
   }
+  // Per-peer counter families: suspect churn toward rank 2 must be
+  // attributable to rank 2, not smeared across the fabric. A rewired
+  // client re-registers the same family — the counters just continue.
   net::FrameClientConfig client_config = config_.client;
-  if (config_.telemetry != nullptr) {
-    // Per-peer counter families: suspect churn toward rank 2 must be
-    // attributable to rank 2, not smeared across the fabric. A rewired
-    // client re-registers the same family — the counters just continue.
-    client_config.metrics = &config_.telemetry->metrics;
-    client_config.metrics_prefix =
-        "net_client_rank" + std::to_string(rank) + "_";
-  }
+  client_config.metrics = &telemetry_.metrics;
+  client_config.metrics_prefix = "net_client_rank" + std::to_string(rank) + "_";
   auto created = std::make_unique<net::MuxFrameClient>(
       address.host, address.port, std::move(client_config));
   const std::lock_guard<std::mutex> lock(clients_mutex_);
@@ -367,10 +377,7 @@ std::vector<std::size_t> ShardRouter::peer_ranks() const {
 
 std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   if (!distributed()) {
-    {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      ++stats_.local;
-    }
+    local_->add();
     return service_.submit(std::move(request));
   }
 
@@ -387,10 +394,7 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
 
   if (owner == config_.rank || owner_client == nullptr) {
     note_owned_hit(key);
-    {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      ++stats_.local;
-    }
+    local_->add();
     // The canonical form was already computed to pick the shard; the
     // engine must not pay for it twice.
     return service_.submit_canonicalized(std::move(request),
@@ -402,30 +406,22 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   // waiter's latency story differs), minted before the replica probe so
   // locally-absorbed hits are traced too. The engine path above never
   // reaches this: submit_canonicalized mints there.
-  obs::Telemetry* const telemetry = config_.telemetry;
   const Clock::time_point arrival = Clock::now();
-  if (telemetry != nullptr) {
-    const std::string label = trace_label(request.solver, key);
-    if (request.trace_id == 0) {
-      request.trace_id = telemetry->tracer.start(label);
-    } else {
-      telemetry->tracer.start_with_id(request.trace_id, label);
-    }
+  const std::string label = trace_label(request.solver, key);
+  if (request.trace_id == 0) {
+    request.trace_id = telemetry_.tracer.start(label);
+  } else {
+    telemetry_.tracer.start_with_id(request.trace_id, label);
   }
 
   // Replica tier: a repeat hit on a peer's key that was forwarded (or
   // prefetched) before is answered here, with the same per-waiter label
-  // translation a cache hit gets — no network round trip.
+  // translation a cache hit gets — no network round trip. The replica
+  // tier counts the hit; the router takes no lock for it.
   if (replicas_.enabled()) {
     std::optional<obs::ScopedSample> replica_sample;
-    if (telemetry != nullptr && telemetry->profiler.enabled()) {
-      replica_sample.emplace();
-    }
+    if (telemetry_.profiler.enabled()) replica_sample.emplace();
     if (auto cached = replicas_.lookup(key)) {
-      {
-        const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-        ++stats_.replica_hits;
-      }
       SolveReply reply;
       reply.key = key;
       reply.cache_hit = true;
@@ -436,25 +432,21 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
       } else {
         reply.status = ReplyStatus::kInfeasible;
       }
-      if (telemetry != nullptr && request.trace_id != 0) {
-        const double elapsed = seconds_since(arrival, Clock::now());
-        const obs::WorkSample work =
-            replica_sample ? replica_sample->finish() : obs::WorkSample{};
-        if (replica_sample) obs::Profiler::record(*prof_replica_, work);
-        obs::Span span;
-        span.name = "replica_lookup";
-        span.rank = static_cast<int>(config_.rank);
-        span.duration_seconds = elapsed;
-        span.cpu_seconds = work.cpu_seconds < elapsed ? work.cpu_seconds
-                                                      : elapsed;
-        span.alloc_count = work.alloc_count;
-        span.alloc_bytes = work.alloc_bytes;
-        telemetry->tracer.record(request.trace_id, std::move(span));
-        telemetry->tracer.finish(request.trace_id, elapsed);
-        if (router_latency_hist_ != nullptr) {
-          router_latency_hist_->record(elapsed);
-        }
-      }
+      const double elapsed = seconds_since(arrival, Clock::now());
+      const obs::WorkSample work =
+          replica_sample ? replica_sample->finish() : obs::WorkSample{};
+      if (replica_sample) obs::Profiler::record(*prof_replica_, work);
+      obs::Span span;
+      span.name = "replica_lookup";
+      span.rank = static_cast<int>(config_.rank);
+      span.duration_seconds = elapsed;
+      span.cpu_seconds = work.cpu_seconds < elapsed ? work.cpu_seconds
+                                                    : elapsed;
+      span.alloc_count = work.alloc_count;
+      span.alloc_bytes = work.alloc_bytes;
+      telemetry_.tracer.record(request.trace_id, std::move(span));
+      telemetry_.tracer.finish(request.trace_id, elapsed);
+      router_latency_hist_->record(elapsed);
       reply.trace_id = request.trace_id;
       return ready_reply_future(std::move(reply));
     }
@@ -465,7 +457,7 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   // Router-level dedup: identical remote-shard requests already being
   // forwarded get a waiter on the same exchange.
   if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
-    ++stats_.deduplicated;
+    deduplicated_->add();
     it->second->waiters.push_back(
         ForwardWaiter{{}, canonical, request.deadline_seconds,
                       request.deadline_policy, true, request.trace_id,
@@ -489,9 +481,7 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   std::future<SolveReply> future =
       forward->waiters.back().promise.get_future();
   in_flight_.emplace(key, forward.get());
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->set(static_cast<double>(in_flight_.size()));
-  }
+  inflight_gauge_->set(static_cast<double>(in_flight_.size()));
   lock.unlock();
 
   // A refused task must still answer its waiters, never leave broken
@@ -524,15 +514,12 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
   frame.type = net::FrameType::kSolveRequest;
   frame.payload = encode_wire_request(remote_request);
 
-  obs::Telemetry* const telemetry = config_.telemetry;
   const Clock::time_point wire_start = Clock::now();
   // Dual-clock sample over the exchange: nearly all of it is blocked
   // time (the forward thread waits on the peer), which is exactly what
   // distinguishes a slow peer from a slow local solver in the profile.
   std::optional<obs::ScopedSample> wire_sample;
-  if (telemetry != nullptr && telemetry->profiler.enabled()) {
-    wire_sample.emplace();
-  }
+  if (telemetry_.profiler.enabled()) wire_sample.emplace();
   std::optional<SolveReply> remote;
   if (client != nullptr) {
     if (const auto reply_frame = client->call(frame)) {
@@ -546,7 +533,7 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
   const obs::WorkSample wire_work =
       wire_sample ? wire_sample->finish() : obs::WorkSample{};
   if (wire_sample) obs::Profiler::record(*prof_wire_, wire_work);
-  if (wire_hist_ != nullptr) wire_hist_->record(wire_seconds);
+  wire_hist_->record(wire_seconds);
 
   // A remote answer is only authoritative when the owner actually
   // answered the question; rejections and errors degrade to a local
@@ -568,13 +555,11 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
     {
       const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
       in_flight_.erase(forward->key);
-      if (inflight_gauge_ != nullptr) {
-        inflight_gauge_->set(static_cast<double>(in_flight_.size()));
-      }
+      inflight_gauge_->set(static_cast<double>(in_flight_.size()));
       waiters = std::move(forward->waiters);
-      ++stats_.forwarded;
-      if (remote->cache_hit) ++stats_.forward_hits;
     }
+    forwarded_->add();
+    if (remote->cache_hit) forward_hits_->add();
     const Clock::time_point finished_at = Clock::now();
     for (ForwardWaiter& waiter : waiters) {
       SolveReply reply;
@@ -590,36 +575,32 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
         reply.solution =
             to_original_labels(*remote->solution, *waiter.canonical);
       }
-      if (telemetry != nullptr && waiter.trace_id != 0) {
-        // Each waiter's spans are offsets from ITS submit point. The
-        // owner's spans came back as offsets from the owner's submit
-        // point; shifting them by this waiter's wire-start offset lines
-        // the two ranks' work up on one timeline (clock skew between
-        // ranks is absorbed — only the origin's clock is used for
-        // placement).
-        const double wire_offset = seconds_since(waiter.submitted, wire_start);
-        obs::Span wire_span;
-        wire_span.name = "wire_round_trip";
-        wire_span.rank = static_cast<int>(config_.rank);
-        wire_span.start_seconds = wire_offset;
-        wire_span.duration_seconds = wire_seconds;
-        wire_span.cpu_seconds = wire_work.cpu_seconds < wire_seconds
-                                    ? wire_work.cpu_seconds
-                                    : wire_seconds;
-        wire_span.alloc_count = wire_work.alloc_count;
-        wire_span.alloc_bytes = wire_work.alloc_bytes;
-        telemetry->tracer.record(waiter.trace_id, std::move(wire_span));
-        for (const obs::Span& span : remote->remote_spans) {
-          obs::Span shifted = span;
-          shifted.start_seconds += wire_offset;
-          telemetry->tracer.record(waiter.trace_id, std::move(shifted));
-        }
-        const double total = seconds_since(waiter.submitted, finished_at);
-        telemetry->tracer.finish(waiter.trace_id, total);
-        if (router_latency_hist_ != nullptr) {
-          router_latency_hist_->record(total);
-        }
+      // Each waiter's spans are offsets from ITS submit point. The
+      // owner's spans came back as offsets from the owner's submit
+      // point; shifting them by this waiter's wire-start offset lines
+      // the two ranks' work up on one timeline (clock skew between
+      // ranks is absorbed — only the origin's clock is used for
+      // placement).
+      const double wire_offset = seconds_since(waiter.submitted, wire_start);
+      obs::Span wire_span;
+      wire_span.name = "wire_round_trip";
+      wire_span.rank = static_cast<int>(config_.rank);
+      wire_span.start_seconds = wire_offset;
+      wire_span.duration_seconds = wire_seconds;
+      wire_span.cpu_seconds = wire_work.cpu_seconds < wire_seconds
+                                  ? wire_work.cpu_seconds
+                                  : wire_seconds;
+      wire_span.alloc_count = wire_work.alloc_count;
+      wire_span.alloc_bytes = wire_work.alloc_bytes;
+      telemetry_.tracer.record(waiter.trace_id, std::move(wire_span));
+      for (const obs::Span& span : remote->remote_spans) {
+        obs::Span shifted = span;
+        shifted.start_seconds += wire_offset;
+        telemetry_.tracer.record(waiter.trace_id, std::move(shifted));
       }
+      const double total = seconds_since(waiter.submitted, finished_at);
+      telemetry_.tracer.finish(waiter.trace_id, total);
+      router_latency_hist_->record(total);
       reply.trace_id = waiter.trace_id;
       waiter.promise.set_value(std::move(reply));
     }
@@ -638,13 +619,11 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
   {
     const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
     in_flight_.erase(forward->key);
-    if (inflight_gauge_ != nullptr) {
-      inflight_gauge_->set(static_cast<double>(in_flight_.size()));
-    }
+    inflight_gauge_->set(static_cast<double>(in_flight_.size()));
     waiters = std::move(forward->waiters);
-    ++stats_.forward_failures;
-    ++stats_.local_fallbacks;
   }
+  forward_failures_->add();
+  local_fallbacks_->add();
   // One canonicalization for all waiters: the canonical instance is a
   // fixed point, so its own canonical form is the identity translation
   // under the same key, and replies come back in canonical labels.
@@ -671,12 +650,10 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
     // engine adopts the id, so the trace shows the dead wire exchange
     // AND the local rescue solve — the whole story of the request.
     local_request.trace_id = waiter.trace_id;
-    if (telemetry != nullptr && waiter.trace_id != 0) {
-      telemetry->tracer.record(waiter.trace_id, "forward_failover",
-                               static_cast<int>(config_.rank),
-                               seconds_since(waiter.submitted, wire_start),
-                               wire_seconds);
-    }
+    telemetry_.tracer.record(waiter.trace_id, "forward_failover",
+                             static_cast<int>(config_.rank),
+                             seconds_since(waiter.submitted, wire_start),
+                             wire_seconds);
     futures.push_back(service_.submit_canonicalized(std::move(local_request),
                                                     identity, forward->key));
   }
@@ -687,17 +664,13 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
       reply.solution =
           to_original_labels(*reply.solution, *waiters[i].canonical);
     }
-    if (telemetry != nullptr && waiters[i].trace_id != 0) {
-      // The engine finished the trace with only the rescue-solve span's
-      // clock; re-finish with the full router-side total (finish keeps
-      // the max) and feed the router latency histogram — failover
-      // requests must not vanish from the tail.
-      const double total = seconds_since(waiters[i].submitted, Clock::now());
-      telemetry->tracer.finish(waiters[i].trace_id, total);
-      if (router_latency_hist_ != nullptr) {
-        router_latency_hist_->record(total);
-      }
-    }
+    // The engine finished the trace with only the rescue-solve span's
+    // clock; re-finish with the full router-side total (finish keeps the
+    // max) and feed the router latency histogram — failover requests
+    // must not vanish from the tail.
+    const double total = seconds_since(waiters[i].submitted, Clock::now());
+    telemetry_.tracer.finish(waiters[i].trace_id, total);
+    router_latency_hist_->record(total);
     waiters[i].promise.set_value(std::move(reply));
   }
 }
@@ -754,20 +727,13 @@ void ShardRouter::gossip_now() {
     net::MuxFrameClient* const client = client_for(r);
     if (client == nullptr) continue;
     const auto ack = client->call(frame);
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    if (ack && ack->type == net::FrameType::kPong) {
-      ++stats_.gossip_sent;
-    } else {
-      ++stats_.gossip_failures;
-    }
+    const bool acked = ack && ack->type == net::FrameType::kPong;
+    (acked ? gossip_sent_ : gossip_failures_)->add();
   }
 }
 
 void ShardRouter::handle_gossip_digest(GossipDigest digest) {
-  {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    ++stats_.gossip_received;
-  }
+  gossip_received_->add();
   // Only the sender's own keys are prefetchable from the sender; a
   // digest naming an unknown rank (or this one) is ignored.
   if (digest.rank == config_.rank || !membership_.contains(digest.rank) ||
@@ -833,8 +799,8 @@ void ShardRouter::run_prefetch(std::size_t owner,
 }
 
 void ShardRouter::finish_prefetch(std::size_t fetched) {
+  prefetched_->add(fetched);
   const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-  stats_.prefetched += fetched;
   --outstanding_prefetches_;
   prefetch_cv_.notify_all();
 }
@@ -859,12 +825,18 @@ MembershipView ShardRouter::membership_view() const {
 
 MembershipStats ShardRouter::membership_stats() const {
   MembershipStats out;
-  {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    out = membership_stats_;
-  }
   out.epoch = membership_.epoch();
   out.members = membership_.member_count();
+  out.joins = joins_->value();
+  out.deaths = deaths_->value();
+  out.suspects = suspects_->value();
+  out.handoffs_started = handoffs_started_->value();
+  out.handoffs_completed = handoffs_completed_->value();
+  out.handoff_chunks_sent = handoff_chunks_sent_->value();
+  out.handoff_chunks_received = handoff_chunks_received_->value();
+  out.handoff_entries_sent = handoff_entries_sent_->value();
+  out.handoff_entries_received = handoff_entries_received_->value();
+  out.double_writes = double_writes_->value();
   return out;
 }
 
@@ -908,21 +880,15 @@ void ShardRouter::heartbeat_now() {
 
   const auto ticked = membership_.tick();
   if (!ticked.suspected.empty() || !ticked.died.empty()) {
+    suspects_->add(ticked.suspected.size());
+    deaths_->add(ticked.died.size());
     {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      membership_stats_.suspects += ticked.suspected.size();
-      membership_stats_.deaths += ticked.died.size();
       // A dead rank's handoff dedup is forgotten: if it rejoins later
       // (new epoch) it deserves a fresh stream.
+      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
       for (const std::size_t rank : ticked.died) {
         handoff_epochs_.erase(rank);
       }
-    }
-    if (suspects_counter_ != nullptr) {
-      suspects_counter_->add(ticked.suspected.size());
-    }
-    if (deaths_counter_ != nullptr) {
-      deaths_counter_->add(ticked.died.size());
     }
     publish_membership_gauges();
   }
@@ -993,23 +959,15 @@ void ShardRouter::apply_membership_changes(
   if (!changes.changed) return;
   publish_membership_gauges();
   if (!changes.joined.empty() || !changes.left.empty()) {
-    std::size_t joins = 0;
-    {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      for (const Member& member : changes.joined) {
-        if (member.rank != config_.rank) ++joins;
-      }
-      membership_stats_.joins += joins;
-      // Members a higher-epoch view dropped were detected dead by a
-      // peer; count them here too so every rank's death counter moves.
-      membership_stats_.deaths += changes.left.size();
-      for (const std::size_t rank : changes.left) {
-        handoff_epochs_.erase(rank);
-      }
+    for (const Member& member : changes.joined) {
+      if (member.rank != config_.rank) joins_->add();
     }
-    if (joins_counter_ != nullptr && joins > 0) joins_counter_->add(joins);
-    if (deaths_counter_ != nullptr && !changes.left.empty()) {
-      deaths_counter_->add(changes.left.size());
+    // Members a higher-epoch view dropped were detected dead by a peer;
+    // count them here too so every rank's death counter moves.
+    deaths_->add(changes.left.size());
+    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+    for (const std::size_t rank : changes.left) {
+      handoff_epochs_.erase(rank);
     }
   }
   for (const Member& member : changes.joined) {
@@ -1030,9 +988,9 @@ void ShardRouter::schedule_handoff(const Member& target) {
     auto& last = handoff_epochs_[target.rank];
     if (last >= epoch) return;
     last = epoch;
-    ++membership_stats_.handoffs_started;
     ++outstanding_handoffs_;
   }
+  handoffs_started_->add();
   submit_or(
       forward_pool_, [this, target, epoch] { run_handoff(target, epoch); },
       [this] { finish_handoff(false); });
@@ -1095,9 +1053,7 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
     frame.payload = encode_handoff_chunk(chunk);
     const Clock::time_point chunk_start = Clock::now();
     const auto ack = client->call(frame);
-    if (handoff_chunk_hist_ != nullptr) {
-      handoff_chunk_hist_->record(seconds_since(chunk_start, Clock::now()));
-    }
+    handoff_chunk_hist_->record(seconds_since(chunk_start, Clock::now()));
     if (!ack || ack->type != net::FrameType::kPong) {
       aborted = true;
       break;
@@ -1106,14 +1062,8 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
     ++sent_chunks;
   }
 
-  {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    membership_stats_.handoff_chunks_sent += sent_chunks;
-    membership_stats_.handoff_entries_sent += sent_entries;
-  }
-  if (handoff_entries_sent_counter_ != nullptr && sent_entries > 0) {
-    handoff_entries_sent_counter_->add(sent_entries);
-  }
+  handoff_chunks_sent_->add(sent_chunks);
+  handoff_entries_sent_->add(sent_entries);
   if (aborted) {
     finish_handoff(false);
     return;
@@ -1128,8 +1078,8 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
 }
 
 void ShardRouter::finish_handoff(bool completed) {
+  if (completed) handoffs_completed_->add();
   const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-  if (completed) ++membership_stats_.handoffs_completed;
   --outstanding_handoffs_;
   prefetch_cv_.notify_all();
 }
@@ -1161,10 +1111,7 @@ void ShardRouter::maybe_double_write(const CanonicalHash& key) {
     frame.type = net::FrameType::kHandoffChunk;
     frame.payload = encode_handoff_chunk(chunk);
     const auto ack = client->call(frame);
-    if (ack && ack->type == net::FrameType::kPong) {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      ++membership_stats_.double_writes;
-    }
+    if (ack && ack->type == net::FrameType::kPong) double_writes_->add();
   });
 }
 
@@ -1246,14 +1193,8 @@ net::Frame ShardRouter::handle_handoff_frame(const net::Frame& request) {
       // a chunk replayed by a retrying sender is harmless.
       service_.cache().insert(key, std::move(value));
     }
-    {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      ++membership_stats_.handoff_chunks_received;
-      membership_stats_.handoff_entries_received += count;
-    }
-    if (handoff_entries_received_counter_ != nullptr && count > 0) {
-      handoff_entries_received_counter_->add(count);
-    }
+    handoff_chunks_received_->add();
+    handoff_entries_received_->add(count);
     reply.type = net::FrameType::kPong;
     return reply;
   }
@@ -1271,17 +1212,25 @@ net::Frame ShardRouter::handle_handoff_frame(const net::Frame& request) {
 }
 
 void ShardRouter::publish_membership_gauges() {
-  if (epoch_gauge_ != nullptr) {
-    epoch_gauge_->set(static_cast<double>(membership_.epoch()));
-  }
-  if (members_gauge_ != nullptr) {
-    members_gauge_->set(static_cast<double>(membership_.member_count()));
-  }
+  const std::lock_guard<std::mutex> lock(membership_gauges_mutex_);
+  epoch_gauge_->set(static_cast<double>(membership_.epoch()));
+  members_gauge_->set(static_cast<double>(membership_.member_count()));
 }
 
 RouterStats ShardRouter::stats() const {
-  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-  return stats_;
+  RouterStats stats;
+  stats.local = local_->value();
+  stats.forwarded = forwarded_->value();
+  stats.forward_hits = forward_hits_->value();
+  stats.forward_failures = forward_failures_->value();
+  stats.local_fallbacks = local_fallbacks_->value();
+  stats.deduplicated = deduplicated_->value();
+  stats.replica_hits = replicas_.stats().hits;
+  stats.prefetched = prefetched_->value();
+  stats.gossip_sent = gossip_sent_->value();
+  stats.gossip_failures = gossip_failures_->value();
+  stats.gossip_received = gossip_received_->value();
+  return stats;
 }
 
 std::vector<std::pair<std::size_t, net::FrameClientStats>>

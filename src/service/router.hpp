@@ -142,16 +142,10 @@ struct RouterConfig {
   /// Keys with fewer hits since the last round are not worth
   /// announcing (a single hit is not "hot").
   std::uint64_t gossip_min_hits = 2;
-
-  /// This rank's telemetry, shared with its SolveService (the same
-  /// Telemetry object so traces begun by the router continue in the
-  /// engine and vice versa). nullptr = observability off. Must outlive
-  /// the router; per-peer client counters register under
-  /// net_client_rank<r>_*.
-  obs::Telemetry* telemetry = nullptr;
 };
 
-/// Monotonic router counters (snapshot via ShardRouter::stats).
+/// Monotonic router counters (snapshot via ShardRouter::stats), each
+/// read from the registry counter prts_router_<field>_total.
 struct RouterStats {
   std::uint64_t local = 0;      ///< keys this rank owns
   std::uint64_t forwarded = 0;  ///< remote keys answered by their owner
@@ -167,7 +161,10 @@ struct RouterStats {
   std::uint64_t gossip_received = 0;  ///< digests received from peers
 };
 
-/// Membership counters (snapshot via membership_stats).
+/// Membership counters (snapshot via membership_stats): epoch and
+/// members read the live view (mirrored in the prts_membership_epoch
+/// and prts_membership_members gauges), every other field the registry
+/// counter prts_membership_<field>_total.
 struct MembershipStats {
   std::uint64_t epoch = 0;   ///< current membership epoch
   std::size_t members = 0;   ///< current member count (incl. self)
@@ -188,7 +185,10 @@ struct MembershipStats {
 class ShardRouter {
  public:
   /// The service answers local-shard requests and degraded remote ones;
-  /// it must outlive the router.
+  /// it must outlive the router. The router records into the service's
+  /// telemetry, so traces begun here continue in the engine and the
+  /// other way round; per-peer client counters register under
+  /// net_client_rank<r>_*.
   ShardRouter(SolveService& service, RouterConfig config);
 
   /// Stops the gossip timer, then drains every in-flight forward and
@@ -354,6 +354,7 @@ class ShardRouter {
   net::Frame handle_handoff_frame(const net::Frame& request);
 
   SolveService& service_;
+  obs::Telemetry& telemetry_;  ///< the service's
   RouterConfig config_;
   Membership membership_;
 
@@ -369,8 +370,8 @@ class ShardRouter {
 
   ReplicaCache replicas_;
 
-  /// The router's central lock (in-flight map, stats, hit counts),
-  /// contention-profiled as "router_inflight" when telemetry is on.
+  /// The router's central lock (in-flight map, hit counts, drains),
+  /// contention-profiled as "router_inflight".
   mutable obs::ProfiledMutex mutex_;
   std::unordered_map<CanonicalHash, Forward*, CanonicalKeyHasher> in_flight_;
   /// Hits on owned keys since the last gossip round (windowed counts:
@@ -381,8 +382,6 @@ class ShardRouter {
   /// _any: waits on the ProfiledMutex above (prefetch AND handoff
   /// drains — notify_all covers both predicates).
   std::condition_variable_any prefetch_cv_;
-  RouterStats stats_;
-  MembershipStats membership_stats_;
   /// Last epoch a handoff stream was scheduled toward each rank — the
   /// dedup that keeps one membership change from streaming the same
   /// slice twice (equal-epoch updates arrive from several peers).
@@ -391,8 +390,18 @@ class ShardRouter {
   /// flight (the timer must not stack exchanges onto a slow peer).
   std::unordered_set<std::size_t> heartbeats_in_flight_;
 
-  /// Telemetry handles resolved once at construction; non-null iff
-  /// config_.telemetry is set.
+  /// Telemetry handles resolved once at construction. The RouterStats
+  /// counters first (replica_hits is the replica tier's own).
+  obs::Counter* local_ = nullptr;
+  obs::Counter* forwarded_ = nullptr;
+  obs::Counter* forward_hits_ = nullptr;
+  obs::Counter* forward_failures_ = nullptr;
+  obs::Counter* local_fallbacks_ = nullptr;
+  obs::Counter* deduplicated_ = nullptr;
+  obs::Counter* prefetched_ = nullptr;
+  obs::Counter* gossip_sent_ = nullptr;
+  obs::Counter* gossip_failures_ = nullptr;
+  obs::Counter* gossip_received_ = nullptr;
   obs::Histogram* wire_hist_ = nullptr;
   obs::Histogram* router_latency_hist_ = nullptr;
   /// Sampled to in_flight_.size() at forward insert/erase.
@@ -406,14 +415,21 @@ class ShardRouter {
   /// Contention probe the in-flight mutex points at.
   obs::ProfiledMutex::Probe inflight_probe_;
 
-  /// Membership telemetry handles; non-null iff telemetry is on.
+  /// The MembershipStats counters and gauges. Gauge writes are
+  /// serialized, so the last write carries the latest view.
   obs::Gauge* epoch_gauge_ = nullptr;
   obs::Gauge* members_gauge_ = nullptr;
-  obs::Counter* joins_counter_ = nullptr;
-  obs::Counter* deaths_counter_ = nullptr;
-  obs::Counter* suspects_counter_ = nullptr;
-  obs::Counter* handoff_entries_sent_counter_ = nullptr;
-  obs::Counter* handoff_entries_received_counter_ = nullptr;
+  std::mutex membership_gauges_mutex_;
+  obs::Counter* joins_ = nullptr;
+  obs::Counter* deaths_ = nullptr;
+  obs::Counter* suspects_ = nullptr;
+  obs::Counter* handoffs_started_ = nullptr;
+  obs::Counter* handoffs_completed_ = nullptr;
+  obs::Counter* handoff_chunks_sent_ = nullptr;
+  obs::Counter* handoff_chunks_received_ = nullptr;
+  obs::Counter* handoff_entries_sent_ = nullptr;
+  obs::Counter* handoff_entries_received_ = nullptr;
+  obs::Counter* double_writes_ = nullptr;
   obs::Histogram* handoff_chunk_hist_ = nullptr;
   /// Periodic "router_membership" heartbeat (heartbeat timer liveness).
   obs::Heartbeat* membership_heartbeat_ = nullptr;

@@ -396,7 +396,6 @@ class FabricHarness {
     config.peers = std::move(peers);
     config.advertise = PeerAddress{"127.0.0.1", node.port};
     config.join_seed = std::move(seed);
-    config.telemetry = node.telemetry.get();
     // Hold inbound frames while the router is being born: the seed
     // schedules its handoff stream the moment it admits the join (which
     // happens *inside* this router constructor), so the first
@@ -423,8 +422,7 @@ class FabricHarness {
     };
     rank.server = net::FrameServer::start(
         port, std::move(wrapped), *rank.server_pool, net::kDefaultMaxPayload,
-        &rank.telemetry->metrics, &rank.telemetry->watchdog,
-        &rank.telemetry->profiler);
+        rank.telemetry.get());
     if (!rank.server) {
       throw std::runtime_error("fabric harness: cannot bind port " +
                                std::to_string(port));

@@ -822,7 +822,7 @@ TEST(BackoffJitter, ZeroJitterIsExactAndFractionIsClamped) {
 
 TEST(FrameAuth, WrongTokenIsRejectedCountedAndRightTokenAdmits) {
   ThreadPool pool{4};
-  obs::Registry metrics;
+  obs::Telemetry telemetry;
   auto server = FrameServer::start(
       0,
       [](const Frame& request) -> std::optional<Frame> {
@@ -830,7 +830,7 @@ TEST(FrameAuth, WrongTokenIsRejectedCountedAndRightTokenAdmits) {
         reply.type = FrameType::kPong;
         return reply;
       },
-      pool, kDefaultMaxPayload, &metrics, nullptr, nullptr, "sesame");
+      pool, kDefaultMaxPayload, &telemetry, "sesame");
   ASSERT_NE(server, nullptr);
 
   // No token: the first frame is not kAuth — answered with kError (or
@@ -848,7 +848,8 @@ TEST(FrameAuth, WrongTokenIsRejectedCountedAndRightTokenAdmits) {
     EXPECT_FALSE(impostor.call(make_frame(FrameType::kPing, "")).has_value());
   }
   EXPECT_GE(server->stats().auth_failures, 2u);
-  EXPECT_GE(metrics.counter("net_server_auth_failures_total").value(), 2u);
+  EXPECT_GE(telemetry.metrics.counter("net_server_auth_failures_total").value(),
+            2u);
 
   // The right token admits the client.
   FrameClientConfig config;

@@ -312,7 +312,8 @@ TEST(EngineTelemetry, SolveAndCacheHitEachGetTheirOwnTrace) {
   ASSERT_TRUE(telemetry.tracer.find(warm.trace_id, warm_trace));
   EXPECT_TRUE(has_span(warm_trace, "cache_lookup", 0));
 
-  EXPECT_EQ(telemetry.metrics.counter("engine_requests_total").value(), 2u);
+  EXPECT_EQ(telemetry.metrics.counter("prts_engine_submitted_total").value(),
+            2u);
   EXPECT_EQ(telemetry.metrics.histogram("engine_request_latency_seconds")
                 .snapshot()
                 .count,
@@ -448,7 +449,8 @@ TEST(ProtocolTelemetry, ServeCommandsExposeMetricsAndTraces) {
   EXPECT_NE(text.find("\"telemetry\""), std::string::npos);
   EXPECT_NE(text.find("# metrics begin"), std::string::npos);
   EXPECT_NE(text.find("prts_engine_submitted_total 1"), std::string::npos);
-  EXPECT_NE(text.find("engine_requests_total 1"), std::string::npos);
+  // One name per quantity: the scrape repeats no submitted count.
+  EXPECT_EQ(text.find("engine_requests_total"), std::string::npos);
   EXPECT_NE(text.find("# metrics end"), std::string::npos);
   EXPECT_NE(text.find("# trace-entry id="), std::string::npos);
 
@@ -463,15 +465,36 @@ TEST(ProtocolTelemetry, ServeCommandsExposeMetricsAndTraces) {
   EXPECT_NE(detail.str().find("not-found"), std::string::npos);
 }
 
-TEST(ProtocolTelemetry, TraceCommandsErrorWhenTelemetryOff) {
+TEST(ProtocolTelemetry, ServiceBuiltWithoutTelemetryOwnsOne) {
   ServiceConfig config;
   config.threads = 1;
   SolveService engine(config);
-  std::istringstream script("traces\ntrace 0011223344556677\nslowlog\n");
+  std::istringstream script(
+      "instance a\n"
+      "prts-instance v1\n"
+      "tasks 2\n"
+      "10 1\n"
+      "5 0\n"
+      "platform 3 1 1e-05 2\n"
+      "1 1e-08\n"
+      "1 1e-08\n"
+      "1 1e-08\n"
+      "end\n"
+      "solve a heur-p inf inf\n"
+      "sync\n"
+      "traces\n"
+      "metrics\n"
+      "timeseries\n"
+      "profile\n"
+      "alerts\n");
   std::ostringstream out;
-  const ServeResult result = run_serve(script, out, engine);
-  EXPECT_EQ(result.protocol_errors, 3u);
-  EXPECT_NE(out.str().find("telemetry disabled"), std::string::npos);
+  EXPECT_EQ(run_serve(script, out, engine).protocol_errors, 0u);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("# trace-entry id="), std::string::npos);
+  EXPECT_NE(text.find("prts_engine_submitted_total 1"), std::string::npos);
+  EXPECT_NE(text.find("# timeseries ticks=0"), std::string::npos);
+  EXPECT_NE(text.find("# profile {\"enabled\":true"), std::string::npos);
+  EXPECT_NE(text.find("# alerts {\"firing\":0"), std::string::npos);
 }
 
 // -------------------------------------------------- histogram merging
@@ -505,7 +528,7 @@ TEST(ObsHistogram, MergeAcrossRanksEqualsUnionHistogram) {
 
 TEST(ObsFlightRecorder, TickDeltasDescribeOnlyThatWindow) {
   obs::Registry registry;
-  obs::FlightRecorder recorder(&registry);
+  obs::FlightRecorder recorder(registry);
   registry.counter("requests_total").add(5);
   registry.counter("idle_total").add(2);
   recorder.tick_now();
@@ -537,7 +560,7 @@ TEST(ObsFlightRecorder, TickDeltasDescribeOnlyThatWindow) {
 
 TEST(ObsFlightRecorder, RingWrapsKeepingTheNewestTicks) {
   obs::Registry registry;
-  obs::FlightRecorder recorder(&registry);
+  obs::FlightRecorder recorder(registry);
   obs::FlightRecorderConfig config;
   config.capacity = 4;
   recorder.configure(config);
@@ -563,7 +586,7 @@ TEST(ObsFlightRecorder, RingWrapsKeepingTheNewestTicks) {
 
 TEST(ObsWatchdog, OnDemandComponentStallsOnlyUnderLoad) {
   obs::Registry registry;
-  obs::Watchdog watchdog(&registry);
+  obs::Watchdog watchdog(registry);
   obs::WatchdogConfig config;
   config.stall_threshold_seconds = 0.05;
   config.poll_interval_seconds = 10.0;  // monitor thread effectively off
@@ -603,7 +626,8 @@ TEST(ObsWatchdog, OnDemandComponentStallsOnlyUnderLoad) {
 }
 
 TEST(ObsWatchdog, PeriodicComponentStallsEvenWhenIdle) {
-  obs::Watchdog watchdog;
+  obs::Registry registry;
+  obs::Watchdog watchdog(registry);
   obs::WatchdogConfig config;
   config.stall_threshold_seconds = 0.01;
   config.periodic_factor = 2.0;  // stalls at 2 * 0.03 = 0.06s of silence
@@ -662,7 +686,7 @@ TEST(ProtocolTelemetry, TimeseriesReturnsTheRecordedWindow) {
   EXPECT_NE(text.find("# timeseries ticks=2 window=1"), std::string::npos);
   // The solve landed in tick 0's window.
   EXPECT_NE(text.find("# tick seq=0"), std::string::npos);
-  EXPECT_NE(text.find("engine_requests_total"), std::string::npos);
+  EXPECT_NE(text.find("prts_engine_submitted_total"), std::string::npos);
   EXPECT_NE(text.find("# timeseries end"), std::string::npos);
 
   // Watchdog verdict rides along in stats --json.
@@ -671,16 +695,6 @@ TEST(ProtocolTelemetry, TimeseriesReturnsTheRecordedWindow) {
   run_serve(stats_script, stats_out, engine);
   EXPECT_NE(stats_out.str().find("\"watchdog\":{\"stalls_total\":0"),
             std::string::npos);
-}
-
-TEST(ProtocolTelemetry, TimeseriesErrorsWhenTelemetryOff) {
-  ServiceConfig config;
-  config.threads = 1;
-  SolveService engine(config);
-  std::istringstream script("timeseries\n");
-  std::ostringstream out;
-  EXPECT_EQ(run_serve(script, out, engine).protocol_errors, 1u);
-  EXPECT_NE(out.str().find("telemetry disabled"), std::string::npos);
 }
 
 // --------------------------------------------------- fabric telemetry
@@ -873,7 +887,7 @@ TEST(ObsProfiler, ProfiledMutexCountsContentionAndWaitTime) {
   EXPECT_EQ(probe.wait->snapshot().count, 1u);
 
   // The profiler's rollup decodes the same story from the registry.
-  const obs::Profiler profiler(&registry);
+  const obs::Profiler profiler(registry);
   const std::vector<obs::Profiler::MutexStats> mutexes = profiler.mutexes();
   ASSERT_EQ(mutexes.size(), 1u);
   EXPECT_EQ(mutexes[0].name, "test");
@@ -884,7 +898,7 @@ TEST(ObsProfiler, ProfiledMutexCountsContentionAndWaitTime) {
 
 TEST(ObsProfiler, ComponentsAggregateIntoRegistryAndJson) {
   obs::Registry registry;
-  obs::Profiler profiler(&registry);
+  obs::Profiler profiler(registry);
   obs::WorkSample sample;
   sample.wall_seconds = 0.010;
   sample.cpu_seconds = 0.004;
@@ -953,7 +967,7 @@ TEST(ObsAlerts, ParsesGrammarAndRejectsGarbage) {
 
 TEST(ObsAlerts, ForAndHoldDebounceDeterministically) {
   obs::Registry registry;
-  obs::AlertEngine alerts(&registry);
+  obs::AlertEngine alerts(registry);
   std::string error;
   ASSERT_TRUE(
       alerts.add_rule("engine_queue_depth>100;for=2;hold=2", &error))
@@ -986,7 +1000,8 @@ TEST(ObsAlerts, ForAndHoldDebounceDeterministically) {
 }
 
 TEST(ObsAlerts, CounterDeltaRuleSeesOnlyTheTickWindow) {
-  obs::AlertEngine alerts(nullptr);
+  obs::Registry registry;
+  obs::AlertEngine alerts(registry);
   ASSERT_TRUE(alerts.add_rule("watchdog_stalls_total_delta>0;hold=2"));
 
   obs::FlightRecorder::Tick stall = gauge_tick(0, 0);
@@ -1094,18 +1109,6 @@ TEST(ProtocolTelemetry, ProfileAndAlertsCommandsRenderState) {
   // The submit path's allocation accounting surfaced per request.
   EXPECT_GT(telemetry.metrics.gauge("engine_allocs_per_request").value(),
             0.0);
-}
-
-TEST(ProtocolTelemetry, ProfileAndAlertsErrorWhenTelemetryOff) {
-  ServiceConfig config;
-  config.threads = 1;
-  SolveService engine(config);
-  std::istringstream script("profile\nalerts\n");
-  std::ostringstream out;
-  EXPECT_EQ(run_serve(script, out, engine).protocol_errors, 2u);
-  EXPECT_NE(out.str().find("profile: telemetry disabled"),
-            std::string::npos);
-  EXPECT_NE(out.str().find("alerts: telemetry disabled"), std::string::npos);
 }
 
 }  // namespace

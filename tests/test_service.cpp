@@ -14,10 +14,12 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
 #include "eval/evaluation.hpp"
+#include "fabric_harness.hpp"
 #include "model/generator.hpp"
 #include "net/frame_server.hpp"
 #include "net/mux_client.hpp"
@@ -1001,6 +1003,226 @@ TEST(ShardRouterTest, PeerDeathDegradesToLocalSolveWithoutErrors) {
   EXPECT_EQ(stats.local_fallbacks, 1u);
   EXPECT_GE(local.stats().submitted, 1u);
   EXPECT_TRUE(router.peer_suspect(1));
+}
+
+TEST(ShardRouterTest, OwnedKeysLockTheRouterOnceAndReplicaHitsNever) {
+  obs::Telemetry telemetry;
+  ServiceConfig local_config = small_config();
+  local_config.telemetry = &telemetry;
+  SolveService local(local_config);
+  SolveService remote(small_config());
+  ThreadPool server_pool(2);
+  auto server =
+      net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
+  ASSERT_NE(server, nullptr);
+  ShardRouter router(local, two_rank_config(server->port()));
+  const auto acquisitions = [&telemetry] {
+    return telemetry.metrics
+        .counter("mutex_router_inflight_acquisitions_total")
+        .value();
+  };
+  constexpr std::uint64_t kRequests = 64;
+  const Instance instance = hom_instance();
+
+  // An owned key takes the router's lock once: the gossip hit tally.
+  const SolveRequest owned{instance, "heur-p",
+                           bounds_on_shard(router, instance, "heur-p", 0)};
+  ASSERT_EQ(router.submit(owned).get().status, ReplyStatus::kSolved);
+  std::uint64_t before = acquisitions();
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(router.submit(owned).get().cache_hit);
+  }
+  EXPECT_EQ(acquisitions() - before, kRequests);
+
+  // A replica hit never takes it: the replica tier counts the hit.
+  const SolveRequest peer_key{instance, "heur-p",
+                              bounds_on_shard(router, instance, "heur-p", 1)};
+  ASSERT_EQ(router.submit(peer_key).get().status, ReplyStatus::kSolved);
+  before = acquisitions();
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(router.submit(peer_key).get().cache_hit);
+  }
+  EXPECT_EQ(acquisitions() - before, 0u);
+  EXPECT_EQ(router.stats().replica_hits, kRequests);
+}
+
+// ------------------------------------------------ one counter system
+
+/// Every `prefix<field>_total` counter in `metrics` equals its snapshot
+/// field.
+void expect_counters(obs::Registry& metrics, const std::string& prefix,
+                     std::initializer_list<std::pair<const char*,
+                                                     std::uint64_t>> fields) {
+  for (const auto& [field, value] : fields) {
+    EXPECT_EQ(metrics.counter(prefix + field + "_total").value(), value)
+        << prefix << field;
+  }
+}
+
+void expect_engine_snapshot(SolveService& service) {
+  const EngineStats s = service.stats();
+  expect_counters(service.telemetry().metrics, "prts_engine_",
+                  {{"submitted", s.submitted},
+                   {"cache_hits", s.cache_hits},
+                   {"dominating_hits", s.dominating_hits},
+                   {"solver_invocations", s.solver_invocations},
+                   {"deduplicated", s.deduplicated},
+                   {"batches", s.batches},
+                   {"batched_requests", s.batched_requests},
+                   {"downgraded", s.downgraded},
+                   {"rejected_queue", s.rejected_queue},
+                   {"rejected_deadline", s.rejected_deadline},
+                   {"errors", s.errors}});
+  EXPECT_EQ(s.completed, s.submitted);  // every waiter was answered
+  EXPECT_EQ(service.telemetry().metrics.gauge("prts_cache_entries").value(),
+            static_cast<double>(service.cache_stats().entries));
+}
+
+void expect_router_snapshot(ShardRouter& router, obs::Registry& metrics) {
+  const RouterStats r = router.stats();
+  expect_counters(metrics, "prts_router_",
+                  {{"local", r.local},
+                   {"forwarded", r.forwarded},
+                   {"forward_hits", r.forward_hits},
+                   {"forward_failures", r.forward_failures},
+                   {"local_fallbacks", r.local_fallbacks},
+                   {"deduplicated", r.deduplicated},
+                   {"replica_hits", r.replica_hits},
+                   {"prefetched", r.prefetched},
+                   {"gossip_sent", r.gossip_sent},
+                   {"gossip_failures", r.gossip_failures},
+                   {"gossip_received", r.gossip_received}});
+  const ReplicaStats replica = router.replica_stats();
+  EXPECT_EQ(replica.hits, r.replica_hits);
+  expect_counters(metrics, "replica_",
+                  {{"misses", replica.misses},
+                   {"insertions", replica.insertions},
+                   {"evictions", replica.evictions},
+                   {"expirations", replica.expirations}});
+  const MembershipStats m = router.membership_stats();
+  EXPECT_EQ(metrics.gauge("prts_membership_epoch").value(),
+            static_cast<double>(m.epoch));
+  EXPECT_EQ(metrics.gauge("prts_membership_members").value(),
+            static_cast<double>(m.members));
+  expect_counters(metrics, "prts_membership_",
+                  {{"joins", m.joins},
+                   {"deaths", m.deaths},
+                   {"suspects", m.suspects},
+                   {"handoffs_started", m.handoffs_started},
+                   {"handoffs_completed", m.handoffs_completed},
+                   {"handoff_chunks_sent", m.handoff_chunks_sent},
+                   {"handoff_chunks_received", m.handoff_chunks_received},
+                   {"handoff_entries_sent", m.handoff_entries_sent},
+                   {"handoff_entries_received", m.handoff_entries_received},
+                   {"double_writes", m.double_writes}});
+  for (const auto& [rank, c] : router.client_stats()) {
+    expect_counters(metrics, "net_client_rank" + std::to_string(rank) + "_",
+                    {{"calls", c.calls},
+                     {"failures", c.failures},
+                     {"connects", c.connects},
+                     {"fast_failures", c.fast_failures},
+                     {"suspects", c.suspects},
+                     {"timeouts", c.timeouts}});
+  }
+}
+
+/// The `metrics` scrape names each family once, and never under a name
+/// that repeated another family's quantity.
+void expect_one_name_per_quantity(SolveService& service) {
+  std::ostringstream out;
+  write_metrics_text(out, service);
+  std::istringstream lines(out.str());
+  std::set<std::string> families;
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    const std::string name = line.substr(7, line.find(' ', 7) - 7);
+    EXPECT_TRUE(families.insert(name).second) << "repeated family " << name;
+  }
+  for (const char* deleted :
+       {"engine_requests_total", "engine_errors_total",
+        "engine_rejected_total", "membership_epoch", "membership_members",
+        "membership_joins_total", "membership_deaths_total",
+        "membership_suspects_total", "handoff_entries_sent_total",
+        "handoff_entries_received_total"}) {
+    EXPECT_EQ(families.count(deleted), 0u) << deleted;
+  }
+  EXPECT_EQ(families.count("prts_engine_submitted_total"), 1u);
+  EXPECT_EQ(families.count("prts_cache_entries"), 1u);
+}
+
+TEST(OneCounterSystem, EveryStatsFieldIsItsRegistryCounter) {
+  // One service through every engine path: batch, dedup, queue and
+  // deadline rejections, exact and dominating hits.
+  std::promise<void> gate;
+  solver::SolverRegistry registry = solver::SolverRegistry::builtin();
+  const auto gated =
+      std::make_shared<GatedSolver>(gate.get_future().share());
+  registry.add(gated);
+  ServiceConfig config = small_config();
+  config.registry = &registry;
+  config.max_queue_depth = 1;
+  SolveService service(config);
+  const Instance instance = hom_instance();
+  const SolveRequest held{instance, "gated", {}};
+  std::future<SolveReply> first = service.submit(held);
+  std::future<SolveReply> twin = service.submit(held);  // dedup
+  gated->wait_until_entered();
+  EXPECT_EQ(service.submit(SolveRequest{instance, "heur-p", {}}).get().status,
+            ReplyStatus::kRejectedQueue);
+  gate.set_value();
+  ASSERT_EQ(first.get().status, ReplyStatus::kSolved);
+  ASSERT_TRUE(twin.get().deduplicated);
+  EXPECT_EQ(service
+                .submit(SolveRequest{instance, "exact", {}, 0.0,
+                                     DeadlinePolicy::kReject})
+                .get()
+                .status,
+            ReplyStatus::kRejectedDeadline);
+  ASSERT_TRUE(service.submit(held).get().cache_hit);
+  SolveRequest loose{instance, "exact", {}};
+  loose.bounds.period_bound = 100.0;
+  const SolveReply cold = service.submit(loose).get();
+  ASSERT_EQ(cold.status, ReplyStatus::kSolved);
+  SolveRequest tight = loose;
+  tight.bounds.period_bound = cold.solution->metrics.worst_period + 1.0;
+  ASSERT_TRUE(service.submit(tight).get().near_miss);
+  const EngineStats engine = service.stats();
+  EXPECT_GE(engine.cache_hits, 1u);
+  EXPECT_GE(engine.dominating_hits, 1u);
+  EXPECT_GE(engine.deduplicated, 1u);
+  EXPECT_GE(engine.rejected_queue, 1u);
+  EXPECT_GE(engine.rejected_deadline, 1u);
+  expect_engine_snapshot(service);
+  expect_one_name_per_quantity(service);
+
+  // A fleet of two: a forward, a replica hit, then a failover.
+  testing::FabricHarness::Options options;
+  options.world = 2;
+  options.service.threads = 2;
+  options.router.client.connect_timeout_seconds = 0.5;
+  options.router.client.backoff_initial_seconds = 0.05;
+  testing::FabricHarness fleet(options);
+  const SolveRequest remote{instance, "heur-p",
+                            fleet.bounds_on_rank(instance, "heur-p", 1)};
+  ASSERT_EQ(fleet.router(0).submit(remote).get().status,
+            ReplyStatus::kSolved);
+  ASSERT_TRUE(fleet.router(0).submit(remote).get().cache_hit);
+  fleet.kill(1);
+  const SolveRequest stranded{
+      instance, "heur-p",
+      fleet.bounds_on_rank(instance, "heur-p", 1, /*salt=*/5000.0)};
+  ASSERT_EQ(fleet.router(0).submit(stranded).get().status,
+            ReplyStatus::kSolved);
+  const RouterStats routed = fleet.router(0).stats();
+  EXPECT_GE(routed.forwarded, 1u);
+  EXPECT_GE(routed.replica_hits, 1u);
+  EXPECT_GE(routed.forward_failures, 1u);
+  for (std::size_t r = 0; r < fleet.world(); ++r) {
+    expect_engine_snapshot(fleet.service(r));
+    expect_router_snapshot(fleet.router(r), fleet.telemetry(r).metrics);
+    expect_one_name_per_quantity(fleet.service(r));
+  }
 }
 
 // -------------------------------------------------- wide replication

@@ -140,7 +140,7 @@ TEST(FabricSoak, OpenLoopSurvivesContinuousFaultInjection) {
             0.6 * kSoakSeconds);
   std::uint64_t recorded_requests = 0;
   for (const obs::FlightRecorder::Tick& tick : ticks) {
-    const auto it = tick.counter_deltas.find("engine_requests_total");
+    const auto it = tick.counter_deltas.find("prts_engine_submitted_total");
     if (it != tick.counter_deltas.end()) recorded_requests += it->second;
   }
   EXPECT_GT(recorded_requests, 0u);

@@ -276,6 +276,17 @@ for r in 0 1 2; do
       head -3 >&2
     exit 1
   fi
+  # One name per quantity: no family is declared twice, and none of the
+  # names that used to repeat another family's count comes back.
+  dup=$(grep '^# TYPE ' "$FAB/scrape${r}_b.txt" | awk '{print $3}' |
+        sort | uniq -d | head -1)
+  [ -z "$dup" ] ||
+    { echo "FAIL: rank $r declares the family $dup twice" >&2; exit 1; }
+  if grep -qE '^(# TYPE )?(engine_(requests|errors|rejected)_total|membership_(epoch|members|joins_total|deaths_total|suspects_total)|handoff_entries_(sent|received)_total)[ {]' \
+       "$FAB/scrape${r}_b.txt"; then
+    echo "FAIL: rank $r exports a deleted duplicate family" >&2
+    exit 1
+  fi
   for m in prts_engine_submitted_total prts_router_forwarded_total \
            prts_router_replica_hits_total net_server_frames_total; do
     a=$(metric_value "$FAB/scrape${r}_a.txt" "$m")

@@ -125,8 +125,10 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <set>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -170,17 +172,27 @@ using namespace prts;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Minimal flag parser: --name value or boolean --name.
+/// A command line the subcommand cannot run: main prints it and exits 2.
+struct FlagError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Minimal flag parser: --name value or boolean --name. `known` names
+/// every flag the subcommand reads; any other flag, and a number()
+/// flag whose value does not parse, throws FlagError.
 class Flags {
  public:
-  Flags(int argc, char** argv, int first) {
+  Flags(int argc, char** argv, int first, const std::set<std::string>& known) {
     for (int i = first; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
-        std::cerr << "unexpected argument: " << arg << "\n";
-        std::exit(2);
+        throw FlagError("unexpected argument: " + arg);
       }
       arg = arg.substr(2);
+      if (known.count(arg) == 0) {
+        throw FlagError(std::string("unknown flag --") + arg + " for " +
+                        argv[1]);
+      }
       std::string value;
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         value = argv[++i];
@@ -200,7 +212,14 @@ class Flags {
 
   double number(const std::string& name, double fallback) const {
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size()) {
+      throw FlagError("--" + name + " needs a number, got '" + text + "'");
+    }
+    return value;
   }
 
   /// Every value given for a repeatable flag, in command-line order
@@ -718,7 +737,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
       // A member going suspect is the membership layer's page-worthy
       // signal: either a peer is dying or this rank is partitioned.
       alert_rules.insert(alert_rules.begin(),
-                         "membership_suspects_total_delta>0;hold=3");
+                         "prts_membership_suspects_total_delta>0;hold=3");
     }
     for (const std::string& rule_text : alert_rules) {
       std::string error;
@@ -780,8 +799,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
         port,
         service::make_fabric_handler(
             engine, [&router_ptr] { return router_ptr.load(); }),
-        *server_pool, net::kDefaultMaxPayload, &telemetry.metrics,
-        &telemetry.watchdog, &telemetry.profiler, auth_token);
+        *server_pool, net::kDefaultMaxPayload, &telemetry, auth_token);
     if (!server) {
       std::cerr << "cannot listen on port " << port << "\n";
       return 1;
@@ -798,7 +816,6 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     router_config.replica.ttl_seconds = replica_ttl;
     router_config.replica.ttl_cost_factor = replica_ttl_cost;
     router_config.gossip_interval_seconds = gossip_interval;
-    router_config.telemetry = &telemetry;
     router_config.membership.suspect_after_seconds = suspect_after;
     router_config.membership.dead_after_seconds = dead_after;
     router_config.heartbeat_interval_seconds = heartbeat_interval;
@@ -863,7 +880,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     service::Checkpointer::Config checkpoint_config;
     checkpoint_config.path = checkpoint_path;
     checkpoint_config.interval_seconds = checkpoint_interval;
-    checkpoint_config.telemetry = &telemetry;
+    checkpoint_config.metrics = &telemetry.metrics;
     checkpointer = std::make_unique<service::Checkpointer>(engine.cache(),
                                                            checkpoint_config);
     options.checkpointer = checkpointer.get();
@@ -1223,41 +1240,73 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   if (command == "solvers") return cmd_solvers();
-  if (command == "campaign") {
-    // The spec path is positional ('-' reads stdin); flags follow it.
-    const bool has_path =
-        argc > 2 && std::strncmp(argv[2], "--", 2) != 0;
-    const Flags flags(argc, argv, has_path ? 3 : 2);
-    return cmd_campaign(has_path ? argv[2] : "-", flags);
-  }
-  if (command == "serve") {
-    // The request path is positional ('-' reads stdin); flags follow it.
-    const bool has_path =
-        argc > 2 && std::strncmp(argv[2], "--", 2) != 0;
-    const Flags flags(argc, argv, has_path ? 3 : 2);
-    return cmd_serve(has_path ? argv[2] : "-", flags);
-  }
-  if (command == "scrape") {
-    const bool has_target = argc > 2 && std::strncmp(argv[2], "--", 2) != 0;
-    if (!has_target) {
-      std::cerr << "usage: prts_cli scrape HOST:PORT [--watch S] "
-                   "[--count N] [--alerts]\n";
-      return 2;
+  // campaign's spec, serve's request stream and scrape's target are
+  // positional ('-' reads stdin); flags follow them.
+  const bool positional =
+      (command == "campaign" || command == "serve" || command == "scrape") &&
+      argc > 2 && std::strncmp(argv[2], "--", 2) != 0;
+  const auto flags = [&](std::set<std::string> known) {
+    return Flags(argc, argv, positional ? 3 : 2, known);
+  };
+  // The flags solve() reads, shared by every subcommand that solves.
+  const std::set<std::string> solve_flags = {"algo", "period", "latency"};
+  const auto with_solve = [&solve_flags](std::set<std::string> known) {
+    known.insert(solve_flags.begin(), solve_flags.end());
+    return known;
+  };
+  try {
+    if (command == "campaign") {
+      return cmd_campaign(
+          positional ? argv[2] : "-",
+          flags({"cache-mb", "format", "near-miss", "seed", "stats",
+                 "threads", "via-service"}));
     }
-    const Flags flags(argc, argv, 3);
-    return cmd_scrape(argv[2], flags);
+    if (command == "serve") {
+      return cmd_serve(
+          positional ? argv[2] : "-",
+          flags({"advertise", "alert", "auth-token", "cache-mb", "checkpoint",
+                 "checkpoint-interval", "dead-after", "deadline", "fallback",
+                 "flight-interval", "gossip-interval", "heartbeat-interval",
+                 "join", "listen", "near-miss", "no-cache", "no-input",
+                 "peers", "policy", "queue-limit", "rank", "replica-mb",
+                 "replica-ttl", "replica-ttl-cost", "retention", "save-cache",
+                 "shards", "slow-ms", "stall-ms", "stats", "suspect-after",
+                 "threads", "warm-start"}));
+    }
+    if (command == "scrape") {
+      if (!positional) {
+        std::cerr << "usage: prts_cli scrape HOST:PORT [--watch S] "
+                     "[--count N] [--alerts]\n";
+        return 2;
+      }
+      return cmd_scrape(argv[2],
+                        flags({"alerts", "auth-token", "count", "watch"}));
+    }
+    if (command == "loadgen") {
+      return cmd_loadgen(flags(
+          {"auth-token", "bounds-per-key", "connections", "duration", "keys",
+           "max-rate", "min-rate", "mix", "out", "process", "procs", "rate",
+           "record", "replay", "search", "seed", "slo", "step-duration",
+           "targets", "tasks", "workers", "zipf"}));
+    }
+    if (command == "generate") {
+      return cmd_generate(flags({"het", "procs", "seed", "tasks"}));
+    }
+    if (command == "solve") return cmd_solve(flags(solve_flags));
+    if (command == "evaluate") return cmd_evaluate(flags({"mapping"}));
+    if (command == "simulate") {
+      return cmd_simulate(flags(with_solve(
+          {"datasets", "no-failures", "no-routing", "seed"})));
+    }
+    if (command == "dot") return cmd_dot(flags(with_solve({"what"})));
+    if (command == "trace") {
+      return cmd_trace(flags(with_solve(
+          {"datasets", "no-failures", "no-routing", "seed"})));
+    }
+  } catch (const FlagError& error) {
+    std::cerr << "prts_cli " << command << ": " << error.what() << "\n";
+    return 2;
   }
-  if (command == "loadgen") {
-    const Flags flags(argc, argv, 2);
-    return cmd_loadgen(flags);
-  }
-  const Flags flags(argc, argv, 2);
-  if (command == "generate") return cmd_generate(flags);
-  if (command == "solve") return cmd_solve(flags);
-  if (command == "evaluate") return cmd_evaluate(flags);
-  if (command == "simulate") return cmd_simulate(flags);
-  if (command == "dot") return cmd_dot(flags);
-  if (command == "trace") return cmd_trace(flags);
   std::cerr << "unknown command " << command << "\n";
   return 2;
 }
