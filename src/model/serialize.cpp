@@ -129,10 +129,6 @@ CanonicalInstanceText::CanonicalInstanceText(const Instance& instance) {
   size_ = static_cast<std::size_t>(out - begin);
 }
 
-void write_instance_canonical(std::ostream& out, const Instance& instance) {
-  out << CanonicalInstanceText(instance).view();
-}
-
 std::size_t records_that_fit(std::istream& in, std::size_t claimed) {
   const std::streamsize remaining =
       in.rdbuf() != nullptr ? in.rdbuf()->in_avail() : 0;

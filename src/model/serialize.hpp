@@ -87,9 +87,6 @@ class CanonicalInstanceText {
   std::size_t size_ = 0;
 };
 
-/// Streams CanonicalInstanceText(instance).
-void write_instance_canonical(std::ostream& out, const Instance& instance);
-
 /// Result of parsing: either an instance or a human-readable error.
 struct ParseResult {
   std::optional<Instance> instance;

@@ -44,8 +44,8 @@ inline constexpr std::size_t kDefaultMaxPayload = 64 * 1024 * 1024;
 
 enum class FrameType : std::uint8_t {
   kError = 0,         ///< payload: human-readable reason
-  kSolveRequest = 1,  ///< payload: service::encode wire request
-  kSolveReply = 2,    ///< payload: service::encode wire reply
+  kSolveRequest = 1,  ///< payload: service::encode_wire_request
+  kSolveReply = 2,    ///< payload: service::encode_wire_reply
   kPing = 3,          ///< payload ignored
   kPong = 4,          ///< answer to kPing, payload echoed
   kStatsRequest = 5,  ///< payload ignored
@@ -63,13 +63,15 @@ enum class FrameType : std::uint8_t {
   kMembershipUpdate = 13,  ///< payload: service::encode_membership_update
                            ///< (epoch-stamped member list); answered
                            ///< with the receiver's own merged view
-  kHandoffBegin = 14,      ///< payload: service::encode_handoff stamp —
+  kHandoffBegin = 14,      ///< payload: service::encode_handoff_stamp —
                            ///< "I am about to stream N cache entries
                            ///< your ring slice now owns"
-  kHandoffChunk = 15,      ///< payload: handoff stamp + bounded batch of
-                           ///< cache entries (PRTS1 entry codec)
-  kHandoffDone = 16,       ///< payload: handoff stamp (entries = total
-                           ///< streamed); closes one handoff
+  kHandoffChunk = 15,      ///< payload: service::encode_handoff_chunk, a
+                           ///< bounded batch of cache entries (the
+                           ///< binary entry codec of service/cache.hpp)
+  kHandoffDone = 16,       ///< payload: service::encode_handoff_stamp
+                           ///< (entries = total streamed); closes one
+                           ///< handoff
   kAuth = 17,              ///< payload: shared-secret token; must be a
                            ///< connection's first frame when the server
                            ///< has a token configured. kPong on success,

@@ -1,11 +1,9 @@
 #include "service/cache.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "model/interval.hpp"
@@ -13,53 +11,27 @@
 namespace prts::service {
 namespace {
 
-bool parse_size(std::string_view text, std::size_t& value) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
+constexpr std::uint8_t kEntryFeasible = 1;
+constexpr std::uint8_t kEntryIndexed = 2;
+/// An interval's least bytes: its end and its replica count.
+constexpr std::size_t kIntervalMinBytes = 8 + 4;
 
-/// Splits on one delimiter, no empty fields allowed.
-std::vector<std::string> split(const std::string& text, char delim) {
-  std::vector<std::string> parts;
-  std::string part;
-  std::istringstream in(text);
-  while (std::getline(in, part, delim)) parts.push_back(part);
-  return parts;
-}
+constexpr char kSnapshotMagic[6] = {'P', 'R', 'T', 'S', '2', '\n'};
+/// A corrupted entry length must not turn into a huge read.
+constexpr std::uint32_t kMaxEntryBytes = 16 * 1024 * 1024;
 
-// ---- binary snapshot primitives (explicit little-endian) ----
-
-void put_u64_le(std::string& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+/// Appends `length` bytes of `in` to `out`, growing `out` only as bytes
+/// arrive, so a length the stream cannot back allocates nothing more.
+bool append_exactly(std::istream& in, std::string& out, std::size_t length) {
+  char chunk[4096];
+  while (length > 0) {
+    const std::size_t want = std::min(length, sizeof(chunk));
+    if (!in.read(chunk, static_cast<std::streamsize>(want))) return false;
+    out.append(chunk, want);
+    length -= want;
   }
+  return true;
 }
-
-void put_u32_le(std::string& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint64_t get_u64_le(const unsigned char* in) noexcept {
-  std::uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) value = (value << 8) | in[i];
-  return value;
-}
-
-std::uint32_t get_u32_le(const unsigned char* in) noexcept {
-  std::uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) value = (value << 8) | in[i];
-  return value;
-}
-
-constexpr char kBinaryMagic[6] = {'P', 'R', 'T', 'S', '1', '\n'};
-constexpr std::uint8_t kBinaryVersion = 1;
-constexpr std::size_t kBinaryHeaderBytes = sizeof(kBinaryMagic) + 2 + 8;
-constexpr std::size_t kBinaryIndexEntryBytes = 8 + 8 + 8 + 4;
-/// A corrupted blob length must not turn into a huge allocation.
-constexpr std::uint32_t kBinaryMaxBlobBytes = 16 * 1024 * 1024;
 
 }  // namespace
 
@@ -76,154 +48,118 @@ std::size_t cached_solution_bytes(const CachedSolution& value) noexcept {
   return bytes;
 }
 
+void encode_cache_entry(ByteWriter& out, const CanonicalHash& key,
+                        const CachedSolution& value) {
+  out.key(key);
+  out.u8((value.solution ? kEntryFeasible : 0) |
+         (value.indexable() ? kEntryIndexed : 0));
+  if (value.solution) {
+    const Mapping& mapping = value.solution->mapping;
+    out.u32(static_cast<std::uint32_t>(mapping.interval_count()));
+    for (std::size_t j = 0; j < mapping.interval_count(); ++j) {
+      out.u64(mapping.partition().interval(j).last);
+      const auto procs = mapping.processors(j);
+      out.u32(static_cast<std::uint32_t>(procs.size()));
+      for (const std::size_t proc : procs) out.u64(proc);
+    }
+    const MappingMetrics& metrics = value.solution->metrics;
+    out.f64(metrics.reliability.log());
+    out.f64(metrics.failure);
+    out.f64(metrics.expected_latency);
+    out.f64(metrics.worst_latency);
+    out.f64(metrics.expected_period);
+    out.f64(metrics.worst_period);
+    out.u64(metrics.interval_count);
+    out.u64(metrics.processors_used);
+    out.f64(metrics.replication_level);
+  }
+  out.f64(value.cost_seconds);
+  if (value.indexable()) {
+    out.key(*value.instance_key);
+    out.f64(value.bounds->period_bound);
+    out.f64(value.bounds->latency_bound);
+  }
+}
+
 std::string encode_cache_entry(const CanonicalHash& key,
                                const CachedSolution& value) {
-  std::ostringstream out;
-  out << to_hex(key) << "\t";
-  if (!value.solution) {
-    out << "0\t-\t-";
-  } else {
-    const solver::Solution& solution = *value.solution;
-    out << "1\t";
-    const auto boundaries = solution.mapping.partition().boundaries();
-    for (std::size_t j = 0; j < boundaries.size(); ++j) {
-      out << (j ? "," : "") << boundaries[j];
-    }
-    out << "\t";
-    for (std::size_t j = 0; j < solution.mapping.interval_count(); ++j) {
-      if (j) out << ";";
-      const auto procs = solution.mapping.processors(j);
-      for (std::size_t r = 0; r < procs.size(); ++r) {
-        out << (r ? "," : "") << procs[r];
-      }
-    }
-    const MappingMetrics& metrics = solution.metrics;
-    out << "\t" << canonical_number(metrics.reliability.log()) << "\t"
-        << canonical_number(metrics.failure) << "\t"
-        << canonical_number(metrics.expected_latency) << "\t"
-        << canonical_number(metrics.worst_latency) << "\t"
-        << canonical_number(metrics.expected_period) << "\t"
-        << canonical_number(metrics.worst_period) << "\t"
-        << metrics.interval_count << "\t" << metrics.processors_used << "\t"
-        << canonical_number(metrics.replication_level);
-  }
-  out << "\t" << canonical_number(value.cost_seconds);
-  if (value.indexable()) {
-    out << "\t" << to_hex(*value.instance_key) << "\t"
-        << canonical_number(value.bounds->period_bound) << "\t"
-        << canonical_number(value.bounds->latency_bound);
-  }
-  return out.str();
+  ByteWriter out;
+  encode_cache_entry(out, key, value);
+  return out.take();
 }
 
-namespace {
-
-/// Parses the optional trailing near-miss metadata triple (fields
-/// `first..first+2`) into `value`; false on malformed fields.
-bool parse_near_metadata(const std::vector<std::string>& fields,
-                         std::size_t first, CachedSolution& value,
-                         std::string& error) {
-  const auto instance_key = hash_from_hex(fields[first]);
-  solver::Bounds bounds;
-  if (!instance_key ||
-      !parse_canonical_number(fields[first + 1], bounds.period_bound) ||
-      !parse_canonical_number(fields[first + 2], bounds.latency_bound)) {
-    error = "malformed near-miss metadata";
-    return false;
-  }
-  value.instance_key = *instance_key;
-  value.bounds = bounds;
-  return true;
-}
-
-}  // namespace
-
-bool parse_cache_entry(std::string_view line, CanonicalHash& key,
+bool parse_cache_entry(ByteReader& in, CanonicalHash& key,
                        CachedSolution& value, std::string& error) {
-  const auto bad = [&](const std::string& what) {
+  const auto bad = [&](const char* what) {
     error = what;
     return false;
   };
 
-  const std::vector<std::string> fields = split(std::string(line), '\t');
-  // Infeasible entries carry 5 fields, or 8 with near-miss metadata;
-  // feasible ones 14, or 17.
-  if (fields.size() < 5) return bad("expected >= 5 tab-separated fields");
-  const auto parsed_key = hash_from_hex(fields[0]);
-  if (!parsed_key) return bad("malformed hash '" + fields[0] + "'");
-
-  if (fields[1] == "0") {
-    if (fields.size() != 5 && fields.size() != 8) {
-      return bad("infeasible entries need 5/8 fields");
+  CanonicalHash parsed_key;
+  std::uint8_t flags = 0;
+  if (!in.key(parsed_key) || !in.u8(flags)) return bad("truncated entry");
+  if ((flags & ~(kEntryFeasible | kEntryIndexed)) != 0) {
+    return bad("unknown entry flags");
+  }
+  CachedSolution parsed;
+  if ((flags & kEntryFeasible) != 0) {
+    std::size_t intervals = 0;
+    if (!in.count(intervals, kIntervalMinBytes) || intervals == 0) {
+      return bad("malformed interval count");
     }
-    CachedSolution parsed;
-    if (!parse_canonical_number(fields[4], parsed.cost_seconds)) {
-      return bad("malformed cost field");
+    std::vector<std::size_t> lasts(intervals);
+    std::vector<std::vector<std::size_t>> procs(intervals);
+    for (std::size_t j = 0; j < intervals; ++j) {
+      std::size_t replicas = 0;
+      if (!in.u64(lasts[j]) || !in.count(replicas, 8)) {
+        return bad("malformed replica list");
+      }
+      procs[j].resize(replicas);
+      for (std::size_t& proc : procs[j]) in.u64(proc);
     }
-    if (fields.size() == 8 && !parse_near_metadata(fields, 5, parsed, error)) {
+    MappingMetrics metrics;
+    double log_r = 0.0;
+    if (!in.f64(log_r) || !in.f64(metrics.failure) ||
+        !in.f64(metrics.expected_latency) || !in.f64(metrics.worst_latency) ||
+        !in.f64(metrics.expected_period) || !in.f64(metrics.worst_period) ||
+        !in.u64(metrics.interval_count) || !in.u64(metrics.processors_used) ||
+        !in.f64(metrics.replication_level)) {
+      return bad("truncated metrics");
+    }
+    metrics.reliability = LogReliability::from_log(log_r);
+    try {
+      Mapping mapping(
+          IntervalPartition::from_boundaries(lasts, lasts.back() + 1),
+          std::move(procs));
+      parsed.solution = solver::Solution{std::move(mapping), metrics};
+    } catch (const std::exception& why) {
+      error = std::string("invalid mapping: ") + why.what();
       return false;
     }
-    key = *parsed_key;
-    value = std::move(parsed);
-    return true;
   }
-  if (fields[1] != "1" || (fields.size() != 14 && fields.size() != 17)) {
-    return bad("feasible entries need 14/17 fields");
-  }
-
-  std::vector<std::size_t> boundaries;
-  for (const std::string& part : split(fields[2], ',')) {
-    std::size_t parsed = 0;
-    if (!parse_size(part, parsed)) return bad("malformed boundary list");
-    boundaries.push_back(parsed);
-  }
-  std::vector<std::vector<std::size_t>> procs;
-  for (const std::string& group : split(fields[3], ';')) {
-    std::vector<std::size_t> replicas;
-    for (const std::string& part : split(group, ',')) {
-      std::size_t parsed = 0;
-      if (!parse_size(part, parsed)) return bad("malformed processor list");
-      replicas.push_back(parsed);
+  if (!in.f64(parsed.cost_seconds)) return bad("truncated cost");
+  if ((flags & kEntryIndexed) != 0) {
+    CanonicalHash instance_key;
+    solver::Bounds bounds;
+    if (!in.key(instance_key) || !in.f64(bounds.period_bound) ||
+        !in.f64(bounds.latency_bound)) {
+      return bad("truncated near-miss metadata");
     }
-    procs.push_back(std::move(replicas));
+    parsed.instance_key = instance_key;
+    parsed.bounds = bounds;
   }
-  if (boundaries.empty() || procs.size() != boundaries.size()) {
-    return bad("boundary/processor list size mismatch");
-  }
-
-  double log_r = 0.0;
-  MappingMetrics metrics;
-  double cost_seconds = 0.0;
-  if (!parse_canonical_number(fields[4], log_r) ||
-      !parse_canonical_number(fields[5], metrics.failure) ||
-      !parse_canonical_number(fields[6], metrics.expected_latency) ||
-      !parse_canonical_number(fields[7], metrics.worst_latency) ||
-      !parse_canonical_number(fields[8], metrics.expected_period) ||
-      !parse_canonical_number(fields[9], metrics.worst_period) ||
-      !parse_size(fields[10], metrics.interval_count) ||
-      !parse_size(fields[11], metrics.processors_used) ||
-      !parse_canonical_number(fields[12], metrics.replication_level) ||
-      !parse_canonical_number(fields[13], cost_seconds)) {
-    return bad("malformed metric fields");
-  }
-  metrics.reliability = LogReliability::from_log(log_r);
-
-  CachedSolution parsed;
-  parsed.cost_seconds = cost_seconds;
-  if (fields.size() == 17 && !parse_near_metadata(fields, 14, parsed, error)) {
-    return false;
-  }
-  try {
-    Mapping mapping(
-        IntervalPartition::from_boundaries(boundaries, boundaries.back() + 1),
-        std::move(procs));
-    parsed.solution = solver::Solution{std::move(mapping), metrics};
-    key = *parsed_key;
-    value = std::move(parsed);
-  } catch (const std::exception& why) {
-    return bad(std::string("invalid mapping: ") + why.what());
-  }
+  key = parsed_key;
+  value = std::move(parsed);
   return true;
+}
+
+bool parse_cache_entry(std::string_view bytes, CanonicalHash& key,
+                       CachedSolution& value, std::string& error) {
+  ByteReader in(bytes);
+  if (!parse_cache_entry(in, key, value, error)) return false;
+  if (in.at_end()) return true;
+  error = "bytes past the end of the entry";
+  return false;
 }
 
 ShardedSolutionCache::ShardedSolutionCache(Config config)
@@ -477,72 +413,31 @@ std::vector<CanonicalHash> ShardedSolutionCache::keys() const {
   return keys;
 }
 
-void ShardedSolutionCache::save_tsv(std::ostream& out) const {
-  out << "# prts-solution-cache v1\n";
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<obs::ProfiledMutex> lock(shard.mutex);
-    for (const Entry& entry : shard.lru) {
-      out << encode_cache_entry(entry.key, entry.value) << "\n";
-    }
-  }
-}
-
-ShardedSolutionCache::LoadResult ShardedSolutionCache::load_tsv(
-    std::istream& in) {
-  LoadResult result;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    CanonicalHash key;
-    CachedSolution value;
-    std::string why;
-    if (!parse_cache_entry(line, key, value, why)) {
-      result.error = "line " + std::to_string(lineno) + ": " + why;
-      return result;
-    }
-    insert(key, std::move(value));
-    ++result.loaded;
-  }
-  return result;
-}
-
 void ShardedSolutionCache::save_binary(std::ostream& out) const {
-  // Snapshot entries first (per-shard locks are not held across the
-  // whole write) and encode each blob once.
-  std::vector<std::pair<CanonicalHash, std::string>> blobs;
+  // Encode shard by shard (one shard lock at a time), then write: the
+  // count leads the entries.
+  ByteWriter body;
+  std::uint64_t count = 0;
   for (const Shard& shard : shards_) {
     const std::lock_guard<obs::ProfiledMutex> lock(shard.mutex);
     for (const Entry& entry : shard.lru) {
-      std::string blob = encode_cache_entry(entry.key, entry.value);
-      // The loader rejects blobs over kBinaryMaxBlobBytes as corrupt;
-      // never write one (a pathological entry is dropped from the
-      // snapshot, not allowed to brick it).
-      if (blob.size() > kBinaryMaxBlobBytes) continue;
-      blobs.emplace_back(entry.key, std::move(blob));
+      const std::string bytes = encode_cache_entry(entry.key, entry.value);
+      // The loader refuses longer entries as corrupt; never write one
+      // (a pathological entry is dropped, not allowed to brick the
+      // snapshot).
+      if (bytes.size() > kMaxEntryBytes) continue;
+      body.u32(static_cast<std::uint32_t>(bytes.size()));
+      body.raw(bytes);
+      ++count;
     }
   }
-
-  std::string header;
-  header.append(kBinaryMagic, sizeof(kBinaryMagic));
-  header.push_back(static_cast<char>(kBinaryVersion));
-  header.push_back(0);  // reserved
-  put_u64_le(header, blobs.size());
-
-  std::uint64_t offset =
-      kBinaryHeaderBytes + blobs.size() * kBinaryIndexEntryBytes;
-  for (const auto& [key, blob] : blobs) {
-    put_u64_le(header, key.hi);
-    put_u64_le(header, key.lo);
-    put_u64_le(header, offset);
-    put_u32_le(header, static_cast<std::uint32_t>(blob.size()));
-    offset += blob.size();
-  }
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  for (const auto& [key, blob] : blobs) {
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
+  ByteWriter header;
+  header.raw({kSnapshotMagic, sizeof(kSnapshotMagic)});
+  header.u64(count);
+  out.write(header.bytes().data(),
+            static_cast<std::streamsize>(header.bytes().size()));
+  out.write(body.bytes().data(),
+            static_cast<std::streamsize>(body.bytes().size()));
 }
 
 ShardedSolutionCache::LoadResult ShardedSolutionCache::load_binary(
@@ -554,66 +449,57 @@ ShardedSolutionCache::LoadResult ShardedSolutionCache::load_binary(
     return result;
   };
 
-  char header[kBinaryHeaderBytes];
-  if (!in.read(header, sizeof(header))) return bad("truncated header");
-  if (std::memcmp(header, kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
-    return bad("bad magic (not a PRTS1 snapshot)");
+  char magic[sizeof(kSnapshotMagic)];
+  if (!in.read(magic, sizeof(magic)) ||
+      std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
+    return bad("not a PRTS2 snapshot (TSV and PRTS1 cache files are "
+               "refused)");
   }
-  if (static_cast<std::uint8_t>(header[sizeof(kBinaryMagic)]) !=
-      kBinaryVersion) {
-    return bad("unsupported snapshot version");
+  char count_bytes[8];
+  std::uint64_t count = 0;
+  if (!in.read(count_bytes, sizeof(count_bytes)) ||
+      !ByteReader({count_bytes, sizeof(count_bytes)}).u64(count)) {
+    return bad("truncated header");
   }
-  const std::uint64_t count = get_u64_le(
-      reinterpret_cast<const unsigned char*>(header) + sizeof(kBinaryMagic) +
-      2);
 
-  struct IndexEntry {
-    CanonicalHash key;
-    std::uint64_t offset;
-    std::uint32_t length;
-  };
-  std::vector<IndexEntry> wanted;
-  char raw[kBinaryIndexEntryBytes];
+  std::string bytes;
   for (std::uint64_t i = 0; i < count; ++i) {
-    if (!in.read(raw, sizeof(raw))) return bad("truncated index");
-    const auto* bytes = reinterpret_cast<const unsigned char*>(raw);
-    IndexEntry entry;
-    entry.key.hi = get_u64_le(bytes);
-    entry.key.lo = get_u64_le(bytes + 8);
-    entry.offset = get_u64_le(bytes + 16);
-    entry.length = get_u32_le(bytes + 24);
-    if (entry.length > kBinaryMaxBlobBytes) {
-      return bad("oversized entry in index");
+    const auto bad_entry = [&](const std::string& what) {
+      return bad("entry " + std::to_string(i + 1) + " of " +
+                 std::to_string(count) + ": " + what);
+    };
+    // The length and the entry's leading key.
+    char prefix[4 + 16];
+    std::uint32_t length = 0;
+    CanonicalHash key;
+    ByteReader head({prefix, sizeof(prefix)});
+    if (!in.read(prefix, sizeof(prefix)) || !head.u32(length) ||
+        !head.key(key)) {
+      return bad_entry("truncated");
     }
-    if (filter && !filter(entry.key)) {
+    if (length < kCacheEntryMinBytes || length > kMaxEntryBytes) {
+      return bad_entry("bad length " + std::to_string(length));
+    }
+    const std::size_t rest = length - 16;
+    if (filter && !filter(key)) {
+      in.ignore(static_cast<std::streamsize>(rest));
+      if (in.gcount() != static_cast<std::streamsize>(rest)) {
+        return bad_entry("truncated");
+      }
       ++result.skipped;
       continue;
     }
-    wanted.push_back(entry);
-  }
-
-  std::string blob;
-  for (const IndexEntry& entry : wanted) {
-    in.clear();
-    if (!in.seekg(static_cast<std::streamoff>(entry.offset))) {
-      return bad("seek failed (stream not seekable?)");
-    }
-    blob.resize(entry.length);
-    if (!in.read(blob.data(), static_cast<std::streamsize>(entry.length))) {
-      return bad("truncated entry blob");
-    }
-    CanonicalHash key;
+    bytes.assign(prefix + 4, 16);
+    if (!append_exactly(in, bytes, rest)) return bad_entry("truncated");
     CachedSolution value;
     std::string why;
-    if (!parse_cache_entry(blob, key, value, why)) {
-      result.error = "entry " + to_hex(entry.key) + ": " + why;
-      return result;
-    }
-    if (key != entry.key) {
-      return bad("index/blob key mismatch for " + to_hex(entry.key));
-    }
+    if (!parse_cache_entry(bytes, key, value, why)) return bad_entry(why);
     insert(key, std::move(value));
     ++result.loaded;
+  }
+  if (in.peek() != std::char_traits<char>::eof()) {
+    return bad("bytes past the last of " + std::to_string(count) +
+               " entries");
   }
   return result;
 }

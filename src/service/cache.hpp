@@ -16,15 +16,13 @@
 // this solver") are cached too, so repeated infeasible probes of a
 // design-space exploration stay cheap.
 //
-// Persistence, two formats sharing one entry line codec:
-//   - save_tsv/load_tsv: one entry per line, every double in
-//     canonical_number shortest round-trip form, so a reloaded cache
-//     replays bit-identical solutions;
-//   - save_binary/load_binary: the compact "PRTS1" snapshot — an index
-//     header mapping hash -> (offset, length) followed by the entry
-//     lines as blobs, so a fabric node can selectively load just the
-//     keys of its own shard (seek per index entry, O(1) per key,
-//     nothing else is read or parsed).
+// Persistence, one format: save_binary/load_binary write and read the
+// "PRTS2" snapshot, a count and then one length-prefixed entry per
+// cached answer, each in the entry encoding below (service/codec.hpp:
+// every double as its bit pattern, so a reloaded cache replays
+// bit-identical solutions). A fabric node can load just the keys of its
+// own shard: each entry leads with its key, and a foreign entry's bytes
+// are skipped without being parsed.
 #pragma once
 
 #include <chrono>
@@ -43,6 +41,7 @@
 
 #include "obs/profiler.hpp"
 #include "service/canonical.hpp"
+#include "service/codec.hpp"
 #include "solver/solver.hpp"
 
 namespace prts::service {
@@ -56,8 +55,8 @@ namespace prts::service {
 /// bounds-erased (canonical instance, solver) batch key this entry's
 /// request hashed under, and the bounds it was solved for. Entries
 /// carrying both feed the bounds-monotone secondary index (see
-/// find_dominating below); entries without them — wire replies and
-/// snapshot lines written without the metadata — stay plain exact-key
+/// find_dominating below); entries without them — wire replies, and
+/// solves of a service with near-miss reuse off — stay plain exact-key
 /// entries.
 struct CachedSolution {
   CachedSolution() = default;
@@ -106,19 +105,34 @@ struct CacheStats {
 /// vectors); the unit the byte bound is accounted in.
 std::size_t cached_solution_bytes(const CachedSolution& value) noexcept;
 
-/// One entry as a TSV line (no trailing newline):
-///   <hash-hex> <feasible> <boundaries,> <procs;,> [<9 metric fields>]
-///   <cost> [<instance-hash-hex> <period-bound> <latency-bound>]
-/// The trailing near-miss metadata triple is emitted only when the
-/// entry carries it. The codec shared by the TSV file, the PRTS1 blobs,
-/// and the wire replies of service/wire.hpp.
+/// One entry in the binary encoding of service/codec.hpp, one layout:
+///   key (16 B)
+///   u8 flags            bit 0: feasible; bit 1: near-miss metadata
+///   [feasible]          u32 m, then m x {u64 interval end,
+///                       u32 r, r x u64 processor}; the nine metrics
+///                       (log reliability, failure, EL, WL, EP, WP as
+///                       f64, interval count and processors used as
+///                       u64, replication level as f64)
+///   f64 cost
+///   [metadata]          instance key (16 B), f64 period bound,
+///                       f64 latency bound
+/// The codec shared by the snapshot file and the wire payloads of
+/// service/wire.hpp (replies, replica entries, handoff chunks).
+void encode_cache_entry(ByteWriter& out, const CanonicalHash& key,
+                        const CachedSolution& value);
 std::string encode_cache_entry(const CanonicalHash& key,
                                const CachedSolution& value);
 
-/// Parses encode_cache_entry output; lines without the near-miss
-/// metadata load unindexed. False with a reason on malformed input
-/// (including a line without the cost field).
-bool parse_cache_entry(std::string_view line, CanonicalHash& key,
+/// The least bytes an encoded entry takes: key, flags and cost.
+inline constexpr std::size_t kCacheEntryMinBytes = 16 + 1 + 8;
+
+/// Reads one encode_cache_entry entry from `in`; false with a reason on
+/// truncated, malformed or inconsistent bytes (a mapping whose
+/// intervals do not tile the chain included). Never throws.
+bool parse_cache_entry(ByteReader& in, CanonicalHash& key,
+                       CachedSolution& value, std::string& error);
+/// As above, and `bytes` must hold exactly one entry.
+bool parse_cache_entry(std::string_view bytes, CanonicalHash& key,
                        CachedSolution& value, std::string& error);
 
 class ShardedSolutionCache {
@@ -205,30 +219,24 @@ class ShardedSolutionCache {
   /// takes, then streams the entries via peek().
   std::vector<CanonicalHash> keys() const;
 
-  /// Writes every entry as one encode_cache_entry line. Shard iteration
-  /// order; not sorted (the reload order is irrelevant).
-  void save_tsv(std::ostream& out) const;
-
   struct LoadResult {
     std::size_t loaded = 0;   ///< entries inserted
     std::size_t skipped = 0;  ///< entries rejected by the filter
     std::string error;        ///< first malformed input, empty when clean
   };
 
-  /// Inserts every well-formed line of a save_tsv stream; stops at the
-  /// first malformed line and reports it (entries before it are kept).
-  LoadResult load_tsv(std::istream& in);
-
-  /// Writes the compact binary snapshot:
-  ///   "PRTS1\n" u8 version u8 reserved u64le count
-  ///   count * { u64le hi, u64le lo, u64le offset, u32le length }
-  ///   blobs (encode_cache_entry lines, no newline)
+  /// Writes the snapshot:
+  ///   "PRTS2\n"  u64 count  count x {u32 length, entry}
+  /// Shard iteration order (one shard locked at a time); entries are
+  /// encode_cache_entry bytes.
   void save_binary(std::ostream& out) const;
 
-  /// Loads a save_binary snapshot. When `filter` is set only keys it
-  /// accepts are read — the index is scanned, everything else is
-  /// skipped without touching its bytes (selective shard load). The
-  /// stream must be seekable.
+  /// Loads a save_binary snapshot, inserting entries as it goes. When
+  /// `filter` is set only keys it accepts are parsed; every other entry
+  /// is skipped by its length. Stops at the first malformed entry and
+  /// refuses a file whose entries fall short of its count or run past
+  /// it (entries loaded before the fault are kept). Any other file,
+  /// TSV and PRTS1 snapshots included, is refused.
   LoadResult load_binary(
       std::istream& in,
       const std::function<bool(const CanonicalHash&)>& filter = {});

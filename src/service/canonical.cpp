@@ -67,28 +67,6 @@ std::string trace_label(std::string_view solver_name,
   return label;
 }
 
-std::optional<CanonicalHash> hash_from_hex(std::string_view hex) {
-  if (hex.size() != 32) return std::nullopt;
-  CanonicalHash hash;
-  for (int i = 0; i < 32; ++i) {
-    const char c = hex[static_cast<std::size_t>(i)];
-    std::uint64_t digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return std::nullopt;
-    }
-    if (i < 16) {
-      hash.hi = (hash.hi << 4) | digit;
-    } else {
-      hash.lo = (hash.lo << 4) | digit;
-    }
-  }
-  return hash;
-}
-
 CanonicalInstance canonicalize(const Instance& instance) {
   const Platform& platform = instance.platform;
   const std::size_t p = platform.processor_count();

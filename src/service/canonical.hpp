@@ -74,9 +74,6 @@ std::string to_hex(const CanonicalHash& hash);
 std::string trace_label(std::string_view solver_name,
                         const CanonicalHash& key);
 
-/// Parses to_hex output; nullopt on malformed input.
-std::optional<CanonicalHash> hash_from_hex(std::string_view hex);
-
 /// Hasher for CanonicalHash-keyed maps: lo is already avalanched by
 /// fingerprint(), so it is the bucket index; maps compare full 128-bit
 /// keys.

@@ -1,6 +1,6 @@
 // Live background checkpointing of a serving rank: a timer thread (or
 // an explicit checkpoint_now() — the `checkpoint` protocol verb)
-// snapshots the solution cache to a PRTS1 binary file while requests
+// snapshots the solution cache to a PRTS2 snapshot file while requests
 // keep flowing. The snapshot locks one cache shard at a time (the
 // save_binary discipline), so a checkpoint never stops the world; it is
 // written to `path + ".tmp"` and atomically renamed over `path`, so a
@@ -27,7 +27,7 @@ namespace prts::service {
 class Checkpointer {
  public:
   struct Config {
-    /// Destination file (the PRTS1 snapshot readable by --warm-start
+    /// Destination file (the PRTS2 snapshot readable by --warm-start
     /// and load_binary). Must be on the same filesystem as its ".tmp"
     /// sibling for the rename to be atomic — it is, by construction.
     std::string path;

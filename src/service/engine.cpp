@@ -517,11 +517,14 @@ void SolveService::run_next_batch() {
           solver_run_hist_->record(cost_seconds);
           if (config_.cache_enabled) {
             // The near-miss metadata makes this solve a reusable point
-            // of the instance's sweep history.
-            cache_.insert(query->key,
-                          CachedSolution{outcome.canonical_solution,
-                                         cost_seconds, batch->key,
-                                         query->bounds});
+            // of the instance's sweep history; without near-miss reuse
+            // nothing would read the index, so nothing fills it.
+            CachedSolution entry{outcome.canonical_solution, cost_seconds};
+            if (near_miss_enabled()) {
+              entry.instance_key = batch->key;
+              entry.bounds = query->bounds;
+            }
+            cache_.insert(query->key, std::move(entry));
           }
           outcome.kind = QueryOutcome::Kind::kAnswered;
           outcome.solver_used = batch->solver_name;

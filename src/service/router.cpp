@@ -1021,7 +1021,7 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
   stamp.entries = slice.size();
   net::Frame begin;
   begin.type = net::FrameType::kHandoffBegin;
-  begin.payload = encode_handoff_begin(stamp);
+  begin.payload = encode_handoff_stamp(stamp);
   const auto begin_ack = client->call(begin);
   if (!begin_ack || begin_ack->type != net::FrameType::kPong) {
     finish_handoff(false);
@@ -1072,7 +1072,7 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
   stamp.entries = sent_entries;
   net::Frame done;
   done.type = net::FrameType::kHandoffDone;
-  done.payload = encode_handoff_done(stamp);
+  done.payload = encode_handoff_stamp(stamp);
   client->call(done);  // best-effort: the chunks already landed
   finish_handoff(true);
 }

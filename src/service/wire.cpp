@@ -1,630 +1,333 @@
 #include "service/wire.hpp"
 
-#include <charconv>
-#include <functional>
-#include <sstream>
-
 #include "obs/trace.hpp"
 #include "service/cache.hpp"
+#include "service/codec.hpp"
 
 namespace prts::service {
 namespace {
 
-const char* policy_name(DeadlinePolicy policy) noexcept {
-  return policy == DeadlinePolicy::kReject ? "reject" : "downgrade";
+constexpr std::uint8_t kReplyHit = 1;
+constexpr std::uint8_t kReplyNear = 2;
+constexpr std::uint8_t kReplyDown = 4;
+/// A span's least bytes: empty name, rank, three doubles, two counts.
+constexpr std::size_t kSpanMinBytes = 4 + 4 + 3 * 8 + 2 * 8;
+/// A member's least bytes: rank, port, empty host.
+constexpr std::size_t kMemberMinBytes = 8 + 2 + 4;
+
+template <typename T>
+std::optional<T> refuse(std::string& error, std::string why) {
+  error = std::move(why);
+  return std::nullopt;
 }
 
-/// "status <x>" -> x; false when the line does not start with the key.
-bool take_field(const std::string& line, std::string_view key,
-                std::string& value) {
-  if (line.size() < key.size() + 1 || line.compare(0, key.size(), key) != 0 ||
-      line[key.size()] != ' ') {
+/// `value` when the payload is consumed exactly; refused otherwise.
+template <typename T>
+std::optional<T> whole(const ByteReader& in, T value, std::string& error) {
+  if (!in.at_end()) return refuse<T>(error, "bytes past the end of the payload");
+  return value;
+}
+
+void encode_entries(
+    ByteWriter& out,
+    const std::vector<std::pair<CanonicalHash, CachedSolution>>& entries) {
+  out.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [key, value] : entries) encode_cache_entry(out, key, value);
+}
+
+bool decode_entries(
+    ByteReader& in,
+    std::vector<std::pair<CanonicalHash, CachedSolution>>& entries,
+    std::string& error) {
+  std::size_t count = 0;
+  if (!in.count(count, kCacheEntryMinBytes)) {
+    error = "malformed entry count";
     return false;
   }
-  value = line.substr(key.size() + 1);
-  return true;
-}
-
-std::optional<ReplyStatus> status_from_name(std::string_view name) {
-  for (const ReplyStatus status :
-       {ReplyStatus::kSolved, ReplyStatus::kInfeasible,
-        ReplyStatus::kRejectedQueue, ReplyStatus::kRejectedDeadline,
-        ReplyStatus::kError}) {
-    if (name == reply_status_name(status)) return status;
+  entries.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    CanonicalHash key;
+    CachedSolution value;
+    if (!parse_cache_entry(in, key, value, error)) {
+      error = "entry: " + error;
+      return false;
+    }
+    entries.emplace_back(key, std::move(value));
   }
-  return std::nullopt;
+  return true;
 }
 
 }  // namespace
 
 std::string encode_wire_request(const SolveRequest& request) {
-  std::ostringstream out;
-  out << "prts-solve-request v1\n";
-  out << "solver " << request.solver << "\n";
-  out << "period " << canonical_number(request.bounds.period_bound) << "\n";
-  out << "latency " << canonical_number(request.bounds.latency_bound)
-      << "\n";
-  out << "deadline " << canonical_number(request.deadline_seconds) << "\n";
-  out << "policy " << policy_name(request.deadline_policy) << "\n";
-  if (request.trace_id != 0) {
-    out << "trace " << obs::id_to_hex(request.trace_id) << "\n";
-  }
-  out << "instance\n";
-  write_instance_canonical(out, request.instance);
-  return out.str();
+  ByteWriter out;
+  out.text(request.solver);
+  out.f64(request.bounds.period_bound);
+  out.f64(request.bounds.latency_bound);
+  out.f64(request.deadline_seconds);
+  out.u8(request.deadline_policy == DeadlinePolicy::kReject ? 0 : 1);
+  out.u64(request.trace_id);
+  out.text(CanonicalInstanceText(request.instance).view());
+  return out.take();
 }
 
 std::optional<SolveRequest> decode_wire_request(std::string_view payload,
                                                 std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-
-  const auto bad = [&](const std::string& what) {
-    error = what;
-    return std::nullopt;
-  };
-
-  if (!std::getline(in, line) || line != "prts-solve-request v1") {
-    error = "expected header 'prts-solve-request v1'";
-    return std::nullopt;
-  }
-
+  ByteReader in(payload);
   std::string solver;
   solver::Bounds bounds;
   double deadline_seconds = 0.0;
-  DeadlinePolicy policy = DeadlinePolicy::kDowngrade;
-
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, "solver", value) ||
-      value.empty()) {
-    return bad("expected 'solver <name>'");
-  }
-  solver = value;
-  if (!std::getline(in, line) || !take_field(line, "period", value) ||
-      !parse_canonical_number(value, bounds.period_bound)) {
-    return bad("expected 'period <number>'");
-  }
-  if (!std::getline(in, line) || !take_field(line, "latency", value) ||
-      !parse_canonical_number(value, bounds.latency_bound)) {
-    return bad("expected 'latency <number>'");
-  }
-  if (!std::getline(in, line) || !take_field(line, "deadline", value) ||
-      !parse_canonical_number(value, deadline_seconds)) {
-    return bad("expected 'deadline <number>'");
-  }
-  if (!std::getline(in, line) || !take_field(line, "policy", value)) {
-    return bad("expected 'policy reject|downgrade'");
-  }
-  if (value == "reject") {
-    policy = DeadlinePolicy::kReject;
-  } else if (value == "downgrade") {
-    policy = DeadlinePolicy::kDowngrade;
-  } else {
-    return bad("unknown policy '" + value + "'");
-  }
-  if (!std::getline(in, line)) return bad("expected 'instance'");
-  // Optional trace id (a payload without one still decodes — the line
-  // joined the v1 format later).
+  std::uint8_t policy = 0;
   std::uint64_t trace_id = 0;
-  if (take_field(line, "trace", value)) {
-    trace_id = obs::id_from_hex(value);
-    if (trace_id == 0) return bad("malformed trace id '" + value + "'");
-    if (!std::getline(in, line)) return bad("expected 'instance'");
+  std::string_view instance_text;
+  if (!in.text(solver) || solver.empty() || !in.f64(bounds.period_bound) ||
+      !in.f64(bounds.latency_bound) || !in.f64(deadline_seconds) ||
+      !in.u8(policy) || !in.u64(trace_id) || !in.text(instance_text)) {
+    return refuse<SolveRequest>(error, "truncated or malformed solve request");
   }
-  if (line != "instance") return bad("expected 'instance'");
-
-  std::string body;
-  while (std::getline(in, line)) {
-    body += line;
-    body += "\n";
+  if (policy > 1) {
+    return refuse<SolveRequest>(error,
+                                "unknown policy " + std::to_string(policy));
   }
-  ParseResult parsed = instance_from_text(body);
-  if (!parsed) return bad("instance: " + parsed.error);
-  SolveRequest request{std::move(*parsed.instance), std::move(solver), bounds,
-                       deadline_seconds, policy};
+  ParseResult parsed = instance_from_text(std::string(instance_text));
+  if (!parsed) return refuse<SolveRequest>(error, "instance: " + parsed.error);
+  SolveRequest request{
+      std::move(*parsed.instance), std::move(solver), bounds, deadline_seconds,
+      policy == 0 ? DeadlinePolicy::kReject : DeadlinePolicy::kDowngrade};
   request.trace_id = trace_id;
-  return request;
+  return whole(in, std::move(request), error);
 }
 
 std::string encode_wire_reply(const SolveReply& reply) {
-  std::ostringstream out;
-  out << "prts-solve-reply v1\n";
-  out << "status " << reply_status_name(reply.status) << "\n";
-  out << "hit " << (reply.cache_hit ? 1 : 0) << "\n";
-  out << "near " << (reply.near_miss ? 1 : 0) << "\n";
-  out << "down " << (reply.downgraded ? 1 : 0) << "\n";
-  out << "solver " << (reply.solver_used.empty() ? "-" : reply.solver_used)
-      << "\n";
-  out << "cost " << canonical_number(reply.cost_seconds) << "\n";
-  if (reply.status == ReplyStatus::kError) {
-    out << "error " << reply.error << "\n";
-  }
+  ByteWriter out;
+  out.u8(static_cast<std::uint8_t>(reply.status));
+  out.u8((reply.cache_hit ? kReplyHit : 0) | (reply.near_miss ? kReplyNear : 0) |
+         (reply.downgraded ? kReplyDown : 0));
+  out.text(reply.solver_used);
+  out.f64(reply.cost_seconds);
+  out.text(reply.error);
+  out.u32(static_cast<std::uint32_t>(reply.remote_spans.size()));
   for (const obs::Span& span : reply.remote_spans) {
-    out << "span " << span.rank << " "
-        << canonical_number(span.start_seconds) << " "
-        << canonical_number(span.duration_seconds) << " " << span.name
-        << "\n";
-    // Profiler attribution rides as an optional follow-line ('span'
-    // carries the name as its tail, so new fields cannot extend it),
-    // emitted only when nonzero.
-    if (span.cpu_seconds > 0.0 || span.alloc_count > 0 ||
-        span.alloc_bytes > 0) {
-      out << "spanx " << canonical_number(span.cpu_seconds) << " "
-          << span.alloc_count << " " << span.alloc_bytes << "\n";
-    }
+    out.text(span.name);
+    out.u32(static_cast<std::uint32_t>(span.rank));
+    out.f64(span.start_seconds);
+    out.f64(span.duration_seconds);
+    out.f64(span.cpu_seconds);
+    out.u64(span.alloc_count);
+    out.u64(span.alloc_bytes);
   }
   if (reply.status == ReplyStatus::kSolved ||
       reply.status == ReplyStatus::kInfeasible) {
-    out << "entry "
-        << encode_cache_entry(
-               reply.key, CachedSolution{reply.solution, reply.cost_seconds})
-        << "\n";
+    encode_cache_entry(out, reply.key,
+                       CachedSolution{reply.solution, reply.cost_seconds});
   } else {
-    out << "key " << to_hex(reply.key) << "\n";
+    out.key(reply.key);
   }
-  return out.str();
+  return out.take();
 }
 
 std::optional<SolveReply> decode_wire_reply(std::string_view payload,
                                             std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-
-  const auto bad = [&](const std::string& what) {
-    error = what;
-    return std::nullopt;
-  };
-
-  if (!std::getline(in, line) || line != "prts-solve-reply v1") {
-    error = "expected header 'prts-solve-reply v1'";
-    return std::nullopt;
-  }
-
+  ByteReader in(payload);
   SolveReply reply;
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, "status", value)) {
-    return bad("expected 'status <name>'");
+  std::uint8_t status = 0;
+  std::uint8_t flags = 0;
+  std::size_t spans = 0;
+  if (!in.u8(status) || !in.u8(flags) || !in.text(reply.solver_used) ||
+      !in.f64(reply.cost_seconds) || !in.text(reply.error) ||
+      !in.count(spans, kSpanMinBytes)) {
+    return refuse<SolveReply>(error, "truncated or malformed solve reply");
   }
-  const auto status = status_from_name(value);
-  if (!status) return bad("unknown status '" + value + "'");
-  reply.status = *status;
-
-  if (!std::getline(in, line) || !take_field(line, "hit", value) ||
-      (value != "0" && value != "1")) {
-    return bad("expected 'hit 0|1'");
+  if (status > static_cast<std::uint8_t>(ReplyStatus::kError)) {
+    return refuse<SolveReply>(error,
+                              "unknown status " + std::to_string(status));
   }
-  reply.cache_hit = value == "1";
-  if (!std::getline(in, line) || !take_field(line, "near", value) ||
-      (value != "0" && value != "1")) {
-    return bad("expected 'near 0|1'");
+  if ((flags & ~(kReplyHit | kReplyNear | kReplyDown)) != 0) {
+    return refuse<SolveReply>(error, "unknown reply flags");
   }
-  reply.near_miss = value == "1";
-  if (!std::getline(in, line) || !take_field(line, "down", value) ||
-      (value != "0" && value != "1")) {
-    return bad("expected 'down 0|1'");
-  }
-  reply.downgraded = value == "1";
-  if (!std::getline(in, line) || !take_field(line, "solver", value)) {
-    return bad("expected 'solver <name>'");
-  }
-  reply.solver_used = value == "-" ? "" : value;
-  if (!std::getline(in, line) || !take_field(line, "cost", value) ||
-      !parse_canonical_number(value, reply.cost_seconds)) {
-    return bad("expected 'cost <number>'");
-  }
-
-  while (std::getline(in, line)) {
-    if (take_field(line, "error", value)) {
-      reply.error = value;
-    } else if (take_field(line, "span", value)) {
-      // "<rank> <start> <duration> <name>"; the name is the line tail
-      // (span names never contain spaces, but tolerating them is free).
-      std::istringstream fields(value);
-      obs::Span span;
-      std::string start_text;
-      std::string duration_text;
-      if (!(fields >> span.rank >> start_text >> duration_text) ||
-          !parse_canonical_number(start_text, span.start_seconds) ||
-          !parse_canonical_number(duration_text, span.duration_seconds)) {
-        return bad("malformed span '" + value + "'");
-      }
-      std::getline(fields >> std::ws, span.name);
-      if (span.name.empty()) return bad("span missing name");
-      reply.remote_spans.push_back(std::move(span));
-    } else if (take_field(line, "spanx", value)) {
-      // "<cpu_seconds> <alloc_count> <alloc_bytes>", amending the most
-      // recent span. A spanx with no preceding span is tolerated and
-      // dropped (never a decode error — the span data is advisory).
-      if (reply.remote_spans.empty()) continue;
-      obs::Span& span = reply.remote_spans.back();
-      std::istringstream fields(value);
-      std::string cpu_text;
-      double cpu_seconds = 0.0;
-      std::uint64_t alloc_count = 0;
-      std::uint64_t alloc_bytes = 0;
-      if (!(fields >> cpu_text >> alloc_count >> alloc_bytes) ||
-          !parse_canonical_number(cpu_text, cpu_seconds)) {
-        return bad("malformed spanx '" + value + "'");
-      }
-      span.cpu_seconds = cpu_seconds;
-      span.alloc_count = alloc_count;
-      span.alloc_bytes = alloc_bytes;
-    } else if (take_field(line, "entry", value)) {
-      CachedSolution entry;
-      std::string why;
-      if (!parse_cache_entry(value, reply.key, entry, why)) {
-        return bad("entry: " + why);
-      }
-      reply.solution = std::move(entry.solution);
-    } else if (take_field(line, "key", value)) {
-      const auto key = hash_from_hex(value);
-      if (!key) return bad("malformed key '" + value + "'");
-      reply.key = *key;
-    } else if (!line.empty()) {
-      return bad("unexpected line '" + line + "'");
+  reply.status = static_cast<ReplyStatus>(status);
+  reply.cache_hit = (flags & kReplyHit) != 0;
+  reply.near_miss = (flags & kReplyNear) != 0;
+  reply.downgraded = (flags & kReplyDown) != 0;
+  reply.remote_spans.resize(spans);
+  for (obs::Span& span : reply.remote_spans) {
+    std::uint32_t rank = 0;
+    if (!in.text(span.name) || !in.u32(rank) || !in.f64(span.start_seconds) ||
+        !in.f64(span.duration_seconds) || !in.f64(span.cpu_seconds) ||
+        !in.u64(span.alloc_count) || !in.u64(span.alloc_bytes)) {
+      return refuse<SolveReply>(error, "truncated span");
     }
+    span.rank = static_cast<int>(rank);
   }
-
+  if (reply.status == ReplyStatus::kSolved ||
+      reply.status == ReplyStatus::kInfeasible) {
+    CachedSolution entry;
+    if (!parse_cache_entry(in, reply.key, entry, error)) {
+      return refuse<SolveReply>(error, "entry: " + error);
+    }
+    reply.solution = std::move(entry.solution);
+  } else if (!in.key(reply.key)) {
+    return refuse<SolveReply>(error, "truncated key");
+  }
   if (reply.status == ReplyStatus::kSolved && !reply.solution) {
-    return bad("status solved but no solution entry");
+    return refuse<SolveReply>(error, "status solved but no solution entry");
   }
-  return reply;
+  return whole(in, std::move(reply), error);
 }
 
 // ------------------------------------------------- gossip / replica fetch
 
-namespace {
-
-/// Parses "<header> <count>" then hands each of the following `count`
-/// lines to `parse_line`; nullopt-style false with a reason otherwise.
-bool read_counted_lines(std::istream& in, std::string_view count_key,
-                        std::string& error,
-                        const std::function<bool(const std::string&)>&
-                            parse_line) {
-  std::string line;
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, count_key, value)) {
-    error = "expected '" + std::string(count_key) + " <n>'";
-    return false;
-  }
-  std::size_t count = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), count);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    error = "malformed count '" + value + "'";
-    return false;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!std::getline(in, line)) {
-      error = "truncated list (expected " + std::to_string(count) +
-              " lines)";
-      return false;
-    }
-    if (!parse_line(line)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 std::string encode_gossip_digest(const GossipDigest& digest) {
-  std::ostringstream out;
-  out << "prts-gossip v1\n";
-  out << "rank " << digest.rank << "\n";
-  out << "keys " << digest.entries.size() << "\n";
+  ByteWriter out;
+  out.u64(digest.rank);
+  out.u32(static_cast<std::uint32_t>(digest.entries.size()));
   for (const GossipDigest::Entry& entry : digest.entries) {
-    out << to_hex(entry.key) << " " << entry.hits << "\n";
+    out.key(entry.key);
+    out.u64(entry.hits);
   }
-  return out.str();
+  return out.take();
 }
 
 std::optional<GossipDigest> decode_gossip_digest(std::string_view payload,
                                                  std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-gossip v1") {
-    error = "expected header 'prts-gossip v1'";
-    return std::nullopt;
-  }
+  ByteReader in(payload);
   GossipDigest digest;
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, "rank", value)) {
-    error = "expected 'rank <r>'";
-    return std::nullopt;
+  std::size_t count = 0;
+  if (!in.u64(digest.rank) || !in.count(count, 16 + 8)) {
+    return refuse<GossipDigest>(error, "truncated or malformed gossip digest");
   }
-  {
-    const auto [ptr, ec] = std::from_chars(
-        value.data(), value.data() + value.size(), digest.rank);
-    if (ec != std::errc{} || ptr != value.data() + value.size()) {
-      error = "malformed rank '" + value + "'";
-      return std::nullopt;
-    }
+  digest.entries.resize(count);
+  for (GossipDigest::Entry& entry : digest.entries) {
+    in.key(entry.key);  // count() vouched for these bytes
+    in.u64(entry.hits);
   }
-  const bool ok = read_counted_lines(
-      in, "keys", error, [&](const std::string& entry_line) {
-        const std::size_t space = entry_line.find(' ');
-        if (space == std::string::npos) {
-          error = "expected '<hash-hex> <hits>'";
-          return false;
-        }
-        const auto key =
-            hash_from_hex(std::string_view(entry_line).substr(0, space));
-        if (!key) {
-          error = "malformed hash '" + entry_line.substr(0, space) + "'";
-          return false;
-        }
-        GossipDigest::Entry entry;
-        entry.key = *key;
-        const char* first = entry_line.data() + space + 1;
-        const char* last = entry_line.data() + entry_line.size();
-        const auto [ptr, ec] = std::from_chars(first, last, entry.hits);
-        if (ec != std::errc{} || ptr != last) {
-          error = "malformed hit count in '" + entry_line + "'";
-          return false;
-        }
-        digest.entries.push_back(entry);
-        return true;
-      });
-  if (!ok) return std::nullopt;
-  return digest;
+  return whole(in, std::move(digest), error);
 }
 
 std::string encode_replica_fetch(const std::vector<CanonicalHash>& keys) {
-  std::ostringstream out;
-  out << "prts-replica-fetch v1\n";
-  out << "keys " << keys.size() << "\n";
-  for (const CanonicalHash& key : keys) out << to_hex(key) << "\n";
-  return out.str();
+  ByteWriter out;
+  out.u32(static_cast<std::uint32_t>(keys.size()));
+  for (const CanonicalHash& key : keys) out.key(key);
+  return out.take();
 }
 
 std::optional<std::vector<CanonicalHash>> decode_replica_fetch(
     std::string_view payload, std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-replica-fetch v1") {
-    error = "expected header 'prts-replica-fetch v1'";
-    return std::nullopt;
+  using Keys = std::vector<CanonicalHash>;
+  ByteReader in(payload);
+  std::size_t count = 0;
+  if (!in.count(count, 16)) {
+    return refuse<Keys>(error, "truncated or malformed replica fetch");
   }
-  std::vector<CanonicalHash> keys;
-  const bool ok =
-      read_counted_lines(in, "keys", error, [&](const std::string& key_line) {
-        const auto key = hash_from_hex(key_line);
-        if (!key) {
-          error = "malformed hash '" + key_line + "'";
-          return false;
-        }
-        keys.push_back(*key);
-        return true;
-      });
-  if (!ok) return std::nullopt;
-  return keys;
+  Keys keys(count);
+  for (CanonicalHash& key : keys) in.key(key);  // vouched for by count()
+  return whole(in, std::move(keys), error);
 }
 
 std::string encode_replica_entries(
     const std::vector<std::pair<CanonicalHash, CachedSolution>>& entries) {
-  std::ostringstream out;
-  out << "prts-replica-entries v1\n";
-  out << "entries " << entries.size() << "\n";
-  for (const auto& [key, value] : entries) {
-    out << encode_cache_entry(key, value) << "\n";
-  }
-  return out.str();
+  ByteWriter out;
+  encode_entries(out, entries);
+  return out.take();
 }
 
 std::optional<std::vector<std::pair<CanonicalHash, CachedSolution>>>
 decode_replica_entries(std::string_view payload, std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-replica-entries v1") {
-    error = "expected header 'prts-replica-entries v1'";
-    return std::nullopt;
-  }
-  std::vector<std::pair<CanonicalHash, CachedSolution>> entries;
-  const bool ok = read_counted_lines(
-      in, "entries", error, [&](const std::string& entry_line) {
-        CanonicalHash key;
-        CachedSolution value;
-        std::string why;
-        if (!parse_cache_entry(entry_line, key, value, why)) {
-          error = "entry: " + why;
-          return false;
-        }
-        entries.emplace_back(key, std::move(value));
-        return true;
-      });
-  if (!ok) return std::nullopt;
-  return entries;
+  using Entries = std::vector<std::pair<CanonicalHash, CachedSolution>>;
+  ByteReader in(payload);
+  Entries entries;
+  if (!decode_entries(in, entries, error)) return std::nullopt;
+  return whole(in, std::move(entries), error);
 }
 
-namespace {
-
-/// "<key> <unsigned>" field; false (with a reason) on malformed digits.
-template <typename Unsigned>
-bool read_unsigned_field(std::istream& in, std::string_view key,
-                         Unsigned& out, std::string& error) {
-  std::string line;
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, key, value)) {
-    error = "expected '" + std::string(key) + " <n>'";
-    return false;
-  }
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    error = "malformed " + std::string(key) + " '" + value + "'";
-    return false;
-  }
-  return true;
-}
-
-/// "<rank> <port> <host>" member line of the membership update codec.
-bool parse_member_line(const std::string& line, Member& member,
-                       std::string& error) {
-  const char* first = line.data();
-  const char* last = line.data() + line.size();
-  auto [after_rank, rank_ec] = std::from_chars(first, last, member.rank);
-  if (rank_ec != std::errc{} || after_rank == last || *after_rank != ' ') {
-    error = "expected '<rank> <port> <host>' in '" + line + "'";
-    return false;
-  }
-  auto [after_port, port_ec] =
-      std::from_chars(after_rank + 1, last, member.port);
-  if (port_ec != std::errc{} || after_port == last || *after_port != ' ') {
-    error = "expected '<rank> <port> <host>' in '" + line + "'";
-    return false;
-  }
-  member.host.assign(after_port + 1, last);
-  return true;
-}
-
-}  // namespace
+// ------------------------------------------------- membership / handoff
 
 std::string encode_join_request(const Member& member) {
-  std::ostringstream out;
-  out << "prts-join v1\n";
-  out << "rank " << member.rank << "\n";
-  out << "port " << member.port << "\n";
-  out << "host " << member.host << "\n";
-  return out.str();
+  ByteWriter out;
+  out.u64(member.rank);
+  out.u16(member.port);
+  out.text(member.host);
+  return out.take();
 }
 
 std::optional<Member> decode_join_request(std::string_view payload,
                                           std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-join v1") {
-    error = "expected header 'prts-join v1'";
-    return std::nullopt;
-  }
+  ByteReader in(payload);
   Member member;
-  if (!read_unsigned_field(in, "rank", member.rank, error)) return std::nullopt;
-  if (!read_unsigned_field(in, "port", member.port, error)) return std::nullopt;
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, "host", value)) {
-    error = "expected 'host <h>'";
-    return std::nullopt;
+  if (!in.u64(member.rank) || !in.u16(member.port) || !in.text(member.host)) {
+    return refuse<Member>(error, "truncated join request");
   }
-  member.host = value;
-  return member;
+  return whole(in, std::move(member), error);
 }
 
 std::string encode_membership_update(const MembershipUpdate& update) {
-  std::ostringstream out;
-  out << "prts-membership v1\n";
-  out << "from " << update.from << "\n";
-  out << "epoch " << update.view.epoch << "\n";
-  out << "members " << update.view.members.size() << "\n";
+  ByteWriter out;
+  out.u64(update.from);
+  out.u64(update.view.epoch);
+  out.u32(static_cast<std::uint32_t>(update.view.members.size()));
   for (const Member& member : update.view.members) {
-    out << member.rank << " " << member.port << " " << member.host << "\n";
+    out.u64(member.rank);
+    out.u16(member.port);
+    out.text(member.host);
   }
-  return out.str();
+  return out.take();
 }
 
 std::optional<MembershipUpdate> decode_membership_update(
     std::string_view payload, std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-membership v1") {
-    error = "expected header 'prts-membership v1'";
-    return std::nullopt;
-  }
+  ByteReader in(payload);
   MembershipUpdate update;
-  if (!read_unsigned_field(in, "from", update.from, error)) {
-    return std::nullopt;
+  std::size_t count = 0;
+  if (!in.u64(update.from) || !in.u64(update.view.epoch) ||
+      !in.count(count, kMemberMinBytes)) {
+    return refuse<MembershipUpdate>(error,
+                                    "truncated or malformed membership update");
   }
-  if (!read_unsigned_field(in, "epoch", update.view.epoch, error)) {
-    return std::nullopt;
+  update.view.members.resize(count);
+  for (Member& member : update.view.members) {
+    if (!in.u64(member.rank) || !in.u16(member.port) ||
+        !in.text(member.host)) {
+      return refuse<MembershipUpdate>(error, "truncated member");
+    }
   }
-  const bool ok = read_counted_lines(
-      in, "members", error, [&](const std::string& member_line) {
-        Member member;
-        if (!parse_member_line(member_line, member, error)) return false;
-        update.view.members.push_back(std::move(member));
-        return true;
-      });
-  if (!ok) return std::nullopt;
-  return update;
+  return whole(in, std::move(update), error);
 }
 
-namespace {
-
-std::string encode_handoff_stamp(const char* header,
-                                 const HandoffStamp& stamp) {
-  std::ostringstream out;
-  out << header << "\n";
-  out << "epoch " << stamp.epoch << "\n";
-  out << "from " << stamp.from << "\n";
-  out << "entries " << stamp.entries << "\n";
-  return out.str();
-}
-
-}  // namespace
-
-std::string encode_handoff_begin(const HandoffStamp& stamp) {
-  return encode_handoff_stamp("prts-handoff-begin v1", stamp);
-}
-
-std::string encode_handoff_done(const HandoffStamp& stamp) {
-  return encode_handoff_stamp("prts-handoff-done v1", stamp);
+std::string encode_handoff_stamp(const HandoffStamp& stamp) {
+  ByteWriter out;
+  out.u64(stamp.epoch);
+  out.u64(stamp.from);
+  out.u64(stamp.entries);
+  return out.take();
 }
 
 std::optional<HandoffStamp> decode_handoff_stamp(std::string_view payload,
                                                  std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || (line != "prts-handoff-begin v1" &&
-                                  line != "prts-handoff-done v1")) {
-    error = "expected a handoff begin/done header";
-    return std::nullopt;
-  }
+  ByteReader in(payload);
   HandoffStamp stamp;
-  if (!read_unsigned_field(in, "epoch", stamp.epoch, error) ||
-      !read_unsigned_field(in, "from", stamp.from, error) ||
-      !read_unsigned_field(in, "entries", stamp.entries, error)) {
-    return std::nullopt;
+  if (!in.u64(stamp.epoch) || !in.u64(stamp.from) || !in.u64(stamp.entries)) {
+    return refuse<HandoffStamp>(error, "truncated handoff stamp");
   }
-  return stamp;
+  return whole(in, stamp, error);
 }
 
 std::string encode_handoff_chunk(const HandoffChunk& chunk) {
-  std::ostringstream out;
-  out << "prts-handoff-chunk v1\n";
-  out << "epoch " << chunk.epoch << "\n";
-  out << "from " << chunk.from << "\n";
-  out << "entries " << chunk.entries.size() << "\n";
-  for (const auto& [key, value] : chunk.entries) {
-    out << encode_cache_entry(key, value) << "\n";
-  }
-  return out.str();
+  ByteWriter out;
+  out.u64(chunk.epoch);
+  out.u64(chunk.from);
+  encode_entries(out, chunk.entries);
+  return out.take();
 }
 
 std::optional<HandoffChunk> decode_handoff_chunk(std::string_view payload,
                                                  std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-handoff-chunk v1") {
-    error = "expected header 'prts-handoff-chunk v1'";
-    return std::nullopt;
-  }
+  ByteReader in(payload);
   HandoffChunk chunk;
-  if (!read_unsigned_field(in, "epoch", chunk.epoch, error) ||
-      !read_unsigned_field(in, "from", chunk.from, error)) {
-    return std::nullopt;
+  if (!in.u64(chunk.epoch) || !in.u64(chunk.from)) {
+    return refuse<HandoffChunk>(error, "truncated handoff chunk");
   }
-  const bool ok = read_counted_lines(
-      in, "entries", error, [&](const std::string& entry_line) {
-        CanonicalHash key;
-        CachedSolution value;
-        std::string why;
-        if (!parse_cache_entry(entry_line, key, value, why)) {
-          error = "entry: " + why;
-          return false;
-        }
-        chunk.entries.emplace_back(key, std::move(value));
-        return true;
-      });
-  if (!ok) return std::nullopt;
-  return chunk;
+  if (!decode_entries(in, chunk.entries, error)) return std::nullopt;
+  return whole(in, std::move(chunk), error);
 }
 
 }  // namespace prts::service

@@ -1,57 +1,38 @@
-// Wire serialization of solve requests and replies for the fabric's
-// framed transport (src/net/): line-oriented text payloads reusing the
-// canonical instance form of model/serialize.hpp and the cache entry
-// codec of service/cache.hpp, so every double survives the network
-// bit-exactly and a forwarded solve replays byte-identical metrics.
+// Wire serialization of the fabric's framed transport (src/net/): every
+// payload is a fixed sequence of fields in the one binary encoding of
+// service/codec.hpp (little-endian integers, doubles as bit patterns,
+// u32-prefixed strings and lists), and the frame type says which
+// payload a frame carries, so payloads have no header of their own.
+// Every decoder is total: truncated, oversized or inconsistent bytes are
+// refused with a reason, never thrown on, and no claimed count
+// allocates more than the bytes that remain.
 //
-// Request payload:
-//   prts-solve-request v1
-//   solver <name>
-//   period <canonical_number|inf>
-//   latency <canonical_number|inf>
-//   deadline <canonical_number|inf>
-//   policy reject|downgrade
-//   trace <hex16>              (optional: the origin's trace id; the
-//                               owner records its spans under it so the
-//                               forwarded solve stays ONE trace)
-//   instance
-//   <write_instance_canonical text>
+// Solve request (kSolveRequest):
+//   text solver  f64 period  f64 latency  f64 deadline
+//   u8 policy (0 reject, 1 downgrade)
+//   u64 trace id (0: none; the owner records its spans under it so the
+//                 forwarded solve stays ONE trace)
+//   text instance (CanonicalInstanceText, parsed by read_instance, so
+//                 instance validation stays in one place)
 //
-// Reply payload:
-//   prts-solve-reply v1
-//   status <reply_status_name>
-//   hit 0|1
-//   near 0|1
-//   down 0|1
-//   solver <name|->
-//   cost <canonical_number>    (recorded solve cost; feeds the
-//                               requester's adaptive replica TTL)
-//   error <message>            (only when status == error)
-//   span <rank> <start> <dur> <name>
-//                              (0+ lines: the answering rank's trace
-//                               spans, offsets from ITS submit point;
-//                               the origin shifts and merges them)
-//   entry <encode_cache_entry> (only when a solution/infeasible answer
-//                               is present; carries key + solution)
-//   key <hash-hex>             (only when no entry line is present)
+// Solve reply (kSolveReply):
+//   u8 status (ReplyStatus order)  u8 flags (1 hit, 2 near, 4 down)
+//   text solver_used  f64 cost (recorded solve cost; feeds the
+//   requester's adaptive replica TTL)  text error
+//   u32 n, n x span {text name, u32 rank, f64 start, f64 duration,
+//                    f64 cpu, u64 allocs, u64 alloc bytes}
+//                 (the answering rank's trace spans, offsets from ITS
+//                  submit point; the origin shifts and merges them)
+//   solved/infeasible: the cache entry (service/cache.hpp; carries the
+//                 key and the solution); any other status: the key
 //
-// Gossip digest payload (kGossipDigest; the sender announces its hot
-// *owned* keys so peers can prefetch them):
-//   prts-gossip v1
-//   rank <sender rank>
-//   keys <n>
-//   <hash-hex> <hit count>     x n
+// Gossip digest (kGossipDigest; the sender announces its hot *owned*
+// keys so peers can prefetch them):
+//   u64 rank  u32 n, n x {key, u64 hits}
 //
-// Replica fetch payload (kReplicaFetch):
-//   prts-replica-fetch v1
-//   keys <n>
-//   <hash-hex>                 x n
-//
-// Replica fetch reply payload (kReplicaFetchReply; only the keys the
-// owner still holds — a fetch is best-effort):
-//   prts-replica-entries v1
-//   entries <n>
-//   <encode_cache_entry>       x n
+// Replica fetch (kReplicaFetch):       u32 n, n x key
+// Replica entries (kReplicaFetchReply; only the keys the owner still
+// holds — a fetch is best-effort):     u32 n, n x cache entry
 #pragma once
 
 #include <cstdint>
@@ -68,8 +49,8 @@ namespace prts::service {
 
 std::string encode_wire_request(const SolveRequest& request);
 
-/// nullopt on malformed payloads (wrong header, bad numbers, bad
-/// instance text); `error` names the first offending line.
+/// nullopt on malformed payloads (truncated or trailing bytes, an
+/// unknown policy, bad instance text); `error` says why.
 std::optional<SolveRequest> decode_wire_request(std::string_view payload,
                                                 std::string& error);
 
@@ -104,19 +85,11 @@ std::string encode_replica_entries(
 std::optional<std::vector<std::pair<CanonicalHash, CachedSolution>>>
 decode_replica_entries(std::string_view payload, std::string& error);
 
-// Membership codecs (kJoinRequest / kMembershipUpdate):
-//
-//   prts-join v1
-//   rank <r>
-//   port <p>
-//   host <h>
-//
-//   prts-membership v1
-//   from <sender rank>
-//   epoch <e>
-//   members <n>
-//   <rank> <port> <host>       x n  (host last: it is the only field
-//                                    that could ever hold a space)
+// Membership codecs:
+//   join request (kJoinRequest):   u64 rank  u16 port  text host
+//   update (kMembershipUpdate):    u64 from  u64 epoch
+//                                  u32 n, n x {u64 rank, u16 port,
+//                                              text host}
 
 std::string encode_join_request(const Member& member);
 
@@ -135,21 +108,12 @@ std::string encode_membership_update(const MembershipUpdate& update);
 std::optional<MembershipUpdate> decode_membership_update(
     std::string_view payload, std::string& error);
 
-// Handoff codecs (kHandoffBegin / kHandoffChunk / kHandoffDone): the
-// old owner streams a new member's ring slice as bounded batches of
-// cache-entry lines (the PRTS1 entry codec), bracketed by begin/done
-// stamps.
-//
-//   prts-handoff-begin v1 | prts-handoff-done v1
-//   epoch <e>
-//   from <sender rank>
-//   entries <n>                (begin: announced total; done: streamed)
-//
-//   prts-handoff-chunk v1
-//   epoch <e>
-//   from <sender rank>
-//   entries <n>
-//   <encode_cache_entry>       x n
+// Handoff codecs: the old owner streams a new member's ring slice as
+// bounded batches of cache entries, bracketed by begin/done stamps.
+//   stamp (kHandoffBegin, kHandoffDone): u64 epoch  u64 from
+//                                        u64 entries (begin: announced
+//                                        total; done: streamed)
+//   chunk (kHandoffChunk):  u64 epoch  u64 from  u32 n, n x cache entry
 
 struct HandoffStamp {
   std::uint64_t epoch = 0;
@@ -157,10 +121,9 @@ struct HandoffStamp {
   std::size_t entries = 0;
 };
 
-std::string encode_handoff_begin(const HandoffStamp& stamp);
-std::string encode_handoff_done(const HandoffStamp& stamp);
+/// A begin or done stamp (one body; the frame type tells them apart).
+std::string encode_handoff_stamp(const HandoffStamp& stamp);
 
-/// Decodes a begin OR done stamp (same body, different header).
 std::optional<HandoffStamp> decode_handoff_stamp(std::string_view payload,
                                                  std::string& error);
 

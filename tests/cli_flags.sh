@@ -8,6 +8,7 @@ cli="$1"
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 "$cli" generate --seed 1 > "$dir/inst.txt" || exit 1
+"$cli" generate --seed 1 --tasks 5 > "$dir/five.txt" || exit 1
 failed=0
 
 # refused <case> <stdin file> <args...>
@@ -28,9 +29,18 @@ refused misspelt-flag /dev/null serve - --peer 127.0.0.1:1 --no-input
 refused not-a-number /dev/null generate --seed abc
 refused trailing-garbage "$dir/inst.txt" solve --algo heur-p --period 300x
 refused missing-number /dev/null generate --tasks
+# A malformed --mapping is refused with a message, never an abort.
+refused mapping-not-a-number "$dir/five.txt" evaluate --mapping a:0
+refused mapping-empty-id "$dir/five.txt" evaluate --mapping 4:0,,1
+refused mapping-overflow "$dir/five.txt" evaluate \
+    --mapping 99999999999999999999999:0
+refused mapping-no-tiling "$dir/five.txt" evaluate --mapping '3:0;1:1;4:0'
+refused mapping-negative "$dir/five.txt" evaluate --mapping '-1:0;4:1'
 
 # The same subcommands still run with flags they do read.
 "$cli" solve --algo heur-p --period inf --latency 2000 < "$dir/inst.txt" \
     > /dev/null || { echo "FAIL: a well-formed solve did not run" >&2
                      failed=1; }
+"$cli" evaluate --mapping '1:0;4:1,2' < "$dir/five.txt" > /dev/null ||
+  { echo "FAIL: a well-formed evaluate did not run" >&2; failed=1; }
 exit "$failed"

@@ -43,15 +43,6 @@ TEST(CanonicalNumber, ShortestRoundTripForms) {
             "inf");
 }
 
-TEST(CanonicalHashing, HexRoundTrip) {
-  const CanonicalHash hash = fingerprint("hello");
-  const auto parsed = hash_from_hex(to_hex(hash));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, hash);
-  EXPECT_FALSE(hash_from_hex("xyz").has_value());
-  EXPECT_FALSE(hash_from_hex(std::string(32, 'g')).has_value());
-}
-
 TEST(CanonicalHashing, DistinguishesContentAndLength) {
   EXPECT_NE(fingerprint("a"), fingerprint("b"));
   EXPECT_NE(fingerprint("ab"), fingerprint("a"));

@@ -421,9 +421,10 @@ TEST(GossipWire, DigestRoundTrips) {
   EXPECT_EQ(decoded->entries[1].key, digest.entries[1].key);
 
   EXPECT_FALSE(decode_gossip_digest("junk", error).has_value());
-  EXPECT_FALSE(
-      decode_gossip_digest("prts-gossip v1\nrank 0\nkeys 2\n", error)
-          .has_value());  // truncated list
+  const std::string encoded = encode_gossip_digest(digest);
+  EXPECT_FALSE(  // the list cut short of its count
+      decode_gossip_digest(encoded.substr(0, encoded.size() - 24), error)
+          .has_value());
 }
 
 TEST(GossipWire, ReplicaFetchRoundTrips) {
@@ -435,9 +436,9 @@ TEST(GossipWire, ReplicaFetchRoundTrips) {
   EXPECT_EQ(*decoded, keys);
 
   EXPECT_FALSE(decode_replica_fetch("nope", error).has_value());
-  EXPECT_FALSE(
-      decode_replica_fetch("prts-replica-fetch v1\nkeys x\n", error)
-          .has_value());
+  std::string more = encode_replica_fetch(keys);
+  more[0] = 3;  // a count one past the keys present
+  EXPECT_FALSE(decode_replica_fetch(more, error).has_value());
 }
 
 TEST(GossipWire, ReplicaEntriesRoundTripBitIdentically) {

@@ -4,7 +4,7 @@
 //     cached entry and costs zero solver invocations;
 //   * a whole bound-ladder sweep produces byte-identical output with
 //     near-miss reuse on and off, with several-fold fewer invocations;
-//   * the index survives TSV and PRTS1 persistence, and near-miss
+//   * the index survives the snapshot file, and near-miss
 //     metadata rides the wire reply.
 #include <chrono>
 #include <cmath>
@@ -279,11 +279,12 @@ TEST(NearMissService, DisabledNearMissNeverConsultsTheIndex) {
   EXPECT_FALSE(second.near_miss);
   EXPECT_EQ(service.stats().dominating_hits, 0u);
   EXPECT_EQ(service.stats().solver_invocations, 2u);
+  EXPECT_EQ(service.cache_stats().near_entries, 0u);
 }
 
 // ------------------------------------------------------ persistence / wire
 
-TEST(NearMissPersistence, IndexSurvivesTsvAndBinarySnapshots) {
+TEST(NearMissPersistence, IndexSurvivesTheSnapshot) {
   SolveService service(near_miss_config(true));
   const Instance instance = hom_instance();
   SolveRequest loose{instance, "exact", {}};
@@ -291,27 +292,22 @@ TEST(NearMissPersistence, IndexSurvivesTsvAndBinarySnapshots) {
   const SolveReply first = service.submit(loose).get();
   ASSERT_EQ(first.status, ReplyStatus::kSolved);
 
-  std::stringstream tsv;
-  service.cache().save_tsv(tsv);
   std::stringstream binary(std::ios::in | std::ios::out | std::ios::binary);
   service.cache().save_binary(binary);
 
-  for (int format = 0; format < 2; ++format) {
-    ShardedSolutionCache reloaded;
-    const auto result = format == 0 ? reloaded.load_tsv(tsv)
-                                    : reloaded.load_binary(binary);
-    ASSERT_EQ(result.error, "");
-    ASSERT_EQ(result.loaded, 1u);
-    // The rebuilt index answers a tighter probe of the same instance.
-    const CanonicalInstance canonical = canonicalize(instance);
-    const CanonicalHash bkey = batch_key(canonical, "exact");
-    solver::Bounds tighter;
-    tighter.period_bound = first.solution->metrics.worst_period + 1.0;
-    const auto hit = reloaded.find_dominating(bkey, tighter);
-    ASSERT_TRUE(hit.has_value()) << "format " << format;
-    ASSERT_TRUE(hit->solution.has_value());
-    EXPECT_EQ(hit->solution->metrics, first.solution->metrics);
-  }
+  ShardedSolutionCache reloaded;
+  const auto result = reloaded.load_binary(binary);
+  ASSERT_EQ(result.error, "");
+  ASSERT_EQ(result.loaded, 1u);
+  // The rebuilt index answers a tighter probe of the same instance.
+  const CanonicalInstance canonical = canonicalize(instance);
+  const CanonicalHash bkey = batch_key(canonical, "exact");
+  solver::Bounds tighter;
+  tighter.period_bound = first.solution->metrics.worst_period + 1.0;
+  const auto hit = reloaded.find_dominating(bkey, tighter);
+  ASSERT_TRUE(hit.has_value());
+  ASSERT_TRUE(hit->solution.has_value());
+  EXPECT_EQ(hit->solution->metrics, first.solution->metrics);
 }
 
 TEST(NearMissPersistence, MetadataRoundTripsThroughTheEntryCodec) {
@@ -334,9 +330,8 @@ TEST(NearMissPersistence, MetadataRoundTripsThroughTheEntryCodec) {
   EXPECT_EQ(parsed.solution->metrics, solution->metrics);
 }
 
-TEST(NearMissPersistence, LegacyLinesLoadUnindexed) {
-  // Pre-index feasible line (14 fields): strip the metadata by
-  // encoding an entry without it.
+TEST(NearMissPersistence, EntriesWithoutMetadataLoadUnindexed) {
+  // An entry encoded without the near-miss metadata (its flag clear).
   const Instance instance = hom_instance();
   const auto exact = solver::SolverRegistry::builtin().find("exact");
   const auto solution = exact->solve(instance, {});

@@ -161,15 +161,14 @@ TEST(Serialize, RejectsDuplicateTaskIds) {
 }
 
 TEST(Serialize, CanonicalWriterIsLossless) {
-  // write_instance_canonical keeps full double precision, so values the
+  // CanonicalInstanceText keeps full double precision, so values the
   // default writer would truncate survive the round trip bit-exactly.
   std::vector<Task> tasks{{1.0 / 3.0, 0.123456789012345}, {2.0, 0.0}};
   std::vector<Processor> procs{{1.0000000001, 1.23456789e-9}};
   const Instance original{TaskChain(std::move(tasks)),
                           Platform(std::move(procs), 1.0, 1e-5, 1)};
-  std::ostringstream out;
-  write_instance_canonical(out, original);
-  const ParseResult parsed = instance_from_text(out.str());
+  const ParseResult parsed = instance_from_text(
+      std::string(CanonicalInstanceText(original).view()));
   ASSERT_TRUE(parsed) << parsed.error;
   EXPECT_EQ(parsed.instance->chain.work(0), original.chain.work(0));
   EXPECT_EQ(parsed.instance->chain.out_size(0), original.chain.out_size(0));

@@ -679,17 +679,14 @@ TEST(WireCodec, InfeasibleAndErrorRepliesRoundTrip) {
   EXPECT_EQ(decoded->key, infeasible.key);
   EXPECT_FALSE(decoded->solution.has_value());
 
-  // Every line the encoder writes is required: a reply missing its
-  // 'near' or its 'cost' line is rejected, not defaulted.
+  // Every field the encoder writes is required, and nothing may follow
+  // the last one: a cut or a padded reply is rejected, not defaulted.
   const std::string encoded = encode_wire_reply(infeasible);
-  for (const std::string line : {"near 0\n", "cost 0\n"}) {
-    std::string stripped = encoded;
-    const std::size_t at = stripped.find(line);
-    ASSERT_NE(at, std::string::npos) << line;
-    stripped.erase(at, line.size());
-    EXPECT_FALSE(decode_wire_reply(stripped, error).has_value()) << line;
-    EXPECT_FALSE(error.empty());
-  }
+  EXPECT_FALSE(decode_wire_reply(encoded.substr(0, encoded.size() - 1), error)
+                   .has_value());
+  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(decode_wire_reply(encoded + '\0', error).has_value());
+  EXPECT_EQ(error, "bytes past the end of the payload");
 
   SolveReply failure;
   failure.status = ReplyStatus::kError;
@@ -707,41 +704,51 @@ TEST(WireCodec, GarbageIsRejectedWithReason) {
   EXPECT_FALSE(decode_wire_request("not a request", error).has_value());
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(decode_wire_reply("junk\n", error).has_value());
-  EXPECT_FALSE(
-      decode_wire_request("prts-solve-request v1\nsolver\n", error)
-          .has_value());
 
-  // A 'warm' hint line before the instance is not part of the format.
-  const Instance instance = hom_instance();
-  const auto solution =
-      solver::SolverRegistry::builtin().find("exact")->solve(instance, {});
-  ASSERT_TRUE(solution.has_value());
-  std::string payload =
-      encode_wire_request(SolveRequest{instance, "exact", {}});
-  payload.insert(payload.find("instance\n"),
-                 "warm " +
-                     encode_cache_entry(CanonicalHash{},
-                                        CachedSolution{solution}) +
-                     "\n");
+  // An empty solver name, an unknown policy and an instance text that
+  // does not parse are each refused with their own reason.
+  SolveRequest request{hom_instance(), "", {}};
+  EXPECT_FALSE(
+      decode_wire_request(encode_wire_request(request), error).has_value());
+  EXPECT_EQ(error, "truncated or malformed solve request");
+  request.solver = "exact";
+  std::string payload = encode_wire_request(request);
+  // solver (4 + 5 bytes), three bounds (24): the policy byte.
+  payload[4 + 5 + 24] = 7;
   EXPECT_FALSE(decode_wire_request(payload, error).has_value());
-  EXPECT_EQ(error, "expected 'instance'");
+  EXPECT_EQ(error, "unknown policy 7");
+  payload = encode_wire_request(request);
+  // The policy (1) and the trace id (8), then the text's length: the
+  // instance text's header starts 4 bytes later.
+  payload[4 + 5 + 24 + 1 + 8 + 4] = 'q';
+  EXPECT_FALSE(decode_wire_request(payload, error).has_value());
+  EXPECT_EQ(error.rfind("instance: ", 0), 0u) << error;
 }
 
-/// A wire solve request whose instance claims `count` tasks (or
-/// processors) but carries the few lines of hom_instance().
+/// A wire solve request whose instance text claims `count` tasks (or
+/// processors) but carries the few lines of hom_instance(); the text's
+/// length prefix is corrected, so only the claim is hostile.
 std::string hostile_request(const char* field, const char* count) {
+  std::string text(CanonicalInstanceText(hom_instance()).view());
+  const std::size_t at = text.find(std::string(field) + " ");
+  const std::size_t number = text.find(' ', at) + 1;
+  const std::size_t end = text.find_first_of(" \n", number);
+  text.replace(number, end - number, count);
   std::string payload =
       encode_wire_request(SolveRequest{hom_instance(), "heur-p", {}});
-  const std::size_t at = payload.find(std::string("\n") + field + " ");
-  const std::size_t number = payload.find(' ', at) + 1;
-  const std::size_t end = payload.find_first_of(" \n", number);
-  payload.replace(number, end - number, count);
-  return payload;
+  const std::size_t original =
+      CanonicalInstanceText(hom_instance()).view().size();
+  // The text is the last field: its u32 length, then its bytes.
+  payload.resize(payload.size() - original - 4);
+  ByteWriter out;
+  out.text(text);
+  return payload + out.bytes();
 }
 
 TEST(WireCodec, HugeClaimedCountsAllocateNoMoreThanTheBytes) {
   // A ~200-byte request claiming 10^8 tasks once reserved 1.6 GB; every
-  // reserve is now bounded by the bytes that remain.
+  // reserve is bounded by the bytes that remain. (The claims on every
+  // binary count of every payload are in test_codec.cpp.)
   for (const char* field : {"tasks", "platform"}) {
     for (const char* count : {"100000000", "1000000000000000000"}) {
       const std::string payload = hostile_request(field, count);

@@ -1,5 +1,6 @@
 // The sharded LRU solution cache: hit/miss/eviction behavior, byte
-// bounds, stats, and TSV persistence replaying bit-identical solutions.
+// bounds, stats, and snapshot persistence replaying bit-identical
+// solutions.
 // Plus the fabric's replica tier: TTL expiry against injected clocks,
 // byte-bounded LRU eviction, and side-effect-free peeks.
 #include "service/cache.hpp"
@@ -109,78 +110,37 @@ TEST(SolutionCache, ClearDropsEntriesKeepsCounters) {
   EXPECT_FALSE(cache.lookup(key_of(1)).has_value());
 }
 
-TEST(SolutionCachePersistence, TsvRoundTripIsBitIdentical) {
-  const Instance instance = tiny_instance();
-  ShardedSolutionCache cache;
-  const CachedSolution entry = feasible_entry(instance);
-  cache.insert(key_of(1), entry);
-  cache.insert(key_of(2), CachedSolution{});  // negative entry
-
+TEST(SolutionCachePersistence, MalformedEntryIsReported) {
+  ShardedSolutionCache source;
+  source.insert(key_of(1), CachedSolution{});
   std::stringstream file;
-  cache.save_tsv(file);
-
-  ShardedSolutionCache reloaded;
-  const auto result = reloaded.load_tsv(file);
-  EXPECT_EQ(result.error, "");
-  EXPECT_EQ(result.loaded, 2u);
-
-  const auto hit = reloaded.lookup(key_of(1));
-  ASSERT_TRUE(hit.has_value());
-  ASSERT_TRUE(hit->solution.has_value());
-  EXPECT_EQ(hit->solution->mapping, entry.solution->mapping);
-  // Exact double equality: canonical_number round-trips every field.
-  EXPECT_EQ(hit->solution->metrics, entry.solution->metrics);
-
-  const auto negative = reloaded.lookup(key_of(2));
-  ASSERT_TRUE(negative.has_value());
-  EXPECT_FALSE(negative->solution.has_value());
-}
-
-TEST(SolutionCachePersistence, MalformedLineIsReported) {
+  source.save_binary(file);
+  std::string bytes = file.str();
+  // Header (6 + 8 bytes), entry length (4), key (16): the flags byte.
+  bytes[6 + 8 + 4 + 16] = '\x7f';
+  std::stringstream corrupt(bytes);
   ShardedSolutionCache cache;
-  std::stringstream file("not-a-hash\t1\t0\t0\n");
-  const auto result = cache.load_tsv(file);
+  const auto result = cache.load_binary(corrupt);
   EXPECT_EQ(result.loaded, 0u);
-  EXPECT_NE(result.error.find("line 1"), std::string::npos);
+  EXPECT_EQ(result.error, "entry 1 of 1: unknown entry flags");
 }
 
-TEST(SolutionCachePersistence, TsvRoundTripPreservesSolveCost) {
-  ShardedSolutionCache cache;
-  CachedSolution entry = feasible_entry(tiny_instance());
-  entry.cost_seconds = 0.0625;  // exactly representable
-  cache.insert(key_of(1), entry);
-  CachedSolution negative;
-  negative.cost_seconds = 1.5;
-  cache.insert(key_of(2), negative);
-
-  std::stringstream file;
-  cache.save_tsv(file);
-  ShardedSolutionCache reloaded;
-  ASSERT_EQ(reloaded.load_tsv(file).error, "");
-  EXPECT_EQ(reloaded.lookup(key_of(1))->cost_seconds, 0.0625);
-  EXPECT_EQ(reloaded.lookup(key_of(2))->cost_seconds, 1.5);
+TEST(SolutionCachePersistence, EntriesWithoutCostAreRejected) {
+  // A negative entry and a feasible one, each cut before its cost.
+  for (const CachedSolution& entry :
+       {CachedSolution{}, CachedSolution{feasible_entry(tiny_instance())}}) {
+    const std::string bytes = encode_cache_entry(key_of(3), entry);
+    CanonicalHash key;
+    CachedSolution parsed;
+    std::string error;
+    EXPECT_FALSE(parse_cache_entry(std::string_view(bytes).substr(
+                                       0, bytes.size() - 8),
+                                   key, parsed, error));
+    EXPECT_EQ(error, "truncated cost");
+  }
 }
 
-TEST(SolutionCachePersistence, TsvLinesWithoutCostAreRejected) {
-  // A negative entry without the cost field (4 fields).
-  ShardedSolutionCache cache;
-  std::stringstream negative(to_hex(key_of(3)) + "\t0\t-\t-\n");
-  auto result = cache.load_tsv(negative);
-  EXPECT_EQ(result.error, "line 1: expected >= 5 tab-separated fields");
-  EXPECT_EQ(result.loaded, 0u);
-
-  // A feasible entry without the cost field (13 fields).
-  std::string line = encode_cache_entry(
-      key_of(4), CachedSolution{feasible_entry(tiny_instance()).solution});
-  line.erase(line.rfind('\t'));
-  std::stringstream feasible(line + "\n");
-  result = cache.load_tsv(feasible);
-  EXPECT_EQ(result.error, "line 1: feasible entries need 14/17 fields");
-  EXPECT_EQ(result.loaded, 0u);
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
-TEST(SolutionCachePersistence, BinaryRoundTripIsBitIdentical) {
+TEST(SolutionCachePersistence, SnapshotRoundTripIsBitIdentical) {
   const Instance instance = tiny_instance();
   ShardedSolutionCache cache;
   CachedSolution entry = feasible_entry(instance);
@@ -208,7 +168,7 @@ TEST(SolutionCachePersistence, BinaryRoundTripIsBitIdentical) {
   EXPECT_FALSE(negative->solution.has_value());
 }
 
-TEST(SolutionCachePersistence, BinarySelectiveLoadReadsOnlyOwnShard) {
+TEST(SolutionCachePersistence, SelectiveLoadReadsOnlyOwnShard) {
   ShardedSolutionCache cache;
   std::size_t mine = 0;
   for (int i = 0; i < 32; ++i) {
@@ -230,25 +190,43 @@ TEST(SolutionCachePersistence, BinarySelectiveLoadReadsOnlyOwnShard) {
   }
 }
 
-TEST(SolutionCachePersistence, BinaryRejectsGarbage) {
+TEST(SolutionCachePersistence, SnapshotRefusesOtherFormats) {
+  const auto load = [](const std::string& bytes) {
+    std::stringstream file(bytes);
+    ShardedSolutionCache cache;
+    return cache.load_binary(file);
+  };
+  // The retired TSV and PRTS1 formats, and anything else.
+  for (const std::string& other :
+       {std::string("# prts-solution-cache v1\n"),
+        std::string("PRTS1\n\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00",
+                    16),
+        std::string("definitely not a snapshot"), std::string()}) {
+    EXPECT_NE(load(other).error.find("not a PRTS2 snapshot"),
+              std::string::npos)
+        << other;
+  }
+  EXPECT_EQ(load("PRTS2\n").error, "truncated header");
+
   ShardedSolutionCache cache;
-  std::stringstream wrong("definitely not a PRTS1 snapshot, long enough");
-  EXPECT_NE(cache.load_binary(wrong).error.find("bad magic"),
-            std::string::npos);
-
-  std::stringstream truncated(std::string("PRTS1\n"));
-  EXPECT_NE(cache.load_binary(truncated).error.find("truncated"),
-            std::string::npos);
-
-  // A valid header whose index promises more entries than exist.
-  std::stringstream cut(std::ios::in | std::ios::out | std::ios::binary);
   cache.insert(key_of(1), CachedSolution{});
-  cache.save_binary(cut);
-  std::string bytes = cut.str();
-  bytes.resize(bytes.size() - 4);  // chop the blob
-  std::stringstream chopped(bytes);
-  ShardedSolutionCache fresh;
-  EXPECT_FALSE(fresh.load_binary(chopped).error.empty());
+  cache.insert(key_of(2), CachedSolution{});
+  std::stringstream file;
+  cache.save_binary(file);
+  const std::string bytes = file.str();
+  // Entries that fall short of the count: the file ends mid-entry, or
+  // the count promises one entry more than the file holds.
+  EXPECT_EQ(load(bytes.substr(0, bytes.size() - 4)).error,
+            "entry 2 of 2: truncated");
+  std::string more = bytes;
+  more[6] = 3;
+  EXPECT_EQ(load(more).error, "entry 3 of 3: truncated");
+  // Entries that run past it.
+  std::string fewer = bytes;
+  fewer[6] = 1;
+  const auto past = load(fewer);
+  EXPECT_EQ(past.error, "bytes past the last of 1 entries");
+  EXPECT_EQ(past.loaded, 1u);
 }
 
 TEST(SolutionCacheRetention, CostAwareEvictionKeepsExpensiveSolves) {

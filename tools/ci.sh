@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build (the project's always-on -Wall
 # -Wextra, plus -Werror: any warning fails CI), run the tier-1 ctest
-# suite, smoke-test near-miss reuse on a bound sweep, run every suite
-# under AddressSanitizer +
+# suite, smoke-test near-miss reuse on a bound sweep and the cache
+# snapshot round trip (save, warm-start, old formats refused), run every
+# suite under AddressSanitizer +
 # UndefinedBehaviorSanitizer and the concurrent suites under
 # ThreadSanitizer (each in its own build tree), then smoke-test the distributed solve fabric
 # with three real prts_cli processes on loopback — including hot-entry
@@ -94,6 +95,47 @@ if grep -q $'\terror\t' "$NM/out.txt"; then
   exit 1
 fi
 echo "near-miss smoke test OK: near_miss=$near_miss"
+
+# ---------------------------------------------------------------------------
+# Snapshot smoke: one snapshot format, whatever the file is named. A
+# --save-cache file reloads with --warm-start into exactly the entries
+# saved, the replayed requests are all exact hits with the same answers,
+# and a cache file in the retired TSV format is refused (exit 1, with a
+# message).
+# ---------------------------------------------------------------------------
+S="$BUILD/snapshot_smoke"
+rm -rf "$S" && mkdir -p "$S"
+"$CLI" generate --seed 3 --tasks 8 --procs 5 > "$S/inst.txt"
+{
+  echo "load inst $S/inst.txt"
+  for p in 200 300 400 inf; do echo "solve inst heur-p $p inf"; done
+  echo "sync"
+} > "$S/requests.txt"
+"$CLI" serve - --stats --save-cache "$S/warm.tsv" < "$S/requests.txt" \
+    > "$S/cold.txt" 2> "$S/cold.err"
+saved=$(grep '^# cache' "$S/cold.err" | grep -o '"entries":[0-9]*' |
+        cut -d: -f2)
+"$CLI" serve - --stats --warm-start "$S/warm.tsv" < "$S/requests.txt" \
+    > "$S/warm.txt" 2> "$S/warm.err"
+warm=$(grep -o 'warm-start: [0-9]*' "$S/warm.err" | awk '{print $2}')
+[ "${saved:-0}" -ge 1 ] && [ "${warm:-0}" = "$saved" ] ||
+  { echo "FAIL: warm-start loaded ${warm:-0} of ${saved:-0} saved entries" >&2
+    exit 1; }
+replies=$(wc -l < "$S/warm.txt")
+hits=$(awk -F'\t' '$3 == 1' "$S/warm.txt" | wc -l)
+[ "$replies" -ge 1 ] && [ "$hits" = "$replies" ] ||
+  { echo "FAIL: $hits of $replies replayed requests were exact hits" >&2
+    exit 1; }
+cmp <(cut -f1,2,4- "$S/cold.txt") <(cut -f1,2,4- "$S/warm.txt") ||
+  { echo "FAIL: warm answers differ from the cold ones" >&2; exit 1; }
+printf '# prts-solution-cache v1\n' > "$S/old.tsv"
+status=0
+"$CLI" serve - --warm-start "$S/old.tsv" < "$S/requests.txt" \
+    > /dev/null 2> "$S/old.err" || status=$?
+[ "$status" = "1" ] && grep -q "not a PRTS2 snapshot" "$S/old.err" ||
+  { echo "FAIL: an old TSV cache file was not refused (exit $status)" >&2
+    exit 1; }
+echo "snapshot smoke test OK: $warm entries reloaded, $hits exact hits"
 
 # ---------------------------------------------------------------------------
 # Sanitizer stages, each in its own tree. AddressSanitizer +

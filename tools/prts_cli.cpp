@@ -29,18 +29,21 @@
 //       [--shards S] [--no-cache] [--queue-limit Q] [--deadline D]
 //       [--policy reject|downgrade] [--fallback SOLVER]
 //       [--retention lru|cost] [--near-miss on|off]
-//       [--warm-start cache.{tsv,bin}] [--save-cache cache.{tsv,bin}]
+//       [--warm-start FILE] [--save-cache FILE]
 //       [--stats]
 //       [--listen PORT] [--rank R] [--peers h:p,h:p,... | --join HOST:PORT]
 //       [--advertise HOST:PORT]
 //       [--replica-mb M] [--replica-ttl SECONDS]
 //       [--replica-ttl-cost FACTOR] [--gossip-interval S]
 //       [--heartbeat-interval S] [--suspect-after S] [--dead-after S]
-//       [--checkpoint cache.bin] [--checkpoint-interval S]
+//       [--checkpoint FILE] [--checkpoint-interval S]
 //       [--auth-token TOKEN]
 //       [--no-input] [--slow-ms MS] [--alert RULE]...
 //       run the batched solve service over a line-protocol request
-//       stream (see src/service/protocol.hpp for the format); with
+//       stream (see src/service/protocol.hpp for the format);
+//       --save-cache writes the cache at exit and --warm-start reloads
+//       it, as the one PRTS2 snapshot format whatever the file is named
+//       (a --peers rank loads only the keys it owns); with
 //       --listen the process is a rank of the distributed solve fabric:
 //       keys are owned along a consistent-hash ring over the fleet's
 //       members, remote-shard misses are forwarded to their owner and
@@ -80,7 +83,7 @@
 //       silent peer after --suspect-after and removes it after
 //       --dead-after; any fleet can be joined, and a join or death
 //       streams only the affected key slices between owners; --checkpoint
-//       snapshots the cache to a PRTS1 file (atomic rename) every
+//       snapshots the cache to a PRTS2 file (atomic rename) every
 //       --checkpoint-interval seconds (0 = only the `checkpoint`
 //       command and the shutdown snapshot), so a SIGKILLed rank
 //       restarts warm via --warm-start; --auth-token TOKEN (or env
@@ -115,6 +118,7 @@
 //       unresolved.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -130,6 +134,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -290,29 +295,48 @@ std::optional<Mapping> solve(const Instance& instance, const Flags& flags) {
 }
 
 /// Parses "2:0,1;8:2" into a mapping: per interval, the last task index
-/// and the replica processor ids.
-std::optional<Mapping> parse_mapping(const std::string& text,
+/// and the replica processor ids. nullopt on any malformed number or a
+/// partition that does not tile the chain.
+std::optional<Mapping> parse_mapping(std::string_view text,
                                      std::size_t task_count) {
+  const auto parse_index = [](std::string_view field, std::size_t& value) {
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+    return ec == std::errc{} && ptr == end;
+  };
+  // Splits on `delim`, keeping empty fields (they fail parse_index).
+  const auto split = [](std::string_view whole, char delim) {
+    std::vector<std::string_view> parts;
+    for (std::size_t at = 0;;) {
+      const std::size_t next = whole.find(delim, at);
+      parts.push_back(whole.substr(at, next - at));
+      if (next == std::string_view::npos) return parts;
+      at = next + 1;
+    }
+  };
   std::vector<std::size_t> lasts;
   std::vector<std::vector<std::size_t>> procs;
-  std::istringstream in(text);
-  std::string part;
-  while (std::getline(in, part, ';')) {
+  for (const std::string_view part : split(text, ';')) {
     const std::size_t colon = part.find(':');
-    if (colon == std::string::npos) return std::nullopt;
-    lasts.push_back(std::stoul(part.substr(0, colon)));
-    std::vector<std::size_t> replicas;
-    std::istringstream proc_in(part.substr(colon + 1));
-    std::string id;
-    while (std::getline(proc_in, id, ',')) {
-      replicas.push_back(std::stoul(id));
+    std::size_t last = 0;
+    if (colon == std::string_view::npos ||
+        !parse_index(part.substr(0, colon), last)) {
+      return std::nullopt;
     }
-    if (replicas.empty()) return std::nullopt;
+    lasts.push_back(last);
+    std::vector<std::size_t> replicas;
+    for (const std::string_view id : split(part.substr(colon + 1), ',')) {
+      if (!parse_index(id, replicas.emplace_back())) return std::nullopt;
+    }
     procs.push_back(std::move(replicas));
   }
-  if (lasts.empty() || lasts.back() != task_count - 1) return std::nullopt;
-  return Mapping(IntervalPartition::from_boundaries(lasts, task_count),
-                 std::move(procs));
+  if (lasts.back() != task_count - 1) return std::nullopt;
+  try {
+    return Mapping(IntervalPartition::from_boundaries(lasts, task_count),
+                   std::move(procs));
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;  // intervals that do not tile the chain
+  }
 }
 
 int cmd_generate(const Flags& flags) {
@@ -563,11 +587,6 @@ std::string resolve_auth_token(const Flags& flags) {
     if (const char* env = std::getenv("PRTS_AUTH")) token = env;
   }
   return token;
-}
-
-/// True when the path names the compact PRTS1 snapshot (by extension).
-bool is_binary_cache_path(const std::string& path) {
-  return path.size() >= 4 && path.compare(path.size() - 4, 4, ".bin") == 0;
 }
 
 volatile std::sig_atomic_t g_serve_stop = 0;
@@ -833,22 +852,18 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   }
 
   if (warm_file.is_open()) {
-    service::ShardedSolutionCache::LoadResult loaded;
-    if (is_binary_cache_path(warm_path)) {
-      // A boot-list rank selectively loads just the keys its router
-      // assigns to it (the PRTS1 index makes that O(1) per key); a
-      // joining rank may still be handed more of the keyspace as the
-      // fleet settles, so it loads everything.
-      std::function<bool(const service::CanonicalHash&)> filter;
-      if (router && booted_from_list) {
-        filter = [&router, rank](const service::CanonicalHash& key) {
-          return router->shard_of(key) == rank;
-        };
-      }
-      loaded = engine.cache().load_binary(warm_file, filter);
-    } else {
-      loaded = engine.cache().load_tsv(warm_file);
+    // A boot-list rank loads just the keys its router assigns to it
+    // (a foreign entry is skipped unparsed); a joining rank may still be
+    // handed more of the keyspace as the fleet settles, so it loads
+    // everything.
+    std::function<bool(const service::CanonicalHash&)> filter;
+    if (router && booted_from_list) {
+      filter = [&router, rank](const service::CanonicalHash& key) {
+        return router->shard_of(key) == rank;
+      };
     }
+    const service::ShardedSolutionCache::LoadResult loaded =
+        engine.cache().load_binary(warm_file, filter);
     if (!loaded.error.empty()) {
       std::cerr << "warm-start '" << warm_path << "': " << loaded.error
                 << "\n";
@@ -917,11 +932,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
       std::cerr << "cannot write cache file '" << path << "'\n";
       return 1;
     }
-    if (is_binary_cache_path(path)) {
-      engine.cache().save_binary(file);
-    } else {
-      engine.cache().save_tsv(file);
-    }
+    engine.cache().save_binary(file);
   }
   if (flags.has("stats")) {
     std::cerr << "# cache ";
