@@ -86,17 +86,39 @@ void BM_AlgoAllocCounts(benchmark::State& state) {
 BENCHMARK(BM_AlgoAllocCounts)->RangeMultiplier(4)->Range(4, 256);
 
 // The exact solver's build: every partition of a paper instance (14 913
-// at n = 15, p = 10) with its Algo-Alloc replication.
+// at n = 15, p = 10) with its Algo-Alloc replication, kept as the
+// staircase of records that win some bounds pair.
 void BM_ExactPrepare(benchmark::State& state) {
   Rng rng(17);
   const TaskChain chain = paper::chain(rng);
   const Platform platform = paper::hom_platform();
   for (auto _ : state) {
     const HomogeneousExactSolver solver(chain, platform);
-    benchmark::DoNotOptimize(solver.records().data());
+    benchmark::DoNotOptimize(solver.staircase().records().data());
   }
 }
 BENCHMARK(BM_ExactPrepare);
+
+// A registry `exact` prepare of an instance equal to one already
+// prepared: the session reads the adapter's stored staircase (the
+// portfolio's exact member after an exact ladder). Reports the
+// staircase size.
+void BM_ExactSharedPrepare(benchmark::State& state) {
+  Rng rng(17);
+  const Instance first{paper::chain(rng), paper::hom_platform()};
+  const Instance equal = first;
+  const auto engine = solver::SolverRegistry::builtin().find("exact");
+  benchmark::DoNotOptimize(engine->prepare(first));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine->prepare(equal));
+  }
+  state.counters["staircase"] = static_cast<double>(
+      HomogeneousExactSolver(first.chain, first.platform)
+          .staircase()
+          .records()
+          .size());
+}
+BENCHMARK(BM_ExactSharedPrepare);
 
 // One Figure 6/7 ladder as a service batch runs it: build, then the ten
 // period rungs 50..500 at L = 750.
@@ -195,7 +217,9 @@ void BM_LocalSearchLadder(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalSearchLadder)->Arg(0)->Arg(1);
 
-// The default portfolio: exact, heur-l+ls, heur-p+ls and baseline.
+// The default portfolio: exact, heur-l+ls, heur-p+ls and baseline. After
+// the first iteration the exact member reads the stored staircase, as it
+// does after an exact ladder on the same instance.
 void BM_PortfolioLadder(benchmark::State& state) {
   solver_ladder(state, "portfolio");
 }

@@ -53,11 +53,13 @@ std::vector<ParetoPoint> pareto_filter(std::vector<ParetoPoint> candidates) {
 
 std::vector<ParetoPoint> exact_pareto_front(const TaskChain& chain,
                                             const Platform& platform) {
-  const HomogeneousExactSolver solver(chain, platform);
+  // Every point of the front wins some (period, latency) query, so the
+  // staircase holds it.
+  const ExactStaircase staircase(chain, platform);
   std::vector<ParetoPoint> candidates;
-  candidates.reserve(solver.records().size());
-  for (const auto& record : solver.records()) {
-    Mapping mapping = solver.mapping(record);
+  candidates.reserve(staircase.records().size());
+  for (const auto& record : staircase.records()) {
+    Mapping mapping = staircase.mapping(record);
     MappingMetrics metrics = evaluate(chain, platform, mapping);
     candidates.push_back(ParetoPoint{std::move(mapping), metrics});
   }

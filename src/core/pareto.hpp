@@ -25,7 +25,8 @@ struct ParetoPoint {
 std::vector<ParetoPoint> pareto_filter(std::vector<ParetoPoint> candidates);
 
 /// The exact Pareto front on a homogeneous platform, from the exhaustive
-/// partition enumeration (every partition with its optimal allocation).
+/// partition enumeration (every partition with its optimal allocation),
+/// filtered from the enumeration's staircase.
 std::vector<ParetoPoint> exact_pareto_front(const TaskChain& chain,
                                             const Platform& platform);
 

@@ -65,6 +65,10 @@ bool parse_canonical_number(std::string_view text, double& value);
 /// count, so a count in hostile bytes allocates no more than the bytes.
 std::size_t records_that_fit(std::istream& in, std::size_t claimed);
 
+/// records_that_fit over the unread rest of a text.
+std::size_t records_that_fit(std::string_view unread,
+                             std::size_t claimed) noexcept;
+
 /// The v1 text format with canonical_number formatting and no
 /// information loss: the byte-level canonical form of an instance
 /// (read_instance parses it back bit-exactly). Processor *order* is
@@ -95,11 +99,14 @@ struct ParseResult {
   explicit operator bool() const noexcept { return instance.has_value(); }
 };
 
-/// Parses the v1 text format; never throws — malformed input yields an
-/// error message naming the offending line.
-ParseResult read_instance(std::istream& in);
+/// Parses the v1 text format in place (fields converted with
+/// from_chars, no copy and no stream); never throws — malformed input
+/// yields an error message naming the offending line. Fields read as
+/// `std::istream >>` reads them in the classic locale, and anything
+/// after the last processor line is ignored.
+ParseResult instance_from_text(std::string_view text);
 
-/// Parses from a string (convenience over read_instance).
-ParseResult instance_from_text(const std::string& text);
+/// Reads the stream to its end and parses it (instance_from_text).
+ParseResult read_instance(std::istream& in);
 
 }  // namespace prts

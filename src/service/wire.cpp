@@ -89,7 +89,7 @@ std::optional<SolveRequest> decode_wire_request(std::string_view payload,
     return refuse<SolveRequest>(error,
                                 "unknown policy " + std::to_string(policy));
   }
-  ParseResult parsed = instance_from_text(std::string(instance_text));
+  ParseResult parsed = instance_from_text(instance_text);
   if (!parsed) return refuse<SolveRequest>(error, "instance: " + parsed.error);
   SolveRequest request{
       std::move(*parsed.instance), std::move(solver), bounds, deadline_seconds,

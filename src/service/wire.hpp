@@ -12,8 +12,9 @@
 //   u8 policy (0 reject, 1 downgrade)
 //   u64 trace id (0: none; the owner records its spans under it so the
 //                 forwarded solve stays ONE trace)
-//   text instance (CanonicalInstanceText, parsed by read_instance, so
-//                 instance validation stays in one place)
+//   text instance (CanonicalInstanceText, parsed in place by
+//                 instance_from_text, so instance validation stays in
+//                 one place)
 //
 // Solve reply (kSolveReply):
 //   u8 status (ReplyStatus order)  u8 flags (1 hit, 2 near, 4 down)

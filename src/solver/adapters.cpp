@@ -22,12 +22,13 @@ std::optional<Solution> accept_if_within(Mapping mapping,
 
 // ------------------------------------------------------------------ exact
 
-/// Session owning the partition enumeration; bound queries are linear
-/// scans over the precomputed records.
+/// Session answering from the instance's shared staircase; bound
+/// queries scan its ~30 records.
 class ExactSession final : public PreparedSolver {
  public:
-  explicit ExactSession(const Instance& instance)
-      : solver_(instance.chain, instance.platform) {}
+  ExactSession(const Instance& instance,
+               std::shared_ptr<const ExactStaircase> staircase)
+      : solver_(instance.chain, instance.platform, std::move(staircase)) {}
 
   std::optional<Solution> solve(const Bounds& bounds) const override {
     auto solution = solver_.solve(bounds.period_bound, bounds.latency_bound);
@@ -39,6 +40,8 @@ class ExactSession final : public PreparedSolver {
   HomogeneousExactSolver solver_;
 };
 
+/// One enumeration per instance: every session of an equal instance,
+/// the portfolio's exact member included, reads one stored staircase.
 class ExactAdapter final : public Solver {
  public:
   std::string name() const override { return "exact"; }
@@ -51,19 +54,27 @@ class ExactAdapter final : public Solver {
     return HomogeneousExactSolver::accepts(instance.chain, instance.platform);
   }
   bool bounds_monotone(const Instance& instance) const override {
-    // First-max over the fixed partition-record list.
+    // First-max over the fixed staircase.
     return supports(instance);
   }
   std::optional<Solution> solve(const Instance& instance,
                                 const Bounds& bounds) const override {
     if (!supports(instance)) return std::nullopt;
-    return ExactSession(instance).solve(bounds);
+    return prepare(instance)->solve(bounds);
   }
   std::unique_ptr<PreparedSolver> prepare(
       const Instance& instance) const override {
     if (!supports(instance)) return Solver::prepare(instance);
-    return std::make_unique<ExactSession>(instance);
+    const CanonicalInstanceText key(instance);
+    return std::make_unique<ExactSession>(
+        instance, staircases_.get(key.view(), [&instance] {
+          return std::make_shared<const ExactStaircase>(instance.chain,
+                                                        instance.platform);
+        }));
   }
+
+ private:
+  mutable ExactStaircaseStore staircases_;
 };
 
 // -------------------------------------------------------------------- ilp

@@ -3,7 +3,8 @@
 //
 //   exact       HomogeneousExactSolver partition enumeration (Section 5.4
 //               role; homogeneous instances small enough to enumerate,
-//               see HomogeneousExactSolver::accepts)
+//               see HomogeneousExactSolver::accepts); one enumeration per
+//               instance, its staircase kept in an ExactStaircaseStore
 //   ilp         the Section 5.4 ILP via in-house branch-and-bound
 //               (homogeneous only)
 //   dp          Algorithm 1 mono-criterion reliability DP (homogeneous

@@ -46,7 +46,9 @@ class PortfolioSolver final : public Solver {
 
   /// Prepares every supported member once and runs the member sessions
   /// per query — campaign sweeps pay the expensive per-instance engine
-  /// setups once, not per sweep point.
+  /// setups once, not per sweep point. The `exact` member's prepare reads
+  /// (or waits for) the staircase an `exact` session of the same
+  /// instance built; that wait is here, outside the timed member solves.
   std::unique_ptr<PreparedSolver> prepare(
       const Instance& instance) const override;
 

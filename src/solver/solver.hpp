@@ -8,11 +8,12 @@
 //
 // Engines whose per-instance setup dominates per-query work (the
 // homogeneous exact solver enumerates all 2^(n-1) partitions once and
-// then answers any bound query by linear scan) additionally override
-// prepare(), which returns a per-instance session answering many bound
-// queries cheaply — the campaign engine (src/scenario/) drives every
-// sweep through prepare() so the old hand-rolled per-method caching in
-// src/exp/runner.cpp is subsumed rather than lost.
+// then answers any bound query by a scan of the few that can win)
+// additionally override prepare(), which returns a per-instance session
+// answering many bound queries cheaply — the campaign engine
+// (src/scenario/) drives every sweep through prepare() so the old
+// hand-rolled per-method caching in src/exp/runner.cpp is subsumed
+// rather than lost.
 #pragma once
 
 #include <limits>
@@ -70,9 +71,12 @@ class PreparedSolver {
 std::optional<Solution> timed_solve(const PreparedSolver& session,
                                     const Bounds& bounds, double& seconds);
 
-/// The uniform engine interface. Implementations are stateless and
-/// thread-safe: concurrent solve()/prepare() calls on one solver object
-/// are safe.
+/// The uniform engine interface. Implementations are thread-safe:
+/// concurrent solve()/prepare() calls on one solver object are safe.
+/// They are stateless with one exception: the `exact` adapter keeps a
+/// bounded store of immutable per-instance staircases, so every session
+/// of an equal instance shares one enumeration. Its answers do not
+/// depend on what the store holds.
 class Solver {
  public:
   virtual ~Solver() = default;

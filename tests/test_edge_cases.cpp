@@ -10,6 +10,7 @@
 #include "core/period_dp.hpp"
 #include "core/reliability_dp.hpp"
 #include "eval/evaluation.hpp"
+#include "exact_oracle.hpp"
 #include "model/generator.hpp"
 #include "sim/pipeline_sim.hpp"
 #include "test_util.hpp"
@@ -72,8 +73,18 @@ TEST(EdgeCases, ExactRecordsMatchEvaluator) {
   Rng rng(5);
   const TaskChain chain = testutil::small_chain(rng, 6);
   const Platform platform = testutil::small_hom_platform(5, 2);
+  // Every enumerated partition, through the oracle the solver matches
+  // bit for bit (test_exact), and every record the solver keeps.
+  for (const auto& record : oracle::enumerate(chain, platform)) {
+    const Mapping mapping = oracle::mapping(record, chain.size());
+    const MappingMetrics metrics = evaluate(chain, platform, mapping);
+    ASSERT_NEAR(metrics.worst_period, record.period, 1e-9);
+    ASSERT_NEAR(metrics.worst_latency, record.latency, 1e-9);
+    ASSERT_NEAR(metrics.reliability.log(), record.log_reliability, 1e-9);
+  }
   const HomogeneousExactSolver solver(chain, platform);
-  for (const auto& record : solver.records()) {
+  ASSERT_FALSE(solver.staircase().records().empty());
+  for (const auto& record : solver.staircase().records()) {
     const Mapping mapping = solver.mapping(record);
     const MappingMetrics metrics = evaluate(chain, platform, mapping);
     ASSERT_NEAR(metrics.worst_period, record.period, 1e-9);

@@ -13,6 +13,7 @@
 #include "core/dp_detail.hpp"
 #include "core/heuristics.hpp"
 #include "core/reliability_dp.hpp"
+#include "exact_oracle.hpp"
 #include "model/generator.hpp"
 #include "obs/profiler.hpp"
 #include "test_oracle.hpp"
@@ -22,6 +23,107 @@ namespace prts {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// The solver against the direct enumeration (exact_oracle.hpp): it
+/// visits every partition, its staircase is the oracle's list of
+/// winners record for record (bits, mask, replicas and mapping), and its
+/// answer is the oracle's for every (period, latency) pair drawn from
+/// the records' own values, each with infinity, and a ladder of full
+/// solves. Returns the number of partitions compared.
+std::size_t expect_identical_to_oracle(const TaskChain& chain,
+                                       const Platform& platform) {
+  const std::vector<oracle::Record> expected =
+      oracle::enumerate(chain, platform);
+  const HomogeneousExactSolver solver(chain, platform);
+  const ExactStaircase& staircase = solver.staircase();
+  EXPECT_EQ(staircase.partitions(), expected.size());
+  EXPECT_EQ(expected.size(), HomogeneousExactSolver::record_count(
+                                 chain.size(), platform.processor_count()));
+  for (const oracle::Record& record : expected) {
+    EXPECT_EQ(algo_alloc_counts(record.failures, platform.processor_count(),
+                                platform.max_replication()),
+              record.replicas);
+    if (::testing::Test::HasFailure()) return 0;
+  }
+
+  const std::vector<std::size_t> winners = oracle::staircase(expected);
+  const auto records = staircase.records();
+  EXPECT_EQ(records.size(), winners.size());
+  if (records.size() != winners.size()) return 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& record = records[i];
+    const oracle::Record& want = expected[winners[i]];
+    EXPECT_EQ(record.interval_ends, want.interval_ends()) << "record " << i;
+    EXPECT_EQ(bits(record.period), bits(want.period)) << "record " << i;
+    EXPECT_EQ(bits(record.latency), bits(want.latency)) << "record " << i;
+    EXPECT_EQ(bits(record.log_reliability), bits(want.log_reliability))
+        << "record " << i;
+    const auto replicas = staircase.replicas(record);
+    EXPECT_EQ(std::vector<unsigned>(replicas.begin(), replicas.end()),
+              want.replicas)
+        << "record " << i;
+    EXPECT_EQ(solver.mapping(record), oracle::mapping(want, chain.size()))
+        << "record " << i;
+    if (::testing::Test::HasFailure()) return 0;
+  }
+
+  std::vector<std::pair<double, double>> probes{{kInf, kInf}, {0.0, 0.0}};
+  for (const oracle::Record& record : expected) {
+    probes.emplace_back(record.period, record.latency);
+    probes.emplace_back(record.period, kInf);
+    probes.emplace_back(kInf, record.latency);
+  }
+  std::sort(probes.begin(), probes.end());
+  probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+  const std::vector<std::ptrdiff_t> answers =
+      oracle::best_indices(expected, probes);
+  for (std::size_t q = 0; q < probes.size(); ++q) {
+    const auto [period_bound, latency_bound] = probes[q];
+    // The sweep is checked against the linear scan on a sample.
+    if (q % 97 == 0) {
+      const auto scanned =
+          oracle::best_index(expected, period_bound, latency_bound);
+      EXPECT_EQ(answers[q], scanned ? static_cast<std::ptrdiff_t>(*scanned)
+                                    : std::ptrdiff_t{-1})
+          << "P=" << period_bound << " L=" << latency_bound;
+    }
+    const auto* got = staircase.best_record(period_bound, latency_bound);
+    EXPECT_EQ(got != nullptr, answers[q] >= 0)
+        << "P=" << period_bound << " L=" << latency_bound;
+    if (got != nullptr && answers[q] >= 0) {
+      const oracle::Record& want =
+          expected[static_cast<std::size_t>(answers[q])];
+      EXPECT_EQ(got->interval_ends, want.interval_ends())
+          << "P=" << period_bound << " L=" << latency_bound;
+      EXPECT_EQ(bits(got->log_reliability), bits(want.log_reliability))
+          << "P=" << period_bound << " L=" << latency_bound;
+    }
+    if (::testing::Test::HasFailure()) return 0;
+  }
+
+  std::vector<std::pair<double, double>> ladder;
+  for (int period = 50; period <= 500; period += 50) {
+    ladder.emplace_back(period, 750.0);
+  }
+  ladder.emplace_back(kInf, kInf);
+  for (std::size_t i = 0; i < expected.size(); i += expected.size() / 7 + 1) {
+    ladder.emplace_back(expected[i].period, expected[i].latency);
+  }
+  for (const auto& [period_bound, latency_bound] : ladder) {
+    const auto got = solver.solve(period_bound, latency_bound);
+    const auto want = oracle::best_index(expected, period_bound, latency_bound);
+    EXPECT_EQ(got.has_value(), want.has_value())
+        << "P=" << period_bound << " L=" << latency_bound;
+    if (got && want) {
+      const Mapping mapping = oracle::mapping(expected[*want], chain.size());
+      EXPECT_EQ(got->mapping, mapping);
+      EXPECT_EQ(got->metrics, evaluate(chain, platform, mapping));
+    }
+  }
+  return staircase.partitions();
+}
 
 TEST(ExactSolver, RejectsHeterogeneous) {
   Rng rng(1);
@@ -35,18 +137,23 @@ TEST(ExactSolver, EnumeratesAllPartitions) {
   Rng rng(2);
   const TaskChain chain = testutil::small_chain(rng, 5);
   const Platform platform = testutil::small_hom_platform(6, 2);
-  const HomogeneousExactSolver solver(chain, platform);
   // All 2^(n-1) = 16 partitions fit within min(n,p) = 5 intervals... the
   // 1 partition with 5 intervals included.
-  EXPECT_EQ(solver.records().size(), 16u);
+  ASSERT_EQ(oracle::enumerate(chain, platform).size(), 16u);
+  EXPECT_EQ(expect_identical_to_oracle(chain, platform), 16u);
 }
 
 TEST(ExactSolver, LimitsIntervalCountToProcessors) {
   Rng rng(3);
   const TaskChain chain = testutil::small_chain(rng, 5);
   const Platform platform = testutil::small_hom_platform(2, 2);
+  // C(4, 0) + C(4, 1): the partitions into one or two intervals.
+  const auto expected = oracle::enumerate(chain, platform);
+  ASSERT_EQ(expected.size(), 5u);
+  for (const auto& record : expected) EXPECT_LE(record.lasts.size(), 2u);
+  EXPECT_EQ(expect_identical_to_oracle(chain, platform), 5u);
   const HomogeneousExactSolver solver(chain, platform);
-  for (const auto& record : solver.records()) {
+  for (const auto& record : solver.staircase().records()) {
     EXPECT_LE(std::popcount(record.interval_ends), 2);
   }
 }
@@ -159,13 +266,16 @@ TEST(ExactSolver, PaperScaleCompletesQuickly) {
   const TaskChain chain = paper::chain(rng);
   const Platform platform = paper::hom_platform();
   // The build allocates a fixed set of buffers (the branch-failure rows,
-  // the stage table and the records), nothing per partition.
+  // the stage table, the frontier and the staircase), nothing per
+  // partition.
   const obs::AllocScope scope;
   const HomogeneousExactSolver solver(chain, platform);
   EXPECT_LE(scope.delta().count, 64u);
-  // All partitions with <= 10 intervals out of 2^14.
-  EXPECT_GT(solver.records().size(), 14000u);
-  EXPECT_LE(solver.records().size(), 16384u);
+  // All partitions with <= 10 intervals out of 2^14, of which a few
+  // dozen win some bounds pair.
+  EXPECT_GT(solver.staircase().partitions(), 14000u);
+  EXPECT_LE(solver.staircase().partitions(), 16384u);
+  EXPECT_LE(solver.staircase().records().size(), 64u);
   const auto best = solver.best_log_reliability(250.0, 750.0);
   // A mid-range bound pair from the paper's sweeps is usually feasible.
   if (best) {
@@ -187,6 +297,20 @@ TEST(ExactSolver, RecordCountIsTheSumOfBinomials) {
   EXPECT_EQ(HomogeneousExactSolver::record_count(
                 std::numeric_limits<std::size_t>::max(), 3),
             HomogeneousExactSolver::kMaxRecords + 1);
+  // And the count is what both enumerations visit.
+  Rng rng(10);
+  for (std::size_t n : {1u, 2u, 5u, 9u}) {
+    const TaskChain chain = testutil::small_chain(rng, n);
+    for (std::size_t p : {1u, 2u, 4u, 9u}) {
+      const Platform platform = testutil::small_hom_platform(p, 2);
+      const std::size_t count = HomogeneousExactSolver::record_count(n, p);
+      EXPECT_EQ(oracle::enumerate(chain, platform).size(), count)
+          << "n " << n << " p " << p;
+      const HomogeneousExactSolver solver(chain, platform);
+      EXPECT_EQ(solver.staircase().partitions(), count)
+          << "n " << n << " p " << p;
+    }
+  }
 }
 
 TEST(ExactSolver, RefusesEnumerationsBeyondItsBounds) {
@@ -208,196 +332,18 @@ TEST(ExactSolver, RefusesEnumerationsBeyondItsBounds) {
   config.task_count = 64;
   const TaskChain widest = random_chain(rng, config);
   ASSERT_TRUE(HomogeneousExactSolver::accepts(widest, one));
+  const auto expected = oracle::enumerate(widest, one);
+  ASSERT_EQ(expected.size(), 1u);
+  EXPECT_EQ(expected[0].interval_ends(), std::uint64_t{1} << 63);
   const HomogeneousExactSolver solver(widest, one);
-  ASSERT_EQ(solver.records().size(), 1u);
-  EXPECT_EQ(solver.records()[0].interval_ends, std::uint64_t{1} << 63);
-  EXPECT_EQ(solver.mapping(solver.records()[0]).interval_count(), 1u);
-}
-
-// ------------------------------------------------- differential oracle
-//
-// A direct enumeration: every partition carries its interval ends and
-// replica vectors, Algo-Alloc takes pow/log1p per candidate gain, and
-// the log-reliability sums detail::stage_log_reliability. The
-// table-driven kernel must reproduce its every record, mapping and
-// answer bit for bit.
-
-std::vector<unsigned> reference_algo_alloc(
-    const std::vector<double>& branch_failure, std::size_t processor_count,
-    unsigned max_replication) {
-  const std::size_t m = branch_failure.size();
-  if (m > processor_count) return {};
-  std::vector<unsigned> counts(m, 1);
-  std::size_t used = m;
-  auto gain = [&](std::size_t j) {
-    const double f = branch_failure[j];
-    const double q = static_cast<double>(counts[j]);
-    return std::log1p(-std::pow(f, q + 1.0)) - std::log1p(-std::pow(f, q));
-  };
-  while (used < processor_count) {
-    double best_gain = -1.0;
-    std::size_t best_j = m;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (counts[j] >= max_replication) continue;
-      const double g = gain(j);
-      if (g > best_gain) {
-        best_gain = g;
-        best_j = j;
-      }
-    }
-    if (best_j == m) break;
-    ++counts[best_j];
-    ++used;
-  }
-  return counts;
-}
-
-struct ReferenceRecord {
-  std::vector<std::size_t> lasts;
-  std::vector<double> failures;
-  std::vector<unsigned> replicas;
-  double period = 0.0;
-  double latency = 0.0;
-  double log_reliability = 0.0;
-};
-
-std::vector<ReferenceRecord> reference_enumeration(const TaskChain& chain,
-                                                   const Platform& platform) {
-  const std::size_t n = chain.size();
-  const std::size_t max_intervals =
-      std::min(n, platform.processor_count());
-  const double speed = platform.speed(0);
-  const auto branch_failure =
-      detail::interval_branch_failures(chain, platform);
-  std::vector<ReferenceRecord> records;
-  std::vector<std::size_t> lasts;
-  std::vector<double> failures;
-  double latency = 0.0;
-  double period = 0.0;
-  auto recurse = [&](auto&& self, std::size_t first) -> void {
-    if (lasts.size() == max_intervals && first < n) return;
-    for (std::size_t last = first; last < n; ++last) {
-      const double work = chain.work_sum(first, last) / speed;
-      const double comm = platform.comm_time(chain.out_size(last));
-      const double saved_latency = latency;
-      const double saved_period = period;
-      lasts.push_back(last);
-      failures.push_back(branch_failure[first][last + 1]);
-      latency += work + comm;
-      period = std::max({period, work, comm});
-      if (last + 1 == n) {
-        ReferenceRecord record;
-        record.lasts = lasts;
-        record.failures = failures;
-        record.replicas = reference_algo_alloc(
-            failures, platform.processor_count(), platform.max_replication());
-        record.period = period;
-        record.latency = latency;
-        double log_rel = 0.0;
-        for (std::size_t j = 0; j < failures.size(); ++j) {
-          log_rel +=
-              detail::stage_log_reliability(failures[j], record.replicas[j]);
-        }
-        record.log_reliability = log_rel;
-        records.push_back(std::move(record));
-      } else {
-        self(self, last + 1);
-      }
-      lasts.pop_back();
-      failures.pop_back();
-      latency = saved_latency;
-      period = saved_period;
-    }
-  };
-  recurse(recurse, 0);
-  return records;
-}
-
-Mapping reference_mapping(const ReferenceRecord& record, std::size_t n) {
-  std::vector<std::vector<std::size_t>> procs;
-  std::size_t next_proc = 0;
-  for (unsigned q : record.replicas) {
-    std::vector<std::size_t> replica_set(q);
-    for (unsigned r = 0; r < q; ++r) replica_set[r] = next_proc++;
-    procs.push_back(std::move(replica_set));
-  }
-  return Mapping(IntervalPartition::from_boundaries(record.lasts, n),
-                 std::move(procs));
-}
-
-std::optional<ExactSolution> reference_solve(
-    const std::vector<ReferenceRecord>& records, const TaskChain& chain,
-    const Platform& platform, double period_bound, double latency_bound) {
-  const ReferenceRecord* best = nullptr;
-  for (const ReferenceRecord& record : records) {
-    if (record.period > period_bound || record.latency > latency_bound) {
-      continue;
-    }
-    if (best == nullptr || record.log_reliability > best->log_reliability) {
-      best = &record;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  Mapping mapping = reference_mapping(*best, chain.size());
-  const MappingMetrics metrics = evaluate(chain, platform, mapping);
-  return ExactSolution{std::move(mapping), metrics};
-}
-
-std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
-
-/// Every record, mapping and ladder answer of the kernel against the
-/// reference enumeration; returns the number of records compared.
-std::size_t expect_identical_to_reference(const TaskChain& chain,
-                                          const Platform& platform) {
-  const std::vector<ReferenceRecord> expected =
-      reference_enumeration(chain, platform);
-  const HomogeneousExactSolver solver(chain, platform);
-  const auto records = solver.records();
-  EXPECT_EQ(records.size(), expected.size());
-  EXPECT_EQ(records.size(), HomogeneousExactSolver::record_count(
-                                chain.size(), platform.processor_count()));
-  if (records.size() != expected.size()) return 0;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& record = records[i];
-    const ReferenceRecord& want = expected[i];
-    std::uint64_t ends = 0;
-    for (std::size_t last : want.lasts) ends |= std::uint64_t{1} << last;
-    EXPECT_EQ(record.interval_ends, ends) << "record " << i;
-    EXPECT_EQ(bits(record.period), bits(want.period)) << "record " << i;
-    EXPECT_EQ(bits(record.latency), bits(want.latency)) << "record " << i;
-    EXPECT_EQ(bits(record.log_reliability), bits(want.log_reliability))
-        << "record " << i;
-    EXPECT_EQ(solver.mapping(record), reference_mapping(want, chain.size()))
-        << "record " << i;
-    EXPECT_EQ(algo_alloc_counts(want.failures, platform.processor_count(),
-                                platform.max_replication()),
-              want.replicas)
-        << "record " << i;
-    if (::testing::Test::HasFailure()) return i;
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<std::pair<double, double>> bounds;
-  for (int period = 50; period <= 500; period += 50) {
-    bounds.emplace_back(period, 750.0);
-  }
-  bounds.emplace_back(kInf, kInf);
-  // Bounds that sit exactly on some records' period and latency.
-  for (std::size_t i = 0; i < expected.size(); i += expected.size() / 7 + 1) {
-    bounds.emplace_back(expected[i].period, expected[i].latency);
-  }
-  for (const auto& [period_bound, latency_bound] : bounds) {
-    const auto got = solver.solve(period_bound, latency_bound);
-    const auto want = reference_solve(expected, chain, platform,
-                                      period_bound, latency_bound);
-    EXPECT_EQ(got.has_value(), want.has_value())
-        << "P=" << period_bound << " L=" << latency_bound;
-    if (got && want) {
-      EXPECT_EQ(got->mapping, want->mapping);
-      EXPECT_EQ(got->metrics, want->metrics);
-    }
-  }
-  return records.size();
+  const auto records = solver.staircase().records();
+  EXPECT_EQ(solver.staircase().partitions(), 1u);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].interval_ends, std::uint64_t{1} << 63);
+  EXPECT_EQ(bits(records[0].log_reliability),
+            bits(expected[0].log_reliability));
+  EXPECT_EQ(solver.mapping(records[0]), oracle::mapping(expected[0], 64));
+  EXPECT_EQ(solver.mapping(records[0]).interval_count(), 1u);
 }
 
 TEST(ExactSolverDifferential, PaperInstancesAreBitIdentical) {
@@ -405,7 +351,7 @@ TEST(ExactSolverDifferential, PaperInstancesAreBitIdentical) {
   std::size_t compared = 0;
   for (int instance = 0; instance < 30; ++instance) {
     const TaskChain chain = paper::chain(rng);
-    compared += expect_identical_to_reference(chain, paper::hom_platform());
+    compared += expect_identical_to_oracle(chain, paper::hom_platform());
     ASSERT_FALSE(HasFailure()) << "paper instance " << instance;
   }
   EXPECT_EQ(compared, 30u * 14913u);
@@ -426,7 +372,7 @@ TEST(ExactSolverDifferential, ShapeGridIsBitIdentical) {
         for (unsigned k : {1u, 2u, 3u, 5u, 20u}) {
           const Platform platform = Platform::homogeneous(
               p, paper::kHomSpeed, lambda, paper::kBandwidth, link_lambda, k);
-          expect_identical_to_reference(chain, platform);
+          expect_identical_to_oracle(chain, platform);
           ASSERT_FALSE(HasFailure()) << "lambda " << lambda << " n " << n
                                      << " p " << p << " K " << k;
         }

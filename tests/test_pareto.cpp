@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/exact.hpp"
+#include "exact_oracle.hpp"
+#include "model/generator.hpp"
 #include "test_util.hpp"
 
 namespace prts {
@@ -107,6 +111,79 @@ TEST(HeuristicParetoFront, ProducesValidNonDominatedPoints) {
   ASSERT_FALSE(front.empty());
   for (const auto& point : front) {
     EXPECT_FALSE(point.mapping.validate(platform).has_value());
+  }
+}
+
+/// The points of every enumerated partition (the oracle's full record
+/// list), in enumeration order.
+std::vector<ParetoPoint> full_list(const TaskChain& chain,
+                                   const Platform& platform) {
+  std::vector<ParetoPoint> candidates;
+  for (const auto& record : oracle::enumerate(chain, platform)) {
+    Mapping mapping = oracle::mapping(record, chain.size());
+    const MappingMetrics metrics = evaluate(chain, platform, mapping);
+    candidates.push_back(ParetoPoint{std::move(mapping), metrics});
+  }
+  return candidates;
+}
+
+/// pareto_filter's front in O(N x front) rather than O(N^2): a point
+/// joins unless a kept point dominates or equals it, and evicts the kept
+/// points it dominates. A point dominated by a dropped one is dominated
+/// by whatever dropped that one, so the kept set is the front, first of
+/// equal points included.
+std::vector<ParetoPoint> streamed_front(std::vector<ParetoPoint> candidates) {
+  const auto no_worse = [](const MappingMetrics& a, const MappingMetrics& b) {
+    return a.worst_period <= b.worst_period &&
+           a.worst_latency <= b.worst_latency && a.failure <= b.failure;
+  };
+  std::vector<ParetoPoint> front;
+  for (ParetoPoint& point : candidates) {
+    if (std::any_of(front.begin(), front.end(), [&](const ParetoPoint& kept) {
+          return no_worse(kept.metrics, point.metrics);
+        })) {
+      continue;
+    }
+    std::erase_if(front, [&](const ParetoPoint& kept) {
+      return no_worse(point.metrics, kept.metrics);
+    });
+    front.push_back(std::move(point));
+  }
+  std::sort(front.begin(), front.end(),
+            [](const ParetoPoint& a, const ParetoPoint& b) {
+              if (a.metrics.worst_period != b.metrics.worst_period) {
+                return a.metrics.worst_period < b.metrics.worst_period;
+              }
+              return a.metrics.worst_latency < b.metrics.worst_latency;
+            });
+  return front;
+}
+
+void expect_same_front(const std::vector<ParetoPoint>& got,
+                       const std::vector<ParetoPoint>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].mapping, want[i].mapping) << "point " << i;
+    EXPECT_EQ(got[i].metrics, want[i].metrics) << "point " << i;
+  }
+}
+
+TEST(ExactParetoFront, StaircaseFrontIsTheFullListFront) {
+  Rng rng(3);
+  const TaskChain chain = testutil::small_chain(rng, 6);
+  const Platform platform = testutil::small_hom_platform(5, 2);
+  const auto small_front = pareto_filter(full_list(chain, platform));
+  expect_same_front(streamed_front(full_list(chain, platform)), small_front);
+  expect_same_front(exact_pareto_front(chain, platform), small_front);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng paper_rng(seed);
+    const TaskChain paper_chain = paper::chain(paper_rng);
+    const Platform paper_platform = paper::hom_platform();
+    const auto front = exact_pareto_front(paper_chain, paper_platform);
+    EXPECT_GE(front.size(), 2u) << "seed " << seed;
+    expect_same_front(front,
+                      streamed_front(full_list(paper_chain, paper_platform)));
+    ASSERT_FALSE(HasFailure()) << "seed " << seed;
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "model/generator.hpp"
 
@@ -196,6 +201,266 @@ TEST(Serialize, CanonicalTextBeyondTheStackBufferRoundTrips) {
     EXPECT_EQ(parsed.instance->chain.out_size(i), tasks[i].out_size);
   }
   EXPECT_EQ(parsed.instance->platform.speed(0), 1.0 / 7.0);
+}
+
+
+// --------------------------------------- the stream parser as an oracle
+//
+// instance_from_text reads its fields in place; the parser it replaced
+// read each line through an istringstream. Both must accept the same
+// texts, read the same bits and refuse with the same message.
+
+bool stream_next_line(std::istream& in, std::string& line,
+                      std::size_t& lineno) {
+  while (std::getline(in, line)) {
+    ++lineno;
+    const std::size_t start = line.find_first_not_of(" \t\r");
+    if (start == std::string::npos) continue;
+    if (line[start] == '#') continue;
+    return true;
+  }
+  return false;
+}
+
+ParseResult stream_fail(std::size_t lineno, const std::string& what) {
+  ParseResult result;
+  result.error = "line " + std::to_string(lineno) + ": " + what;
+  return result;
+}
+
+ParseResult stream_read_instance(const std::string& text) {
+  std::istringstream in(text);
+  std::string line;
+  std::size_t lineno = 0;
+  if (!stream_next_line(in, line, lineno)) {
+    return stream_fail(lineno, "empty input");
+  }
+  {
+    std::istringstream header(line);
+    std::string magic;
+    std::string version;
+    header >> magic >> version;
+    if (magic != "prts-instance" || version != "v1") {
+      return stream_fail(lineno, "expected header 'prts-instance v1'");
+    }
+  }
+  if (!stream_next_line(in, line, lineno)) {
+    return stream_fail(lineno, "missing tasks line");
+  }
+  std::size_t n = 0;
+  {
+    std::istringstream tasks_line(line);
+    std::string keyword;
+    tasks_line >> keyword >> n;
+    if (keyword != "tasks" || tasks_line.fail() || n == 0) {
+      return stream_fail(lineno, "expected 'tasks <n>' with n >= 1");
+    }
+  }
+  std::vector<Task> tasks;
+  std::vector<std::pair<std::int64_t, Task>> labeled;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!stream_next_line(in, line, lineno)) {
+      return stream_fail(lineno, "expected " + std::to_string(n) +
+                                     " task lines, got " + std::to_string(i));
+    }
+    std::istringstream task_line(line);
+    Task task;
+    std::string first_token;
+    {
+      std::istringstream probe(line);
+      probe >> first_token;
+    }
+    if (first_token == "task") {
+      std::string keyword;
+      std::int64_t id = 0;
+      task_line >> keyword >> id >> task.work >> task.out_size;
+      if (task_line.fail()) {
+        return stream_fail(lineno, "expected 'task <id> <work> <out_size>'");
+      }
+      if (!tasks.empty()) {
+        return stream_fail(lineno, "cannot mix labeled and plain task lines");
+      }
+      labeled.emplace_back(id, task);
+    } else {
+      if (!labeled.empty()) {
+        return stream_fail(lineno, "cannot mix labeled and plain task lines");
+      }
+      task_line >> task.work >> task.out_size;
+      if (task_line.fail()) {
+        return stream_fail(lineno, "expected '<work> <out_size>'");
+      }
+      tasks.push_back(task);
+    }
+    const Task& parsed_task =
+        labeled.empty() ? tasks.back() : labeled.back().second;
+    if (!(parsed_task.work > 0.0) || parsed_task.out_size < 0.0) {
+      return stream_fail(lineno, "work must be > 0 and out_size >= 0");
+    }
+  }
+  if (!labeled.empty()) {
+    std::stable_sort(labeled.begin(), labeled.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (std::size_t i = 0; i + 1 < labeled.size(); ++i) {
+      if (labeled[i].first == labeled[i + 1].first) {
+        return stream_fail(lineno, "duplicate task id " +
+                                       std::to_string(labeled[i].first));
+      }
+    }
+    for (const auto& [id, task] : labeled) tasks.push_back(task);
+  }
+  if (!stream_next_line(in, line, lineno)) {
+    return stream_fail(lineno, "missing platform line");
+  }
+  std::size_t p = 0;
+  double bandwidth = 0.0;
+  double link_failure_rate = 0.0;
+  unsigned max_replication = 0;
+  {
+    std::istringstream platform_line(line);
+    std::string keyword;
+    platform_line >> keyword >> p >> bandwidth >> link_failure_rate >>
+        max_replication;
+    if (keyword != "platform" || platform_line.fail() || p == 0) {
+      return stream_fail(
+          lineno, "expected 'platform <p> <bandwidth> <link_rate> <K>'");
+    }
+  }
+  if (!(bandwidth > 0.0) || link_failure_rate < 0.0 || max_replication < 1) {
+    return stream_fail(lineno, "invalid platform parameters");
+  }
+  std::vector<Processor> processors;
+  for (std::size_t u = 0; u < p; ++u) {
+    if (!stream_next_line(in, line, lineno)) {
+      return stream_fail(lineno, "expected " + std::to_string(p) +
+                                     " processor lines, got " +
+                                     std::to_string(u));
+    }
+    std::istringstream proc_line(line);
+    Processor proc;
+    proc_line >> proc.speed >> proc.failure_rate;
+    if (proc_line.fail()) {
+      return stream_fail(lineno, "expected '<speed> <failure_rate>'");
+    }
+    if (!(proc.speed > 0.0) || proc.failure_rate < 0.0) {
+      return stream_fail(lineno, "speed must be > 0 and failure rate >= 0");
+    }
+    processors.push_back(proc);
+  }
+  ParseResult result;
+  result.instance = Instance{
+      TaskChain(std::move(tasks)),
+      Platform(std::move(processors), bandwidth, link_failure_rate,
+               max_replication)};
+  return result;
+}
+
+/// Both parsers on one text: the same verdict, error and bits.
+void expect_same_parse(const std::string& text) {
+  const ParseResult got = instance_from_text(text);
+  const ParseResult want = stream_read_instance(text);
+  ASSERT_EQ(got.instance.has_value(), want.instance.has_value())
+      << text << "\n" << got.error << " | " << want.error;
+  EXPECT_EQ(got.error, want.error) << text;
+  if (!got) return;
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  const Instance& a = *got.instance;
+  const Instance& b = *want.instance;
+  ASSERT_EQ(a.chain.size(), b.chain.size()) << text;
+  for (std::size_t i = 0; i < a.chain.size(); ++i) {
+    EXPECT_EQ(bits(a.chain.work(i)), bits(b.chain.work(i))) << text;
+    EXPECT_EQ(bits(a.chain.out_size(i)), bits(b.chain.out_size(i))) << text;
+  }
+  ASSERT_EQ(a.platform.processor_count(), b.platform.processor_count());
+  for (std::size_t u = 0; u < a.platform.processor_count(); ++u) {
+    EXPECT_EQ(bits(a.platform.speed(u)), bits(b.platform.speed(u))) << text;
+    EXPECT_EQ(bits(a.platform.failure_rate(u)),
+              bits(b.platform.failure_rate(u)))
+        << text;
+  }
+  EXPECT_EQ(bits(a.platform.bandwidth()), bits(b.platform.bandwidth()));
+  EXPECT_EQ(bits(a.platform.link_failure_rate()),
+            bits(b.platform.link_failure_rate()));
+  EXPECT_EQ(a.platform.max_replication(), b.platform.max_replication());
+}
+
+TEST(Serialize, InPlaceParserMatchesTheStreamParserOnEverySpelling) {
+  // Each spelling in turn stands for one field of a small instance.
+  const char* const spellings[] = {
+      "1",       "+1",     "-1",      "0",      "-0",       "1.",
+      ".5",      ".",      "1e",      "1e+",    "1e-400",   "-1e-400",
+      "2e-324",  "3e-324", "1e-310",  "1e400",  "1.8e308",  "nan",
+      "inf",     "-inf",   "0x10",    "5x",     "--5",      "+-5",
+      "1e5e6",   "1.2.3",  "007",     "1E2",    "",         "#",
+      "4294967295",        "4294967296",        "18446744073709551615",
+      "18446744073709551616",        "9223372036854775808",
+      "-9223372036854775808",        "-9223372036854775809",
+      "12345678901234567890123",     "1\v2",    "\f3",      "task"};
+  const std::string fields[] = {"3", "5", "1", "7", "0", "2", "1", "0.5", "2",
+                                "1", "1e-8", "2", "1e-7"};
+  const auto render = [&](const std::vector<std::string>& f) {
+    return "prts-instance v1\ntasks " + f[0] + "\n" + f[1] + " " + f[2] +
+           "\n" + f[3] + " " + f[4] + "\ntask " + f[5] + " 2 1\n" +
+           "platform " + f[6] + " " + f[7] + " " + f[8] + " " + f[9] + "\n" +
+           f[10] + " " + f[11] + "\n" + f[12] + " 3\n";
+  };
+  std::vector<std::string> base(std::begin(fields), std::end(fields));
+  base[0] = "2";  // a plain two-task chain; the labeled line is extra
+  expect_same_parse(render(base));
+  for (std::size_t at = 0; at < base.size(); ++at) {
+    for (const char* spelling : spellings) {
+      std::vector<std::string> variant = base;
+      variant[at] = spelling;
+      expect_same_parse(render(variant));
+      ASSERT_FALSE(HasFailure()) << "field " << at << " = '" << spelling
+                                 << "'";
+    }
+  }
+}
+
+TEST(Serialize, InPlaceParserMatchesTheStreamParserUnderByteMutations) {
+  Rng rng(11);
+  const Instance instance{paper::chain(rng), paper::het_platform(rng)};
+  std::vector<std::string> texts{
+      std::string(CanonicalInstanceText(instance).view()),
+      instance_to_text(instance),
+      "# comment\n\nprts-instance v1 trailing\r\ntasks 2\r\n"
+      "task 9 5 1\ntask -3 7 0 extra\n\t\nplatform 2 1 0 2 more\n"
+      "1 0\n2 1e-9\nafter the end\n"};
+  std::mt19937_64 mutate(20);
+  const char alphabet[] = "0123456789+-.eE xtask\n\r\t#\v";
+  for (const std::string& text : texts) {
+    expect_same_parse(text);
+    std::uniform_int_distribution<std::size_t> position(0, text.size() - 1);
+    std::uniform_int_distribution<std::size_t> pick(0, sizeof(alphabet) - 2);
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::string mutated = text;
+      const int edits = 1 + trial % 3;
+      for (int e = 0; e < edits; ++e) {
+        const std::size_t at = position(mutate) % mutated.size();
+        switch (trial % 4) {
+          case 0:
+            mutated[at] = alphabet[pick(mutate)];
+            break;
+          case 1:
+            mutated.erase(at, 1);
+            break;
+          case 2:
+            mutated.insert(at, 1, alphabet[pick(mutate)]);
+            break;
+          default:
+            mutated[at] = static_cast<char>(mutate() & 0xff);
+            break;
+        }
+        if (mutated.empty()) mutated.push_back('x');
+      }
+      expect_same_parse(mutated);
+      ASSERT_FALSE(HasFailure()) << "trial " << trial;
+    }
+  }
 }
 
 }  // namespace

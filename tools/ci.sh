@@ -157,7 +157,8 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
 
   TSAN_BUILD="$BUILD-tsan"
   TSAN_SUITES=(test_net test_service test_obs test_fabric_replication
-               test_membership test_load test_thread_pool test_canonical)
+               test_membership test_load test_thread_pool test_canonical
+               test_portfolio)
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS=-fsanitize=thread
   cmake --build "$TSAN_BUILD" -j "$JOBS" --target "${TSAN_SUITES[@]}"
