@@ -12,9 +12,9 @@
 // the same client unserialized (request-id multiplexing, 8 in flight on
 // the same single connection). Loopback has no propagation delay, so
 // the wire laps' owner holds every inbound frame for --wire-delay
-// seconds (default 2ms — a cross-rack round trip): exactly the latency
-// the lock-step discipline pays per exchange and the mux discipline
-// overlaps. Every request uses a distinct instance, so the owner's
+// seconds (default 2ms — a cross-rack round trip) on an emulated-link
+// pool before its handler sees it: exactly the latency the lock-step
+// discipline pays per exchange and the mux discipline overlaps. Every request uses a distinct instance, so the owner's
 // engine never batch-deduplicates the concurrent solves.
 //
 //   fabric_throughput [--requests N] [--unique U] [--solver NAME]
@@ -23,6 +23,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <iostream>
 #include <mutex>
 #include <optional>
@@ -201,11 +202,8 @@ int main(int argc, char** argv) {
   config.max_queue_depth = requests + 1;
   service::SolveService local(config);
   service::SolveService remote(config);
-  // Sized for the pipelining laps: 8 handler invocations in flight on
-  // one connection, plus headroom for the router laps.
-  ThreadPool server_pool(kWireConcurrency + 2);
   auto server = prts::net::FrameServer::start(
-      0, service::make_fabric_handler(remote), server_pool);
+      0, service::make_fabric_handler(remote));
   if (!server) {
     std::cerr << "cannot open a loopback listener\n";
     return 1;
@@ -235,17 +233,20 @@ int main(int argc, char** argv) {
   // measure the wire discipline, not the solver.
   const std::string wire_solver = "heur-p";
   service::SolveService wire_remote(config);
+  // The emulated link: one thread per frame that can be in flight, so
+  // the delays overlap as a real round trip's would.
+  ThreadPool link(kWireConcurrency);
   prts::net::FrameHandler wire_handler =
-      [fabric = service::make_fabric_handler(wire_remote),
-       wire_delay](const prts::net::Frame& frame) {
-        if (wire_delay > 0.0) {
+      [fabric = service::make_fabric_handler(wire_remote), wire_delay, &link](
+          const prts::net::Frame& frame, prts::net::Responder respond) {
+        auto held = std::make_shared<prts::net::Responder>(std::move(respond));
+        link.submit([fabric, wire_delay, frame, held] {
           std::this_thread::sleep_for(
               std::chrono::duration<double>(wire_delay));
-        }
-        return fabric(frame);
+          fabric(frame, std::move(*held));
+        });
       };
-  auto wire_server = prts::net::FrameServer::start(
-      0, std::move(wire_handler), server_pool);
+  auto wire_server = prts::net::FrameServer::start(0, std::move(wire_handler));
   if (!wire_server) {
     std::cerr << "cannot open a loopback listener for the wire laps\n";
     return 1;

@@ -5,15 +5,20 @@
 #include <exception>
 #include <stdexcept>
 
+#include "obs/threads.hpp"
+
 namespace prts {
 
-ThreadPool::ThreadPool(std::size_t threads) {
+ThreadPool::ThreadPool(std::size_t threads, const char* name) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, name] {
+      if (name != nullptr) obs::name_this_thread(name);
+      worker_loop();
+    });
   }
 }
 

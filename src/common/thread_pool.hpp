@@ -21,8 +21,9 @@ namespace prts {
 /// Fixed-size pool of worker threads consuming a shared FIFO task queue.
 class ThreadPool {
  public:
-  /// Starts `threads` workers (hardware concurrency when 0).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// Starts `threads` workers (hardware concurrency when 0), each named
+  /// `name` when one is given (obs::name_this_thread).
+  explicit ThreadPool(std::size_t threads = 0, const char* name = nullptr);
 
   /// Drains outstanding tasks and joins the workers (shutdown()).
   ~ThreadPool();

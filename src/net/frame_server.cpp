@@ -2,31 +2,93 @@
 
 #include <sys/socket.h>
 
-#include <chrono>
 #include <string>
 #include <utility>
 
+#include "obs/threads.hpp"
+
 namespace prts::net {
+
+struct Responder::Connection {
+  explicit Connection(Socket accepted) : socket(std::move(accepted)) {}
+  Socket socket;
+  std::mutex write_mutex;  ///< one frame on the wire at a time
+};
+
+Responder::Responder(FrameServer& server,
+                     std::shared_ptr<Connection> connection,
+                     std::uint64_t request_id) noexcept
+    : server_(&server),
+      connection_(std::move(connection)),
+      request_id_(request_id) {
+  server_->begin_response();
+}
+
+Responder::Responder(Responder&& other) noexcept
+    : server_(std::exchange(other.server_, nullptr)),
+      connection_(std::move(other.connection_)),
+      request_id_(other.request_id_) {}
+
+namespace {
+
+/// What an abandoned Responder answers.
+Frame dropped_request() {
+  Frame failure;
+  failure.type = FrameType::kError;
+  failure.payload = "handler error: request dropped unanswered";
+  return failure;
+}
+
+}  // namespace
+
+Responder& Responder::operator=(Responder&& other) noexcept {
+  if (this != &other) {
+    if (server_ != nullptr) (*this)(dropped_request());
+    server_ = std::exchange(other.server_, nullptr);
+    connection_ = std::move(other.connection_);
+    request_id_ = other.request_id_;
+  }
+  return *this;
+}
+
+Responder::~Responder() {
+  if (server_ != nullptr) (*this)(dropped_request());
+}
+
+void Responder::operator()(std::optional<Frame> reply) {
+  if (server_ == nullptr) return;  // answered already
+  FrameServer* const server = std::exchange(server_, nullptr);
+  const std::shared_ptr<Connection> connection = std::move(connection_);
+  obs::hop_probe::touch();
+  bool keep = false;
+  if (reply) {
+    reply->request_id = request_id_;
+    const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
+    keep = write_frame(connection->socket, *reply);
+  }
+  // A declined request or a failed write closes the connection, which
+  // kicks its reader out of read_frame.
+  if (!keep) connection->socket.shutdown();
+  server->end_response();
+}
 
 std::unique_ptr<FrameServer> FrameServer::start(std::uint16_t port,
                                                 FrameHandler handler,
-                                                ThreadPool& pool,
                                                 std::size_t max_payload,
                                                 obs::Telemetry* telemetry,
                                                 std::string auth_token) {
   auto listener = Listener::open(port);
   if (!listener) return nullptr;
   return std::unique_ptr<FrameServer>(
-      new FrameServer(std::move(*listener), std::move(handler), pool,
-                      max_payload, telemetry, std::move(auth_token)));
+      new FrameServer(std::move(*listener), std::move(handler), max_payload,
+                      telemetry, std::move(auth_token)));
 }
 
 FrameServer::FrameServer(Listener listener, FrameHandler handler,
-                         ThreadPool& pool, std::size_t max_payload,
-                         obs::Telemetry* telemetry, std::string auth_token)
+                         std::size_t max_payload, obs::Telemetry* telemetry,
+                         std::string auth_token)
     : listener_(std::move(listener)),
       handler_(std::move(handler)),
-      pool_(pool),
       max_payload_(max_payload),
       auth_token_(std::move(auth_token)),
       telemetry_(obs::given_or_owned(telemetry, owned_telemetry_)),
@@ -39,7 +101,10 @@ FrameServer::FrameServer(Listener listener, FrameHandler handler,
           telemetry_.metrics.counter("net_server_auth_failures_total")),
       heartbeat_(telemetry_.watchdog.component("frame_server")),
       handler_component_(telemetry_.profiler.component("frame_handler")),
-      accept_thread_([this] { accept_loop(); }) {}
+      accept_thread_([this] {
+        obs::name_this_thread("srv-accept");
+        accept_loop();
+      }) {}
 
 FrameServer::~FrameServer() { stop(); }
 
@@ -48,9 +113,10 @@ void FrameServer::accept_loop() {
     auto accepted = listener_.accept();
     if (!accepted) break;  // listener closed
     reap_finished();
-    auto socket = std::make_shared<Socket>(std::move(*accepted));
+    auto connection =
+        std::make_shared<Responder::Connection>(std::move(*accepted));
     heartbeat_.beat();
-    const int fd = socket->fd();
+    const int fd = connection->socket.fd();
     {
       // Register before the reader thread exists: stop() must be able
       // to wake this connection even if the thread has not started yet.
@@ -60,8 +126,9 @@ void FrameServer::accept_loop() {
       open_fds_.insert(fd);
       const std::uint64_t conn_id = next_conn_id_++;
       connections_.emplace(
-          conn_id, std::thread([this, conn_id, socket] {
-            serve_connection(conn_id, socket);
+          conn_id, std::thread([this, conn_id, connection] {
+            obs::name_this_thread("srv-reader");
+            serve_connection(conn_id, connection);
           }));
     }
   }
@@ -84,118 +151,73 @@ void FrameServer::reap_finished() {
   }
 }
 
-void FrameServer::begin_handler() {
+void FrameServer::begin_response() {
+  heartbeat_.add_load(1);
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++pending_handlers_;
+  ++pending_responses_;
 }
 
-void FrameServer::end_handler() {
+void FrameServer::end_response() {
+  heartbeat_.add_load(-1);
+  heartbeat_.beat();
   const std::lock_guard<std::mutex> lock(mutex_);
-  --pending_handlers_;
+  --pending_responses_;
   drained_cv_.notify_all();
 }
 
-namespace {
-
-/// The answer to a request whose handler threw (say, a decode that ran
-/// out of memory): an error frame for that request only. The connection
-/// stays up for its other multiplexed requests.
-Frame handler_failure(std::string message) {
-  Frame failure;
-  failure.type = FrameType::kError;
-  failure.payload = std::move(message);
-  return failure;
-}
-
-}  // namespace
-
-bool FrameServer::handle_frame(const Frame& request, Socket& socket,
-                               std::mutex& write_mutex) {
-  // Load brackets the handler call: a frame stuck inside the handler
-  // keeps load > 0, so a silent wedge ages into a stall.
-  heartbeat_.add_load(1);
+void FrameServer::handle_frame(
+    const Frame& request,
+    const std::shared_ptr<Responder::Connection>& connection) {
   std::optional<obs::ScopedSample> handler_sample;
   if (telemetry_.profiler.enabled()) handler_sample.emplace();
-  std::optional<Frame> reply;
   try {
-    reply = handler_(request);
-  } catch (const std::exception& error) {
-    reply = handler_failure(std::string("handler error: ") + error.what());
+    handler_(request, Responder(*this, connection, request.request_id));
   } catch (...) {
-    reply = handler_failure("handler error");
+    // The handler's Responder, destroyed unanswered by the unwind, has
+    // already failed this request alone; the connection carries on.
   }
   if (handler_sample) {
     obs::Profiler::record(handler_component_, handler_sample->finish());
   }
-  heartbeat_.add_load(-1);
-  heartbeat_.beat();
-  if (!reply) return false;
-  reply->request_id = request.request_id;
-  const std::lock_guard<std::mutex> write_lock(write_mutex);
-  return write_frame(socket, *reply);
 }
 
-void FrameServer::serve_connection(std::uint64_t conn_id,
-                                   std::shared_ptr<Socket> socket_ptr) {
-  Socket& socket = *socket_ptr;
+void FrameServer::serve_connection(
+    std::uint64_t conn_id, std::shared_ptr<Responder::Connection> connection) {
+  Socket& socket = connection->socket;
   const int fd = socket.fd();
-  auto write_mutex = std::make_shared<std::mutex>();
   bool authed = auth_token_.empty();
+  Frame request;
   while (!stopping_.load()) {
-    auto request = std::make_shared<Frame>();
-    const FrameReadStatus status =
-        read_frame(socket, *request, max_payload_);
+    const FrameReadStatus status = read_frame(socket, request, max_payload_);
     if (status == FrameReadStatus::kOk) {
+      obs::hop_probe::touch();
       frames_total_.add();
-      if (request->type == FrameType::kAuth || !authed) {
+      if (request.type == FrameType::kAuth || !authed) {
         // The auth gate runs before the handler ever sees a frame.
         // kAuth on an open (or already-authed) server is answered
         // benignly, so a token-configured client can talk to a
         // token-free server.
         Frame reply;
-        reply.request_id = request->request_id;
-        if (request->type == FrameType::kAuth &&
-            (authed || request->payload == auth_token_)) {
+        reply.request_id = request.request_id;
+        if (request.type == FrameType::kAuth &&
+            (authed || request.payload == auth_token_)) {
           authed = true;
           reply.type = FrameType::kPong;
-          const std::lock_guard<std::mutex> write_lock(*write_mutex);
+          const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
           if (!write_frame(socket, reply)) break;
           continue;
         }
         auth_failures_total_.add();
         reply.type = FrameType::kError;
         reply.payload = "authentication required";
-        const std::lock_guard<std::mutex> write_lock(*write_mutex);
+        const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
         write_frame(socket, reply);
         break;
       }
-      // Hand the handler to the pool and keep reading — the reply is
-      // written (id-correlated) whenever it is ready, out of order with
-      // its neighbours. A handler that declines or a failed write shuts
-      // the socket down, which kicks this loop out of read_frame.
-      begin_handler();
-      auto future = pool_.submit([this, request, socket_ptr, write_mutex] {
-        if (!handle_frame(*request, *socket_ptr, *write_mutex)) {
-          socket_ptr->shutdown();
-        }
-        end_handler();
-      });
-      // A shut-down pool destroys the task unrun (exceptional future);
-      // degrade to handling the frame inline.
-      if (future.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready) {
-        bool rejected = false;
-        try {
-          future.get();
-        } catch (...) {
-          rejected = true;
-        }
-        if (rejected) {
-          const bool keep = handle_frame(*request, socket, *write_mutex);
-          end_handler();
-          if (!keep) break;
-        }
-      }
+      // Inline: the handler answers now or hands its Responder to
+      // whoever will (a solve's completion); either way the reader goes
+      // straight back to reading.
+      handle_frame(request, connection);
       continue;
     }
     if (status == FrameReadStatus::kBadMagic ||
@@ -210,7 +232,7 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
                         : status == FrameReadStatus::kBadVersion
                             ? "unsupported protocol version"
                             : "payload too large";
-        const std::lock_guard<std::mutex> write_lock(*write_mutex);
+        const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
         write_frame(socket, error);
       }
     }
@@ -218,8 +240,8 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
   }
   {
     // Deregister while the socket is still open, so stop() can never
-    // shut down a descriptor that has already been recycled. In-flight
-    // handlers hold their own shared_ptr to the socket; their
+    // shut down a descriptor that has already been recycled. Pending
+    // Responders hold their own reference to the connection; their
     // writes fail harmlessly once the peer is gone.
     const std::lock_guard<std::mutex> lock(mutex_);
     open_fds_.erase(fd);
@@ -242,7 +264,7 @@ void FrameServer::stop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
   drained_cv_.wait(lock, [this] {
-    return open_fds_.empty() && pending_handlers_ == 0;
+    return open_fds_.empty() && pending_responses_ == 0;
   });
   std::vector<std::thread> remaining;
   remaining.reserve(connections_.size());

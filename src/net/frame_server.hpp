@@ -1,9 +1,11 @@
 // The fabric's listening side: one accept thread hands each connection
-// to a dedicated reader thread, which dispatches every frame to the
-// caller-supplied ThreadPool. Replies are stamped with the request id
-// and written under a per-connection write mutex whenever they finish —
-// so one connection carries many concurrent solves and a slow one does
-// not block the pings, gossip digests and scrapes behind it.
+// to a dedicated reader thread, which runs the handler inline on every
+// frame it reads. A handler answers through a Responder, which stamps
+// the request id and writes under the connection's write mutex from
+// whatever thread holds it — so a solve answers from the engine worker
+// that finished it, out of order with its neighbours, while the reader
+// keeps reading the pings, gossip digests and scrapes behind it. No
+// thread of the server waits on a handler.
 //
 // Robustness contract (exercised by tests/test_net.cpp): malformed
 // magic, version mismatch and oversized length fields are answered with
@@ -11,9 +13,9 @@
 // server keeps accepting new connections. Truncated frames and
 // mid-stream disconnects just close the connection.
 //
-// The pool is the handler executor: size it for the desired number of
-// concurrently-running handlers, not for the number of peer links
-// (idle connections cost a parked reader thread, not a pool slot).
+// A handler runs on the connection's reader, so it must not block: work
+// that waits (a solve, a slow peer) keeps the Responder and answers
+// later from another thread.
 #pragma once
 
 #include <atomic>
@@ -28,19 +30,51 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "obs/trace.hpp"
 
 namespace prts::net {
 
-/// Answers one request frame; nullopt closes the connection without a
-/// reply (which also aborts the other in-flight exchanges on that
-/// connection — a deliberate peer-death simulation). Runs on a pool
-/// thread; must be thread-safe across connections and across
-/// concurrent frames of ONE connection.
-using FrameHandler = std::function<std::optional<Frame>(const Frame&)>;
+class FrameServer;
+
+/// The one answer a request frame is owed. Move-only; calling it writes
+/// the reply (the request id is stamped here) under the connection's
+/// write mutex, from any thread, exactly once. nullopt closes the
+/// connection without a reply, which also aborts the other in-flight
+/// exchanges on it (a deliberate peer-death simulation). A Responder
+/// destroyed unanswered — say, by a handler that threw — answers one
+/// kError frame, so every request gets its answer.
+class Responder {
+ public:
+  Responder() = default;
+  Responder(Responder&& other) noexcept;
+  Responder& operator=(Responder&& other) noexcept;
+  Responder(const Responder&) = delete;
+  Responder& operator=(const Responder&) = delete;
+  ~Responder();
+
+  void operator()(std::optional<Frame> reply);
+
+  /// True while the answer is still owed.
+  explicit operator bool() const noexcept { return server_ != nullptr; }
+
+ private:
+  friend class FrameServer;
+  struct Connection;
+
+  Responder(FrameServer& server, std::shared_ptr<Connection> connection,
+            std::uint64_t request_id) noexcept;
+
+  FrameServer* server_ = nullptr;
+  std::shared_ptr<Connection> connection_;
+  std::uint64_t request_id_ = 0;
+};
+
+/// Answers one request frame through `respond`, now or later. Runs on
+/// the connection's reader thread, so it must not block; it must be
+/// thread-safe across connections.
+using FrameHandler = std::function<void(const Frame&, Responder respond)>;
 
 /// Monotonic counters (snapshot; the server keeps running), each read
 /// from the registry counter net_server_<field>_total.
@@ -58,18 +92,18 @@ class FrameServer {
   /// `telemetry` (which must outlive it; nullptr: the server owns one):
   /// - the net_server_{connections,frames,protocol_errors,
   ///   auth_failures}_total counters;
-  /// - a "frame_server" watchdog heartbeat: load tracks frames inside
-  ///   the handler, beats mark accepts and handled frames, so a handler
+  /// - a "frame_server" watchdog heartbeat: load tracks requests still
+  ///   owed an answer, beats mark accepts and answers, so a request
   ///   wedged on a dead peer shows up as a stall;
   /// - the "frame_handler" profile component, sampled on every handler
   ///   call while the profiler is on (cpu/wall/alloc attribution of
-  ///   peer traffic).
+  ///   the inline part of peer traffic).
   /// When `auth_token` is non-empty every connection must present it
   /// in a kAuth frame before anything else: any other first frame (or
   /// a wrong token) is answered with kError, counted as an auth
   /// failure, and the connection is closed.
   static std::unique_ptr<FrameServer> start(
-      std::uint16_t port, FrameHandler handler, ThreadPool& pool,
+      std::uint16_t port, FrameHandler handler,
       std::size_t max_payload = kDefaultMaxPayload,
       obs::Telemetry* telemetry = nullptr, std::string auth_token = {});
 
@@ -82,28 +116,30 @@ class FrameServer {
   std::uint16_t port() const noexcept { return listener_.port(); }
 
   /// Stops accepting, wakes every connection's blocked read, and waits
-  /// for connection loops and in-flight handlers to drain. Idempotent.
+  /// for connection loops and every outstanding Responder to finish.
+  /// Idempotent.
   void stop();
 
   FrameServerStats stats() const;
 
  private:
-  FrameServer(Listener listener, FrameHandler handler, ThreadPool& pool,
+  friend class Responder;
+
+  FrameServer(Listener listener, FrameHandler handler,
               std::size_t max_payload, obs::Telemetry* telemetry,
               std::string auth_token);
 
   void accept_loop();
   void serve_connection(std::uint64_t conn_id,
-                        std::shared_ptr<Socket> socket_ptr);
+                        std::shared_ptr<Responder::Connection> connection);
 
-  /// Runs the handler for one frame and writes the reply (request id
-  /// echoed from the request, write serialized on `write_mutex`). False
-  /// when the connection must close.
-  bool handle_frame(const Frame& request, Socket& socket,
-                    std::mutex& write_mutex);
+  /// Runs the handler inline on one frame.
+  void handle_frame(const Frame& request,
+                    const std::shared_ptr<Responder::Connection>& connection);
 
-  void begin_handler();
-  void end_handler();
+  /// A Responder was created / has answered.
+  void begin_response();
+  void end_response();
 
   /// Joins reader threads whose connections have finished; called from
   /// the accept loop so a long-lived server does not accumulate dead
@@ -112,7 +148,6 @@ class FrameServer {
 
   Listener listener_;
   FrameHandler handler_;
-  ThreadPool& pool_;
   const std::size_t max_payload_;
   const std::string auth_token_;  ///< empty = authentication off
 
@@ -123,7 +158,7 @@ class FrameServer {
   std::uint64_t next_conn_id_ = 0;
   std::unordered_map<std::uint64_t, std::thread> connections_;
   std::vector<std::uint64_t> finished_;  ///< conn ids ready to join
-  std::size_t pending_handlers_ = 0;     ///< handlers in the pool
+  std::size_t pending_responses_ = 0;    ///< Responders still owed
   /// Handles resolved once at construction.
   std::unique_ptr<obs::Telemetry> owned_telemetry_;
   obs::Telemetry& telemetry_;

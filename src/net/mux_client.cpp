@@ -5,6 +5,8 @@
 #include <limits>
 #include <utility>
 
+#include "obs/threads.hpp"
+
 namespace prts::net {
 namespace {
 
@@ -72,7 +74,9 @@ MuxFrameClient::MuxFrameClient(std::string host, std::uint16_t port,
   worker_ = std::thread(&MuxFrameClient::worker_loop, this);
 }
 
-MuxFrameClient::~MuxFrameClient() {
+MuxFrameClient::~MuxFrameClient() { shutdown(); }
+
+void MuxFrameClient::shutdown() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
@@ -81,46 +85,85 @@ MuxFrameClient::~MuxFrameClient() {
   }
   if (worker_.joinable()) worker_.join();
   if (reader_.joinable()) reader_.join();
-  // Resolve whatever is still outstanding: a waiter must see nullopt,
-  // never a broken promise.
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [id, pending] : pending_) pending.promise.set_value(std::nullopt);
-  pending_.clear();
-  for (auto& job : queue_) job.promise.set_value(std::nullopt);
-  queue_.clear();
+  // Answer whatever is still outstanding: a waiter must see nullopt,
+  // never silence.
+  Failed failed;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (auto& [id, pending] : pending_) {
+      failed.push_back(std::move(pending.callback));
+    }
+    pending_.clear();
+    for (auto& job : queue_) failed.push_back(std::move(job.callback));
+    queue_.clear();
+  }
+  fail_all(failed);
 }
 
+void MuxFrameClient::fail_all(Failed& failed) {
+  for (ReplyCallback& callback : failed) callback(std::nullopt);
+  failed.clear();
+}
+
+namespace {
+
+/// call_async's future adapter; fits ReplyCallback's inline buffer.
+struct FulfillPromise {
+  std::promise<std::optional<Frame>> promise;
+  void operator()(std::optional<Frame>&& reply) {
+    promise.set_value(std::move(reply));
+  }
+};
+
+}  // namespace
+
 std::future<std::optional<Frame>> MuxFrameClient::call_async(Frame request) {
-  const double seconds = config_.reply_timeout_seconds > 0.0
-                             ? config_.reply_timeout_seconds
-                             : std::numeric_limits<double>::infinity();
-  return call_async(std::move(request), seconds);
+  std::promise<std::optional<Frame>> promise;
+  std::future<std::optional<Frame>> future = promise.get_future();
+  call_async(std::move(request), FulfillPromise{std::move(promise)});
+  return future;
 }
 
 std::future<std::optional<Frame>> MuxFrameClient::call_async(
     Frame request, double deadline_seconds) {
   std::promise<std::optional<Frame>> promise;
   std::future<std::optional<Frame>> future = promise.get_future();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  calls_.add();
-  if (stop_ ||
-      (backoff_seconds_ > 0.0 && Clock::now() < next_attempt_)) {
+  call_async(std::move(request), deadline_seconds,
+             FulfillPromise{std::move(promise)});
+  return future;
+}
+
+void MuxFrameClient::call_async(Frame request, ReplyCallback callback) {
+  const double seconds = config_.reply_timeout_seconds > 0.0
+                             ? config_.reply_timeout_seconds
+                             : std::numeric_limits<double>::infinity();
+  call_async(std::move(request), seconds, std::move(callback));
+}
+
+void MuxFrameClient::call_async(Frame request, double deadline_seconds,
+                                ReplyCallback callback) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    calls_.add();
+    const bool fast_fail =
+        stop_ || (backoff_seconds_ > 0.0 && Clock::now() < next_attempt_);
+    if (!fast_fail) {
+      Job job;
+      job.frame = std::move(request);
+      job.callback = std::move(callback);
+      job.deadline = deadline_from(deadline_seconds);
+      queue_.push_back(std::move(job));
+      const std::size_t depth = queue_.size() + pending_.size();
+      max_inflight_ = std::max<std::uint64_t>(max_inflight_, depth);
+      inflight_gauge_.set(static_cast<double>(depth));
+      depth_histogram_.record(static_cast<double>(depth));
+      cv_.notify_all();
+      return;
+    }
     if (!stop_) fast_failures_.add();
     failures_.add();
-    promise.set_value(std::nullopt);
-    return future;
   }
-  Job job;
-  job.frame = std::move(request);
-  job.promise = std::move(promise);
-  job.deadline = deadline_from(deadline_seconds);
-  queue_.push_back(std::move(job));
-  const std::size_t depth = queue_.size() + pending_.size();
-  max_inflight_ = std::max<std::uint64_t>(max_inflight_, depth);
-  inflight_gauge_.set(static_cast<double>(depth));
-  depth_histogram_.record(static_cast<double>(depth));
-  cv_.notify_all();
-  return future;
+  callback(std::nullopt);
 }
 
 std::optional<Frame> MuxFrameClient::call(const Frame& request) {
@@ -150,21 +193,32 @@ std::uint64_t MuxFrameClient::unknown_replies() const {
 }
 
 void MuxFrameClient::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  fail_connection_locked(generation_, /*timeout=*/false);
-  backoff_seconds_ = 0.0;  // reconnect immediately on the next call
+  Failed failed;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    fail_connection_locked(generation_, /*timeout=*/false, failed);
+    backoff_seconds_ = 0.0;  // reconnect immediately on the next call
+  }
+  fail_all(failed);
 }
 
 void MuxFrameClient::worker_loop() {
+  obs::name_this_thread("mux-writer");
   std::unique_lock<std::mutex> lock(mutex_);
+  Failed failed;
   for (;;) {
+    if (!failed.empty()) {
+      lock.unlock();
+      fail_all(failed);
+      lock.lock();
+    }
     cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (stop_) return;
 
     // Jobs racing a freshly-armed backoff window fail fast here; jobs
     // arriving while the window is open already failed in call_async.
     if (backoff_seconds_ > 0.0 && Clock::now() < next_attempt_) {
-      fail_queue_locked(/*fast=*/true);
+      fail_queue_locked(/*fast=*/true, failed);
       continue;
     }
 
@@ -174,11 +228,11 @@ void MuxFrameClient::worker_loop() {
       bool timeout = false;
       std::shared_ptr<Socket> socket = connect(timeout);
       lock.lock();
-      if (stop_) return;  // destructor resolves the queue
+      if (stop_) return;  // shutdown() resolves the queue
       if (!socket) {
         if (timeout) timeouts_.add();
         arm_backoff_locked(timeout);
-        fail_queue_locked(/*fast=*/false);
+        fail_queue_locked(/*fast=*/false, failed);
         continue;
       }
       conn_ = std::move(socket);
@@ -190,7 +244,7 @@ void MuxFrameClient::worker_loop() {
 
     if (queue_.empty()) continue;
 
-    // Stamp a fresh id, move the waiter to the pending map *before*
+    // Stamp a fresh id, move the callback to the pending map *before*
     // the write (the reply can race the write's return), then write
     // without holding the lock.
     Job job = std::move(queue_.front());
@@ -200,7 +254,7 @@ void MuxFrameClient::worker_loop() {
     Frame frame = std::move(job.frame);
     frame.request_id = id;
     Pending pending;
-    pending.promise = std::move(job.promise);
+    pending.callback = std::move(job.callback);
     pending.deadline = job.deadline;
     pending.written = Clock::now();
     soonest_deadline_ = std::min(soonest_deadline_, pending.deadline);
@@ -209,48 +263,59 @@ void MuxFrameClient::worker_loop() {
     const std::uint64_t generation = generation_;
     std::shared_ptr<Socket> socket = conn_;
     lock.unlock();
+    obs::hop_probe::touch();
     const bool written = write_frame(*socket, frame);
     lock.lock();
     if (!written) {
-      fail_connection_locked(generation, /*timeout=*/false);
+      fail_connection_locked(generation, /*timeout=*/false, failed);
     }
   }
 }
 
 void MuxFrameClient::reader_loop(std::shared_ptr<Socket> socket,
                                  std::uint64_t generation) {
+  obs::name_this_thread("mux-reader");
+  Failed failed;
   for (;;) {
     Frame reply;
     const FrameReadStatus status =
         read_frame(*socket, reply, config_.max_payload);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stop_ || generation_ != generation) return;
-    if (status == FrameReadStatus::kOk) {
-      last_rx_ = Clock::now();
-      auto it = pending_.find(reply.request_id);
-      if (it == pending_.end()) {
-        // Late reply for an expired request, or a confused peer:
-        // drop it, the connection itself is healthy.
-        unknown_replies_.add();
+    ReplyCallback answered;
+    bool connection_over = false;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (stop_ || generation_ != generation) return;
+      if (status == FrameReadStatus::kOk) {
+        last_rx_ = Clock::now();
+        auto it = pending_.find(reply.request_id);
+        if (it == pending_.end()) {
+          // Late reply for an expired request, or a confused peer:
+          // drop it, the connection itself is healthy.
+          unknown_replies_.add();
+        } else {
+          answered = std::move(it->second.callback);
+          pending_.erase(it);
+          backoff_seconds_ = 0.0;  // a live reply proves health
+          update_depth_locked();
+        }
+        if (last_rx_ >= soonest_deadline_) {
+          sweep_deadlines_locked(generation, failed);
+        }
+      } else if (status == FrameReadStatus::kTimeout) {
+        // Idle tick: no frame for a sweep interval. Expire overdue
+        // requests; a fully silent peer fails the whole connection.
+        sweep_deadlines_locked(generation, failed);
       } else {
-        it->second.promise.set_value(std::move(reply));
-        pending_.erase(it);
-        backoff_seconds_ = 0.0;  // a live reply proves health
-        update_depth_locked();
+        fail_connection_locked(generation, /*timeout=*/false, failed);
       }
-      if (last_rx_ >= soonest_deadline_) sweep_deadlines_locked(generation);
-      if (generation_ != generation) return;
-      continue;
+      connection_over = generation_ != generation;
     }
-    if (status == FrameReadStatus::kTimeout) {
-      // Idle tick: no frame for a sweep interval. Expire overdue
-      // requests; a fully silent peer fails the whole connection.
-      sweep_deadlines_locked(generation);
-      if (generation_ != generation) return;
-      continue;
+    if (answered) {
+      obs::hop_probe::touch();
+      answered(std::move(reply));
     }
-    fail_connection_locked(generation, /*timeout=*/false);
-    return;
+    fail_all(failed);
+    if (connection_over) return;
   }
 }
 
@@ -303,28 +368,28 @@ bool MuxFrameClient::authenticate(Socket& socket) {
 }
 
 void MuxFrameClient::fail_connection_locked(std::uint64_t generation,
-                                            bool timeout) {
+                                            bool timeout, Failed& failed) {
   if (generation_ != generation) return;  // someone else already did
   ++generation_;
   if (conn_) conn_->shutdown();  // wake the peer thread's blocked IO
   conn_.reset();
   for (auto& [id, pending] : pending_) {
     failures_.add();
-    pending.promise.set_value(std::nullopt);
+    failed.push_back(std::move(pending.callback));
   }
   pending_.clear();
   soonest_deadline_ = Clock::time_point::max();
-  fail_queue_locked(/*fast=*/false);
+  fail_queue_locked(/*fast=*/false, failed);
   arm_backoff_locked(timeout);
   update_depth_locked();
   cv_.notify_all();
 }
 
-void MuxFrameClient::fail_queue_locked(bool fast) {
+void MuxFrameClient::fail_queue_locked(bool fast, Failed& failed) {
   for (auto& job : queue_) {
     failures_.add();
     if (fast) fast_failures_.add();
-    job.promise.set_value(std::nullopt);
+    failed.push_back(std::move(job.callback));
   }
   queue_.clear();
   update_depth_locked();
@@ -351,7 +416,8 @@ void MuxFrameClient::update_depth_locked() {
   inflight_gauge_.set(static_cast<double>(queue_.size() + pending_.size()));
 }
 
-void MuxFrameClient::sweep_deadlines_locked(std::uint64_t generation) {
+void MuxFrameClient::sweep_deadlines_locked(std::uint64_t generation,
+                                            Failed& failed) {
   const Clock::time_point now = Clock::now();
   if (now < soonest_deadline_) return;
   Clock::time_point soonest = Clock::time_point::max();
@@ -368,7 +434,7 @@ void MuxFrameClient::sweep_deadlines_locked(std::uint64_t generation) {
       }
       timeouts_.add();
       failures_.add();
-      it->second.promise.set_value(std::nullopt);
+      failed.push_back(std::move(it->second.callback));
       it = pending_.erase(it);
     } else {
       soonest = std::min(soonest, it->second.deadline);
@@ -377,7 +443,7 @@ void MuxFrameClient::sweep_deadlines_locked(std::uint64_t generation) {
   }
   if (silent_peer) {
     timeouts_.add();
-    fail_connection_locked(generation, /*timeout=*/true);
+    fail_connection_locked(generation, /*timeout=*/true, failed);
     return;
   }
   soonest_deadline_ = soonest;

@@ -4,17 +4,20 @@
 // in flight simultaneously.
 //
 // Shape (the classic async-transport trio): callers enqueue
-// (frame, promise) pairs via call_async(); a writer thread drains the
+// (frame, callback) pairs via call_async(); a writer thread drains the
 // queue onto the socket, stamping each frame with a fresh 48-bit id; a
 // dedicated reader thread demultiplexes out-of-order replies through an
-// id -> promise map. Per-request deadlines are swept by the reader on a
-// short receive-timeout tick, so an abandoned request resolves nullopt
+// id -> callback map and runs each callback itself, so a reply is
+// handled where it lands instead of waking a parked caller.
+// Per-request deadlines are swept by the reader on a short
+// receive-timeout tick, so an abandoned request resolves nullopt
 // without poisoning the connection — a late reply is simply dropped by
-// id, framing is never lost.
+// id, framing is never lost. Callbacks never run under the client's
+// lock, so one may issue the next call_async on the same client.
 //
 // Failure model: connection death (EOF, IO error, protocol garbage, or
 // a peer gone silent past the reply timeout) fails ALL outstanding
-// promises with nullopt — exactly once per waiter — and arms an
+// exchanges with nullopt — exactly once per waiter — and arms an
 // exponential backoff window during which calls fail fast (the peer is
 // *suspect*) instead of paying a connect timeout per request, so a
 // dead peer costs the router one timeout, not one per forwarded miss.
@@ -37,7 +40,9 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
+#include "common/unique_function.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
@@ -108,6 +113,11 @@ struct FrameClientStats {
 
 class MuxFrameClient {
  public:
+  /// Receives one exchange's outcome: the peer's reply, or nullopt on
+  /// connect failure, connection death, deadline expiry, fast-fail
+  /// inside the backoff window, or shutdown.
+  using ReplyCallback = UniqueFunction<void(std::optional<Frame>)>;
+
   MuxFrameClient(std::string host, std::uint16_t port,
                  FrameClientConfig config = {});
   ~MuxFrameClient();
@@ -118,19 +128,25 @@ class MuxFrameClient {
   const std::string& host() const noexcept { return host_; }
   std::uint16_t port() const noexcept { return port_; }
 
-  /// Enqueues one exchange; the future resolves with the peer's reply,
-  /// or nullopt on connect failure, connection death, deadline expiry,
-  /// or fast-fail inside the backoff window. Never blocks on IO.
-  /// The default deadline is config.reply_timeout_seconds.
-  std::future<std::optional<Frame>> call_async(Frame request);
+  /// Enqueues one exchange with a deadline (seconds from now; <= 0
+  /// expires immediately, +inf never). `callback` runs exactly once: on
+  /// the reader when the reply arrives, on the deadline sweep or a
+  /// connection failure with nullopt, or inline before call_async
+  /// returns when the call fails fast. Never blocks on IO.
+  void call_async(Frame request, double deadline_seconds,
+                  ReplyCallback callback);
 
-  /// Same with an explicit per-request deadline (seconds from now;
-  /// <= 0 expires immediately, +inf never).
+  /// Same with the default deadline, config.reply_timeout_seconds.
+  void call_async(Frame request, ReplyCallback callback);
+
+  /// call_async resolving a future instead of calling back.
+  std::future<std::optional<Frame>> call_async(Frame request);
   std::future<std::optional<Frame>> call_async(Frame request,
                                                double deadline_seconds);
 
   /// Blocking convenience: call_async + get. Many threads may call
-  /// concurrently; their exchanges share the connection in flight.
+  /// concurrently; their exchanges share the connection in flight. Never
+  /// call it from a callback: the reader would wait on itself.
   std::optional<Frame> call(const Frame& request);
 
   /// True while calls would fail fast (inside the backoff window).
@@ -143,24 +159,35 @@ class MuxFrameClient {
   /// deadline expiry, or a confused peer); dropped, connection kept.
   std::uint64_t unknown_replies() const;
 
-  /// Drops the connection, failing all outstanding promises, and clears
-  /// the backoff (next call reconnects immediately).
+  /// Drops the connection, failing all outstanding exchanges, and
+  /// clears the backoff (next call reconnects immediately).
   void reset();
+
+  /// Stops the client: joins its threads and answers every outstanding
+  /// exchange with nullopt; later calls fail inline. The object stays
+  /// valid, so a callback racing the shutdown still finds it.
+  /// Idempotent; the destructor calls it.
+  void shutdown();
 
  private:
   using Clock = std::chrono::steady_clock;
 
   struct Job {
     Frame frame;
-    std::promise<std::optional<Frame>> promise;
+    ReplyCallback callback;
     Clock::time_point deadline;
   };
 
   struct Pending {
-    std::promise<std::optional<Frame>> promise;
+    ReplyCallback callback;
     Clock::time_point deadline;
     Clock::time_point written;
   };
+
+  /// Callbacks owed nullopt, collected under mutex_ and run after it is
+  /// released.
+  using Failed = std::vector<ReplyCallback>;
+  static void fail_all(Failed& failed);
 
   /// Reader tick: bounds how stale a deadline sweep can be.
   static constexpr double kSweepIntervalSeconds = 0.05;
@@ -177,13 +204,14 @@ class MuxFrameClient {
   /// the server's kPong; true when no token is configured.
   bool authenticate(Socket& socket);
 
-  /// All *_locked helpers require mutex_.
-  void fail_connection_locked(std::uint64_t generation, bool timeout);
-  void fail_queue_locked(bool fast);
+  /// All *_locked helpers require mutex_; they move the callbacks they
+  /// fail into `failed` for the caller to run once it has unlocked.
+  void fail_connection_locked(std::uint64_t generation, bool timeout,
+                              Failed& failed);
+  void fail_queue_locked(bool fast, Failed& failed);
   void arm_backoff_locked(bool timeout);
-  void resolve_locked(Pending& pending, std::optional<Frame> reply);
   void update_depth_locked();
-  void sweep_deadlines_locked(std::uint64_t generation);
+  void sweep_deadlines_locked(std::uint64_t generation, Failed& failed);
 
   const std::string host_;
   const std::uint16_t port_;

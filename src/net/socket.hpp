@@ -5,9 +5,10 @@
 //
 // Deliberately dependency-free (raw sockets, no event loop, no external
 // library): the fabric's connections are few and long-lived — one peer
-// link per remote shard — so blocking IO on pool threads is the right
-// complexity level, matching the blocking batch workers of
-// src/service/engine.*.
+// link per remote shard — so blocking IO on one dedicated reader (and,
+// client side, one writer) thread per connection is the right
+// complexity level; the work itself runs in completions on whichever
+// thread a reply lands (src/net/frame_server.*, src/net/mux_client.*).
 #pragma once
 
 #include <atomic>

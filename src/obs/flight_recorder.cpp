@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "obs/threads.hpp"
+
 namespace prts::obs {
 
 FlightRecorder::FlightRecorder(Registry& registry)
@@ -29,6 +31,7 @@ void FlightRecorder::start() {
     ticker_stop_ = false;
   }
   ticker_ = std::thread([this] {
+    name_this_thread("flight-rec");
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
       const auto interval = std::chrono::duration<double>(

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "obs/threads.hpp"
+
 namespace prts::obs {
 
 Watchdog::Watchdog(Registry& metrics)
@@ -89,6 +91,7 @@ void Watchdog::start(WatchdogConfig config) {
     monitor_stop_ = false;
   }
   monitor_ = std::thread([this] {
+    name_this_thread("watchdog");
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
       const auto interval = std::chrono::duration<double>(

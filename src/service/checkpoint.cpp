@@ -5,6 +5,8 @@
 #include <chrono>
 #include <fstream>
 
+#include "obs/threads.hpp"
+
 namespace prts::service {
 
 Checkpointer::Checkpointer(const ShardedSolutionCache& cache, Config config)
@@ -87,6 +89,7 @@ Checkpointer::Stats Checkpointer::stats() const {
 }
 
 void Checkpointer::timer_loop() {
+  obs::name_this_thread("checkpointer");
   const auto interval =
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(config_.interval_seconds));

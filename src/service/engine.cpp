@@ -5,6 +5,8 @@
 #include <ostream>
 #include <utility>
 
+#include "obs/threads.hpp"
+
 namespace prts::service {
 namespace {
 
@@ -47,7 +49,11 @@ struct SubmitProfile {
     return work;
   }
 
-  ~SubmitProfile() {
+  ~SubmitProfile() { finish(); }
+
+  /// Closes the bill (once): called before an inline completion runs,
+  /// so the caller's own work is not billed to the submit path.
+  void finish() {
     if (!allocs) return;
     const obs::AllocCounts delta = allocs->delta();
     allocs_total.add(delta.count);
@@ -58,6 +64,8 @@ struct SubmitProfile {
                       static_cast<double>(requests));
     }
     if (sample) obs::Profiler::record(component, sample->finish());
+    allocs.reset();
+    sample.reset();
   }
 };
 
@@ -84,6 +92,14 @@ Clock::time_point waiter_deadline(double deadline_seconds,
   }
   return submitted + std::chrono::duration_cast<Clock::duration>(wait);
 }
+
+/// The future overloads' completion. It fits ReplyCallback's inline
+/// buffer, so a future caller pays the promise's allocations and no
+/// more.
+struct FulfillPromise {
+  std::promise<SolveReply> promise;
+  void operator()(SolveReply&& reply) { promise.set_value(std::move(reply)); }
+};
 
 }  // namespace
 
@@ -144,7 +160,7 @@ SolveService::SolveService(ServiceConfig config)
     : config_(std::move(config)),
       telemetry_(obs::given_or_owned(config_.telemetry, owned_telemetry_)),
       cache_(config_.cache),
-      pool_(config_.threads) {
+      pool_(config_.threads, "engine") {
   obs::Registry& metrics = telemetry_.metrics;
   const auto engine_counter = [&metrics](const std::string& field) {
     return &metrics.counter("prts_engine_" + field + "_total");
@@ -189,6 +205,19 @@ SolveService::~SolveService() { wait_idle(); }
 
 std::future<SolveReply> SolveService::submit(SolveRequest request) {
   const obs::AllocScope entry;
+  std::promise<SolveReply> promise;
+  std::future<SolveReply> future = promise.get_future();
+  submit_from(std::move(request), FulfillPromise{std::move(promise)}, entry);
+  return future;
+}
+
+void SolveService::submit(SolveRequest request, ReplyCallback done) {
+  const obs::AllocScope entry;
+  submit_from(std::move(request), std::move(done), entry);
+}
+
+void SolveService::submit_from(SolveRequest request, ReplyCallback done,
+                               const obs::AllocScope& entry) {
   // Canonicalization runs on every submit, so its dual-clock sample is
   // 1-in-N — two CPU-clock syscalls per request would dominate the warm
   // path's own cost.
@@ -200,13 +229,25 @@ std::future<SolveReply> SolveService::submit(SolveRequest request) {
   const CanonicalHash key =
       request_key(*canonical, request.solver, request.bounds);
   if (sampled) obs::Profiler::record(*prof_canonicalize_, sample->finish());
-  return submit_canonicalized(std::move(request), std::move(canonical), key,
-                              entry);
+  submit_canonicalized(std::move(request), std::move(canonical), key,
+                       std::move(done), entry);
 }
 
 std::future<SolveReply> SolveService::submit_canonicalized(
     SolveRequest request, std::shared_ptr<const CanonicalInstance> canonical,
     const CanonicalHash& key, const obs::AllocScope& entry) {
+  std::promise<SolveReply> promise;
+  std::future<SolveReply> future = promise.get_future();
+  submit_canonicalized(std::move(request), std::move(canonical), key,
+                       FulfillPromise{std::move(promise)}, entry);
+  return future;
+}
+
+void SolveService::submit_canonicalized(
+    SolveRequest request, std::shared_ptr<const CanonicalInstance> canonical,
+    const CanonicalHash& key, ReplyCallback done,
+    const obs::AllocScope& entry) {
+  obs::hop_probe::touch();
   // Trace opening: a carried id (forwarded solve) is adopted so the
   // origin's trace id resolves on this rank too; otherwise one is
   // minted. All span offsets are measured from this arrival point. A
@@ -269,12 +310,14 @@ std::future<SolveReply> SolveService::submit_canonicalized(
     reply.trace_id = trace_id;
     submitted_->add();
     (near_miss ? dominating_hits_ : cache_hits_)->add();
-    return ready_reply_future(std::move(reply));
+    submit_profile.finish();
+    done(std::move(reply));
   };
 
   if (config_.cache_enabled) {
     if (auto cached = cache_.lookup(key)) {
-      return serve_cached(*cached, /*near_miss=*/false);
+      serve_cached(*cached, /*near_miss=*/false);
+      return;
     }
   }
 
@@ -287,7 +330,8 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   if (near_miss_enabled() && engine &&
       engine->bounds_monotone(canonical->instance)) {
     if (auto near = dominating_answer(bkey, key, request.bounds)) {
-      return serve_cached(*near, /*near_miss=*/true);
+      serve_cached(*near, /*near_miss=*/true);
+      return;
     }
   }
 
@@ -306,9 +350,9 @@ std::future<SolveReply> SolveService::submit_canonicalized(
     deduplicated_->add();
     ++waiting_;
     it->second->waiters.push_back(
-        Waiter{{}, canonical, request.deadline_seconds,
+        Waiter{std::move(done), canonical, request.deadline_seconds,
                request.deadline_policy, Clock::now(), true, trace_id});
-    return it->second->waiters.back().promise.get_future();
+    return;
   }
 
   // Admission control: bounded backlog.
@@ -323,7 +367,9 @@ std::future<SolveReply> SolveService::submit_canonicalized(
     telemetry_.tracer.record(trace_id, "rejected_queue", telemetry_.rank, 0.0,
                              elapsed);
     telemetry_.tracer.finish(trace_id, elapsed);
-    return ready_reply_future(std::move(reply));
+    submit_profile.finish();
+    done(std::move(reply));
+    return;
   }
   ++outstanding_;
   ++waiting_;
@@ -338,11 +384,10 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   query->canonical = canonical;
   query->bounds = request.bounds;
   query->key = key;
-  query->waiters.push_back(Waiter{{}, canonical, request.deadline_seconds,
+  query->waiters.push_back(Waiter{std::move(done), canonical,
+                                  request.deadline_seconds,
                                   request.deadline_policy, Clock::now(),
                                   false, trace_id});
-  std::future<SolveReply> future =
-      query->waiters.back().promise.get_future();
   in_flight_.emplace(key, query.get());
 
   // Batching: requests sharing (canonical instance, solver) ride one
@@ -354,7 +399,7 @@ std::future<SolveReply> SolveService::submit_canonicalized(
     it->second->queries.push_back(std::move(query));
     it->second->earliest_deadline =
         std::min(it->second->earliest_deadline, query_deadline);
-    return future;
+    return;
   }
   auto batch = std::make_shared<Batch>();
   batch->canonical = std::move(canonical);
@@ -369,7 +414,6 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   // One task per batch created; each task picks the currently most
   // urgent open batch, so pickup order is deadline-driven, not FIFO.
   pool_.submit([this] { run_next_batch(); });
-  return future;
 }
 
 std::optional<CachedSolution> SolveService::dominating_answer(
@@ -391,6 +435,7 @@ std::optional<CachedSolution> SolveService::dominating_answer(
 }
 
 void SolveService::run_next_batch() {
+  obs::hop_probe::touch();
   std::shared_ptr<Batch> batch;
   std::vector<std::unique_ptr<PendingQuery>> queries;
   {
@@ -680,7 +725,7 @@ void SolveService::finish_query(PendingQuery& query,
         }
         break;
     }
-    waiter.promise.set_value(std::move(reply));
+    waiter.done(std::move(reply));
   }
 }
 

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "common/unique_function.hpp"
 #include "obs/trace.hpp"
 #include "service/cache.hpp"
 #include "service/canonical.hpp"
@@ -133,9 +134,15 @@ struct SolveReply {
   std::vector<obs::Span> remote_spans;
 };
 
-/// A future already holding `reply` — for paths (cache hits,
-/// rejections, replica hits) that answer without touching a worker.
+/// A future already holding `reply` — for paths (replica hits) that
+/// answer without touching a worker.
 std::future<SolveReply> ready_reply_future(SolveReply reply);
+
+/// A submit's completion: called exactly once with the reply, never
+/// while the engine's lock is held. Move-only, so it can own a promise
+/// or a connection's responder; up to six pointers of captures stay
+/// inline.
+using ReplyCallback = UniqueFunction<void(SolveReply)>;
 
 /// Engine counters (monotonic; snapshot via SolveService::stats). Every
 /// field but `completed` is read from the registry counter
@@ -202,9 +209,13 @@ class SolveService {
   SolveService(const SolveService&) = delete;
   SolveService& operator=(const SolveService&) = delete;
 
-  /// Submits a request; the future is ready immediately on a cache hit
-  /// or rejection, and resolves from a worker thread otherwise. Never
-  /// throws on solver-level failures — they arrive as reply statuses.
+  /// Submits a request. `done` runs inline, before submit returns, on a
+  /// cache hit or a rejection, and on the worker that finishes the
+  /// batch otherwise. Never throws on solver-level failures — they
+  /// arrive as reply statuses.
+  void submit(SolveRequest request, ReplyCallback done);
+
+  /// submit() with a future: ready on return for a hit or a rejection.
   std::future<SolveReply> submit(SolveRequest request);
 
   /// submit() for callers that already canonicalized the request (the
@@ -214,6 +225,12 @@ class SolveService {
   /// request's allocation bill (engine_request_allocs_total) starts at
   /// `entry`: a caller passes the scope it opened before its own
   /// canonicalization.
+  void submit_canonicalized(SolveRequest request,
+                            std::shared_ptr<const CanonicalInstance> canonical,
+                            const CanonicalHash& key, ReplyCallback done,
+                            const obs::AllocScope& entry = {});
+
+  /// submit_canonicalized() with a future.
   std::future<SolveReply> submit_canonicalized(
       SolveRequest request,
       std::shared_ptr<const CanonicalInstance> canonical,
@@ -241,7 +258,7 @@ class SolveService {
   /// and its own deadline/policy (a duplicate must not be rejected or
   /// downgraded on a stranger's options).
   struct Waiter {
-    std::promise<SolveReply> promise;
+    ReplyCallback done;
     std::shared_ptr<const CanonicalInstance> canonical;
     double deadline_seconds;
     DeadlinePolicy deadline_policy;
@@ -315,6 +332,10 @@ class SolveService {
   /// runs it to completion. Exactly one task is enqueued per batch
   /// created, so every task finds a batch to run.
   void run_next_batch();
+  /// submit() after its AllocScope opened (the future overload opens it
+  /// before its promise, so the promise is billed as before).
+  void submit_from(SolveRequest request, ReplyCallback done,
+                   const obs::AllocScope& entry);
   void finish_query(PendingQuery& query, const QueryOutcome& outcome);
 
   bool near_miss_enabled() const noexcept {

@@ -12,14 +12,23 @@ std::chrono::steady_clock::duration seconds_duration(double seconds) {
 
 }  // namespace
 
+const Member* MembershipSnapshot::find(std::size_t rank) const noexcept {
+  const auto it = std::lower_bound(
+      view.members.begin(), view.members.end(), rank,
+      [](const Member& member, std::size_t r) { return member.rank < r; });
+  return it != view.members.end() && it->rank == rank ? &*it : nullptr;
+}
+
 Membership::Membership(Config config) : config_(config) {
   if (config_.dead_after_seconds < config_.suspect_after_seconds) {
     config_.dead_after_seconds = config_.suspect_after_seconds;
   }
+  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+  publish_locked();
 }
 
 void Membership::bootstrap(std::vector<Member> members, Clock::time_point now) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
   entries_.clear();
   for (Member& member : members) {
     Entry entry;
@@ -34,54 +43,30 @@ void Membership::bootstrap(std::vector<Member> members, Clock::time_point now) {
     entries_[config_.self_rank] = std::move(self);
   }
   epoch_ = 1;
-  rebuild_ring_locked();
+  publish_locked();
 }
 
-MembershipView Membership::view() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  MembershipView view;
-  view.epoch = epoch_;
-  view.members = members_locked();
-  return view;
-}
-
-std::uint64_t Membership::epoch() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return epoch_;
-}
-
-std::size_t Membership::member_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-bool Membership::contains(std::size_t rank) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.find(rank) != entries_.end();
+std::shared_ptr<const MembershipSnapshot> Membership::snapshot() const {
+  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+  return snapshot_;
 }
 
 std::optional<Member> Membership::member(std::size_t rank) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(rank);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.member;
+  const auto current = snapshot();
+  const Member* found = current->find(rank);
+  if (found == nullptr) return std::nullopt;
+  return *found;
 }
 
 bool Membership::is_suspect(std::size_t rank) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
   const auto it = entries_.find(rank);
   return it != entries_.end() && it->second.suspect;
 }
 
-std::size_t Membership::owner_of(const CanonicalHash& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.empty()) return config_.self_rank;
-  return ring_.owner_of(key);
-}
-
 Membership::ChangeSet Membership::handle_join(const Member& member,
                                               Clock::time_point now) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
   ChangeSet changes;
   // A join claiming OUR rank is an operator error (duplicate --rank in
   // the fleet). We are authoritative for our own record: ignore it —
@@ -103,7 +88,7 @@ Membership::ChangeSet Membership::handle_join(const Member& member,
     entries_[member.rank] = std::move(entry);
   }
   epoch_ += 1;
-  rebuild_ring_locked();
+  publish_locked();
   changes.joined.push_back(member);
   changes.changed = true;
   return changes;
@@ -111,7 +96,7 @@ Membership::ChangeSet Membership::handle_join(const Member& member,
 
 Membership::ChangeSet Membership::handle_update(const MembershipView& incoming,
                                                 Clock::time_point now) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
   ChangeSet changes;
   if (incoming.epoch < epoch_) return changes;  // stale; reply re-educates
 
@@ -129,7 +114,7 @@ Membership::ChangeSet Membership::handle_update(const MembershipView& incoming,
       changes.joined.push_back(member);
       changes.changed = true;
     }
-    if (changes.changed) rebuild_ring_locked();
+    if (changes.changed) publish_locked();
     return changes;
   }
 
@@ -175,12 +160,12 @@ Membership::ChangeSet Membership::handle_update(const MembershipView& incoming,
   entries_ = std::move(next);
   epoch_ = incoming.epoch + (changes.rejoined_self ? 1 : 0);
   changes.changed = true;
-  rebuild_ring_locked();
+  publish_locked();
   return changes;
 }
 
 void Membership::note_heard_from(std::size_t rank, Clock::time_point now) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
   const auto it = entries_.find(rank);
   if (it == entries_.end()) return;
   it->second.last_heard = now;
@@ -188,7 +173,7 @@ void Membership::note_heard_from(std::size_t rank, Clock::time_point now) {
 }
 
 Membership::TickResult Membership::tick(Clock::time_point now) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
   TickResult result;
   const auto suspect_after = seconds_duration(config_.suspect_after_seconds);
   const auto dead_after = seconds_duration(config_.dead_after_seconds);
@@ -211,25 +196,26 @@ Membership::TickResult Membership::tick(Clock::time_point now) {
   }
   if (!result.died.empty()) {
     epoch_ += 1;
-    rebuild_ring_locked();
+    publish_locked();
   }
   return result;
 }
 
-void Membership::rebuild_ring_locked() {
+void Membership::publish_locked() {
+  auto next = std::make_shared<MembershipSnapshot>();
+  next->self_rank = config_.self_rank;
+  next->view.epoch = epoch_;
   std::vector<std::size_t> ranks;
   ranks.reserve(entries_.size());
-  for (const auto& [rank, entry] : entries_) ranks.push_back(rank);
-  ring_.rebuild(ranks);
-}
-
-std::vector<Member> Membership::members_locked() const {
-  std::vector<Member> members;
-  members.reserve(entries_.size());
-  for (const auto& [rank, entry] : entries_) members.push_back(entry.member);
-  std::sort(members.begin(), members.end(),
+  next->view.members.reserve(entries_.size());
+  for (const auto& [rank, entry] : entries_) {
+    ranks.push_back(rank);
+    next->view.members.push_back(entry.member);
+  }
+  std::sort(next->view.members.begin(), next->view.members.end(),
             [](const Member& a, const Member& b) { return a.rank < b.rank; });
-  return members;
+  next->ring.rebuild(ranks);
+  snapshot_ = std::move(next);
 }
 
 }  // namespace prts::service

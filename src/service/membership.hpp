@@ -24,19 +24,24 @@
 //
 // Ownership queries delegate to the consistent-hash ring
 // (service/ring.hpp), rebuilt on every member-set change, so a join or
-// death moves only the affected key slices. The class is
+// death moves only the affected key slices. Every change publishes one
+// immutable MembershipSnapshot (view plus ring); a request reads it
+// once — one lock acquisition, a reference-count bump — and routes by
+// it without touching the membership again. The class is
 // transport-free (the router owns the wire); time is injectable for
 // deterministic tests.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "service/canonical.hpp"
 #include "service/ring.hpp"
 
@@ -62,6 +67,23 @@ struct MembershipView {
   friend bool operator==(const MembershipView& a, const MembershipView& b) {
     return a.epoch == b.epoch && a.members == b.members;
   }
+};
+
+/// One published state of a Membership, immutable once published: the
+/// view and the ring built from it.
+struct MembershipSnapshot {
+  MembershipView view;
+  HashRing ring;
+  std::size_t self_rank = 0;
+
+  /// The rank owning `key`; self when the ring is empty (degraded
+  /// single-rank operation).
+  std::size_t owner_of(const CanonicalHash& key) const noexcept {
+    return ring.empty() ? self_rank : ring.owner_of(key);
+  }
+  std::size_t member_count() const noexcept { return view.members.size(); }
+  /// The member at `rank`, or nullptr.
+  const Member* find(std::size_t rank) const noexcept;
 };
 
 class Membership {
@@ -100,18 +122,34 @@ class Membership {
   /// absent). Called once before serving.
   void bootstrap(std::vector<Member> members, Clock::time_point now = Clock::now());
 
-  MembershipView view() const;
-  std::uint64_t epoch() const;
-  std::size_t member_count() const;
+  /// The current published state. One acquisition of the membership
+  /// lock; the snapshot stays valid (and unchanged) however the
+  /// membership moves on.
+  std::shared_ptr<const MembershipSnapshot> snapshot() const;
+
+  /// Counts acquisitions of the membership lock into `probe`
+  /// (mutex_<name>_* counters, see obs::ProfiledMutex).
+  void attach_mutex_probe(const obs::ProfiledMutex::Probe* probe) noexcept {
+    mutex_.attach(probe);
+  }
+
+  /// One-shot reads of the current snapshot.
+  MembershipView view() const { return snapshot()->view; }
+  std::uint64_t epoch() const { return snapshot()->view.epoch; }
+  std::size_t member_count() const { return snapshot()->member_count(); }
   std::size_t self_rank() const noexcept { return config_.self_rank; }
-  bool contains(std::size_t rank) const;
+  bool contains(std::size_t rank) const {
+    return snapshot()->find(rank) != nullptr;
+  }
   std::optional<Member> member(std::size_t rank) const;
   /// True while `rank` is in its suspect window (never true for self).
   bool is_suspect(std::size_t rank) const;
 
   /// The rank owning `key` under the current ring; self when the ring
   /// is empty (degraded single-rank operation).
-  std::size_t owner_of(const CanonicalHash& key) const;
+  std::size_t owner_of(const CanonicalHash& key) const {
+    return snapshot()->owner_of(key);
+  }
 
   /// Admits a (possibly restarted: same rank, new address) member.
   ChangeSet handle_join(const Member& member, Clock::time_point now = Clock::now());
@@ -136,16 +174,15 @@ class Membership {
     bool suspect = false;
   };
 
-  /// Rebuilds the ring from entries_ (call with mutex_ held after any
-  /// set change).
-  void rebuild_ring_locked();
-  std::vector<Member> members_locked() const;
+  /// Publishes a fresh snapshot of entries_ and epoch_ (call with
+  /// mutex_ held after any change to either).
+  void publish_locked();
 
   Config config_;
-  mutable std::mutex mutex_;
+  mutable obs::ProfiledMutex mutex_;
   std::unordered_map<std::size_t, Entry> entries_;
   std::uint64_t epoch_ = 0;
-  HashRing ring_;
+  std::shared_ptr<const MembershipSnapshot> snapshot_;
 };
 
 }  // namespace prts::service

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "net/frame.hpp"
+#include "obs/threads.hpp"
 #include "service/protocol.hpp"
 
 namespace prts::service {
@@ -31,23 +32,6 @@ constexpr std::size_t kMaxFetchKeys = 1024;
 /// map stays bounded even when gossip never runs to clear it.
 constexpr std::size_t kMaxTrackedHotKeys = 4096;
 
-/// Submits `task` to `pool`. A shut-down pool never runs it (its future
-/// is ready with an exception), so `refused` runs instead: it answers
-/// the waiters or releases the bookkeeping the task would have.
-template <typename Refused>
-void submit_or(ThreadPool& pool, std::function<void()> task,
-               Refused&& refused) {
-  auto done = pool.submit(std::move(task));
-  if (done.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-    return;
-  }
-  try {
-    done.get();
-  } catch (...) {
-    refused();
-  }
-}
-
 /// Config invariants the rest of the router leans on, applied before
 /// any member (the Membership in particular) is constructed from it.
 RouterConfig normalize(RouterConfig config) {
@@ -63,20 +47,20 @@ RouterConfig normalize(RouterConfig config) {
 
 net::FrameHandler make_fabric_handler(SolveService& service,
                                       std::function<ShardRouter*()> router) {
-  return [&service, router = std::move(router)](
-             const net::Frame& request) -> std::optional<net::Frame> {
+  return [&service, router = std::move(router)](const net::Frame& request,
+                                                net::Responder respond) {
     net::Frame reply;
     switch (request.type) {
       case net::FrameType::kPing:
         reply.type = net::FrameType::kPong;
         reply.payload = request.payload;
-        return reply;
+        break;
       case net::FrameType::kStatsRequest: {
         std::ostringstream out;
         write_merged_stats_json(out, service, router ? router() : nullptr);
         reply.type = net::FrameType::kStatsReply;
         reply.payload = out.str();
-        return reply;
+        break;
       }
       case net::FrameType::kSolveRequest: {
         std::string error;
@@ -84,30 +68,34 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         if (!decoded) {
           reply.type = net::FrameType::kError;
           reply.payload = "bad solve request: " + error;
-          return reply;
+          break;
         }
-        // Blocking wait: one frame in flight per connection, and the
-        // FrameServer runs this on its own pool.
-        SolveReply answer = service.submit(std::move(*decoded)).get();
-        // Peer traffic is what makes an owned key hot — feed the
-        // gossip digest. And an answer for a key the ring has since
-        // assigned elsewhere is copied to its new owner (the
-        // handoff-window double-write).
-        if (ShardRouter* owner = router ? router() : nullptr) {
-          owner->note_owned_hit(answer.key);
-          owner->maybe_double_write(answer.key);
-        }
-        // Ship this rank's spans back so the origin can merge them
-        // into the one trace the request travels under. The local
-        // tracer keeps its copy — `trace <id>` resolves on either
-        // rank.
-        if (obs::Trace trace;
-            service.telemetry().tracer.find(answer.trace_id, trace)) {
-          answer.remote_spans = std::move(trace.spans);
-        }
-        reply.type = net::FrameType::kSolveReply;
-        reply.payload = encode_wire_reply(answer);
-        return reply;
+        // Answered by the solve's completion: inline on a hit, from the
+        // engine worker that finished the batch otherwise. The reader
+        // goes back to reading either way.
+        ShardRouter* const owner = router ? router() : nullptr;
+        service.submit(
+            std::move(*decoded),
+            [&service, owner, respond = std::move(respond)](
+                SolveReply answer) mutable {
+              // Peer traffic is what makes an owned key hot, and an
+              // answer for a key the ring has since assigned elsewhere
+              // is copied to its new owner.
+              if (owner != nullptr) owner->note_served(answer.key);
+              // Ship this rank's spans back so the origin can merge them
+              // into the one trace the request travels under. The local
+              // tracer keeps its copy — `trace <id>` resolves on either
+              // rank.
+              if (obs::Trace trace;
+                  service.telemetry().tracer.find(answer.trace_id, trace)) {
+                answer.remote_spans = std::move(trace.spans);
+              }
+              net::Frame solved;
+              solved.type = net::FrameType::kSolveReply;
+              solved.payload = encode_wire_reply(answer);
+              respond(std::move(solved));
+            });
+        return;
       }
       case net::FrameType::kMetricsRequest: {
         // Any rank can scrape any other: the text exposition of this
@@ -116,7 +104,7 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         write_metrics_text(out, service);
         reply.type = net::FrameType::kMetricsReply;
         reply.payload = out.str();
-        return reply;
+        break;
       }
       case net::FrameType::kGossipDigest: {
         std::string error;
@@ -124,7 +112,7 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         if (!digest) {
           reply.type = net::FrameType::kError;
           reply.payload = "bad gossip digest: " + error;
-          return reply;
+          break;
         }
         if (ShardRouter* receiver = router ? router() : nullptr) {
           receiver->handle_gossip_digest(std::move(*digest));
@@ -132,7 +120,7 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         // Ack even without a router: gossip is advisory, and the
         // sender only wants to know the frame arrived.
         reply.type = net::FrameType::kPong;
-        return reply;
+        break;
       }
       case net::FrameType::kReplicaFetch: {
         std::string error;
@@ -140,7 +128,7 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         if (!keys) {
           reply.type = net::FrameType::kError;
           reply.payload = "bad replica fetch: " + error;
-          return reply;
+          break;
         }
         std::vector<std::pair<CanonicalHash, CachedSolution>> entries;
         const std::size_t served = std::min(keys->size(), kMaxFetchKeys);
@@ -154,7 +142,7 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         }
         reply.type = net::FrameType::kReplicaFetchReply;
         reply.payload = encode_replica_entries(entries);
-        return reply;
+        break;
       }
       case net::FrameType::kJoinRequest:
       case net::FrameType::kMembershipUpdate:
@@ -165,17 +153,19 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         // Membership merge rules + handoff bookkeeping live there). A
         // node without one cannot host a fleet.
         if (ShardRouter* member = router ? router() : nullptr) {
-          return member->handle_fabric_frame(request);
+          reply = member->handle_fabric_frame(request);
+          break;
         }
         reply.type = net::FrameType::kError;
         reply.payload = "membership disabled";
-        return reply;
+        break;
       }
       default:
         reply.type = net::FrameType::kError;
         reply.payload = "unexpected frame type";
-        return reply;
+        break;
     }
+    respond(std::move(reply));
   };
 }
 
@@ -210,13 +200,28 @@ std::optional<std::vector<PeerAddress>> parse_peer_list(
   return peers;
 }
 
+ShardRouter::AsyncOp::AsyncOp(ShardRouter& router) noexcept
+    : router_(&router) {
+  router_->async_ops_.fetch_add(1, std::memory_order_relaxed);
+}
+
+ShardRouter::AsyncOp::AsyncOp(AsyncOp&& other) noexcept
+    : router_(std::exchange(other.router_, nullptr)) {}
+
+ShardRouter::AsyncOp::~AsyncOp() {
+  if (router_ == nullptr) return;
+  if (router_->async_ops_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    const std::lock_guard<std::mutex> lock(router_->async_mutex_);
+    router_->async_cv_.notify_all();
+  }
+}
+
 ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
     : service_(service),
       telemetry_(service.telemetry()),
       config_(normalize(std::move(config))),
       membership_(config_.membership),
-      replicas_(config_.replica, &telemetry_.metrics),
-      forward_pool_(std::max<std::size_t>(1, config_.forward_threads)) {
+      replicas_(config_.replica, &telemetry_.metrics) {
   obs::Registry& metrics = telemetry_.metrics;
   const auto router_counter = [&metrics](const std::string& field) {
     return &metrics.counter("prts_router_" + field + "_total");
@@ -238,6 +243,8 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
   prof_replica_ = &telemetry_.profiler.component("replica_lookup");
   inflight_probe_ = obs::ProfiledMutex::make_probe(metrics, "router_inflight");
   mutex_.attach(&inflight_probe_);
+  membership_probe_ = obs::ProfiledMutex::make_probe(metrics, "membership");
+  membership_.attach_mutex_probe(&membership_probe_);
   const auto membership_counter = [&metrics](const std::string& field) {
     return &metrics.counter("prts_membership_" + field + "_total");
   };
@@ -289,6 +296,7 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
   }
   gossip_thread_ = std::thread([this, interval_seconds, heartbeat_seconds,
                                 gossip_seconds] {
+    obs::name_this_thread("fabric-timer");
     const std::chrono::duration<double> interval(interval_seconds);
     Clock::time_point last_heartbeat = Clock::now();
     Clock::time_point last_gossip = last_heartbeat;
@@ -323,17 +331,41 @@ ShardRouter::~ShardRouter() {
   }
   gossip_cv_.notify_all();
   if (gossip_thread_.joinable()) gossip_thread_.join();
-}  // forward_pool_ then drains forwards, prefetches and handoffs
-
-net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
-  if (rank == config_.rank) return nullptr;
-  const auto member = membership_.member(rank);
-  if (!member || member->port == 0) return nullptr;
-  PeerAddress address;
-  address.host = member->host.empty() ? "127.0.0.1" : member->host;
-  address.port = member->port;
+  // Shutting a client down answers every exchange still in flight on
+  // it (nullopt: forwards fail over, streams abort) and joins its
+  // threads; no client is created from here on.
+  std::vector<std::unique_ptr<net::MuxFrameClient>> clients;
   {
     const std::lock_guard<std::mutex> lock(clients_mutex_);
+    closing_ = true;
+    for (auto& [rank, client] : clients_) clients.push_back(std::move(client));
+    for (auto& client : retired_clients_) clients.push_back(std::move(client));
+    clients_.clear();
+    retired_clients_.clear();
+  }
+  for (const auto& client : clients) client->shutdown();
+  // What is left are failover solves on the local engine.
+  std::unique_lock<std::mutex> lock(async_mutex_);
+  async_cv_.wait(lock, [this] {
+    return async_ops_.load(std::memory_order_acquire) == 0;
+  });
+}
+
+net::MuxFrameClient* ShardRouter::client_for(
+    std::size_t rank, const MembershipSnapshot& membership) {
+  if (rank == config_.rank) return nullptr;
+  const Member* const member = membership.find(rank);
+  if (member == nullptr || member->port == 0) return nullptr;
+  return client_at(rank, PeerAddress{member->host.empty() ? "127.0.0.1"
+                                                          : member->host,
+                                     member->port});
+}
+
+net::MuxFrameClient* ShardRouter::client_at(std::size_t rank,
+                                            const PeerAddress& address) {
+  {
+    const std::lock_guard<std::mutex> lock(clients_mutex_);
+    if (closing_) return nullptr;
     const auto it = clients_.find(rank);
     if (it != clients_.end()) {
       if (it->second->host() == address.host &&
@@ -341,7 +373,7 @@ net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
         return it->second.get();
       }
       // The member restarted on a new address: retire (not destroy —
-      // an in-flight exchange may still be blocked inside) and rewire.
+      // a callback in flight may still hold it) and rewire.
       retired_clients_.push_back(std::move(it->second));
       clients_.erase(it);
     }
@@ -355,6 +387,7 @@ net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
   auto created = std::make_unique<net::MuxFrameClient>(
       address.host, address.port, std::move(client_config));
   const std::lock_guard<std::mutex> lock(clients_mutex_);
+  if (closing_) return nullptr;  // `created` has no traffic yet
   // emplace keeps the incumbent on a create race; the loser is simply
   // destroyed (it has no traffic yet).
   const auto [it, inserted] = clients_.emplace(rank, std::move(created));
@@ -367,16 +400,12 @@ net::MuxFrameClient* ShardRouter::client_lookup(std::size_t rank) const {
   return it == clients_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::size_t> ShardRouter::peer_ranks() const {
-  std::vector<std::size_t> ranks;
-  for (const Member& member : membership_.view().members) {
-    if (member.rank != config_.rank) ranks.push_back(member.rank);
-  }
-  return ranks;
-}
-
 std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
-  if (!distributed()) {
+  obs::hop_probe::touch();
+  // One membership read routes the whole request.
+  const std::shared_ptr<const MembershipSnapshot> membership =
+      membership_.snapshot();
+  if (membership->member_count() <= 1) {
     local_->add();
     return service_.submit(std::move(request));
   }
@@ -388,12 +417,12 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
       service_.canonical_form(request.instance);
   const CanonicalHash key =
       request_key(*canonical, request.solver, request.bounds);
-  const std::size_t owner = shard_of(key);
+  const std::size_t owner = membership->owner_of(key);
   net::MuxFrameClient* const owner_client =
-      owner == config_.rank ? nullptr : client_for(owner);
+      owner == config_.rank ? nullptr : client_for(owner, *membership);
 
-  if (owner == config_.rank || owner_client == nullptr) {
-    note_owned_hit(key);
+  if (owner_client == nullptr) {
+    if (owner == config_.rank) count_owned_hit(key);
     local_->add();
     // The canonical form was already computed to pick the shard; the
     // engine must not pay for it twice.
@@ -472,7 +501,7 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   forward->deadline_seconds = request.deadline_seconds;
   forward->deadline_policy = request.deadline_policy;
   forward->key = key;
-  forward->owner_rank = owner;
+  forward->client = owner_client;
   forward->trace_id = request.trace_id;
   forward->waiters.push_back(ForwardWaiter{{}, canonical,
                                            request.deadline_seconds,
@@ -482,24 +511,35 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
       forward->waiters.back().promise.get_future();
   in_flight_.emplace(key, forward.get());
   inflight_gauge_->set(static_cast<double>(in_flight_.size()));
+  if (forwards_on_wire_ == kMaxForwardsOnWire) {
+    waiting_forwards_.push_back(std::move(forward));
+    return future;
+  }
+  ++forwards_on_wire_;
   lock.unlock();
 
-  // A refused task must still answer its waiters, never leave broken
-  // promises behind.
-  submit_or(
-      forward_pool_,
-      [this, forward]() mutable { run_forward(std::move(forward)); },
-      [&] { run_forward(std::move(forward)); });
+  launch(std::move(forward));
   return future;
 }
 
-void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
-  // Resolved at run time, not submit time: the owner may have died (or
-  // been rewired) since the forward was queued.
-  // A vanished client degrades to the failover path below, exactly like
-  // an unreachable peer.
-  net::MuxFrameClient* const client = client_for(forward->owner_rank);
+void ShardRouter::launch(std::shared_ptr<Forward> forward) {
+  thread_local std::vector<std::shared_ptr<Forward>>* successors = nullptr;
+  if (successors != nullptr) {
+    successors->push_back(std::move(forward));
+    return;
+  }
+  std::vector<std::shared_ptr<Forward>> queue;
+  successors = &queue;
+  send_forward(std::move(forward));
+  while (!queue.empty()) {
+    std::shared_ptr<Forward> next = std::move(queue.back());
+    queue.pop_back();
+    send_forward(std::move(next));
+  }
+  successors = nullptr;
+}
 
+void ShardRouter::send_forward(std::shared_ptr<Forward> forward) {
   // The forwarded request carries the *canonical* instance, so the
   // owner's reply is already in canonical labels — each waiter then
   // translates into its own processor labels, exactly like the local
@@ -513,26 +553,35 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
   net::Frame frame;
   frame.type = net::FrameType::kSolveRequest;
   frame.payload = encode_wire_request(remote_request);
-
   const Clock::time_point wire_start = Clock::now();
-  // Dual-clock sample over the exchange: nearly all of it is blocked
-  // time (the forward thread waits on the peer), which is exactly what
-  // distinguishes a slow peer from a slow local solver in the profile.
-  std::optional<obs::ScopedSample> wire_sample;
-  if (telemetry_.profiler.enabled()) wire_sample.emplace();
-  std::optional<SolveReply> remote;
-  if (client != nullptr) {
-    if (const auto reply_frame = client->call(frame)) {
-      if (reply_frame->type == net::FrameType::kSolveReply) {
-        std::string error;
-        remote = decode_wire_reply(reply_frame->payload, error);
-      }
-    }
-  }
+  // A mux deadline or a dead connection calls back with nullopt, and
+  // the forward fails over from there.
+  net::MuxFrameClient& client = *forward->client;
+  client.call_async(
+      std::move(frame),
+      [this, forward = std::move(forward), wire_start, op = AsyncOp(*this)](
+          std::optional<net::Frame> reply) {
+        finish_forward(*forward, std::move(reply), wire_start);
+      });
+}
+
+void ShardRouter::finish_forward(Forward& forward,
+                                 std::optional<net::Frame> reply_frame,
+                                 Clock::time_point wire_start) {
   const double wire_seconds = seconds_since(wire_start, Clock::now());
-  const obs::WorkSample wire_work =
-      wire_sample ? wire_sample->finish() : obs::WorkSample{};
-  if (wire_sample) obs::Profiler::record(*prof_wire_, wire_work);
+  // The wire exchange held no thread of this rank: its sample is
+  // blocked time by construction, plus the reply decode's own cost.
+  std::optional<obs::ScopedSample> decode_sample;
+  if (telemetry_.profiler.enabled()) decode_sample.emplace();
+  std::optional<SolveReply> remote;
+  if (reply_frame && reply_frame->type == net::FrameType::kSolveReply) {
+    std::string error;
+    remote = decode_wire_reply(reply_frame->payload, error);
+  }
+  obs::WorkSample wire_work =
+      decode_sample ? decode_sample->finish() : obs::WorkSample{};
+  wire_work.wall_seconds += wire_seconds;
+  if (decode_sample) obs::Profiler::record(*prof_wire_, wire_work);
   wire_hist_->record(wire_seconds);
 
   // A remote answer is only authoritative when the owner actually
@@ -542,22 +591,31 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
       remote && (remote->status == ReplyStatus::kSolved ||
                  remote->status == ReplyStatus::kInfeasible);
 
-  if (answered) {
+  if (answered && replicas_.enabled()) {
     // Replicate: the next repeat hit on this key is served locally
     // until the TTL lapses (the entry is immutable, so the copy can
     // never go stale — only old). The recorded solve cost rides along
     // so the adaptive TTL can keep expensive answers longer.
-    if (replicas_.enabled()) {
-      replicas_.insert(forward->key, CachedSolution{remote->solution,
-                                                    remote->cost_seconds});
+    replicas_.insert(forward.key,
+                     CachedSolution{remote->solution, remote->cost_seconds});
+  }
+  std::vector<ForwardWaiter> waiters;
+  std::shared_ptr<Forward> next;  // takes the freed slot on the wire
+  {
+    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+    in_flight_.erase(forward.key);
+    inflight_gauge_->set(static_cast<double>(in_flight_.size()));
+    waiters = std::move(forward.waiters);
+    if (waiting_forwards_.empty()) {
+      --forwards_on_wire_;
+    } else {
+      next = std::move(waiting_forwards_.front());
+      waiting_forwards_.pop_front();
     }
-    std::vector<ForwardWaiter> waiters;
-    {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      in_flight_.erase(forward->key);
-      inflight_gauge_->set(static_cast<double>(in_flight_.size()));
-      waiters = std::move(forward->waiters);
-    }
+  }
+  if (next) launch(std::move(next));
+
+  if (answered) {
     forwarded_->add();
     if (remote->cache_hit) forward_hits_->add();
     const Clock::time_point finished_at = Clock::now();
@@ -570,7 +628,7 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
       reply.deduplicated = waiter.deduplicated;
       reply.solver_used = remote->solver_used;
       reply.cost_seconds = remote->cost_seconds;
-      reply.key = forward->key;
+      reply.key = forward.key;
       if (remote->solution) {
         reply.solution =
             to_original_labels(*remote->solution, *waiter.canonical);
@@ -615,24 +673,15 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
   // request *is* the canonical instance (canonicalization is
   // idempotent), so every engine reply speaks canonical labels and the
   // local cache fills under the same key a recovered owner would use.
-  std::vector<ForwardWaiter> waiters;
-  {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    in_flight_.erase(forward->key);
-    inflight_gauge_->set(static_cast<double>(in_flight_.size()));
-    waiters = std::move(forward->waiters);
-  }
   forward_failures_->add();
   local_fallbacks_->add();
   // One canonicalization for all waiters: the canonical instance is a
   // fixed point, so its own canonical form is the identity translation
   // under the same key, and replies come back in canonical labels.
   auto identity = std::make_shared<const CanonicalInstance>(
-      canonicalize(forward->canonical->instance));
-  std::vector<std::future<SolveReply>> futures;
-  futures.reserve(waiters.size());
+      canonicalize(forward.canonical->instance));
   const Clock::time_point failover_at = Clock::now();
-  for (const ForwardWaiter& waiter : waiters) {
+  for (ForwardWaiter& waiter : waiters) {
     // Charge the dead wire exchange against the waiter's budget: the
     // rescue solve gets what REMAINS of the deadline, not a fresh full
     // grant. Floored at zero so an already-expired waiter hits the
@@ -643,8 +692,8 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
       remaining_seconds -= seconds_since(waiter.submitted, failover_at);
       if (remaining_seconds < 0.0) remaining_seconds = 0.0;
     }
-    SolveRequest local_request{forward->canonical->instance, forward->solver,
-                               forward->bounds, remaining_seconds,
+    SolveRequest local_request{forward.canonical->instance, forward.solver,
+                               forward.bounds, remaining_seconds,
                                waiter.deadline_policy};
     // The waiter's own trace follows it onto the failover path: the
     // engine adopts the id, so the trace shows the dead wire exchange
@@ -654,29 +703,40 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
                              static_cast<int>(config_.rank),
                              seconds_since(waiter.submitted, wire_start),
                              wire_seconds);
-    futures.push_back(service_.submit_canonicalized(std::move(local_request),
-                                                    identity, forward->key));
-  }
-  for (std::size_t i = 0; i < waiters.size(); ++i) {
-    SolveReply reply = futures[i].get();
-    reply.deduplicated = waiters[i].deduplicated;
-    if (reply.solution) {
-      reply.solution =
-          to_original_labels(*reply.solution, *waiters[i].canonical);
-    }
-    // The engine finished the trace with only the rescue-solve span's
-    // clock; re-finish with the full router-side total (finish keeps the
-    // max) and feed the router latency histogram — failover requests
-    // must not vanish from the tail.
-    const double total = seconds_since(waiters[i].submitted, Clock::now());
-    telemetry_.tracer.finish(waiters[i].trace_id, total);
-    router_latency_hist_->record(total);
-    waiters[i].promise.set_value(std::move(reply));
+    service_.submit_canonicalized(
+        std::move(local_request), identity, forward.key,
+        [this, waiter = std::move(waiter), op = AsyncOp(*this)](
+            SolveReply reply) mutable {
+          reply.deduplicated = waiter.deduplicated;
+          if (reply.solution) {
+            reply.solution =
+                to_original_labels(*reply.solution, *waiter.canonical);
+          }
+          // The engine finished the trace with only the rescue-solve
+          // span's clock; re-finish with the full router-side total
+          // (finish keeps the max) and feed the router latency
+          // histogram — failover requests must not vanish from the
+          // tail.
+          const double total = seconds_since(waiter.submitted, Clock::now());
+          telemetry_.tracer.finish(waiter.trace_id, total);
+          router_latency_hist_->record(total);
+          waiter.promise.set_value(std::move(reply));
+        });
   }
 }
 
-void ShardRouter::note_owned_hit(const CanonicalHash& key) {
-  if (!distributed() || shard_of(key) != config_.rank) return;
+void ShardRouter::note_served(const CanonicalHash& key) {
+  const std::shared_ptr<const MembershipSnapshot> membership =
+      membership_.snapshot();
+  const std::size_t owner = membership->owner_of(key);
+  if (owner == config_.rank) {
+    if (membership->member_count() > 1) count_owned_hit(key);
+    return;
+  }
+  double_write(key, owner, *membership);
+}
+
+void ShardRouter::count_owned_hit(const CanonicalHash& key) {
   const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
   if (const auto it = owned_hits_.find(key); it != owned_hits_.end()) {
     ++it->second;
@@ -692,7 +752,9 @@ void ShardRouter::note_owned_hit(const CanonicalHash& key) {
 }
 
 void ShardRouter::gossip_now() {
-  if (!distributed()) return;
+  const std::shared_ptr<const MembershipSnapshot> membership =
+      membership_.snapshot();
+  if (membership->member_count() <= 1) return;
   std::vector<GossipDigest::Entry> hot;
   {
     const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
@@ -723,8 +785,10 @@ void ShardRouter::gossip_now() {
   net::Frame frame;
   frame.type = net::FrameType::kGossipDigest;
   frame.payload = encode_gossip_digest(digest);
-  for (const std::size_t r : peer_ranks()) {
-    net::MuxFrameClient* const client = client_for(r);
+  // The caller (the fabric timer, or a test) waits for each ack: a
+  // round's counters are final when it returns.
+  for (const Member& member : membership->view.members) {
+    net::MuxFrameClient* const client = client_for(member.rank, *membership);
     if (client == nullptr) continue;
     const auto ack = client->call(frame);
     const bool acked = ack && ack->type == net::FrameType::kPong;
@@ -734,9 +798,11 @@ void ShardRouter::gossip_now() {
 
 void ShardRouter::handle_gossip_digest(GossipDigest digest) {
   gossip_received_->add();
+  const std::shared_ptr<const MembershipSnapshot> membership =
+      membership_.snapshot();
   // Only the sender's own keys are prefetchable from the sender; a
   // digest naming an unknown rank (or this one) is ignored.
-  if (digest.rank == config_.rank || !membership_.contains(digest.rank) ||
+  if (digest.rank == config_.rank || membership->find(digest.rank) == nullptr ||
       !replicas_.enabled()) {
     return;
   }
@@ -747,55 +813,48 @@ void ShardRouter::handle_gossip_digest(GossipDigest digest) {
   std::vector<CanonicalHash> wanted;
   for (const GossipDigest::Entry& entry : digest.entries) {
     if (wanted.size() >= config_.gossip_top_k) break;
-    if (shard_of(entry.key) != digest.rank) continue;
+    if (membership->owner_of(entry.key) != digest.rank) continue;
     if (replicas_.contains(entry.key)) continue;
     wanted.push_back(entry.key);
   }
   if (wanted.empty()) return;
 
-  // Prefetch in the background: this runs on the FrameServer's
-  // connection thread, and a nested blocking fetch here could deadlock
-  // two ranks gossiping at each other over their shared per-peer
-  // connections.
+  // Prefetch asynchronously: this runs on the FrameServer's connection
+  // reader, which must go back to reading.
   {
     const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
     ++outstanding_prefetches_;
   }
-  submit_or(
-      forward_pool_,
-      [this, owner = digest.rank, wanted = std::move(wanted)]() mutable {
-        run_prefetch(owner, std::move(wanted));
-      },
-      [this] { finish_prefetch(0); });
-}
-
-void ShardRouter::run_prefetch(std::size_t owner,
-                               std::vector<CanonicalHash> keys) {
+  net::MuxFrameClient* const client = client_for(digest.rank, *membership);
+  if (client == nullptr) {
+    finish_prefetch(0);
+    return;
+  }
   net::Frame frame;
   frame.type = net::FrameType::kReplicaFetch;
-  frame.payload = encode_replica_fetch(keys);
-  std::size_t fetched = 0;
-  net::MuxFrameClient* const client = client_for(owner);
-  if (client != nullptr) {
-    if (const auto reply = client->call(frame)) {
-      if (reply->type == net::FrameType::kReplicaFetchReply) {
+  frame.payload = encode_replica_fetch(wanted);
+  client->call_async(
+      std::move(frame),
+      [this, keys = std::move(wanted), op = AsyncOp(*this)](
+          std::optional<net::Frame> reply) {
+        std::size_t fetched = 0;
         std::string error;
-        if (auto entries = decode_replica_entries(reply->payload, error)) {
-          for (auto& [key, value] : *entries) {
-            // Accept only keys this fetch asked for (and hence validated
-            // as owned by `owner`) — a confused peer must not plant
-            // foreign entries in the replica tier.
-            if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
-              continue;
+        if (reply && reply->type == net::FrameType::kReplicaFetchReply) {
+          if (auto entries = decode_replica_entries(reply->payload, error)) {
+            for (auto& [key, value] : *entries) {
+              // Accept only keys this fetch asked for (and hence
+              // validated as owned by the sender) — a confused peer
+              // must not plant foreign entries in the replica tier.
+              if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+                continue;
+              }
+              replicas_.insert(key, std::move(value));
+              ++fetched;
             }
-            replicas_.insert(key, std::move(value));
-            ++fetched;
           }
         }
-      }
-    }
-  }
-  finish_prefetch(fetched);
+        finish_prefetch(fetched);
+      });
 }
 
 void ShardRouter::finish_prefetch(std::size_t fetched) {
@@ -825,8 +884,10 @@ MembershipView ShardRouter::membership_view() const {
 
 MembershipStats ShardRouter::membership_stats() const {
   MembershipStats out;
-  out.epoch = membership_.epoch();
-  out.members = membership_.member_count();
+  const std::shared_ptr<const MembershipSnapshot> membership =
+      membership_.snapshot();
+  out.epoch = membership->view.epoch;
+  out.members = membership->member_count();
   out.joins = joins_->value();
   out.deaths = deaths_->value();
   out.suspects = suspects_->value();
@@ -844,32 +905,44 @@ bool ShardRouter::join_now() {
   return config_.join_seed && join_via(*config_.join_seed);
 }
 
+namespace {
+
+/// A kJoinRequest announcing this rank at its advertised address.
+net::Frame join_frame(const RouterConfig& config) {
+  Member self;
+  self.rank = config.rank;
+  self.host = config.advertise.host;
+  self.port = config.advertise.port;
+  net::Frame frame;
+  frame.type = net::FrameType::kJoinRequest;
+  frame.payload = encode_join_request(self);
+  return frame;
+}
+
+}  // namespace
+
 bool ShardRouter::join_via(const PeerAddress& address) {
   // A transient client: the join is a one-shot exchange with whatever
   // address the operator named, not necessarily a future peer — no
-  // counter family, no persistent connection.
+  // counter family, no persistent connection. Its callers (the
+  // constructor, the timer while the rank is alone) may block.
   net::FrameClientConfig seed_config = config_.client;
   seed_config.metrics = nullptr;
   net::MuxFrameClient seed(address.host, address.port,
                            std::move(seed_config));
-  Member self;
-  self.rank = config_.rank;
-  self.host = config_.advertise.host;
-  self.port = config_.advertise.port;
-  net::Frame frame;
-  frame.type = net::FrameType::kJoinRequest;
-  frame.payload = encode_join_request(self);
-  const auto reply = seed.call(frame);
-  if (!reply || reply->type != net::FrameType::kMembershipUpdate) {
-    return false;
-  }
+  const auto reply = seed.call(join_frame(config_));
+  return reply && adopt_view(*reply) && membership_.member_count() > 1;
+}
+
+bool ShardRouter::adopt_view(const net::Frame& reply) {
+  if (reply.type != net::FrameType::kMembershipUpdate) return false;
   std::string error;
-  const auto update = decode_membership_update(reply->payload, error);
+  const auto update = decode_membership_update(reply.payload, error);
   if (!update) return false;
   const auto changes = membership_.handle_update(update->view);
   membership_.note_heard_from(update->from);
   apply_membership_changes(changes);
-  return membership_.member_count() > 1;
+  return true;
 }
 
 void ShardRouter::heartbeat_now() {
@@ -897,46 +970,32 @@ void ShardRouter::heartbeat_now() {
   // the view (it, or this rank, was cut off past dead_after) is dialled
   // with a join every round, so a healed partition or a resumed process
   // merges the two sides again without a restart.
+  const std::shared_ptr<const MembershipSnapshot> membership =
+      membership_.snapshot();
   for (std::size_t r = 0; r < config_.peers.size(); ++r) {
-    if (r == config_.rank || membership_.contains(r)) continue;
-    dispatch_exchange(r, [this, address = config_.peers[r]] {
-      join_via(address);
-    });
+    if (r == config_.rank || membership->find(r) != nullptr) continue;
+    exchange_views(r, config_.peers[r], join_frame(config_));
   }
 
-  // One view exchange per live peer, dispatched to the forward pool so
-  // a dead peer's connect timeout stalls a pool worker, never the
-  // timer. At most one exchange per peer in flight: the timer must not
-  // stack rounds onto a slow peer.
-  const MembershipView view = membership_.view();
+  // One view exchange per live peer.
   MembershipUpdate update;
   update.from = config_.rank;
-  update.view = view;
+  update.view = membership->view;
   net::Frame frame;
   frame.type = net::FrameType::kMembershipUpdate;
   frame.payload = encode_membership_update(update);
-  for (const Member& member : view.members) {
-    if (member.rank == config_.rank) continue;
-    dispatch_exchange(member.rank, [this, rank = member.rank, frame] {
-      std::optional<net::Frame> reply;
-      if (net::MuxFrameClient* const client = client_for(rank)) {
-        reply = client->call(frame);
-      }
-      if (reply && reply->type == net::FrameType::kMembershipUpdate) {
-        std::string error;
-        if (const auto peer_update =
-                decode_membership_update(reply->payload, error)) {
-          const auto changes = membership_.handle_update(peer_update->view);
-          membership_.note_heard_from(peer_update->from);
-          apply_membership_changes(changes);
-        }
-      }
-    });
+  for (const Member& member : membership->view.members) {
+    if (member.rank == config_.rank || member.port == 0) continue;
+    exchange_views(member.rank,
+                   PeerAddress{member.host.empty() ? "127.0.0.1"
+                                                   : member.host,
+                               member.port},
+                   frame);
   }
 }
 
-void ShardRouter::dispatch_exchange(std::size_t rank,
-                                    std::function<void()> exchange) {
+void ShardRouter::exchange_views(std::size_t rank, const PeerAddress& address,
+                                 net::Frame frame) {
   {
     const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
     if (!heartbeats_in_flight_.insert(rank).second) return;
@@ -945,13 +1004,17 @@ void ShardRouter::dispatch_exchange(std::size_t rank,
     const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
     heartbeats_in_flight_.erase(rank);
   };
-  submit_or(
-      forward_pool_,
-      [exchange = std::move(exchange), done] {
-        exchange();
-        done();
-      },
-      done);
+  net::MuxFrameClient* const client = client_at(rank, address);
+  if (client == nullptr) {
+    done();
+    return;
+  }
+  client->call_async(std::move(frame),
+                     [this, done, op = AsyncOp(*this)](
+                         std::optional<net::Frame> reply) {
+                       if (reply) adopt_view(*reply);
+                       done();
+                     });
 }
 
 void ShardRouter::apply_membership_changes(
@@ -972,15 +1035,28 @@ void ShardRouter::apply_membership_changes(
   }
   for (const Member& member : changes.joined) {
     if (member.rank == config_.rank) continue;
-    // Wire (or rewire, on an address change) the client now, then
-    // stream the newcomer the slice the ring just assigned it.
-    client_for(member.rank);
+    // Stream the newcomer the slice the ring just assigned it; its
+    // client is wired (or rewired, on an address change) on the way.
     schedule_handoff(member);
   }
 }
 
+/// One slice streaming to one member: begin, bounded chunks, done, each
+/// frame sent from the previous one's ack callback.
+struct ShardRouter::Handoff {
+  Member target;
+  HandoffStamp stamp;
+  std::vector<CanonicalHash> slice;
+  std::size_t offset = 0;  ///< next slice index to send
+  std::size_t sent_entries = 0;
+  bool begun = false;      ///< kHandoffBegin acknowledged
+  Clock::time_point chunk_start{};
+};
+
 void ShardRouter::schedule_handoff(const Member& target) {
-  const std::uint64_t epoch = membership_.epoch();
+  const std::shared_ptr<const MembershipSnapshot> membership =
+      membership_.snapshot();
+  const std::uint64_t epoch = membership->view.epoch;
   {
     const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
     // Equal-epoch updates naming the same joiner arrive from several
@@ -991,90 +1067,99 @@ void ShardRouter::schedule_handoff(const Member& target) {
     ++outstanding_handoffs_;
   }
   handoffs_started_->add();
-  submit_or(
-      forward_pool_, [this, target, epoch] { run_handoff(target, epoch); },
-      [this] { finish_handoff(false); });
-}
-
-void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
-  net::MuxFrameClient* const client = client_for(target.rank);
-  if (client == nullptr) {
-    finish_handoff(false);
-    return;
-  }
   // The slice: every owned entry the ring now assigns to the newcomer.
   // keys() is a point-in-time snapshot; entries answered during the
   // stream are covered by the double-write path, entries evicted before
   // their chunk simply drop out (peek misses are skipped).
-  std::vector<CanonicalHash> slice;
+  auto handoff = std::make_shared<Handoff>();
+  handoff->target = target;
   for (const CanonicalHash& key : service_.cache().keys()) {
-    if (shard_of(key) == target.rank) slice.push_back(key);
+    if (membership->owner_of(key) == target.rank) {
+      handoff->slice.push_back(key);
+    }
   }
-  if (slice.empty()) {
+  if (handoff->slice.empty()) {
     finish_handoff(true);
     return;
   }
+  handoff->stamp.epoch = epoch;
+  handoff->stamp.from = config_.rank;
+  handoff->stamp.entries = handoff->slice.size();
+  continue_handoff(std::move(handoff));
+}
 
-  HandoffStamp stamp;
-  stamp.epoch = epoch;
-  stamp.from = config_.rank;
-  stamp.entries = slice.size();
-  net::Frame begin;
-  begin.type = net::FrameType::kHandoffBegin;
-  begin.payload = encode_handoff_stamp(stamp);
-  const auto begin_ack = client->call(begin);
-  if (!begin_ack || begin_ack->type != net::FrameType::kPong) {
+void ShardRouter::continue_handoff(std::shared_ptr<Handoff> handoff) {
+  net::MuxFrameClient* const client =
+      client_at(handoff->target.rank,
+                PeerAddress{handoff->target.host.empty()
+                                ? "127.0.0.1"
+                                : handoff->target.host,
+                            handoff->target.port});
+  if (client == nullptr || handoff->target.port == 0) {
     finish_handoff(false);
     return;
   }
-
-  // Bounded chunks: each frame carries at most handoff_chunk_entries
-  // entries, so neither the frame size nor the receiver's cache hold
-  // time grows with the slice.
-  const std::size_t per_chunk =
-      std::max<std::size_t>(1, config_.handoff_chunk_entries);
-  std::size_t sent_entries = 0;
-  std::size_t sent_chunks = 0;
-  bool aborted = false;
-  for (std::size_t offset = 0; offset < slice.size() && !aborted;
-       offset += per_chunk) {
+  net::Frame frame;
+  std::size_t entries = 0;
+  if (!handoff->begun) {
+    frame.type = net::FrameType::kHandoffBegin;
+    frame.payload = encode_handoff_stamp(handoff->stamp);
+  } else {
+    // Bounded chunks: each frame carries at most handoff_chunk_entries
+    // entries, so neither the frame size nor the receiver's cache hold
+    // time grows with the slice.
+    const std::size_t per_chunk =
+        std::max<std::size_t>(1, config_.handoff_chunk_entries);
     HandoffChunk chunk;
-    chunk.epoch = epoch;
+    chunk.epoch = handoff->stamp.epoch;
     chunk.from = config_.rank;
-    const std::size_t end = std::min(slice.size(), offset + per_chunk);
-    for (std::size_t i = offset; i < end; ++i) {
-      if (auto value = service_.cache().peek(slice[i])) {
-        chunk.entries.emplace_back(slice[i], std::move(*value));
+    while (chunk.entries.empty() && handoff->offset < handoff->slice.size()) {
+      const std::size_t end =
+          std::min(handoff->slice.size(), handoff->offset + per_chunk);
+      for (; handoff->offset < end; ++handoff->offset) {
+        const CanonicalHash& key = handoff->slice[handoff->offset];
+        if (auto value = service_.cache().peek(key)) {
+          chunk.entries.emplace_back(key, std::move(*value));
+        }
       }
     }
-    if (chunk.entries.empty()) continue;
-    net::Frame frame;
+    entries = chunk.entries.size();
+    if (entries == 0) {
+      // Streamed to the end. The done stamp is best-effort: the chunks
+      // already landed.
+      handoff->stamp.entries = handoff->sent_entries;
+      frame.type = net::FrameType::kHandoffDone;
+      frame.payload = encode_handoff_stamp(handoff->stamp);
+      client->call_async(std::move(frame),
+                         [this, op = AsyncOp(*this)](std::optional<net::Frame>) {
+                           finish_handoff(true);
+                         });
+      return;
+    }
     frame.type = net::FrameType::kHandoffChunk;
     frame.payload = encode_handoff_chunk(chunk);
-    const Clock::time_point chunk_start = Clock::now();
-    const auto ack = client->call(frame);
-    handoff_chunk_hist_->record(seconds_since(chunk_start, Clock::now()));
-    if (!ack || ack->type != net::FrameType::kPong) {
-      aborted = true;
-      break;
-    }
-    sent_entries += chunk.entries.size();
-    ++sent_chunks;
   }
-
-  handoff_chunks_sent_->add(sent_chunks);
-  handoff_entries_sent_->add(sent_entries);
-  if (aborted) {
-    finish_handoff(false);
-    return;
-  }
-
-  stamp.entries = sent_entries;
-  net::Frame done;
-  done.type = net::FrameType::kHandoffDone;
-  done.payload = encode_handoff_stamp(stamp);
-  client->call(done);  // best-effort: the chunks already landed
-  finish_handoff(true);
+  handoff->chunk_start = Clock::now();
+  client->call_async(
+      std::move(frame),
+      [this, handoff, entries, op = AsyncOp(*this)](
+          std::optional<net::Frame> ack) mutable {
+        if (handoff->begun) {
+          handoff_chunk_hist_->record(
+              seconds_since(handoff->chunk_start, Clock::now()));
+        }
+        if (!ack || ack->type != net::FrameType::kPong) {
+          finish_handoff(false);
+          return;
+        }
+        if (handoff->begun) {
+          handoff_chunks_sent_->add();
+          handoff_entries_sent_->add(entries);
+          handoff->sent_entries += entries;
+        }
+        handoff->begun = true;
+        continue_handoff(std::move(handoff));
+      });
 }
 
 void ShardRouter::finish_handoff(bool completed) {
@@ -1089,28 +1174,25 @@ void ShardRouter::wait_handoffs_idle() {
   prefetch_cv_.wait(lock, [this] { return outstanding_handoffs_ == 0; });
 }
 
-void ShardRouter::maybe_double_write(const CanonicalHash& key) {
-  const std::size_t owner = membership_.owner_of(key);
-  if (owner == config_.rank) return;
+void ShardRouter::double_write(const CanonicalHash& key, std::size_t owner,
+                               const MembershipSnapshot& membership) {
   // The transition-window write path: this rank just answered a key the
   // ring assigns elsewhere (the requester dialed the old owner, or the
   // bulk stream has not reached this entry yet). Copy the answer over
-  // asynchronously — the reply to the requester must not wait on it.
-  // Best-effort: a shut-down pool never runs the task, which simply
-  // drops the copy.
-  forward_pool_.submit([this, key, owner] {
-    auto value = service_.cache().peek(key);
-    if (!value) return;  // evicted already; the new owner will re-solve
-    net::MuxFrameClient* const client = client_for(owner);
-    if (client == nullptr) return;
-    HandoffChunk chunk;
-    chunk.epoch = membership_.epoch();
-    chunk.from = config_.rank;
-    chunk.entries.emplace_back(key, std::move(*value));
-    net::Frame frame;
-    frame.type = net::FrameType::kHandoffChunk;
-    frame.payload = encode_handoff_chunk(chunk);
-    const auto ack = client->call(frame);
+  // asynchronously — the reply to the requester does not wait on it.
+  auto value = service_.cache().peek(key);
+  if (!value) return;  // evicted already; the new owner will re-solve
+  net::MuxFrameClient* const client = client_for(owner, membership);
+  if (client == nullptr) return;
+  HandoffChunk chunk;
+  chunk.epoch = membership.view.epoch;
+  chunk.from = config_.rank;
+  chunk.entries.emplace_back(key, std::move(*value));
+  net::Frame frame;
+  frame.type = net::FrameType::kHandoffChunk;
+  frame.payload = encode_handoff_chunk(chunk);
+  client->call_async(std::move(frame), [this, op = AsyncOp(*this)](
+                                           std::optional<net::Frame> ack) {
     if (ack && ack->type == net::FrameType::kPong) double_writes_->add();
   });
 }
@@ -1213,8 +1295,10 @@ net::Frame ShardRouter::handle_handoff_frame(const net::Frame& request) {
 
 void ShardRouter::publish_membership_gauges() {
   const std::lock_guard<std::mutex> lock(membership_gauges_mutex_);
-  epoch_gauge_->set(static_cast<double>(membership_.epoch()));
-  members_gauge_->set(static_cast<double>(membership_.member_count()));
+  const std::shared_ptr<const MembershipSnapshot> membership =
+      membership_.snapshot();
+  epoch_gauge_->set(static_cast<double>(membership->view.epoch));
+  members_gauge_->set(static_cast<double>(membership->member_count()));
 }
 
 RouterStats ShardRouter::stats() const {

@@ -12,13 +12,19 @@
 // only the affected key slices, streamed by their old owners as
 // kHandoff* frames.
 //
-// A submitted request is canonicalized once; keys this rank owns go
-// straight to the local SolveService, keys owned by a peer are
-// forwarded over a per-peer MuxFrameClient (one connection
+// A submitted request is canonicalized once and routed by one read of
+// the membership snapshot; keys this rank owns go straight to the local
+// SolveService, keys owned by a peer are encoded on the submitting
+// thread and forwarded over a per-peer MuxFrameClient (one connection
 // carries many in-flight forwards, replies correlated by request id) as
 // the *canonical* instance (so the remote answer comes back in
-// canonical labels and each waiter translates into its own). Identical
-// remote-shard requests submitted
+// canonical labels and each waiter translates into its own). The
+// forward is completion-driven: the mux reader that receives the reply
+// decodes it, fills the replica tier and answers every waiter, and the
+// owner's server answers from the engine worker that solved it. No
+// thread of the fabric parks on a future; a forward crosses the
+// submitter, the mux writer, the owner's server reader, an engine
+// worker and the mux reader. Identical remote-shard requests submitted
 // while a forward is in flight attach to it — the router-level
 // counterpart of the engine's in-flight dedup, so a thundering herd of
 // isomorphic misses costs one network exchange.
@@ -39,14 +45,20 @@
 // peer suspect and fails fast during its backoff window, so a dead
 // peer costs one connect timeout, not one per request, and connection
 // death fails every in-flight forward at once — failover fires exactly
-// once per waiter. Failover re-submits every attached waiter locally
-// with its own deadline policy and its *remaining* deadline budget
-// (time already burned on the wire is charged, floored at zero); the
-// engine's dedup collapses them to exactly one solve.
+// once per waiter. Failover re-submits every attached waiter locally,
+// each with a completion, its own deadline policy and its *remaining*
+// deadline budget (time already burned on the wire is charged, floored
+// at zero); the engine's dedup collapses them to exactly one solve.
+//
+// Membership exchanges, prefetches, double-writes and handoff streams
+// are completion-driven too: each is a call_async whose callback runs
+// the next step, so the router owns no thread but its fabric timer.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
 #include <iosfwd>
@@ -59,7 +71,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "net/frame_server.hpp"
 #include "net/mux_client.hpp"
 #include "service/engine.hpp"
@@ -76,18 +87,21 @@ struct PeerAddress {
 class ShardRouter;
 
 /// The server-side half of a fabric node: a net::FrameHandler that
-/// answers kSolveRequest frames against the local service (blocking on
-/// the reply — run it on a pool dedicated to the FrameServer), kPing
-/// with kPong, kStatsRequest with one JSON object carrying the engine
-/// and cache counters, and kReplicaFetch with the requested cache
-/// entries (peek only — a fetch never disturbs the owner's LRU order).
-/// Undecodable payloads get kError frames.
+/// answers kSolveRequest frames against the local service (decoded on
+/// the connection's reader, answered by the solve's completion — inline
+/// on a hit, from the engine worker otherwise), kPing with kPong,
+/// kStatsRequest with one JSON object carrying the engine and cache
+/// counters, and kReplicaFetch with the requested cache entries (peek
+/// only — a fetch never disturbs the owner's LRU order). Every frame
+/// but a solve is answered inline. Undecodable payloads get kError
+/// frames.
 ///
 /// `router` resolves this node's ShardRouter at call time (it is
 /// usually constructed *after* the server, since peers need the bound
 /// port): when it yields one, kGossipDigest frames are handed to it for
 /// prefetching and solved keys are counted toward the gossip digest;
 /// when it yields nullptr, gossip frames are acknowledged and dropped.
+/// A router seen by a solve must outlive the server's stop().
 net::FrameHandler make_fabric_handler(
     SolveService& service,
     std::function<ShardRouter*()> router = {});
@@ -124,12 +138,6 @@ struct RouterConfig {
   /// Cache entries per kHandoffChunk frame — bounds both the frame
   /// size and how long the receiving rank's handler holds its cache.
   std::size_t handoff_chunk_entries = 64;
-  /// Threads running blocking forward exchanges (and replica
-  /// prefetches). Peer links are MuxFrameClients, so
-  /// exchanges to ONE peer pipeline on its single connection (replies
-  /// correlate by request id) — this caps total in-flight forwards,
-  /// per peer and across peers alike.
-  std::size_t forward_threads = 8;
 
   /// The replica tier (capacity_bytes 0 disables replication).
   ReplicaCache::Config replica;
@@ -191,8 +199,9 @@ class ShardRouter {
   /// net_client_rank<r>_*.
   ShardRouter(SolveService& service, RouterConfig config);
 
-  /// Stops the gossip timer, then drains every in-flight forward and
-  /// prefetch.
+  /// Stops the fabric timer, shuts every peer client down (which
+  /// answers each exchange still in flight), then waits for the
+  /// failover solves those answers started.
   ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
@@ -208,6 +217,11 @@ class ShardRouter {
   /// True when requests can route to another rank right now (the fleet
   /// has more than one member).
   bool distributed() const { return membership_.member_count() > 1; }
+
+  /// The membership snapshot requests route by (one lock acquisition).
+  std::shared_ptr<const MembershipSnapshot> membership_snapshot() const {
+    return membership_.snapshot();
+  }
 
   /// Routes one request; the future resolves exactly like
   /// SolveService::submit's (statuses, never exceptions).
@@ -230,10 +244,12 @@ class ShardRouter {
   /// connections).
   void handle_gossip_digest(GossipDigest digest);
 
-  /// Counts one served request against `key` for the next digest
-  /// (no-op unless this rank owns the key). The fabric handler calls
-  /// this for peer traffic; submit() for local traffic.
-  void note_owned_hit(const CanonicalHash& key);
+  /// Bookkeeping for a peer's request this rank just answered, on one
+  /// membership read: an owned key counts toward the next gossip
+  /// digest; a key the ring now assigns elsewhere is copied to its new
+  /// owner (one async single-entry handoff chunk — the handoff-window
+  /// double-write). The fabric handler calls this for every solve.
+  void note_served(const CanonicalHash& key);
 
   /// Blocks until every scheduled prefetch has completed (test and
   /// bench determinism).
@@ -252,23 +268,17 @@ class ShardRouter {
   /// retried by the heartbeat loop while the rank is still alone.
   bool join_now();
 
-  /// One synchronous heartbeat round: failure-detection tick, one join
-  /// toward every boot-list rank missing from the view, then one
-  /// kMembershipUpdate exchange per live peer (all dispatched to the
-  /// forward pool — a dead peer's connect timeout never stalls the
-  /// caller). Also called by the interval timer.
+  /// One heartbeat round: failure-detection tick, one join toward every
+  /// boot-list rank missing from the view, then one kMembershipUpdate
+  /// exchange per live peer. The exchanges are asynchronous — a dead
+  /// peer's connect timeout never stalls the caller — and their replies
+  /// are merged by the callbacks. Also called by the interval timer.
   void heartbeat_now();
 
   /// Handles the membership/handoff frame families (kJoinRequest,
   /// kMembershipUpdate, kHandoffBegin/Chunk/Done) — the server half of
   /// the membership protocol, called by make_fabric_handler.
   net::Frame handle_fabric_frame(const net::Frame& request);
-
-  /// Ships the freshly-answered `key` to its new ring owner when the
-  /// ring no longer assigns it here (one async single-entry handoff
-  /// chunk): the handoff-window double-write. No-op while the key is
-  /// still ours.
-  void maybe_double_write(const CanonicalHash& key);
 
   /// Blocks until every scheduled handoff stream has completed (test
   /// and bench determinism).
@@ -309,27 +319,56 @@ class ShardRouter {
     double deadline_seconds;
     DeadlinePolicy deadline_policy;
     CanonicalHash key;
-    std::size_t owner_rank;
+    /// The owner's client, resolved at submit time.
+    net::MuxFrameClient* client = nullptr;
     std::vector<ForwardWaiter> waiters;
     /// The first submitter's trace id, carried on the wire so the
     /// owner's spans land in the same trace.
     std::uint64_t trace_id = 0;
   };
 
-  void run_forward(std::shared_ptr<Forward> forward);
+  struct Handoff;
+
+  /// One asynchronous exchange or solve that calls back into the
+  /// router: counted while alive, so the destructor can wait for the
+  /// last of them. Move-only; captured by the callback it guards.
+  class AsyncOp {
+   public:
+    explicit AsyncOp(ShardRouter& router) noexcept;
+    AsyncOp(AsyncOp&& other) noexcept;
+    AsyncOp& operator=(AsyncOp&&) = delete;
+    ~AsyncOp();
+
+   private:
+    ShardRouter* router_;
+  };
+
+  /// Sends `forward`, then every forward whose slot a completion frees
+  /// on this thread meanwhile (a fast-failing peer completes inline), as
+  /// a loop instead of a recursion.
+  void launch(std::shared_ptr<Forward> forward);
+  /// Encodes the forward's request and sends it; the reply (or its
+  /// failure) lands in finish_forward on the mux client's thread.
+  void send_forward(std::shared_ptr<Forward> forward);
+  void finish_forward(Forward& forward, std::optional<net::Frame> reply,
+                      std::chrono::steady_clock::time_point wire_start);
+  void count_owned_hit(const CanonicalHash& key);
+  void double_write(const CanonicalHash& key, std::size_t owner,
+                    const MembershipSnapshot& membership);
   void run_prefetch(std::size_t owner, std::vector<CanonicalHash> keys);
   void finish_prefetch(std::size_t fetched);
 
-  /// The client wired to `rank`, lazily created from the membership
-  /// view; nullptr for self and for ranks with no known address. Created clients live until the
-  /// router dies (an address change retires the old client without
-  /// destroying it — in-flight exchanges may still hold it).
-  net::MuxFrameClient* client_for(std::size_t rank);
+  /// The client wired to `rank` at its address in `membership`;
+  /// nullptr for self and for ranks with no known address.
+  net::MuxFrameClient* client_for(std::size_t rank,
+                                  const MembershipSnapshot& membership);
+  /// The client wired to `rank` at `address`, created on first use.
+  /// Created clients live until the router dies (an address change
+  /// retires the old client without destroying it — in-flight exchanges
+  /// may still hold it). nullptr once the router is shutting down.
+  net::MuxFrameClient* client_at(std::size_t rank, const PeerAddress& address);
   /// client_for without the create (health probes).
   net::MuxFrameClient* client_lookup(std::size_t rank) const;
-  /// Every rank this one should talk to right now (the membership
-  /// view, never self).
-  std::vector<std::size_t> peer_ranks() const;
 
   /// Reacts to a membership change: counters/gauges, client retirement
   /// on address change, and one scheduled handoff stream per joined
@@ -337,17 +376,24 @@ class ShardRouter {
   /// newcomer).
   void apply_membership_changes(const Membership::ChangeSet& changes);
   void schedule_handoff(const Member& target);
-  void run_handoff(Member target, std::uint64_t epoch);
+  /// Streams the next chunk of `handoff` (begin, chunks, done), each
+  /// sent from the previous one's ack callback.
+  void continue_handoff(std::shared_ptr<Handoff> handoff);
   void finish_handoff(bool completed);
   /// Updates the epoch/member-count gauges from the current view.
   void publish_membership_gauges();
 
-  /// join_now toward any address.
+  /// join_now toward any address, on a transient client (blocking).
   bool join_via(const PeerAddress& address);
-  /// Runs one membership exchange with `rank` on the forward pool,
-  /// unless one is already in flight (the timer must not stack rounds
-  /// onto a slow or unreachable peer).
-  void dispatch_exchange(std::size_t rank, std::function<void()> exchange);
+  /// Merges a kMembershipUpdate reply into the membership; false when
+  /// it is not one.
+  bool adopt_view(const net::Frame& reply);
+  /// Sends `frame` (a join or a view update) to `rank` at `address` and
+  /// merges the view it answers with, unless an exchange with that rank
+  /// is already in flight (the timer must not stack rounds onto a slow
+  /// or unreachable peer).
+  void exchange_views(std::size_t rank, const PeerAddress& address,
+                      net::Frame frame);
 
   net::Frame handle_join_frame(const net::Frame& request);
   net::Frame handle_membership_frame(const net::Frame& request);
@@ -364,9 +410,17 @@ class ShardRouter {
   std::unordered_map<std::size_t, std::unique_ptr<net::MuxFrameClient>>
       clients_;
   /// Clients replaced after an address change (a restarted member on a
-  /// new port). Kept alive until destruction: a forward in flight may
-  /// still be blocked inside one.
+  /// new port). Kept alive until destruction: a callback in flight may
+  /// still hold one.
   std::vector<std::unique_ptr<net::MuxFrameClient>> retired_clients_;
+  /// Set (under clients_mutex_) when the destructor starts: no client
+  /// is created from then on.
+  bool closing_ = false;
+
+  /// Live AsyncOps; the destructor waits for zero on async_cv_.
+  std::atomic<std::size_t> async_ops_{0};
+  std::mutex async_mutex_;
+  std::condition_variable async_cv_;
 
   ReplicaCache replicas_;
 
@@ -374,6 +428,14 @@ class ShardRouter {
   /// contention-profiled as "router_inflight".
   mutable obs::ProfiledMutex mutex_;
   std::unordered_map<CanonicalHash, Forward*, CanonicalKeyHasher> in_flight_;
+  /// The forward window: at most kMaxForwardsOnWire forwards are on the
+  /// wire at once; later ones wait here, in submit order, until a
+  /// completion frees a slot. Under overload the backlog queues on the
+  /// requesting rank instead of filling the owners' engine queues past
+  /// their admission limit.
+  static constexpr std::size_t kMaxForwardsOnWire = 64;
+  std::size_t forwards_on_wire_ = 0;
+  std::deque<std::shared_ptr<Forward>> waiting_forwards_;
   /// Hits on owned keys since the last gossip round (windowed counts:
   /// gossip_now snapshots and clears, so "hot" means *recently* hot).
   std::unordered_map<CanonicalHash, std::uint64_t, CanonicalKeyHasher> owned_hits_;
@@ -408,12 +470,14 @@ class ShardRouter {
   obs::Gauge* inflight_gauge_ = nullptr;
   /// Periodic "router_gossip" heartbeat: expected every gossip interval.
   obs::Heartbeat* gossip_heartbeat_ = nullptr;
-  /// Profiler components: the wire exchange (nearly all blocked time —
-  /// the forward thread waits on the peer) and the replica-tier probe.
+  /// Profiler components: the wire exchange (blocked time by
+  /// construction — no thread of this rank holds the request while it
+  /// is on the wire) and the replica-tier probe.
   obs::Profiler::Component* prof_wire_ = nullptr;
   obs::Profiler::Component* prof_replica_ = nullptr;
-  /// Contention probe the in-flight mutex points at.
+  /// Contention probes the in-flight and membership mutexes point at.
   obs::ProfiledMutex::Probe inflight_probe_;
+  obs::ProfiledMutex::Probe membership_probe_;
 
   /// The MembershipStats counters and gauges. Gauge writes are
   /// serialized, so the last write carries the latest view.
@@ -440,10 +504,6 @@ class ShardRouter {
   std::condition_variable gossip_cv_;
   bool gossip_stop_ = false;
   std::thread gossip_thread_;
-
-  /// Declared last: destroyed first, so draining forward and prefetch
-  /// tasks still see live clients, caches, maps and the service.
-  ThreadPool forward_pool_;
 };
 
 }  // namespace prts::service

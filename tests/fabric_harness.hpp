@@ -1,6 +1,6 @@
 // In-process multi-rank fabric simulation harness: spins N *real*
-// fabric nodes (SolveService + FrameServer + ShardRouter, each with its
-// own pools) over loopback sockets inside one process, with
+// fabric nodes (SolveService + FrameServer + ShardRouter) over loopback
+// sockets inside one process, with
 // deterministic fault injection. This is what makes the replication /
 // gossip layer testable at all — every network exchange is real TCP,
 // but ranks can be killed, revived, paused mid-frame or made to drop
@@ -10,8 +10,8 @@
 // Deliberately gtest-free: reused verbatim by bench/fabric_replication
 // (failures throw std::runtime_error instead of asserting).
 //
-// Fault injection levers (per rank, applied to *inbound* frames before
-// the fabric handler sees them):
+// Fault injection levers (per rank, applied to *inbound* frames on the
+// connection's reader before the fabric handler sees them):
 //   - pause()/resume(): hold every arriving frame at the gate —
 //     freezes a rank so forwards to it stay in flight while the test
 //     arranges dedup waiters or kills the rank;
@@ -20,7 +20,8 @@
 //   - delay(seconds): sleep every admitted frame at the gate before the
 //     handler runs — a *slow* peer (overloaded, GC-pausing, swapping)
 //     rather than a dead one, so requesters see long wire round trips
-//     that should attribute as blocked time, not compute;
+//     that should attribute as blocked time, not compute. The gate
+//     sits on the reader, so one connection's frames queue behind it;
 //   - kill()/revive(): stop the rank's FrameServer / restart it on the
 //     same port (SO_REUSEADDR makes the rebind reliable).
 #pragma once
@@ -37,7 +38,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "net/frame_server.hpp"
 #include "obs/trace.hpp"
 #include "service/engine.hpp"
@@ -102,8 +102,8 @@ class FaultInjector {
         return false;
       }
     }
-    // Sleep outside the lock: a slow rank must still be pausable and
-    // must not serialize its concurrent inbound frames on the gate.
+    // Sleep outside the lock: a slow rank must still be pausable, and
+    // its other connections must not queue behind this one.
     const std::int64_t delay = delay_ns_.load(std::memory_order_relaxed);
     if (delay > 0) {
       std::this_thread::sleep_for(std::chrono::nanoseconds(delay));
@@ -131,9 +131,8 @@ class FabricHarness {
     /// membership knobs, client timeouts) is taken as configured — but
     /// see `join_founded` for what a boot-list fleet overrides.
     RouterConfig router;
-    /// Per-rank FrameServer pool size; must exceed the number of
-    /// long-lived inbound peer connections (each occupies a thread).
-    /// 0: world + 2 (join-founded: world + 8).
+    /// No effect: the FrameServer has no pool (each connection's reader
+    /// runs the handler). Kept so callers that set it still compile.
     std::size_t server_threads = 0;
     /// How the fleet is founded. false, the boot list (`--peers`):
     /// every rank boots with all `world` members at epoch 1; the
@@ -157,9 +156,6 @@ class FabricHarness {
 
   explicit FabricHarness(Options options) : options_(options) {
     if (options_.world == 0) throw std::runtime_error("world must be >= 1");
-    server_threads_ = options_.server_threads
-                          ? options_.server_threads
-                          : options_.world + (options_.join_founded ? 8 : 2);
     if (options_.join_founded) {
       // Each rank is fully wired (server AND router) before the next
       // joins — the join exchange needs a live seed router.
@@ -194,11 +190,11 @@ class FabricHarness {
   }
 
   ~FabricHarness() {
-    // Servers first: stop() drains every in-flight handler, so no
-    // server-pool thread can still be inside a router (a cleared
-    // router_ptr alone would be a check-then-use race against a
-    // handler that already loaded it). Routers after that — their
-    // draining forwards/prefetches now fail fast against the dead
+    // Servers first: stop() waits for every reader and every owed
+    // answer, so no handler or solve completion can still be inside a
+    // router (a cleared router_ptr alone would be a check-then-use race
+    // against a handler that already loaded it). Routers after that —
+    // their in-flight forwards and prefetches fail against the dead
     // servers and fail over to the still-live local services.
     for (auto& rank : ranks_) rank->router_ptr.store(nullptr);
     for (auto& rank : ranks_) {
@@ -355,7 +351,6 @@ class FabricHarness {
     /// pointer into it.
     std::unique_ptr<obs::Telemetry> telemetry;
     std::unique_ptr<SolveService> service;
-    std::unique_ptr<ThreadPool> server_pool;
     std::unique_ptr<net::FrameServer> server;
     std::unique_ptr<ShardRouter> router;
     std::atomic<ShardRouter*> router_ptr{nullptr};
@@ -379,7 +374,6 @@ class FabricHarness {
     ServiceConfig service_config = options_.service;
     service_config.telemetry = rank->telemetry.get();
     rank->service = std::make_unique<SolveService>(service_config);
-    rank->server_pool = std::make_unique<ThreadPool>(server_threads_);
     start_server(*rank, /*port=*/0);
     rank->port = rank->server->port();
     ranks_.push_back(std::move(rank));
@@ -414,15 +408,18 @@ class FabricHarness {
     Rank* node = &rank;
     net::FrameHandler fabric = make_fabric_handler(
         *rank.service, [node] { return node->router_ptr.load(); });
-    net::FrameHandler wrapped =
-        [node, fabric = std::move(fabric)](
-            const net::Frame& frame) -> std::optional<net::Frame> {
-      if (!node->faults.admit()) return std::nullopt;  // dropped
-      return fabric(frame);
+    net::FrameHandler wrapped = [node, fabric = std::move(fabric)](
+                                    const net::Frame& frame,
+                                    net::Responder respond) {
+      if (!node->faults.admit()) {
+        respond(std::nullopt);  // dropped: the connection closes
+        return;
+      }
+      fabric(frame, std::move(respond));
     };
-    rank.server = net::FrameServer::start(
-        port, std::move(wrapped), *rank.server_pool, net::kDefaultMaxPayload,
-        rank.telemetry.get());
+    rank.server = net::FrameServer::start(port, std::move(wrapped),
+                                          net::kDefaultMaxPayload,
+                                          rank.telemetry.get());
     if (!rank.server) {
       throw std::runtime_error("fabric harness: cannot bind port " +
                                std::to_string(port));
@@ -430,7 +427,6 @@ class FabricHarness {
   }
 
   Options options_;
-  std::size_t server_threads_ = 0;
   std::vector<std::unique_ptr<Rank>> ranks_;
 };
 

@@ -3,18 +3,29 @@
 // (byte-identically), TTLs expire, the replica cache stays bounded,
 // gossip digests trigger prefetches, and rank death — mid-gossip or
 // mid-forward with dedup waiters attached — degrades cleanly with
-// exactly one local failover solve.
+// exactly one local failover solve. The completion-driven fabric's
+// exact counts live here too: threads per role, threads per forwarded
+// request, membership reads per request, and a concurrent stress run
+// with failover.
 #include "fabric_harness.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <future>
+#include <map>
+#include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
+#include "obs/threads.hpp"
 #include "service/wire.hpp"
 
 namespace prts::service {
@@ -330,9 +341,7 @@ TEST(FabricFailover, RevivedRankServesAgainAfterBackoff) {
 // ------------------------------------------- pipelined forwards (mux)
 
 TEST(FabricMux, ConcurrentForwardsPipelineOnOneConnection) {
-  FabricHarness::Options options = fast_options(2);
-  options.router.forward_threads = 8;
-  FabricHarness harness(options);
+  FabricHarness harness(fast_options(2));
   const Instance instance = hom_instance();
   // A slightly slow owner, so the eight forwards genuinely overlap on
   // the wire instead of winning the race one at a time.
@@ -400,6 +409,247 @@ TEST(FabricFailover, FailoverChargesElapsedTimeAgainstTheDeadline) {
   // solved instantly, hiding the SLO breach.
   EXPECT_EQ(reply.status, ReplyStatus::kRejectedDeadline);
   EXPECT_GE(harness.router(0).stats().forward_failures, 1u);
+}
+
+// -------------------------------------- completion-driven fabric
+
+/// Live threads of this process by name (/proc/self/task/*/comm).
+std::map<std::string, std::size_t> thread_census() {
+  std::map<std::string, std::size_t> census;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    if (!name.empty()) ++census[name];
+  }
+  return census;
+}
+
+/// Forwards one fresh request from every rank to every other rank, so
+/// every peer client and every server connection of the fleet exists.
+void wire_every_pair(FabricHarness& harness, const Instance& instance) {
+  double salt = 20000.0;
+  for (std::size_t entry = 0; entry < harness.world(); ++entry) {
+    for (std::size_t owner = 0; owner < harness.world(); ++owner) {
+      if (owner == entry) continue;
+      salt += 500.0;
+      ASSERT_EQ(harness.router(entry)
+                    .submit(remote_request(harness, instance, owner, salt))
+                    .get()
+                    .status,
+                ReplyStatus::kSolved);
+    }
+  }
+}
+
+TEST(FabricMux, ForwardsBeyondTheWindowWaitOnTheRequestingRank) {
+  // At most 64 forwards are on the wire per rank; the rest wait on the
+  // requesting rank and are sent as slots free up. Every waiter is
+  // still answered once.
+  constexpr std::size_t kWindow = 64;
+  constexpr std::size_t kForwards = kWindow + 16;
+  FabricHarness harness(fast_options(2));
+  const Instance instance = hom_instance();
+  wire_every_pair(harness, instance);  // connected before the pause
+  std::vector<SolveRequest> requests;
+  for (std::size_t i = 0; i < kForwards; ++i) {
+    requests.push_back(remote_request(harness, instance, 1,
+                                      50000.0 + 100.0 * static_cast<double>(i)));
+  }
+  harness.faults(1).pause();  // nothing is answered until resume
+  std::vector<std::future<SolveReply>> futures;
+  for (const SolveRequest& request : requests) {
+    futures.push_back(harness.router(0).submit(request));
+  }
+  harness.faults(1).resume();
+  for (auto& future : futures) {
+    ASSERT_EQ(future.get().status, ReplyStatus::kSolved);
+  }
+  EXPECT_EQ(harness.router(0).stats().forwarded, kForwards + 1);
+  EXPECT_EQ(harness.router(0).stats().local_fallbacks, 0u);
+  for (const auto& [rank, stats] : harness.router(0).client_stats()) {
+    EXPECT_EQ(stats.max_inflight, kWindow) << "rank " << rank;
+  }
+}
+
+TEST(FabricThreads, CensusPinsTheThreadsOfEveryRole) {
+  // A 3-rank fleet, every pair wired: each rank runs its engine
+  // workers, one accept thread, one reader per inbound connection, and
+  // one writer and one reader per peer client. No forward pool, no
+  // handler pool, no timer (heartbeats and gossip are off).
+  FabricHarness harness(fast_options(3));
+  wire_every_pair(harness, hom_instance());
+  const std::map<std::string, std::size_t> expected{
+      {"engine", 3 * 2},     {"srv-accept", 3}, {"srv-reader", 3 * 2},
+      {"mux-writer", 3 * 2}, {"mux-reader", 3 * 2}};
+  const std::string self = obs::this_thread_name();
+  std::map<std::string, std::size_t> census;
+  // A thread names itself when it starts; give the newest a moment.
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    census = thread_census();
+    census.erase(self);  // the test's own thread
+    if (census == expected) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(census, expected);
+}
+
+TEST(FabricThreads, ForwardedRequestCrossesAtMostFiveThreads) {
+  // Replication off, so a repeat is forwarded again and answered from
+  // the owner's cache.
+  FabricHarness::Options options = fast_options(2);
+  options.router.replica.capacity_bytes = 0;
+  FabricHarness harness(options);
+  wire_every_pair(harness, hom_instance());
+  const std::string self = obs::this_thread_name();
+  // An instance the owner has never seen: no cache entry and no
+  // near-miss answer can serve it.
+  std::vector<Task> tasks{{3.0, 1.0}, {8.0, 2.0}, {5.0, 0.0}};
+  const Instance fresh{TaskChain(std::move(tasks)),
+                       Platform::homogeneous(5, 1.0, 1e-8, 1.0, 1e-5, 2)};
+  const SolveRequest request = remote_request(harness, fresh, 1);
+
+  // A miss: the submitter, the mux writer, the owner's server reader,
+  // the engine worker that solves it (and writes the reply), and the
+  // mux reader that answers the waiter.
+  obs::hop_probe::arm();
+  ASSERT_EQ(harness.router(0).submit(request).get().status,
+            ReplyStatus::kSolved);
+  const std::vector<std::string> miss = obs::hop_probe::disarm();
+  EXPECT_EQ(miss, (std::vector<std::string>{self, "mux-writer", "srv-reader",
+                                            "engine", "mux-reader"}));
+
+  // An owner cache hit is answered by the server reader itself.
+  obs::hop_probe::arm();
+  const SolveReply hit = harness.router(0).submit(request).get();
+  const std::vector<std::string> cached = obs::hop_probe::disarm();
+  ASSERT_EQ(hit.status, ReplyStatus::kSolved);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(cached, (std::vector<std::string>{self, "mux-writer",
+                                              "srv-reader", "mux-reader"}));
+  EXPECT_EQ(harness.router(0).stats().forwarded, 3u);  // 1 wiring + 2
+}
+
+TEST(FabricMembership, ForwardedRequestReadsTheMembershipOncePerRank) {
+  FabricHarness harness(fast_options(2));
+  const Instance instance = hom_instance();
+  wire_every_pair(harness, instance);
+  const auto acquisitions = [&harness](std::size_t rank) {
+    return harness.telemetry(rank)
+        .metrics.counter("mutex_membership_acquisitions_total")
+        .value();
+  };
+  constexpr std::uint64_t kRequests = 8;
+  std::vector<SolveRequest> requests;  // minting asks the ring, so first
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    requests.push_back(remote_request(harness, instance, 1, 100.0 * i));
+  }
+  const std::uint64_t entry_before = acquisitions(0);
+  const std::uint64_t owner_before = acquisitions(1);
+  for (const SolveRequest& request : requests) {
+    ASSERT_EQ(harness.router(0).submit(request).get().status,
+              ReplyStatus::kSolved);
+  }
+  // One snapshot read on the entry rank (routing) and one on the owner
+  // (gossip count or double-write), per request.
+  EXPECT_EQ(acquisitions(0) - entry_before, kRequests);
+  EXPECT_EQ(acquisitions(1) - owner_before, kRequests);
+}
+
+TEST(FabricStress, EveryWaiterIsAnsweredOnceAndByteIdenticallyUnderFailover) {
+  // A 3-rank fleet under 8 concurrent submitters: misses, dedup twins,
+  // owner cache hits and replica hits, then a slow owner whose replies
+  // outlive the mux deadline, then a killed owner. Every future must
+  // resolve exactly once (a second answer would throw in set_value, a
+  // lost one would never resolve) with the cold single-rank answer.
+  FabricHarness::Options options = fast_options(3);
+  options.router.client.reply_timeout_seconds = 0.3;
+  FabricHarness harness(options);
+
+  std::vector<Instance> instances;
+  for (int variant = 0; variant < 3; ++variant) {
+    std::vector<Task> tasks{{10.0 + variant, 2.0},
+                            {4.0, 1.0 + variant},
+                            {20.0, 1.0},
+                            {6.0 + 2 * variant, 0.0}};
+    instances.push_back(Instance{TaskChain(std::move(tasks)),
+                                 Platform::homogeneous(5, 1.0, 1e-8, 1.0,
+                                                       1e-5, 2)});
+  }
+  // Each key is requested about three times in a row by whichever
+  // submitters draw it (dedup twins, then hits), and fresh keys keep
+  // coming, so forwards run through every phase below.
+  constexpr std::size_t kKeys = 1500;
+  std::vector<SolveRequest> requests;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    requests.push_back(remote_request(harness, instances[i % 3], i % 3,
+                                      40.0 * static_cast<double>(i)));
+  }
+  std::vector<SolveReply> cold;
+  {
+    SolveService reference(ServiceConfig{});
+    for (const SolveRequest& request : requests) {
+      cold.push_back(reference.submit(request).get());
+      ASSERT_EQ(cold.back().status, ReplyStatus::kSolved);
+    }
+  }
+
+  constexpr int kSubmitters = 8;
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<int> submitted{0};
+  std::atomic<int> answered{0};
+  std::atomic<int> mismatched{0};
+  std::atomic<int> lost{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<std::uint32_t>(7 + t));
+      while (!stop.load()) {
+        const std::size_t index =
+            (cursor.fetch_add(1) / 3 + rng() % 3) % requests.size();
+        ++submitted;
+        // Ranks 0 and 1 submit; rank 2's server is the one killed.
+        std::future<SolveReply> future =
+            harness.router(rng() % 2).submit(requests[index]);
+        if (future.wait_for(std::chrono::seconds(30)) !=
+            std::future_status::ready) {
+          ++lost;
+          continue;
+        }
+        const SolveReply reply = future.get();
+        ++answered;
+        if (reply.status != ReplyStatus::kSolved || !reply.solution ||
+            reply.solution->mapping != cold[index].solution->mapping ||
+            !(reply.solution->metrics == cold[index].solution->metrics)) {
+          ++mismatched;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  harness.faults(1).delay(0.4);  // replies now outlive the mux deadline
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  harness.faults(1).delay(0.0);
+  harness.kill(2);  // forwards to rank 2 fail over from here on
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  stop.store(true);
+  for (std::thread& submitter : submitters) submitter.join();
+
+  EXPECT_EQ(lost.load(), 0);
+  EXPECT_EQ(answered.load(), submitted.load());
+  EXPECT_EQ(mismatched.load(), 0);
+  std::uint64_t fallbacks = 0;
+  std::uint64_t deduplicated = 0;
+  for (std::size_t r = 0; r < 2; ++r) {
+    fallbacks += harness.router(r).stats().local_fallbacks;
+    deduplicated += harness.router(r).stats().deduplicated;
+  }
+  EXPECT_GE(fallbacks, 1u);
+  RecordProperty("local_fallbacks", static_cast<int>(fallbacks));
+  RecordProperty("deduplicated", static_cast<int>(deduplicated));
 }
 
 // ------------------------------------------------- gossip wire codecs

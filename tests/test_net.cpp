@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <future>
 #include <limits>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
@@ -30,6 +31,25 @@ Frame make_frame(FrameType type, std::string payload) {
   frame.type = type;
   frame.payload = std::move(payload);
   return frame;
+}
+
+/// A handler answering `answer(request)` inline, on the reader.
+template <typename Answer>
+FrameHandler answer_inline(Answer answer) {
+  return [answer](const Frame& request, Responder respond) {
+    respond(answer(request));
+  };
+}
+
+/// A handler answering `answer(request)` from `pool`, as a solve
+/// answers from its engine worker: a slow answer does not hold up the
+/// connection's reader.
+template <typename Answer>
+FrameHandler answer_on(ThreadPool& pool, Answer answer) {
+  return [&pool, answer](const Frame& request, Responder respond) {
+    auto held = std::make_shared<Responder>(std::move(respond));
+    pool.submit([answer, request, held] { (*held)(answer(request)); });
+  };
 }
 
 // ---------------------------------------------------------- frame codec
@@ -322,20 +342,17 @@ TEST(SocketFraming, OversizedHeaderIsReportedBeforeReadingPayload) {
 
 // ------------------------------------------------------- server + client
 
-/// An echo server on an ephemeral port with its own pool.
+/// An echo server on an ephemeral port, answering on the reader.
 struct EchoFixture {
-  ThreadPool pool{4};
   std::unique_ptr<FrameServer> server;
 
   EchoFixture() {
     server = FrameServer::start(
-        0,
-        [](const Frame& request) -> std::optional<Frame> {
+        0, answer_inline([](const Frame& request) -> std::optional<Frame> {
           Frame reply = request;
           reply.type = FrameType::kPong;
           return reply;
-        },
-        pool);
+        }));
     EXPECT_NE(server, nullptr);
   }
 };
@@ -359,16 +376,13 @@ TEST(FrameServerTest, EchoRoundTripAndStats) {
 TEST(FrameServerTest, ThrowingHandlerFailsOnlyItsOwnRequest) {
   // A handler that throws answers kError for that request id; the
   // connection and its other multiplexed requests carry on.
-  ThreadPool pool(2);
   auto server = FrameServer::start(
-      0,
-      [](const Frame& request) -> std::optional<Frame> {
+      0, answer_inline([](const Frame& request) -> std::optional<Frame> {
         if (request.payload == "boom") throw std::bad_alloc();
         Frame reply = request;
         reply.type = FrameType::kPong;
         return reply;
-      },
-      pool);
+      }));
   ASSERT_NE(server, nullptr);
   MuxFrameClient client("127.0.0.1", server->port());
   auto failed = client.call_async(make_frame(FrameType::kPing, "boom"));
@@ -453,9 +467,8 @@ TEST(FrameServerTest, VersionMismatchGetsErrorFrame) {
 }
 
 TEST(FrameServerTest, OversizedPayloadGetsErrorFrame) {
-  ThreadPool pool(2);
   auto server = FrameServer::start(
-      0, [](const Frame& f) { return f; }, pool, /*max_payload=*/64);
+      0, answer_inline([](const Frame& f) { return f; }), /*max_payload=*/64);
   ASSERT_NE(server, nullptr);
   auto raw = tcp_connect("127.0.0.1", server->port(), 2.0);
   ASSERT_TRUE(raw.has_value());
@@ -504,15 +517,13 @@ TEST(FrameServerTest, StopUnblocksIdleConnections) {
 TEST(MuxClientTest, ConcurrentCallsShareOneConnectionWithDistinctAnswers) {
   ThreadPool pool(8);
   auto server = FrameServer::start(
-      0,
-      [](const Frame& request) -> std::optional<Frame> {
+      0, answer_on(pool, [](const Frame& request) -> std::optional<Frame> {
         // A small stagger so several exchanges overlap on the wire.
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
         Frame reply = request;
         reply.type = FrameType::kPong;
         return reply;
-      },
-      pool);
+      }));
   ASSERT_NE(server, nullptr);
   MuxFrameClient client("127.0.0.1", server->port());
   std::vector<std::future<std::optional<Frame>>> futures;
@@ -535,16 +546,14 @@ TEST(MuxClientTest, ConcurrentCallsShareOneConnectionWithDistinctAnswers) {
 TEST(MuxClientTest, OutOfOrderRepliesCorrelateByRequestId) {
   ThreadPool pool(4);
   auto server = FrameServer::start(
-      0,
-      [](const Frame& request) -> std::optional<Frame> {
+      0, answer_on(pool, [](const Frame& request) -> std::optional<Frame> {
         if (request.payload == "slow") {
           std::this_thread::sleep_for(std::chrono::milliseconds(300));
         }
         Frame reply = request;
         reply.type = FrameType::kPong;
         return reply;
-      },
-      pool);
+      }));
   ASSERT_NE(server, nullptr);
   MuxFrameClient client("127.0.0.1", server->port());
   auto slow = client.call_async(make_frame(FrameType::kPing, "slow"));
@@ -643,16 +652,14 @@ TEST(MuxClientTest, MidStreamDeathFailsAllOutstandingPromises) {
 TEST(MuxClientTest, PerRequestDeadlineExpiresWithoutKillingTheConnection) {
   ThreadPool pool(4);
   auto server = FrameServer::start(
-      0,
-      [](const Frame& request) -> std::optional<Frame> {
+      0, answer_on(pool, [](const Frame& request) -> std::optional<Frame> {
         if (request.payload == "glacial") {
           std::this_thread::sleep_for(std::chrono::milliseconds(600));
         }
         Frame reply = request;
         reply.type = FrameType::kPong;
         return reply;
-      },
-      pool);
+      }));
   ASSERT_NE(server, nullptr);
   MuxFrameClient client("127.0.0.1", server->port());
   // A steady heartbeat keeps bytes flowing, so the expiring request is
@@ -681,7 +688,6 @@ TEST(MuxClientTest, RecoversAfterBackoffWindow) {
   FrameClientConfig config;
   config.connect_timeout_seconds = 0.5;
   config.backoff_initial_seconds = 0.05;
-  ThreadPool pool(2);
   // Fail once against a dead port, then bring a server up on that very
   // port and retry after the window.
   auto placeholder = Listener::open(0);
@@ -693,7 +699,7 @@ TEST(MuxClientTest, RecoversAfterBackoffWindow) {
   EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
 
   auto server = FrameServer::start(
-      port, [](const Frame& f) { return f; }, pool);
+      port, answer_inline([](const Frame& f) { return f; }));
   ASSERT_NE(server, nullptr);
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   const auto reply = client.call(make_frame(FrameType::kPing, "back"));
@@ -745,14 +751,12 @@ TEST(MuxClientTest, StatsAndSuspectDoNotBlockBehindInflightCall) {
   // Health probes must return while a round trip is parked on the wire.
   ThreadPool pool(2);
   auto server = FrameServer::start(
-      0,
-      [](const Frame& request) -> std::optional<Frame> {
+      0, answer_on(pool, [](const Frame& request) -> std::optional<Frame> {
         if (request.payload == "slow") {
           std::this_thread::sleep_for(std::chrono::milliseconds(400));
         }
         return request;
-      },
-      pool);
+      }));
   ASSERT_NE(server, nullptr);
   MuxFrameClient client("127.0.0.1", server->port());
   std::future<bool> slow_call = std::async(std::launch::async, [&client] {
@@ -821,16 +825,14 @@ TEST(BackoffJitter, ZeroJitterIsExactAndFractionIsClamped) {
 // ------------------------------------------------------- authentication
 
 TEST(FrameAuth, WrongTokenIsRejectedCountedAndRightTokenAdmits) {
-  ThreadPool pool{4};
   obs::Telemetry telemetry;
   auto server = FrameServer::start(
-      0,
-      [](const Frame& request) -> std::optional<Frame> {
+      0, answer_inline([](const Frame& request) -> std::optional<Frame> {
         Frame reply = request;
         reply.type = FrameType::kPong;
         return reply;
-      },
-      pool, kDefaultMaxPayload, &telemetry, "sesame");
+      }),
+      kDefaultMaxPayload, &telemetry, "sesame");
   ASSERT_NE(server, nullptr);
 
   // No token: the first frame is not kAuth — answered with kError (or

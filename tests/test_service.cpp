@@ -765,9 +765,8 @@ TEST(WireCodec, HugeClaimedCountsAllocateNoMoreThanTheBytes) {
 
 TEST(FabricHandler, HostileRequestFailsAloneAndTheConnectionStaysUp) {
   SolveService service(small_config());
-  ThreadPool server_pool(2);
   auto server =
-      net::FrameServer::start(0, make_fabric_handler(service), server_pool);
+      net::FrameServer::start(0, make_fabric_handler(service));
   ASSERT_NE(server, nullptr);
   net::MuxFrameClient client("127.0.0.1", server->port());
 
@@ -856,9 +855,8 @@ TEST(ShardRouterTest, WorldOfOneNeverTouchesTheNetwork) {
 TEST(ShardRouterTest, RemoteShardForwardedSolvedOnceCachedOnOwner) {
   SolveService local(small_config());
   SolveService remote(small_config());
-  ThreadPool server_pool(2);
   auto server =
-      net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
+      net::FrameServer::start(0, make_fabric_handler(remote));
   ASSERT_NE(server, nullptr);
 
   RouterConfig config = two_rank_config(server->port());
@@ -911,9 +909,8 @@ TEST(ShardRouterTest, InFlightForwardsDeduplicate) {
   remote_config.registry = &registry;
   SolveService local(small_config());
   SolveService remote(remote_config);
-  ThreadPool server_pool(2);
   auto server =
-      net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
+      net::FrameServer::start(0, make_fabric_handler(remote));
   ASSERT_NE(server, nullptr);
 
   ShardRouter router(local, two_rank_config(server->port()));
@@ -943,9 +940,8 @@ TEST(ShardRouterTest, InFlightForwardsDeduplicate) {
 TEST(ShardRouterTest, IsomorphicTwinsGetOwnLabelsThroughForward) {
   SolveService local(small_config());
   SolveService remote(small_config());
-  ThreadPool server_pool(2);
   auto server =
-      net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
+      net::FrameServer::start(0, make_fabric_handler(remote));
   ASSERT_NE(server, nullptr);
 
   ShardRouter router(local, two_rank_config(server->port()));
@@ -976,9 +972,8 @@ TEST(ShardRouterTest, IsomorphicTwinsGetOwnLabelsThroughForward) {
 TEST(ShardRouterTest, PeerDeathDegradesToLocalSolveWithoutErrors) {
   SolveService local(small_config());
   SolveService remote(small_config());
-  ThreadPool server_pool(2);
   auto server =
-      net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
+      net::FrameServer::start(0, make_fabric_handler(remote));
   ASSERT_NE(server, nullptr);
 
   RouterConfig config = two_rank_config(server->port());
@@ -1018,9 +1013,8 @@ TEST(ShardRouterTest, OwnedKeysLockTheRouterOnceAndReplicaHitsNever) {
   local_config.telemetry = &telemetry;
   SolveService local(local_config);
   SolveService remote(small_config());
-  ThreadPool server_pool(2);
   auto server =
-      net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
+      net::FrameServer::start(0, make_fabric_handler(remote));
   ASSERT_NE(server, nullptr);
   ShardRouter router(local, two_rank_config(server->port()));
   const auto acquisitions = [&telemetry] {

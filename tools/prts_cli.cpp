@@ -791,14 +791,13 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
 
   service::SolveService engine(config);
 
-  // Fabric wiring: the FrameServer answers peers' frames on its own
-  // small pool (connections are long-lived; sharing the solve pool
-  // would starve it), the router forwards remote-shard misses. The
+  // Fabric wiring: the FrameServer answers peers' frames on each
+  // connection's reader thread (a solve answers from the engine worker
+  // that finished it), the router forwards remote-shard misses. The
   // router is constructed after the server (a join seed streams this
   // rank its slice the moment it admits the join), so the handler
   // resolves it lazily.
-  std::unique_ptr<ThreadPool> server_pool;
-  // Written once the router exists, read by server pool threads — a
+  // Written once the router exists, read by server reader threads — a
   // peer's frame can arrive the instant the port is bound, so the
   // hand-off must be atomic.
   std::atomic<service::ShardRouter*> router_ptr{nullptr};
@@ -812,13 +811,11 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
       return 2;
     }
     const auto port = static_cast<std::uint16_t>(listen_value);
-    server_pool = std::make_unique<ThreadPool>(
-        std::max<std::size_t>(2, 2 * peers.size()));
     server = net::FrameServer::start(
         port,
         service::make_fabric_handler(
             engine, [&router_ptr] { return router_ptr.load(); }),
-        *server_pool, net::kDefaultMaxPayload, &telemetry, auth_token);
+        net::kDefaultMaxPayload, &telemetry, auth_token);
     if (!server) {
       std::cerr << "cannot listen on port " << port << "\n";
       return 1;
