@@ -110,6 +110,10 @@ DecodeResult decode_frame(std::string_view buffer, std::size_t max_payload) {
 }
 
 void FrameDecoder::feed(std::string_view bytes) {
+  // Drop what next() consumed before growing the buffer: once per feed,
+  // not once per frame, so a chunk of many small frames is moved once.
+  buffer_.erase(0, head_);
+  head_ = 0;
   buffer_.append(bytes.data(), bytes.size());
 }
 
@@ -119,9 +123,10 @@ DecodeResult FrameDecoder::next() {
     result.status = *poisoned_;
     return result;
   }
-  DecodeResult result = decode_frame(buffer_, max_payload_);
+  DecodeResult result =
+      decode_frame(std::string_view(buffer_).substr(head_), max_payload_);
   if (result.status == DecodeStatus::kFrame) {
-    buffer_.erase(0, result.consumed);
+    head_ += result.consumed;
     result.consumed = 0;  // already dropped; nothing left for the caller
   } else if (result.status != DecodeStatus::kNeedMore) {
     poisoned_ = result.status;

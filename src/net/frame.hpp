@@ -129,10 +129,11 @@ class FrameDecoder {
   DecodeResult next();
 
   /// Bytes fed but not yet consumed by next().
-  std::size_t buffered() const noexcept { return buffer_.size(); }
+  std::size_t buffered() const noexcept { return buffer_.size() - head_; }
 
  private:
   std::string buffer_;
+  std::size_t head_ = 0;  ///< bytes of buffer_ next() has consumed
   std::size_t max_payload_;
   std::optional<DecodeStatus> poisoned_;  ///< sticky error verdict
 };

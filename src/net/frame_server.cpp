@@ -1,7 +1,11 @@
 #include "net/frame_server.hpp"
 
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <string>
 #include <utility>
 
@@ -9,11 +13,111 @@
 
 namespace prts::net {
 
+namespace {
+
+/// While a connection's outbox holds more than this, its reader reads
+/// no further requests: a peer that does not drain its replies stops
+/// being served instead of growing the outbox without bound.
+constexpr std::size_t kOutboxHighWater = std::size_t{1} << 20;
+
+}  // namespace
+
+/// One accepted connection. Replies are written without blocking from
+/// whichever thread answers; bytes the socket does not take at once
+/// wait in the outbox, which the connection's reader flushes as the
+/// peer drains. So a peer that stops reading parks no engine worker in
+/// send(), only its own reader.
 struct Responder::Connection {
-  explicit Connection(Socket accepted) : socket(std::move(accepted)) {}
+  explicit Connection(Socket accepted)
+      : socket(std::move(accepted)), wake_fd(::eventfd(0, EFD_CLOEXEC)) {}
+  ~Connection() {
+    if (wake_fd >= 0) ::close(wake_fd);
+  }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  /// Queues one frame behind the outbox and sends what the socket takes
+  /// now; false when the connection has failed.
+  bool write(const Frame& frame) noexcept;
+
+  /// Waits until the socket is readable (or closed), flushing the
+  /// outbox meanwhile; with `read` false, until the outbox is empty.
+  /// False on a dead connection.
+  bool pump(bool read);
+
   Socket socket;
-  std::mutex write_mutex;  ///< one frame on the wire at a time
+  /// The reader's wake-up, polled beside the socket: write() bumps it
+  /// when it leaves bytes in an empty outbox. -1 when no eventfd could
+  /// be made; write() then fails rather than queue bytes nobody sends.
+  const int wake_fd;
+  std::mutex write_mutex;  ///< guards outbox: frames leave whole, in order
+  std::string outbox;
+
+ private:
+  /// Sends what the outbox holds without blocking; false on an error.
+  bool flush_locked() noexcept;
 };
+
+bool Responder::Connection::write(const Frame& frame) noexcept {
+  try {
+    const std::string bytes = encode_frame(frame);
+    const std::lock_guard<std::mutex> lock(write_mutex);
+    if (!outbox.empty()) {
+      outbox += bytes;
+      return true;
+    }
+    std::size_t sent = 0;
+    if (!socket.send_some(bytes.data(), bytes.size(), sent)) return false;
+    if (sent == bytes.size()) return true;
+    if (wake_fd < 0) return false;
+    outbox.assign(bytes, sent);
+    const std::uint64_t one = 1;
+    return ::write(wake_fd, &one, sizeof(one)) == sizeof(one);
+  } catch (...) {
+    return false;  // out of memory: the connection closes
+  }
+}
+
+bool Responder::Connection::flush_locked() noexcept {
+  if (outbox.empty()) return true;
+  std::size_t sent = 0;
+  if (!socket.send_some(outbox.data(), outbox.size(), sent)) return false;
+  outbox.erase(0, sent);
+  return true;
+}
+
+bool Responder::Connection::pump(bool read) {
+  for (;;) {
+    std::size_t queued = 0;
+    {
+      const std::lock_guard<std::mutex> lock(write_mutex);
+      if (!flush_locked()) return false;
+      queued = outbox.size();
+    }
+    if (!read && queued == 0) return true;
+    struct pollfd fds[2] = {};
+    fds[0].fd = socket.fd();
+    if (read && queued <= kOutboxHighWater) fds[0].events |= POLLIN;
+    if (queued > 0) fds[0].events |= POLLOUT;
+    fds[1].fd = wake_fd;
+    fds[1].events = POLLIN;
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if ((fds[1].revents & POLLIN) != 0) {
+      std::uint64_t refills = 0;
+      if (::read(wake_fd, &refills, sizeof(refills)) < 0) return false;
+    }
+    if ((fds[0].revents & POLLNVAL) != 0) return false;
+    // Readable, or closed: the receive says which.
+    if ((fds[0].events & POLLIN) != 0 &&
+        (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      return true;
+    }
+    if ((fds[0].revents & (POLLHUP | POLLERR)) != 0) return false;
+  }
+}
 
 Responder::Responder(FrameServer& server,
                      std::shared_ptr<Connection> connection,
@@ -63,11 +167,10 @@ void Responder::operator()(std::optional<Frame> reply) {
   bool keep = false;
   if (reply) {
     reply->request_id = request_id_;
-    const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
-    keep = write_frame(connection->socket, *reply);
+    keep = connection->write(*reply);
   }
   // A declined request or a failed write closes the connection, which
-  // kicks its reader out of read_frame.
+  // wakes its reader.
   if (!keep) connection->socket.shutdown();
   server->end_response();
 }
@@ -186,10 +289,37 @@ void FrameServer::serve_connection(
   Socket& socket = connection->socket;
   const int fd = socket.fd();
   bool authed = auth_token_.empty();
-  Frame request;
-  while (!stopping_.load()) {
-    const FrameReadStatus status = read_frame(socket, request, max_payload_);
-    if (status == FrameReadStatus::kOk) {
+  FrameDecoder decoder(max_payload_);
+  // One receive takes whatever the peer has sent, often several frames.
+  std::string chunk(std::size_t{64} << 10, '\0');
+  // Set when the connection must close once the outbox has drained (an
+  // error frame is its last word).
+  bool closing = false;
+  while (!stopping_.load() && !closing && connection->pump(true)) {
+    std::size_t got = 0;
+    if (socket.recv_some_status(chunk.data(), chunk.size(), got) !=
+        Socket::RecvStatus::kOk) {
+      // EOF or an error in the middle of a frame: framing is lost.
+      if (decoder.buffered() > 0) protocol_errors_total_.add();
+      break;
+    }
+    decoder.feed(std::string_view(chunk.data(), got));
+    while (!closing) {
+      DecodeResult next = decoder.next();
+      if (next.status == DecodeStatus::kNeedMore) break;
+      if (next.status != DecodeStatus::kFrame) {
+        protocol_errors_total_.add();
+        Frame error;
+        error.type = FrameType::kError;
+        error.payload = next.status == DecodeStatus::kBadMagic ? "bad magic"
+                        : next.status == DecodeStatus::kBadVersion
+                            ? "unsupported protocol version"
+                            : "payload too large";
+        closing = true;
+        if (!connection->write(error)) break;
+        continue;
+      }
+      const Frame& request = next.frame;
       obs::hop_probe::touch();
       frames_total_.add();
       if (request.type == FrameType::kAuth || !authed) {
@@ -203,41 +333,24 @@ void FrameServer::serve_connection(
             (authed || request.payload == auth_token_)) {
           authed = true;
           reply.type = FrameType::kPong;
-          const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
-          if (!write_frame(socket, reply)) break;
+          if (!connection->write(reply)) closing = true;
           continue;
         }
         auth_failures_total_.add();
         reply.type = FrameType::kError;
         reply.payload = "authentication required";
-        const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
-        write_frame(socket, reply);
-        break;
+        closing = true;
+        connection->write(reply);
+        continue;
       }
       // Inline: the handler answers now or hands its Responder to
       // whoever will (a solve's completion); either way the reader goes
       // straight back to reading.
       handle_frame(request, connection);
-      continue;
     }
-    if (status == FrameReadStatus::kBadMagic ||
-        status == FrameReadStatus::kBadVersion ||
-        status == FrameReadStatus::kOversized ||
-        status == FrameReadStatus::kTruncated) {
-      protocol_errors_total_.add();
-      if (status != FrameReadStatus::kTruncated) {
-        Frame error;
-        error.type = FrameType::kError;
-        error.payload = status == FrameReadStatus::kBadMagic ? "bad magic"
-                        : status == FrameReadStatus::kBadVersion
-                            ? "unsupported protocol version"
-                            : "payload too large";
-        const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
-        write_frame(socket, error);
-      }
-    }
-    break;  // framing lost or peer gone: close
   }
+  // The last word (an error frame) leaves before the close.
+  if (closing && !stopping_.load()) connection->pump(false);
   {
     // Deregister while the socket is still open, so stop() can never
     // shut down a descriptor that has already been recycled. Pending

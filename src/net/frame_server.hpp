@@ -1,11 +1,14 @@
 // The fabric's listening side: one accept thread hands each connection
 // to a dedicated reader thread, which runs the handler inline on every
 // frame it reads. A handler answers through a Responder, which stamps
-// the request id and writes under the connection's write mutex from
-// whatever thread holds it — so a solve answers from the engine worker
-// that finished it, out of order with its neighbours, while the reader
-// keeps reading the pings, gossip digests and scrapes behind it. No
-// thread of the server waits on a handler.
+// the request id and writes from whatever thread holds it — so a solve
+// answers from the engine worker that finished it, out of order with
+// its neighbours, while the reader keeps reading the pings, gossip
+// digests and scrapes behind it. No thread of the server waits on a
+// handler, and no answering thread waits on the peer: a reply the
+// socket does not take at once waits in the connection's outbox, which
+// its reader flushes as the peer drains (and while the outbox is over
+// 1 MiB the reader takes no new requests from that peer).
 //
 // Robustness contract (exercised by tests/test_net.cpp): malformed
 // magic, version mismatch and oversized length fields are answered with
@@ -39,8 +42,8 @@ namespace prts::net {
 class FrameServer;
 
 /// The one answer a request frame is owed. Move-only; calling it writes
-/// the reply (the request id is stamped here) under the connection's
-/// write mutex, from any thread, exactly once. nullopt closes the
+/// the reply (the request id is stamped here) without blocking, from
+/// any thread, exactly once. nullopt closes the
 /// connection without a reply, which also aborts the other in-flight
 /// exchanges on it (a deliberate peer-death simulation). A Responder
 /// destroyed unanswered — say, by a handler that threw — answers one

@@ -101,8 +101,17 @@ void MuxFrameClient::shutdown() {
 }
 
 void MuxFrameClient::fail_all(Failed& failed) {
-  for (ReplyCallback& callback : failed) callback(std::nullopt);
+  for (ReplyCallback& callback : failed) deliver(callback, std::nullopt);
   failed.clear();
+}
+
+void MuxFrameClient::deliver(ReplyCallback& callback,
+                             std::optional<Frame> reply) noexcept {
+  try {
+    callback(std::move(reply));
+  } catch (...) {
+    // The exchange is over either way; the thread that ran it is not.
+  }
 }
 
 namespace {
@@ -163,7 +172,7 @@ void MuxFrameClient::call_async(Frame request, double deadline_seconds,
     if (!stop_) fast_failures_.add();
     failures_.add();
   }
-  callback(std::nullopt);
+  deliver(callback, std::nullopt);
 }
 
 std::optional<Frame> MuxFrameClient::call(const Frame& request) {
@@ -312,7 +321,7 @@ void MuxFrameClient::reader_loop(std::shared_ptr<Socket> socket,
     }
     if (answered) {
       obs::hop_probe::touch();
-      answered(std::move(reply));
+      deliver(answered, std::move(reply));
     }
     fail_all(failed);
     if (connection_over) return;

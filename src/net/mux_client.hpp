@@ -115,7 +115,9 @@ class MuxFrameClient {
  public:
   /// Receives one exchange's outcome: the peer's reply, or nullopt on
   /// connect failure, connection death, deadline expiry, fast-fail
-  /// inside the backoff window, or shutdown.
+  /// inside the backoff window, or shutdown. It should not throw: what
+  /// one throws is dropped, so the reader (and every other exchange on
+  /// the connection) carries on.
   using ReplyCallback = UniqueFunction<void(std::optional<Frame>)>;
 
   MuxFrameClient(std::string host, std::uint16_t port,
@@ -188,6 +190,9 @@ class MuxFrameClient {
   /// released.
   using Failed = std::vector<ReplyCallback>;
   static void fail_all(Failed& failed);
+  /// Runs one callback, dropping whatever it throws.
+  static void deliver(ReplyCallback& callback,
+                      std::optional<Frame> reply) noexcept;
 
   /// Reader tick: bounds how stale a deadline sweep can be.
   static constexpr double kSweepIntervalSeconds = 0.05;

@@ -69,6 +69,22 @@ bool Socket::send_all(const void* data, std::size_t size) noexcept {
   return true;
 }
 
+bool Socket::send_some(const void* data, std::size_t size,
+                       std::size_t& sent) noexcept {
+  sent = 0;
+  while (sent < size) {
+    const ssize_t wrote =
+        ::send(fd(), static_cast<const char*>(data) + sent, size - sent,
+               MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      return errno == EAGAIN || errno == EWOULDBLOCK;
+    }
+    sent += static_cast<std::size_t>(wrote);
+  }
+  return true;
+}
+
 bool Socket::recv_all(void* data, std::size_t size) noexcept {
   return recv_exact(data, size) == RecvStatus::kOk;
 }

@@ -5,10 +5,12 @@
 //
 // Deliberately dependency-free (raw sockets, no event loop, no external
 // library): the fabric's connections are few and long-lived — one peer
-// link per remote shard — so blocking IO on one dedicated reader (and,
-// client side, one writer) thread per connection is the right
-// complexity level; the work itself runs in completions on whichever
-// thread a reply lands (src/net/frame_server.*, src/net/mux_client.*).
+// link per remote shard — so one dedicated reader (and, client side,
+// one writer) thread per connection is the right complexity level; the
+// work itself runs in completions on whichever thread a reply lands
+// (src/net/frame_server.*, src/net/mux_client.*). A server's replies
+// leave their completion's thread without blocking: what the socket
+// does not take at once, the connection's reader sends later.
 #pragma once
 
 #include <atomic>
@@ -52,6 +54,12 @@ class Socket {
   /// Sends the whole buffer (looping over partial writes); false on any
   /// error. Retries EINTR.
   bool send_all(const void* data, std::size_t size) noexcept;
+
+  /// Sends as much of the buffer as the socket takes without blocking
+  /// (`sent` bytes, possibly 0); false on any error but a full send
+  /// buffer. Retries EINTR.
+  bool send_some(const void* data, std::size_t size,
+                 std::size_t& sent) noexcept;
 
   /// Why a receive stopped short: a receive *timeout* (the peer is slow
   /// or wedged, but the connection may well be alive) is a different

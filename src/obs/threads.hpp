@@ -2,7 +2,8 @@
 //
 //   1. name_this_thread: every long-lived thread names itself by role
 //      (engine, mux-writer, mux-reader, srv-reader, srv-accept,
-//      fabric-timer, flight-rec, watchdog, checkpointer), so per-role
+//      fabric-timer, flight-rec, watchdog, checkpointer, and the
+//      campaign and monte-carlo pools), so per-role
 //      CPU and context switches can be read from
 //      /proc/<pid>/task/*/{comm,stat} without a profiler.
 //   2. The hop probe: while armed, every thread that does work for a

@@ -82,7 +82,7 @@ CampaignResult run_campaign_points(const CampaignSpec& spec,
   // Phase 1 (parallel): every job writes its own preassigned slot, so no
   // synchronization and no ordering effects.
   std::vector<std::vector<double>> failures(jobs);
-  ThreadPool pool(config.threads);
+  ThreadPool pool(config.threads, "campaign");
   pool.parallel_for(jobs, [&](std::size_t job) {
     const Instance instance = materialize_instance(spec, job);
     std::vector<double>& outcome = failures[job];

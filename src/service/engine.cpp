@@ -101,6 +101,18 @@ struct FulfillPromise {
   void operator()(SolveReply&& reply) { promise.set_value(std::move(reply)); }
 };
 
+/// Runs a completion. An exception it throws must not unwind into the
+/// engine, where the batch's other waiters are still owed their
+/// answers: it is counted in `failures` and goes no further.
+void deliver(ReplyCallback& done, SolveReply&& reply,
+             obs::Counter& failures) noexcept {
+  try {
+    done(std::move(reply));
+  } catch (...) {
+    failures.add();
+  }
+}
+
 }  // namespace
 
 std::future<SolveReply> ready_reply_future(SolveReply reply) {
@@ -176,6 +188,7 @@ SolveService::SolveService(ServiceConfig config)
   rejected_queue_ = engine_counter("rejected_queue");
   rejected_deadline_ = engine_counter("rejected_deadline");
   errors_ = engine_counter("errors");
+  completion_failures_ = engine_counter("completion_failures");
   request_allocs_counter_ = &metrics.counter("engine_request_allocs_total");
   request_alloc_bytes_counter_ =
       &metrics.counter("engine_request_alloc_bytes_total");
@@ -311,7 +324,7 @@ void SolveService::submit_canonicalized(
     submitted_->add();
     (near_miss ? dominating_hits_ : cache_hits_)->add();
     submit_profile.finish();
-    done(std::move(reply));
+    deliver(done, std::move(reply), *completion_failures_);
   };
 
   if (config_.cache_enabled) {
@@ -368,7 +381,7 @@ void SolveService::submit_canonicalized(
                              elapsed);
     telemetry_.tracer.finish(trace_id, elapsed);
     submit_profile.finish();
-    done(std::move(reply));
+    deliver(done, std::move(reply), *completion_failures_);
     return;
   }
   ++outstanding_;
@@ -661,71 +674,81 @@ void SolveService::finish_query(PendingQuery& query,
   }
   const Clock::time_point finished_at = Clock::now();
   for (Waiter& waiter : waiters) {
-    // Per-waiter trace rendering: every attached caller (including
-    // dedup twins) gets the shared work phases expressed as offsets
-    // from its *own* submit time, under its *own* trace id.
-    const double total = seconds_since(waiter.submitted, finished_at);
-    const double wait =
-        seconds_since(waiter.submitted, outcome.processing_started);
-    telemetry_.tracer.record(waiter.trace_id, "batch_wait", telemetry_.rank,
-                             0.0, wait);
-    if (telemetry_.profiler.enabled()) {
-      // Queue wait is blocked time by construction: the request was
-      // owned by no thread, so the sample is wall-only.
-      obs::WorkSample queued;
-      queued.wall_seconds = wait;
-      obs::Profiler::record(*prof_batch_wait_, queued);
-    }
-    for (const QueryOutcome::TimedSpan& span : outcome.spans) {
-      obs::Span rendered;
-      rendered.name = span.name;
-      rendered.rank = telemetry_.rank;
-      rendered.start_seconds = seconds_since(waiter.submitted, span.start);
-      rendered.duration_seconds = span.duration_seconds;
-      rendered.cpu_seconds = span.cpu_seconds;
-      rendered.alloc_count = span.alloc_count;
-      rendered.alloc_bytes = span.alloc_bytes;
-      telemetry_.tracer.record(waiter.trace_id, std::move(rendered));
-    }
-    telemetry_.tracer.finish(waiter.trace_id, total);
-    request_latency_hist_->record(total);
-    batch_wait_hist_->record(wait);
     SolveReply reply;
-    reply.key = query.key;
-    reply.deduplicated = waiter.deduplicated;
-    reply.cache_hit = outcome.cache_hit;
-    reply.near_miss = outcome.near_miss;
-    reply.cost_seconds = outcome.cost_seconds;
-    reply.trace_id = waiter.trace_id;
-    switch (outcome.kind) {
-      case QueryOutcome::Kind::kError:
-        reply.status = ReplyStatus::kError;
-        reply.error = outcome.error;
-        break;
-      case QueryOutcome::Kind::kRejected:
-        reply.status = ReplyStatus::kRejectedDeadline;
-        break;
-      case QueryOutcome::Kind::kFallback:
-        if (waiter.deadline_policy == DeadlinePolicy::kReject) {
+    try {
+      // Per-waiter trace rendering: every attached caller (including
+      // dedup twins) gets the shared work phases expressed as offsets
+      // from its *own* submit time, under its *own* trace id.
+      const double total = seconds_since(waiter.submitted, finished_at);
+      const double wait =
+          seconds_since(waiter.submitted, outcome.processing_started);
+      telemetry_.tracer.record(waiter.trace_id, "batch_wait", telemetry_.rank,
+                               0.0, wait);
+      if (telemetry_.profiler.enabled()) {
+        // Queue wait is blocked time by construction: the request was
+        // owned by no thread, so the sample is wall-only.
+        obs::WorkSample queued;
+        queued.wall_seconds = wait;
+        obs::Profiler::record(*prof_batch_wait_, queued);
+      }
+      for (const QueryOutcome::TimedSpan& span : outcome.spans) {
+        obs::Span rendered;
+        rendered.name = span.name;
+        rendered.rank = telemetry_.rank;
+        rendered.start_seconds = seconds_since(waiter.submitted, span.start);
+        rendered.duration_seconds = span.duration_seconds;
+        rendered.cpu_seconds = span.cpu_seconds;
+        rendered.alloc_count = span.alloc_count;
+        rendered.alloc_bytes = span.alloc_bytes;
+        telemetry_.tracer.record(waiter.trace_id, std::move(rendered));
+      }
+      telemetry_.tracer.finish(waiter.trace_id, total);
+      request_latency_hist_->record(total);
+      batch_wait_hist_->record(wait);
+      reply.key = query.key;
+      reply.deduplicated = waiter.deduplicated;
+      reply.cache_hit = outcome.cache_hit;
+      reply.near_miss = outcome.near_miss;
+      reply.cost_seconds = outcome.cost_seconds;
+      reply.trace_id = waiter.trace_id;
+      switch (outcome.kind) {
+        case QueryOutcome::Kind::kError:
+          reply.status = ReplyStatus::kError;
+          reply.error = outcome.error;
+          break;
+        case QueryOutcome::Kind::kRejected:
           reply.status = ReplyStatus::kRejectedDeadline;
           break;
-        }
-        reply.downgraded = true;
-        [[fallthrough]];
-      case QueryOutcome::Kind::kAnswered:
-        reply.solver_used = outcome.solver_used;
-        if (outcome.canonical_solution) {
-          reply.status = ReplyStatus::kSolved;
-          // Each waiter's own permutation: isomorphic twins get the
-          // shared solve expressed in their own processor labels.
-          reply.solution = to_original_labels(*outcome.canonical_solution,
-                                              *waiter.canonical);
-        } else {
-          reply.status = ReplyStatus::kInfeasible;
-        }
-        break;
+        case QueryOutcome::Kind::kFallback:
+          if (waiter.deadline_policy == DeadlinePolicy::kReject) {
+            reply.status = ReplyStatus::kRejectedDeadline;
+            break;
+          }
+          reply.downgraded = true;
+          [[fallthrough]];
+        case QueryOutcome::Kind::kAnswered:
+          reply.solver_used = outcome.solver_used;
+          if (outcome.canonical_solution) {
+            reply.status = ReplyStatus::kSolved;
+            // Each waiter's own permutation: isomorphic twins get the
+            // shared solve expressed in their own processor labels.
+            reply.solution = to_original_labels(*outcome.canonical_solution,
+                                                *waiter.canonical);
+          } else {
+            reply.status = ReplyStatus::kInfeasible;
+          }
+          break;
+      }
+    } catch (const std::exception& error) {
+      // Rendering ran out of memory (or the like): this waiter still
+      // gets an answer, and the batch's next waiters theirs.
+      reply = SolveReply{};
+      reply.status = ReplyStatus::kError;
+      reply.key = query.key;
+      reply.trace_id = waiter.trace_id;
+      reply.error = error.what();
     }
-    waiter.done(std::move(reply));
+    deliver(waiter.done, std::move(reply), *completion_failures_);
   }
 }
 

@@ -141,7 +141,9 @@ std::future<SolveReply> ready_reply_future(SolveReply reply);
 /// A submit's completion: called exactly once with the reply, never
 /// while the engine's lock is held. Move-only, so it can own a promise
 /// or a connection's responder; up to six pointers of captures stay
-/// inline.
+/// inline. It should not throw: the engine counts what one throws in
+/// prts_engine_completion_failures_total and goes on, so the other
+/// waiters of its batch are still answered.
 using ReplyCallback = UniqueFunction<void(SolveReply)>;
 
 /// Engine counters (monotonic; snapshot via SolveService::stats). Every
@@ -382,6 +384,8 @@ class SolveService {
   obs::Counter* rejected_queue_ = nullptr;
   obs::Counter* rejected_deadline_ = nullptr;
   obs::Counter* errors_ = nullptr;
+  /// Completions that threw (swallowed; see ReplyCallback).
+  obs::Counter* completion_failures_ = nullptr;
   /// Submit-path allocation bill: totals plus the derived
   /// engine_allocs_per_request gauge (allocs_total / submitted) — the
   /// zero-allocation rebuild's headline number.

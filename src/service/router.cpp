@@ -4,6 +4,7 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -94,6 +95,9 @@ net::FrameHandler make_fabric_handler(SolveService& service,
               solved.type = net::FrameType::kSolveReply;
               solved.payload = encode_wire_reply(answer);
               respond(std::move(solved));
+              // Should anything above throw, the engine swallows it and
+              // this Responder, destroyed unanswered, answers kError: the
+              // peer fails over instead of waiting out its deadline.
             });
         return;
       }
@@ -200,9 +204,9 @@ std::optional<std::vector<PeerAddress>> parse_peer_list(
   return peers;
 }
 
-ShardRouter::AsyncOp::AsyncOp(ShardRouter& router) noexcept
-    : router_(&router) {
-  router_->async_ops_.fetch_add(1, std::memory_order_relaxed);
+ShardRouter::AsyncOp::AsyncOp(ShardRouter& router) : router_(&router) {
+  const std::lock_guard<std::mutex> lock(router_->async_mutex_);
+  ++router_->async_ops_;
 }
 
 ShardRouter::AsyncOp::AsyncOp(AsyncOp&& other) noexcept
@@ -210,10 +214,11 @@ ShardRouter::AsyncOp::AsyncOp(AsyncOp&& other) noexcept
 
 ShardRouter::AsyncOp::~AsyncOp() {
   if (router_ == nullptr) return;
-  if (router_->async_ops_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    const std::lock_guard<std::mutex> lock(router_->async_mutex_);
-    router_->async_cv_.notify_all();
-  }
+  // Decrement and notify under the lock: the destructor can only see
+  // zero once this critical section has released the router's mutex,
+  // so nothing here touches a destroyed router.
+  const std::lock_guard<std::mutex> lock(router_->async_mutex_);
+  if (--router_->async_ops_ == 0) router_->async_cv_.notify_all();
 }
 
 ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
@@ -346,9 +351,7 @@ ShardRouter::~ShardRouter() {
   for (const auto& client : clients) client->shutdown();
   // What is left are failover solves on the local engine.
   std::unique_lock<std::mutex> lock(async_mutex_);
-  async_cv_.wait(lock, [this] {
-    return async_ops_.load(std::memory_order_acquire) == 0;
-  });
+  async_cv_.wait(lock, [this] { return async_ops_ == 0; });
 }
 
 net::MuxFrameClient* ShardRouter::client_for(
@@ -501,7 +504,8 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   forward->deadline_seconds = request.deadline_seconds;
   forward->deadline_policy = request.deadline_policy;
   forward->key = key;
-  forward->client = owner_client;
+  forward->owner = owner;
+  forward->submitted = arrival;
   forward->trace_id = request.trace_id;
   forward->waiters.push_back(ForwardWaiter{{}, canonical,
                                            request.deadline_seconds,
@@ -517,6 +521,7 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   }
   ++forwards_on_wire_;
   lock.unlock();
+  forward->client = owner_client;
 
   launch(std::move(forward));
   return future;
@@ -540,6 +545,16 @@ void ShardRouter::launch(std::shared_ptr<Forward> forward) {
 }
 
 void ShardRouter::send_forward(std::shared_ptr<Forward> forward) {
+  net::MuxFrameClient* client = forward->client;
+  if (client == nullptr) {
+    // It waited for a slot: the owner's address is read now, as it
+    // stands. A vanished owner fails over like an unreachable one.
+    client = client_for(forward->owner, *membership_.snapshot());
+    if (client == nullptr) {
+      finish_forward(*forward, std::nullopt, Clock::now());
+      return;
+    }
+  }
   // The forwarded request carries the *canonical* instance, so the
   // owner's reply is already in canonical labels — each waiter then
   // translates into its own processor labels, exactly like the local
@@ -555,10 +570,20 @@ void ShardRouter::send_forward(std::shared_ptr<Forward> forward) {
   frame.payload = encode_wire_request(remote_request);
   const Clock::time_point wire_start = Clock::now();
   // A mux deadline or a dead connection calls back with nullopt, and
-  // the forward fails over from there.
-  net::MuxFrameClient& client = *forward->client;
-  client.call_async(
-      std::move(frame),
+  // the forward fails over from there. Time spent waiting for a slot
+  // counts against the deadline; one that ran out while waiting fails
+  // over without being sent.
+  double deadline_seconds = std::numeric_limits<double>::infinity();
+  if (config_.client.reply_timeout_seconds > 0.0) {
+    deadline_seconds = config_.client.reply_timeout_seconds -
+                       seconds_since(forward->submitted, wire_start);
+    if (deadline_seconds <= 0.0) {
+      finish_forward(*forward, std::nullopt, wire_start);
+      return;
+    }
+  }
+  client->call_async(
+      std::move(frame), deadline_seconds,
       [this, forward = std::move(forward), wire_start, op = AsyncOp(*this)](
           std::optional<net::Frame> reply) {
         finish_forward(*forward, std::move(reply), wire_start);

@@ -55,7 +55,6 @@
 // the next step, so the router owns no thread but its fabric timer.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -218,11 +217,6 @@ class ShardRouter {
   /// has more than one member).
   bool distributed() const { return membership_.member_count() > 1; }
 
-  /// The membership snapshot requests route by (one lock acquisition).
-  std::shared_ptr<const MembershipSnapshot> membership_snapshot() const {
-    return membership_.snapshot();
-  }
-
   /// Routes one request; the future resolves exactly like
   /// SolveService::submit's (statuses, never exceptions).
   std::future<SolveReply> submit(SolveRequest request);
@@ -319,8 +313,13 @@ class ShardRouter {
     double deadline_seconds;
     DeadlinePolicy deadline_policy;
     CanonicalHash key;
-    /// The owner's client, resolved at submit time.
+    std::size_t owner = 0;
+    /// The owner's client, resolved at submit time for a forward sent
+    /// at once; nullptr for one that waits for a slot, which resolves
+    /// it when sent (the owner may have been rewired meanwhile).
     net::MuxFrameClient* client = nullptr;
+    /// The wire deadline counts from here, the wait for a slot included.
+    std::chrono::steady_clock::time_point submitted{};
     std::vector<ForwardWaiter> waiters;
     /// The first submitter's trace id, carried on the wire so the
     /// owner's spans land in the same trace.
@@ -334,7 +333,7 @@ class ShardRouter {
   /// last of them. Move-only; captured by the callback it guards.
   class AsyncOp {
    public:
-    explicit AsyncOp(ShardRouter& router) noexcept;
+    explicit AsyncOp(ShardRouter& router);
     AsyncOp(AsyncOp&& other) noexcept;
     AsyncOp& operator=(AsyncOp&&) = delete;
     ~AsyncOp();
@@ -348,14 +347,14 @@ class ShardRouter {
   /// a loop instead of a recursion.
   void launch(std::shared_ptr<Forward> forward);
   /// Encodes the forward's request and sends it; the reply (or its
-  /// failure) lands in finish_forward on the mux client's thread.
+  /// failure) lands in finish_forward on the mux client's thread. A
+  /// forward with no client resolves the owner's now.
   void send_forward(std::shared_ptr<Forward> forward);
   void finish_forward(Forward& forward, std::optional<net::Frame> reply,
                       std::chrono::steady_clock::time_point wire_start);
   void count_owned_hit(const CanonicalHash& key);
   void double_write(const CanonicalHash& key, std::size_t owner,
                     const MembershipSnapshot& membership);
-  void run_prefetch(std::size_t owner, std::vector<CanonicalHash> keys);
   void finish_prefetch(std::size_t fetched);
 
   /// The client wired to `rank` at its address in `membership`;
@@ -417,8 +416,9 @@ class ShardRouter {
   /// is created from then on.
   bool closing_ = false;
 
-  /// Live AsyncOps; the destructor waits for zero on async_cv_.
-  std::atomic<std::size_t> async_ops_{0};
+  /// Live AsyncOps (guarded by async_mutex_); the destructor waits for
+  /// zero on async_cv_.
+  std::size_t async_ops_ = 0;
   std::mutex async_mutex_;
   std::condition_variable async_cv_;
 
@@ -432,7 +432,11 @@ class ShardRouter {
   /// wire at once; later ones wait here, in submit order, until a
   /// completion frees a slot. Under overload the backlog queues on the
   /// requesting rank instead of filling the owners' engine queues past
-  /// their admission limit.
+  /// their admission limit, as the forward pool's threads once bounded
+  /// it. The backlog itself is unbounded; its forwards' wire deadlines
+  /// run while they wait, and each is sent to the owner's address as it
+  /// stands then. fleet_open failed no request at windows of 8, 16, 64
+  /// and 256, and failed 72-229 per run in half its runs with none.
   static constexpr std::size_t kMaxForwardsOnWire = 64;
   std::size_t forwards_on_wire_ = 0;
   std::deque<std::shared_ptr<Forward>> waiting_forwards_;

@@ -93,7 +93,7 @@ MonteCarloResult estimate_reliability(const TaskChain& chain,
                                       const Mapping& mapping,
                                       std::size_t trials, std::uint64_t seed,
                                       bool use_routing, std::size_t threads) {
-  ThreadPool pool(threads);
+  ThreadPool pool(threads, "monte-carlo");
   const std::size_t workers = pool.thread_count();
   const std::size_t chunk = (trials + workers - 1) / std::max<std::size_t>(
                                 workers, 1);

@@ -6,11 +6,13 @@
 // -rate search converges on the pass/fail boundary.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "load/arrivals.hpp"
@@ -19,9 +21,31 @@
 #include "load/trace.hpp"
 #include "model/generator.hpp"
 #include "service/engine.hpp"
+#include "solver/registry.hpp"
 
 namespace prts::load {
 namespace {
+
+/// The builtin exact solver, held busy for a fixed time per solve: a
+/// miss occupies the worker for as long as it takes, however fast the
+/// enumeration itself has become.
+class SlowExactSolver final : public solver::Solver {
+ public:
+  explicit SlowExactSolver(std::chrono::microseconds hold)
+      : hold_(hold), inner_(solver::SolverRegistry::builtin().find("exact")) {}
+
+  std::string name() const override { return "slow-exact"; }
+
+  std::optional<solver::Solution> solve(
+      const Instance& instance, const solver::Bounds& bounds) const override {
+    std::this_thread::sleep_for(hold_);
+    return inner_->solve(instance, bounds);
+  }
+
+ private:
+  std::chrono::microseconds hold_;
+  std::shared_ptr<const solver::Solver> inner_;
+};
 
 LoadTrace sample_trace() {
   LoadTrace trace;
@@ -332,8 +356,13 @@ TEST(OpenLoop, DrivesRealEngineToCompletion) {
 TEST(OpenLoop, TinyQueueRejectsWithoutBlockingArrivals) {
   // Admission control under a queue of 1: arrivals keep their schedule
   // (open loop) and the overflow comes back kRejectedQueue instead of
-  // wedging a waiter. Every submission still resolves.
+  // wedging a waiter. Every submission still resolves. Each miss holds
+  // the one worker for 2 ms, eight arrival gaps, so the queue is full
+  // for most arrivals whatever the enumeration costs.
+  solver::SolverRegistry registry;
+  registry.add(std::make_shared<SlowExactSolver>(std::chrono::milliseconds(2)));
   service::ServiceConfig service_config;
+  service_config.registry = &registry;
   service_config.threads = 1;
   service_config.max_queue_depth = 1;
   service::SolveService engine(service_config);
@@ -343,7 +372,7 @@ TEST(OpenLoop, TinyQueueRejectsWithoutBlockingArrivals) {
   config.duration_seconds = 0.25;
   config.key_count = 64;
   config.bounds_per_key = 8;  // mostly cache misses: real solver work
-  config.solver_mix = {{"exact", 1.0}};
+  config.solver_mix = {{"slow-exact", 1.0}};
   config.seed = 34;
   const LoadTrace trace = generate_arrivals(config);
 

@@ -579,7 +579,6 @@ TEST(OneOwnership, BootListAndJoinFoundedFleetsAgreeOnEveryKey) {
 
 TEST(OneOwnership, BootListFleetGrowsByJoin) {
   FabricHarness::Options options = boot_options(2);
-  options.server_threads = 10;
   FabricHarness harness(options);
   EXPECT_EQ(harness.router(0).epoch(), 1u);
   expect_join_streams_handoff_and_replays(harness);

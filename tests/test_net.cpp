@@ -8,11 +8,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -512,6 +515,60 @@ TEST(FrameServerTest, StopUnblocksIdleConnections) {
   EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "gone")).has_value());
 }
 
+TEST(FrameServerTest, PeerThatStopsReadingParksNoAnsweringThread) {
+  // Replies far larger than the socket buffers, to a peer that sends
+  // its requests and then reads nothing: the thread that answers (an
+  // engine worker, in the fabric) must not block on the peer. The
+  // unsent bytes wait in the connection's outbox, and its reader
+  // flushes them once the peer drains.
+  constexpr std::size_t kRequests = 64;
+  const std::string big(std::size_t{256} << 10, 'r');  // 16 MiB in all
+  std::mutex mutex;
+  std::condition_variable arrived;
+  std::vector<Responder> held;
+  auto server = FrameServer::start(
+      0, [&mutex, &arrived, &held](const Frame&, Responder respond) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        held.push_back(std::move(respond));
+        arrived.notify_all();
+      });
+  ASSERT_NE(server, nullptr);
+  auto raw = tcp_connect("127.0.0.1", server->port(), 2.0);
+  ASSERT_TRUE(raw.has_value());
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    Frame request = make_frame(FrameType::kPing, "");
+    request.request_id = i + 1;
+    ASSERT_TRUE(write_frame(*raw, request));
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(arrived.wait_for(lock, std::chrono::seconds(10), [&held] {
+      return held.size() == kRequests;
+    }));
+  }
+  std::promise<void> answered;
+  std::thread answering([&held, &big, &answered] {
+    for (Responder& respond : held) {
+      respond(make_frame(FrameType::kPong, big));
+    }
+    answered.set_value();
+  });
+  const bool returned = answered.get_future().wait_for(
+                            std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  EXPECT_TRUE(returned) << "an answer blocked on a peer that reads nothing";
+  // The peer drains: every reply arrives whole, in answer order.
+  raw->set_receive_timeout(10.0);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    Frame reply;
+    ASSERT_EQ(read_frame(*raw, reply), FrameReadStatus::kOk) << "reply " << i;
+    EXPECT_EQ(reply.request_id, i + 1);
+    EXPECT_EQ(reply.payload.size(), big.size());
+  }
+  answering.join();
+  server->stop();
+}
+
 // ----------------------------------------------------------- mux client
 
 TEST(MuxClientTest, ConcurrentCallsShareOneConnectionWithDistinctAnswers) {
@@ -615,6 +672,39 @@ TEST(MuxClientTest, ReplyForUnknownIdIsDroppedAndConnectionSurvives) {
     EXPECT_FALSE(client.suspect());
   }
   server.join();
+}
+
+TEST(MuxClientTest, ThrowingCallbackLeavesTheReaderServing) {
+  // A callback that throws on the reader ends its own exchange only:
+  // the connection keeps answering, on the reader and fast-fail paths.
+  auto server = FrameServer::start(
+      0, answer_inline([](const Frame& request) -> std::optional<Frame> {
+        Frame reply = request;
+        reply.type = FrameType::kPong;
+        return reply;
+      }));
+  ASSERT_NE(server, nullptr);
+  MuxFrameClient client("127.0.0.1", server->port());
+  std::promise<void> ran;
+  client.call_async(make_frame(FrameType::kPing, "first"), 5.0,
+                    [&ran](std::optional<Frame> reply) {
+                      EXPECT_TRUE(reply.has_value());
+                      ran.set_value();
+                      throw std::runtime_error("callback failed");
+                    });
+  ran.get_future().get();
+  const std::optional<Frame> reply =
+      client.call(make_frame(FrameType::kPing, "second"));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->payload, "second");
+  EXPECT_EQ(server->stats().connections, 1u);
+  client.shutdown();
+  EXPECT_NO_THROW(client.call_async(
+      make_frame(FrameType::kPing, "late"), 5.0,
+      [](std::optional<Frame> late) {
+        EXPECT_FALSE(late.has_value());
+        throw std::runtime_error("callback failed");
+      }));
 }
 
 TEST(MuxClientTest, MidStreamDeathFailsAllOutstandingPromises) {

@@ -16,6 +16,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "eval/evaluation.hpp"
@@ -321,6 +322,48 @@ TEST(SolveService, IdenticalInFlightRequestsDeduplicate) {
   EXPECT_EQ(a.solution->metrics, b.solution->metrics);
   // One solve, one cache entry.
   EXPECT_EQ(service.cache_stats().insertions, 1u);
+}
+
+TEST(SolveService, ThrowingCompletionFailsNoOtherWaiter) {
+  // A completion that throws must not unwind into the engine: its dedup
+  // twin is still answered, the service drains, and a throwing
+  // completion on the inline hit path stays inside submit too.
+  std::promise<void> gate;
+  solver::SolverRegistry registry;
+  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
+
+  ServiceConfig config;
+  config.registry = &registry;
+  config.threads = 1;
+  SolveService service(config);
+
+  const SolveRequest request{hom_instance(), "gated", {}};
+  std::size_t thrown = 0;
+  service.submit(request, [&thrown](SolveReply) {
+    ++thrown;
+    throw std::runtime_error("completion failed");
+  });
+  std::future<SolveReply> twin = service.submit(request);
+  EXPECT_EQ(service.stats().deduplicated, 1u);
+  gate.set_value();
+  const SolveReply answered = twin.get();
+  EXPECT_EQ(answered.status, ReplyStatus::kSolved);
+  EXPECT_TRUE(answered.deduplicated);
+  service.wait_idle();
+  EXPECT_EQ(thrown, 1u);
+  EXPECT_EQ(service.stats().completed, service.stats().submitted);
+
+  EXPECT_NO_THROW(service.submit(request, [&thrown](SolveReply reply) {
+    ++thrown;
+    EXPECT_TRUE(reply.cache_hit);
+    throw std::runtime_error("completion failed");
+  }));
+  EXPECT_EQ(thrown, 2u);
+  EXPECT_EQ(service.telemetry()
+                .metrics.counter("prts_engine_completion_failures_total")
+                .value(),
+            2u);
+  EXPECT_TRUE(service.submit(request).get().cache_hit);
 }
 
 TEST(SolveService, DeduplicatedIsomorphicTwinsGetTheirOwnLabels) {
