@@ -41,22 +41,48 @@ struct Responder::Connection {
   bool write(const Frame& frame) noexcept;
 
   /// Waits until the socket is readable (or closed), flushing the
-  /// outbox meanwhile; with `read` false, until the outbox is empty.
-  /// False on a dead connection.
+  /// outbox meanwhile; with `read` false, until every owed reply has
+  /// been answered and written. False on a dead connection.
   bool pump(bool read);
+
+  /// A Responder for this connection was made, or has answered.
+  void owe();
+  void settle() noexcept;
 
   Socket socket;
   /// The reader's wake-up, polled beside the socket: write() bumps it
-  /// when it leaves bytes in an empty outbox. -1 when no eventfd could
-  /// be made; write() then fails rather than queue bytes nobody sends.
+  /// when it leaves bytes in an empty outbox, settle() when the last
+  /// owed reply of a draining connection is in. -1 when no eventfd
+  /// could be made; write() then fails rather than queue bytes nobody
+  /// sends.
   const int wake_fd;
-  std::mutex write_mutex;  ///< guards outbox: frames leave whole, in order
-  std::string outbox;
+  std::mutex write_mutex;  ///< guards the three below
+  std::string outbox;      ///< frames leave whole, in order
+  std::size_t owed = 0;    ///< Responders not yet answered
+  bool draining = false;   ///< the reader reads no more; it waits on owed
 
  private:
   /// Sends what the outbox holds without blocking; false on an error.
   bool flush_locked() noexcept;
+  void wake() noexcept;
 };
+
+void Responder::Connection::wake() noexcept {
+  const std::uint64_t one = 1;
+  if (::write(wake_fd, &one, sizeof(one)) != sizeof(one)) {
+    socket.shutdown();  // the reader must not sleep through its work
+  }
+}
+
+void Responder::Connection::owe() {
+  const std::lock_guard<std::mutex> lock(write_mutex);
+  ++owed;
+}
+
+void Responder::Connection::settle() noexcept {
+  const std::lock_guard<std::mutex> lock(write_mutex);
+  if (--owed == 0 && draining && wake_fd >= 0) wake();
+}
 
 bool Responder::Connection::write(const Frame& frame) noexcept {
   try {
@@ -71,8 +97,8 @@ bool Responder::Connection::write(const Frame& frame) noexcept {
     if (sent == bytes.size()) return true;
     if (wake_fd < 0) return false;
     outbox.assign(bytes, sent);
-    const std::uint64_t one = 1;
-    return ::write(wake_fd, &one, sizeof(one)) == sizeof(one);
+    wake();
+    return true;
   } catch (...) {
     return false;  // out of memory: the connection closes
   }
@@ -93,8 +119,11 @@ bool Responder::Connection::pump(bool read) {
       const std::lock_guard<std::mutex> lock(write_mutex);
       if (!flush_locked()) return false;
       queued = outbox.size();
+      if (!read) {
+        draining = true;
+        if (queued == 0 && owed == 0) return true;
+      }
     }
-    if (!read && queued == 0) return true;
     struct pollfd fds[2] = {};
     fds[0].fd = socket.fd();
     if (read && queued <= kOutboxHighWater) fds[0].events |= POLLIN;
@@ -126,6 +155,7 @@ Responder::Responder(FrameServer& server,
       connection_(std::move(connection)),
       request_id_(request_id) {
   server_->begin_response();
+  connection_->owe();
 }
 
 Responder::Responder(Responder&& other) noexcept
@@ -172,6 +202,7 @@ void Responder::operator()(std::optional<Frame> reply) {
   // A declined request or a failed write closes the connection, which
   // wakes its reader.
   if (!keep) connection->socket.shutdown();
+  connection->settle();
   server->end_response();
 }
 
@@ -349,8 +380,10 @@ void FrameServer::serve_connection(
       handle_frame(request, connection);
     }
   }
-  // The last word (an error frame) leaves before the close.
-  if (closing && !stopping_.load()) connection->pump(false);
+  // What the connection still owes leaves before the reader lets go:
+  // an error frame as its last word, and the replies to requests read
+  // before the peer half-closed.
+  if (!stopping_.load()) connection->pump(false);
   {
     // Deregister while the socket is still open, so stop() can never
     // shut down a descriptor that has already been recycled. Pending

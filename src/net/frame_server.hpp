@@ -8,7 +8,8 @@
 // handler, and no answering thread waits on the peer: a reply the
 // socket does not take at once waits in the connection's outbox, which
 // its reader flushes as the peer drains (and while the outbox is over
-// 1 MiB the reader takes no new requests from that peer).
+// 1 MiB the reader takes no new requests from that peer). A reader that
+// has seen the peer's EOF stays until every reply it owes is written.
 //
 // Robustness contract (exercised by tests/test_net.cpp): malformed
 // magic, version mismatch and oversized length fields are answered with

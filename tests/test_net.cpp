@@ -5,6 +5,7 @@
 #include "net/frame.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
@@ -517,10 +518,11 @@ TEST(FrameServerTest, StopUnblocksIdleConnections) {
 
 TEST(FrameServerTest, PeerThatStopsReadingParksNoAnsweringThread) {
   // Replies far larger than the socket buffers, to a peer that sends
-  // its requests and then reads nothing: the thread that answers (an
-  // engine worker, in the fabric) must not block on the peer. The
-  // unsent bytes wait in the connection's outbox, and its reader
-  // flushes them once the peer drains.
+  // its requests, half-closes and then reads nothing: the thread that
+  // answers (an engine worker, in the fabric) must not block on the
+  // peer. The unsent bytes wait in the connection's outbox, and its
+  // reader, though it has seen the peer's EOF, flushes them once the
+  // peer drains.
   constexpr std::size_t kRequests = 64;
   const std::string big(std::size_t{256} << 10, 'r');  // 16 MiB in all
   std::mutex mutex;
@@ -540,12 +542,15 @@ TEST(FrameServerTest, PeerThatStopsReadingParksNoAnsweringThread) {
     request.request_id = i + 1;
     ASSERT_TRUE(write_frame(*raw, request));
   }
+  ASSERT_EQ(::shutdown(raw->fd(), SHUT_WR), 0);
   {
     std::unique_lock<std::mutex> lock(mutex);
     ASSERT_TRUE(arrived.wait_for(lock, std::chrono::seconds(10), [&held] {
       return held.size() == kRequests;
     }));
   }
+  // Let the reader reach the EOF before anything is answered.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   std::promise<void> answered;
   std::thread answering([&held, &big, &answered] {
     for (Responder& respond : held) {
@@ -561,7 +566,9 @@ TEST(FrameServerTest, PeerThatStopsReadingParksNoAnsweringThread) {
   raw->set_receive_timeout(10.0);
   for (std::size_t i = 0; i < kRequests; ++i) {
     Frame reply;
-    ASSERT_EQ(read_frame(*raw, reply), FrameReadStatus::kOk) << "reply " << i;
+    const FrameReadStatus status = read_frame(*raw, reply);
+    EXPECT_EQ(status, FrameReadStatus::kOk) << "reply " << i;
+    if (status != FrameReadStatus::kOk) break;
     EXPECT_EQ(reply.request_id, i + 1);
     EXPECT_EQ(reply.payload.size(), big.size());
   }
