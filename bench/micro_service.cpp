@@ -1,8 +1,10 @@
 // Microbenchmarks of the solve service's warm-hit layers, one by one:
 // a fresh canonicalize, a canonical-form memo hit and miss, the request
-// key over the kept hash chains, and a whole warm submit().get() with
-// telemetry on, which spends a memo hit, the request key and a cache
-// lookup among its work.
+// key over the kept hash chains, the tracer's one-call record of a hit,
+// and a whole warm submit().get() with telemetry on, which spends a memo
+// hit, the request key, a cache lookup and that record among its work.
+// The last two also run on 3 threads sharing one service or tracer, so
+// contention shows layer by layer.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -81,20 +83,44 @@ void BM_RequestKey(benchmark::State& state) {
 }
 BENCHMARK(BM_RequestKey);
 
-void BM_WarmSubmitGet(benchmark::State& state) {
-  obs::Telemetry telemetry;
+service::ServiceConfig one_worker(obs::Telemetry& telemetry) {
   service::ServiceConfig config;
   config.threads = 1;
   config.telemetry = &telemetry;
-  service::SolveService engine(config);
-  const service::SolveRequest request(paper_het_request(), "heur-p");
-  engine.submit(request).get();
+  return config;
+}
+
+/// A service with telemetry on, warmed with the request, shared by
+/// every thread of the warm-hit benchmark.
+struct WarmService {
+  obs::Telemetry telemetry;
+  service::SolveService engine{one_worker(telemetry)};
+  const service::SolveRequest request{paper_het_request(), "heur-p"};
+
+  WarmService() { engine.submit(request).get(); }
+};
+
+void BM_WarmSubmitGet(benchmark::State& state) {
+  static WarmService warm;
   for (auto _ : state) {
-    service::SolveRequest copy = request;
-    benchmark::DoNotOptimize(engine.submit(std::move(copy)).get());
+    service::SolveRequest copy = warm.request;
+    benchmark::DoNotOptimize(warm.engine.submit(std::move(copy)).get());
   }
 }
-BENCHMARK(BM_WarmSubmitGet);
+BENCHMARK(BM_WarmSubmitGet)->Threads(1)->Threads(3);
+
+/// The tracer's share of a warm hit: one record_single per iteration
+/// into a contention-profiled tracer shared by every thread.
+void BM_TracerRecordSingle(benchmark::State& state) {
+  static obs::Telemetry telemetry;
+  const service::TraceLabel label = service::trace_label(
+      "heur-p", service::fingerprint("BM_TracerRecordSingle"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(telemetry.tracer.record_single(
+        label.view(), obs::Span{"cache_lookup", 0, 0.0, 1e-6}, 1e-6));
+  }
+}
+BENCHMARK(BM_TracerRecordSingle)->Threads(1)->Threads(3);
 
 }  // namespace
 

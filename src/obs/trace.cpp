@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <ostream>
@@ -17,6 +18,25 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// splitmix64's finalizer with every step taken mod 2^61: a bijection
+/// on 61-bit values, so distinct sequence numbers mint distinct ids.
+std::uint64_t mix61(std::uint64_t x) {
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << 61) - 1;
+  x &= kMask;
+  x = ((x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL) & kMask;
+  x = ((x ^ (x >> 27)) * 0x94d049bb133111ebULL) & kMask;
+  return x ^ (x >> 31);
+}
+
+constexpr int kShardBits = 3;
+static_assert(Tracer::kShards == std::size_t{1} << kShardBits);
+
+std::int64_t steady_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace
 
 Tracer::Tracer(TracerConfig config) : config_(config) {
@@ -27,30 +47,64 @@ Tracer::Tracer(TracerConfig config) : config_(config) {
                 reinterpret_cast<std::uintptr_t>(this));
 }
 
-std::uint64_t Tracer::mint_locked() {
+std::size_t Tracer::home_shard() noexcept {
+  // Threads take shards round-robin on their first trace: one atomic
+  // step per thread, none per trace. The thread_local is constant-
+  // initialized, so reading it needs no guard.
+  static std::atomic<std::size_t> next{0};
+  constexpr std::size_t kUnassigned = ~std::size_t{0};
+  thread_local std::size_t home = kUnassigned;
+  if (home == kUnassigned) {
+    home = next.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
+  }
+  return home;
+}
+
+std::uint64_t Tracer::mint_locked(Shard& shard, std::size_t home) {
+  // The low bits name the shard; the rest is a per-shard sequence under
+  // a salted bijection. 0 is the "no trace" sentinel; skip it in the
+  // astronomically unlikely case shard 0's mix lands there.
   std::uint64_t id = 0;
-  // 0 is the "no trace" sentinel; skip it in the astronomically
-  // unlikely case the mix lands there.
-  while (id == 0) id = mix64(salt_ ^ ++sequence_);
+  while (id == 0) {
+    id = (mix61(salt_ ^ ++shard.sequence) << kShardBits) | home;
+  }
   return id;
 }
 
-Trace& Tracer::open_locked(std::uint64_t id, std::string_view label) {
-  if (ring_.size() < config_.capacity) {
-    ring_.emplace_back();
-    index_[id] = std::prev(ring_.end());
+bool Tracer::may_grow(std::size_t size) {
+  if (size >= config_.capacity) return false;
+  // Every shard may hold its share of capacity on its own, so a thread
+  // that starts tracing late still keeps its recent traces; beyond that
+  // share the rings draw on one budget of `capacity` nodes. Load first:
+  // once the budget is spent, a shard below capacity reads a line
+  // nobody writes instead of bouncing it on every open.
+  if (size < (config_.capacity + kShards - 1) / kShards) return true;
+  if (budget_used_.load(std::memory_order_relaxed) >= config_.capacity) {
+    return false;
+  }
+  return budget_used_.fetch_add(1, std::memory_order_relaxed) <
+         config_.capacity;
+}
+
+Trace& Tracer::open_locked(Shard& shard, std::uint64_t id,
+                           std::string_view label) {
+  if (may_grow(shard.ring.size())) {
+    shard.ring.emplace_back();
+    shard.index[id] = std::prev(shard.ring.end());
   } else {
-    auto node = index_.extract(ring_.front().id);
-    ring_.splice(ring_.end(), ring_, ring_.begin());
+    auto node = shard.index.extract(shard.ring.front().trace.id);
+    shard.ring.splice(shard.ring.end(), shard.ring, shard.ring.begin());
     if (node.empty()) {
-      index_[id] = std::prev(ring_.end());
+      shard.index[id] = std::prev(shard.ring.end());
     } else {
       node.key() = id;
-      node.mapped() = std::prev(ring_.end());
-      index_.insert(std::move(node));
+      node.mapped() = std::prev(shard.ring.end());
+      shard.index.insert(std::move(node));
     }
   }
-  Trace& trace = ring_.back();
+  Node& back = shard.ring.back();
+  back.opened_ns = steady_ns();
+  Trace& trace = back.trace;
   trace.id = id;
   trace.label.assign(label);
   trace.spans.clear();
@@ -60,30 +114,34 @@ Trace& Tracer::open_locked(std::uint64_t id, std::string_view label) {
   return trace;
 }
 
-std::uint64_t Tracer::start(const std::string& label) {
-  const std::lock_guard<ProfiledMutex> lock(mutex_);
-  const std::uint64_t id = mint_locked();
-  open_locked(id, label);
+std::uint64_t Tracer::start(std::string_view label) {
+  const std::size_t home = home_shard();
+  Shard& shard = shards_[home];
+  const std::lock_guard<ProfiledMutex> lock(shard.mutex);
+  const std::uint64_t id = mint_locked(shard, home);
+  open_locked(shard, id, label);
   return id;
 }
 
-void Tracer::start_with_id(std::uint64_t id, const std::string& label) {
+void Tracer::start_with_id(std::uint64_t id, std::string_view label) {
   if (id == 0) return;
-  const std::lock_guard<ProfiledMutex> lock(mutex_);
-  const auto it = index_.find(id);
-  if (it != index_.end()) {
-    if (it->second->label.empty()) it->second->label = label;
+  Shard& shard = shards_[shard_of(id)];
+  const std::lock_guard<ProfiledMutex> lock(shard.mutex);
+  const auto it = shard.index.find(id);
+  if (it != shard.index.end()) {
+    if (it->second->trace.label.empty()) it->second->trace.label = label;
     return;
   }
-  open_locked(id, label);
+  open_locked(shard, id, label);
 }
 
 void Tracer::record(std::uint64_t id, Span span) {
   if (id == 0) return;
-  const std::lock_guard<ProfiledMutex> lock(mutex_);
-  const auto it = index_.find(id);
-  if (it == index_.end()) return;
-  it->second->spans.push_back(std::move(span));
+  Shard& shard = shards_[shard_of(id)];
+  const std::lock_guard<ProfiledMutex> lock(shard.mutex);
+  const auto it = shard.index.find(id);
+  if (it == shard.index.end()) return;
+  it->second->trace.spans.push_back(std::move(span));
 }
 
 void Tracer::record(std::uint64_t id, const std::string& name, int rank,
@@ -93,9 +151,11 @@ void Tracer::record(std::uint64_t id, const std::string& name, int rank,
 
 std::uint64_t Tracer::record_single(std::string_view label, Span span,
                                     double total_seconds) {
-  const std::lock_guard<ProfiledMutex> lock(mutex_);
-  const std::uint64_t id = mint_locked();
-  Trace& trace = open_locked(id, label);
+  const std::size_t home = home_shard();
+  Shard& shard = shards_[home];
+  const std::lock_guard<ProfiledMutex> lock(shard.mutex);
+  const std::uint64_t id = mint_locked(shard, home);
+  Trace& trace = open_locked(shard, id, label);
   trace.spans.push_back(std::move(span));
   finish_locked(trace, total_seconds);
   return id;
@@ -103,10 +163,11 @@ std::uint64_t Tracer::record_single(std::string_view label, Span span,
 
 void Tracer::finish(std::uint64_t id, double total_seconds) {
   if (id == 0) return;
-  const std::lock_guard<ProfiledMutex> lock(mutex_);
-  const auto it = index_.find(id);
-  if (it == index_.end()) return;
-  finish_locked(*it->second, total_seconds);
+  Shard& shard = shards_[shard_of(id)];
+  const std::lock_guard<ProfiledMutex> lock(shard.mutex);
+  const auto it = shard.index.find(id);
+  if (it == shard.index.end()) return;
+  finish_locked(it->second->trace, total_seconds);
 }
 
 void Tracer::finish_locked(Trace& trace, double total_seconds) {
@@ -120,26 +181,41 @@ void Tracer::finish_locked(Trace& trace, double total_seconds) {
 }
 
 bool Tracer::find(std::uint64_t id, Trace& out) const {
-  const std::lock_guard<ProfiledMutex> lock(mutex_);
-  const auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  out = *it->second;
+  const Shard& shard = shards_[shard_of(id)];
+  const std::lock_guard<ProfiledMutex> lock(shard.mutex);
+  const auto it = shard.index.find(id);
+  if (it == shard.index.end()) return false;
+  out = it->second->trace;
   return true;
 }
 
 std::vector<Trace> Tracer::recent(std::size_t limit) const {
-  const std::lock_guard<ProfiledMutex> lock(mutex_);
+  limit = std::min(limit, config_.capacity);
+  // Each shard's newest `limit`, one shard lock at a time, then the
+  // newest `limit` of those by opening time.
+  std::vector<std::pair<std::int64_t, Trace>> merged;
+  for (const Shard& shard : shards_) {
+    const std::lock_guard<ProfiledMutex> lock(shard.mutex);
+    std::size_t taken = 0;
+    for (auto it = shard.ring.rbegin();
+         it != shard.ring.rend() && taken < limit; ++it, ++taken) {
+      merged.emplace_back(it->opened_ns, it->trace);
+    }
+  }
+  std::stable_sort(
+      merged.begin(), merged.end(),
+      [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<Trace> out;
-  out.reserve(std::min(limit, ring_.size()));
-  for (auto it = ring_.rbegin(); it != ring_.rend() && out.size() < limit;
-       ++it) {
-    out.push_back(*it);
+  out.reserve(std::min(limit, merged.size()));
+  for (auto& entry : merged) {
+    if (out.size() == limit) break;
+    out.push_back(std::move(entry.second));
   }
   return out;
 }
 
 std::vector<Trace> Tracer::slow(std::size_t limit) const {
-  const std::lock_guard<ProfiledMutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(slow_mutex_);
   std::vector<Trace> out;
   out.reserve(std::min(limit, slow_ring_.size()));
   for (auto it = slow_ring_.rbegin();
@@ -150,12 +226,15 @@ std::vector<Trace> Tracer::slow(std::size_t limit) const {
 }
 
 std::uint64_t Tracer::slow_count() const {
-  const std::lock_guard<ProfiledMutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(slow_mutex_);
   return slow_count_;
 }
 
 void Tracer::mark_slow_locked(Trace& trace) {
+  // The trace's shard lock is held, so slow_logged flips once per
+  // trace; the slow ring and log take their own lock after it.
   trace.slow_logged = true;
+  const std::lock_guard<std::mutex> lock(slow_mutex_);
   ++slow_count_;
   slow_ring_.push_back(trace);
   while (slow_ring_.size() > config_.slow_capacity) slow_ring_.pop_front();

@@ -3,9 +3,9 @@
 // solver run, cache/near-miss/replica lookup, wire round trip) records
 // a named span under that id, and the id rides the frame protocol so a
 // solve forwarded to a remote shard yields ONE trace whose spans name
-// both ranks. Traces live in a bounded in-memory ring (newest win);
-// traces slower than a threshold are copied to a separate slow ring
-// and optionally logged the moment they finish.
+// both ranks. Traces live in bounded in-memory rings (newest win), one
+// per shard of the tracer; traces slower than a threshold are copied to
+// a separate slow ring and optionally logged the moment they finish.
 //
 // Span times are seconds relative to the trace's submission on the
 // recording rank — wall-clock offsets, not synchronized clocks. When
@@ -15,10 +15,13 @@
 // investigation needs and all an unsynchronized cluster can offer.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
 #include <list>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -74,29 +77,43 @@ struct TracerConfig {
   std::ostream* slow_log = nullptr;  ///< one line per slow trace
 };
 
-/// Bounded ring of recent traces with an id index. All methods are
-/// thread-safe; tracing is the cold path (one lock per span, not per
-/// cache probe), the metrics registry is the hot one. Once the ring is
-/// full, opening a trace recycles the oldest one's list node, index
-/// node, label and span storage, so steady-state tracing does not
-/// allocate.
+/// Bounded rings of recent traces with id indexes, split into kShards
+/// shards. All methods are thread-safe. A minted trace lives in the
+/// shard of the thread that opened it, and the shard is the id's low
+/// bits, so a carried id reaches its trace without a search. Threads
+/// take shards round-robin on their first trace, so a warm hit takes
+/// one shard lock that up to kShards threads opening traces side by
+/// side never share.
+///
+/// Each shard keeps up to `capacity` traces, so one thread still sees
+/// `capacity` of its own; `recent()` merges the shards newest-first and
+/// returns at most `capacity`. Ring nodes are allocated only while the
+/// rings grow: each shard to its share, capacity / kShards (rounded
+/// up), and beyond it from one budget of `capacity` nodes, so the rings
+/// hold about 2 x capacity nodes at most. After that, opening a trace
+/// recycles its shard's oldest node, index node, label and span
+/// storage, so steady-state tracing does not allocate. The slow ring
+/// has its own lock, taken only for a trace that crosses the slow
+/// threshold.
 class Tracer {
  public:
+  static constexpr std::size_t kShards = 8;  ///< a power of two
+
   explicit Tracer(TracerConfig config = {});
 
-  /// Contention-profiles the tracer lock (nullptr detaches); the probe
-  /// must outlive the tracer.
+  /// Contention-profiles every shard lock under one probe (nullptr
+  /// detaches); the probe must outlive the tracer.
   void attach_mutex_probe(const ProfiledMutex::Probe* probe) noexcept {
-    mutex_.attach(probe);
+    for (Shard& shard : shards_) shard.mutex.attach(probe);
   }
 
   /// Mint a process-unique, cross-rank-unlikely-to-collide trace id
-  /// and open a trace for it.
-  std::uint64_t start(const std::string& label);
+  /// and open a trace for it in the calling thread's shard.
+  std::uint64_t start(std::string_view label);
 
   /// Open (or re-open) a trace under an externally minted id — the
   /// remote side of a forwarded solve uses the id carried on the wire.
-  void start_with_id(std::uint64_t id, const std::string& label);
+  void start_with_id(std::uint64_t id, std::string_view label);
 
   /// Append a span to the trace. Unknown ids are ignored (the trace
   /// may have been evicted from the ring).
@@ -120,7 +137,8 @@ class Tracer {
   /// Copy out a trace by id. Returns false if unknown/evicted.
   bool find(std::uint64_t id, Trace& out) const;
 
-  /// Newest-first copies of up to `limit` recent traces.
+  /// Newest-first copies of up to min(limit, capacity) recent traces,
+  /// merged across the shards by opening time.
   std::vector<Trace> recent(std::size_t limit = 32) const;
 
   /// Newest-first copies of up to `limit` slow traces.
@@ -131,22 +149,42 @@ class Tracer {
   double slow_threshold_seconds() const { return config_.slow_threshold_seconds; }
 
  private:
-  std::uint64_t mint_locked();
-  /// Appends a fresh trace (recycling the oldest one when the ring is
-  /// full) and indexes it under `id`.
-  Trace& open_locked(std::uint64_t id, std::string_view label);
+  struct Node {
+    Trace trace;
+    std::int64_t opened_ns = 0;  ///< steady clock; orders recent()
+  };
+  // Ring as list + index: O(1) eviction, stable iterators for the map.
+  // Aligned so two shards' locks never share a cache line.
+  struct alignas(64) Shard {
+    mutable ProfiledMutex mutex;
+    std::list<Node> ring;  ///< oldest at front
+    std::unordered_map<std::uint64_t, std::list<Node>::iterator> index;
+    std::uint64_t sequence = 0;  ///< ids minted here
+  };
+
+  /// The shard a trace id lives in: its low bits.
+  static std::size_t shard_of(std::uint64_t id) noexcept {
+    return id & (kShards - 1);
+  }
+  /// The calling thread's shard index (fixed per thread).
+  static std::size_t home_shard() noexcept;
+  std::uint64_t mint_locked(Shard& shard, std::size_t home);
+  /// Appends a fresh trace (recycling the shard's oldest one when its
+  /// ring may not grow) and indexes it under `id`.
+  Trace& open_locked(Shard& shard, std::uint64_t id, std::string_view label);
+  /// True when a shard holding `size` traces may allocate one more
+  /// ring node (drawing on the shared budget beyond its share).
+  bool may_grow(std::size_t size);
   void finish_locked(Trace& trace, double total_seconds);
   void mark_slow_locked(Trace& trace);
 
   TracerConfig config_;
-  mutable ProfiledMutex mutex_;
-  // Ring as list + index: O(1) eviction, stable iterators for the map.
-  std::list<Trace> ring_;  ///< oldest at front
-  std::unordered_map<std::uint64_t, std::list<Trace>::iterator> index_;
-  std::list<Trace> slow_ring_;  ///< oldest at front
-  std::uint64_t slow_count_ = 0;
+  std::array<Shard, kShards> shards_;
+  std::atomic<std::size_t> budget_used_{0};  ///< nodes beyond the shares
+  mutable std::mutex slow_mutex_;
+  std::list<Trace> slow_ring_;  ///< oldest at front; under slow_mutex_
+  std::uint64_t slow_count_ = 0;  ///< under slow_mutex_
   std::uint64_t salt_ = 0;
-  std::uint64_t sequence_ = 0;
 };
 
 /// Trace ids travel and display as fixed-width lowercase hex.

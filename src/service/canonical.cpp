@@ -59,11 +59,18 @@ std::string to_hex(const CanonicalHash& hash) {
   return text;
 }
 
-std::string trace_label(std::string_view solver_name,
-                        const CanonicalHash& key) {
-  std::string label(solver_name.size() + 33, ':');
-  std::copy(solver_name.begin(), solver_name.end(), label.begin());
-  write_hex(key, label.data() + solver_name.size() + 1);
+TraceLabel trace_label(std::string_view solver_name,
+                       const CanonicalHash& key) {
+  TraceLabel label;
+  label.size = solver_name.size() + 1 + TraceLabel::kHexChars;
+  char* out = label.chars.data();
+  if (solver_name.size() > TraceLabel::kMaxInlineSolver) {
+    label.heap.resize(label.size);
+    out = label.heap.data();
+  }
+  std::copy(solver_name.begin(), solver_name.end(), out);
+  out[solver_name.size()] = ':';
+  write_hex(key, out + solver_name.size() + 1);
   return label;
 }
 

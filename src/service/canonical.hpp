@@ -70,9 +70,25 @@ CanonicalHash fingerprint(std::string_view bytes) noexcept;
 /// 32 lowercase hex digits (hi then lo).
 std::string to_hex(const CanonicalHash& hash);
 
-/// "<solver>:<to_hex(key)>", a request's trace label, in one allocation.
-std::string trace_label(std::string_view solver_name,
-                        const CanonicalHash& key);
+/// A request's trace label, "<solver>:<to_hex(key)>", rendered into a
+/// fixed inline buffer; only a solver name longer than kMaxInlineSolver
+/// characters falls back to the heap.
+struct TraceLabel {
+  static constexpr std::size_t kHexChars = 32;
+  static constexpr std::size_t kMaxInlineSolver = 31;
+
+  std::array<char, kMaxInlineSolver + 1 + kHexChars> chars{};
+  std::size_t size = 0;
+  std::string heap;  ///< the over-long fallback; empty otherwise
+
+  std::string_view view() const noexcept {
+    return heap.empty() ? std::string_view(chars.data(), size)
+                        : std::string_view(heap);
+  }
+};
+
+/// Renders a request's trace label without allocating (see TraceLabel).
+TraceLabel trace_label(std::string_view solver_name, const CanonicalHash& key);
 
 /// Hasher for CanonicalHash-keyed maps: lo is already avalanched by
 /// fingerprint(), so it is the bucket index; maps compare full 128-bit

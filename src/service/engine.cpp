@@ -278,7 +278,8 @@ void SolveService::submit_canonicalized(
     submit_profile.start(telemetry_.profiler.should_sample(), entry);
   }
   if (trace_id != 0) {
-    telemetry_.tracer.start_with_id(trace_id, trace_label(request.solver, key));
+    telemetry_.tracer.start_with_id(trace_id,
+                                    trace_label(request.solver, key).view());
   }
 
   // One construction for both served-from-cache tiers (exact and
@@ -310,7 +311,7 @@ void SolveService::submit_canonicalized(
     span.alloc_bytes = work.alloc_bytes;
     if (trace_id == 0) {
       trace_id = telemetry_.tracer.record_single(
-          trace_label(request.solver, key), std::move(span), elapsed);
+          trace_label(request.solver, key).view(), std::move(span), elapsed);
     } else {
       telemetry_.tracer.record(trace_id, std::move(span));
       telemetry_.tracer.finish(trace_id, elapsed);
@@ -351,7 +352,8 @@ void SolveService::submit_canonicalized(
   // Not served from the cache: the minted trace opens now, before any
   // path below records under it.
   if (trace_id == 0) {
-    trace_id = telemetry_.tracer.start(trace_label(request.solver, key));
+    trace_id =
+        telemetry_.tracer.start(trace_label(request.solver, key).view());
   }
   std::unique_lock<obs::ProfiledMutex> lock(mutex_);
   submitted_->add();

@@ -439,11 +439,11 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   // locally-absorbed hits are traced too. The engine path above never
   // reaches this: submit_canonicalized mints there.
   const Clock::time_point arrival = Clock::now();
-  const std::string label = trace_label(request.solver, key);
+  const TraceLabel label = trace_label(request.solver, key);
   if (request.trace_id == 0) {
-    request.trace_id = telemetry_.tracer.start(label);
+    request.trace_id = telemetry_.tracer.start(label.view());
   } else {
-    telemetry_.tracer.start_with_id(request.trace_id, label);
+    telemetry_.tracer.start_with_id(request.trace_id, label.view());
   }
 
   // Replica tier: a repeat hit on a peer's key that was forwarded (or

@@ -187,6 +187,19 @@ TEST(RequestKeys, GoldenKeyPinsCrossRunStability) {
             "955fdad3d9729cc1b68fcd468bffea72");
 }
 
+TEST(RequestKeys, TraceLabelIsSolverColonKeyAtAnyNameLength) {
+  const CanonicalHash key = fingerprint("trace label");
+  EXPECT_EQ(trace_label("heur-p", key).view(), "heur-p:" + to_hex(key));
+  for (const std::size_t length : {TraceLabel::kMaxInlineSolver,
+                                   TraceLabel::kMaxInlineSolver + 1,
+                                   std::size_t{200}}) {
+    const std::string solver(length, 's');
+    const TraceLabel label = trace_label(solver, key);
+    EXPECT_EQ(label.view(), solver + ":" + to_hex(key)) << length;
+    EXPECT_EQ(label.heap.empty(), length <= TraceLabel::kMaxInlineSolver);
+  }
+}
+
 TEST(RequestKeys, StreamedSuffixEqualsHashingTheConcatenation) {
   const CanonicalInstance canonical = canonicalize(small_het_instance());
   const std::string text = text_of(canonical.instance);
