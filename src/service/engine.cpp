@@ -341,7 +341,7 @@ void SolveService::submit_canonicalized(
       config_.registry ? *config_.registry : solver::SolverRegistry::builtin();
   const auto engine = registry.find(request.solver);
   const CanonicalHash bkey = batch_key(*canonical, request.solver);
-  if (near_miss_enabled() && engine &&
+  if (config_.cache_enabled && engine &&
       engine->bounds_monotone(canonical->instance)) {
     if (auto near = dominating_answer(bkey, key, request.bounds)) {
       serve_cached(*near, /*near_miss=*/true);
@@ -434,7 +434,6 @@ void SolveService::submit_canonicalized(
 std::optional<CachedSolution> SolveService::dominating_answer(
     const CanonicalHash& bkey, const CanonicalHash& key,
     const solver::Bounds& bounds) {
-  if (!near_miss_enabled()) return std::nullopt;
   auto near = cache_.find_dominating(bkey, bounds);
   if (!near) return std::nullopt;
   // Promote under the request's own key: the next identical request is
@@ -577,14 +576,11 @@ void SolveService::run_next_batch() {
           solver_run_hist_->record(cost_seconds);
           if (config_.cache_enabled) {
             // The near-miss metadata makes this solve a reusable point
-            // of the instance's sweep history; without near-miss reuse
-            // nothing would read the index, so nothing fills it.
-            CachedSolution entry{outcome.canonical_solution, cost_seconds};
-            if (near_miss_enabled()) {
-              entry.instance_key = batch->key;
-              entry.bounds = query->bounds;
-            }
-            cache_.insert(query->key, std::move(entry));
+            // of the instance's sweep history.
+            cache_.insert(query->key,
+                          CachedSolution{outcome.canonical_solution,
+                                         cost_seconds, batch->key,
+                                         query->bounds});
           }
           outcome.kind = QueryOutcome::Kind::kAnswered;
           outcome.solver_used = batch->solver_name;
@@ -620,7 +616,7 @@ void SolveService::run_next_batch() {
           // answer; a degraded reply should still be the best answer
           // available cheaply.
           std::optional<CachedSolution> incumbent;
-          if (near_miss_enabled()) {
+          if (config_.cache_enabled) {
             incumbent = cache_.find_feasible(batch->key, query->bounds);
           }
           if (incumbent &&

@@ -178,15 +178,12 @@ struct ServiceConfig {
 
   std::size_t threads = 0;  ///< worker pool size, hardware when 0
 
+  /// The cache also carries near-miss reuse: bounds-monotone dominating
+  /// hits answer without a solve, and a deadline downgrade may answer
+  /// with a cached incumbent that fits the request. Both are
+  /// answer-preserving, so they are on whenever the cache is.
   bool cache_enabled = true;
   ShardedSolutionCache::Config cache;
-
-  /// Near-miss reuse (requires the cache): bounds-monotone dominating
-  /// hits answer without a solve, and a deadline downgrade may answer
-  /// with a cached incumbent that fits the request. Dominating hits are
-  /// answer-preserving, so this defaults on; turning it off
-  /// (`--near-miss off`) is for A/B measurement.
-  bool near_miss = true;
 
   /// Maximum number of accepted-but-unfinished requests (dedup waiters
   /// and cache hits do not count); 0 rejects everything.
@@ -340,13 +337,9 @@ class SolveService {
                    const obs::AllocScope& entry);
   void finish_query(PendingQuery& query, const QueryOutcome& outcome);
 
-  bool near_miss_enabled() const noexcept {
-    return config_.cache_enabled && config_.near_miss;
-  }
-
   /// find_dominating + promotion under the request's own key, so the
   /// next identical request is an exact hit. nullopt when the index
-  /// holds nothing transferable (or near-miss reuse is off).
+  /// holds nothing transferable. Callers check the cache is on.
   std::optional<CachedSolution> dominating_answer(
       const CanonicalHash& bkey, const CanonicalHash& key,
       const solver::Bounds& bounds);

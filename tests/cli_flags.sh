@@ -29,6 +29,9 @@ refused misspelt-flag /dev/null serve - --peer 127.0.0.1:1 --no-input
 refused not-a-number /dev/null generate --seed abc
 refused trailing-garbage "$dir/inst.txt" solve --algo heur-p --period 300x
 refused missing-number /dev/null generate --tasks
+# Near-miss reuse is part of the cache; there is no switch for it.
+refused serve-near-miss /dev/null serve - --near-miss off
+refused campaign-near-miss /dev/null campaign - --via-service --near-miss on
 # A malformed --mapping is refused with a message, never an abort.
 refused mapping-not-a-number "$dir/five.txt" evaluate --mapping a:0
 refused mapping-empty-id "$dir/five.txt" evaluate --mapping 4:0,,1

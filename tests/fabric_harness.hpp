@@ -7,8 +7,9 @@
 // frames on cue, and every rank's counters and caches are directly
 // inspectable.
 //
-// Deliberately gtest-free: reused verbatim by bench/fabric_replication
-// (failures throw std::runtime_error instead of asserting).
+// Deliberately gtest-free: perfbench's fleet_open workload builds its
+// fleet from it too (failures throw std::runtime_error instead of
+// asserting).
 //
 // Fault injection levers (per rank, applied to *inbound* frames on the
 // connection's reader before the fabric handler sees them):

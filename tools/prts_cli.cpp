@@ -24,12 +24,11 @@
 //       spec format) and emit the aggregated series; --threads/--seed
 //       override the spec without editing it; --via-service routes every
 //       job through the solve service so repeats hit the cross-run cache
-//       (with --near-miss on|off gating bounds-monotone near-miss reuse)
+//       and the bounds-monotone near-miss index
 //   prts_cli serve [requests.txt|-] [--threads N] [--cache-mb M]
 //       [--shards S] [--no-cache] [--queue-limit Q] [--deadline D]
 //       [--policy reject|downgrade] [--fallback SOLVER]
-//       [--retention lru|cost] [--near-miss on|off]
-//       [--warm-start FILE] [--save-cache FILE]
+//       [--retention lru|cost] [--warm-start FILE] [--save-cache FILE]
 //       [--stats]
 //       [--listen PORT] [--rank R] [--peers h:p,h:p,... | --join HOST:PORT]
 //       [--advertise HOST:PORT]
@@ -57,11 +56,9 @@
 //       an entry's recorded solve cost (adaptive TTL, 0 = flat), and
 //       --gossip-interval enables periodic hot-key digests so peers
 //       prefetch each other's hot entries (0 disables gossip);
-//       --near-miss off disables bounds-monotone near-miss reuse
-//       (dominating hits; on by default, answer bytes
-//       are identical either way); --no-input serves network traffic
-//       only until SIGINT/SIGTERM; every serve carries telemetry (a
-//       metrics registry + request tracer, see src/obs/) reachable via
+//       --no-input serves network traffic only until SIGINT/SIGTERM;
+//       every serve carries telemetry (a metrics registry + request
+//       tracer, see src/obs/) reachable via
 //       the protocol's `stats --json` / `metrics` / `trace <id>` /
 //       `traces` / `slowlog` commands and the fabric's kMetricsRequest
 //       frame; --slow-ms logs traces slower than MS ms to stderr;
@@ -547,7 +544,6 @@ int cmd_campaign(const std::string& spec_path, const Flags& flags) {
       service_config.threads = config.threads;
       service_config.cache.capacity_bytes = static_cast<std::size_t>(
           flags.number("cache-mb", 64) * 1024 * 1024);
-      service_config.near_miss = flags.get("near-miss", "on") != "off";
       service::SolveService service(service_config);
       result = service::run_campaign_via_service(*parsed.spec, service);
       if (flags.has("stats")) {
@@ -607,13 +603,6 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     config.cache.retention = service::ShardedSolutionCache::Retention::kCost;
   } else if (retention != "lru") {
     std::cerr << "unknown --retention " << retention << " (lru|cost)\n";
-    return 2;
-  }
-  const std::string near_miss = flags.get("near-miss", "on");
-  if (near_miss == "off") {
-    config.near_miss = false;
-  } else if (near_miss != "on") {
-    std::cerr << "unknown --near-miss " << near_miss << " (on|off)\n";
     return 2;
   }
 
@@ -1266,8 +1255,8 @@ int main(int argc, char** argv) {
     if (command == "campaign") {
       return cmd_campaign(
           positional ? argv[2] : "-",
-          flags({"cache-mb", "format", "near-miss", "seed", "stats",
-                 "threads", "via-service"}));
+          flags({"cache-mb", "format", "seed", "stats", "threads",
+                 "via-service"}));
     }
     if (command == "serve") {
       return cmd_serve(
@@ -1275,11 +1264,11 @@ int main(int argc, char** argv) {
           flags({"advertise", "alert", "auth-token", "cache-mb", "checkpoint",
                  "checkpoint-interval", "dead-after", "deadline", "fallback",
                  "flight-interval", "gossip-interval", "heartbeat-interval",
-                 "join", "listen", "near-miss", "no-cache", "no-input",
-                 "peers", "policy", "queue-limit", "rank", "replica-mb",
-                 "replica-ttl", "replica-ttl-cost", "retention", "save-cache",
-                 "shards", "slow-ms", "stall-ms", "stats", "suspect-after",
-                 "threads", "warm-start"}));
+                 "join", "listen", "no-cache", "no-input", "peers", "policy",
+                 "queue-limit", "rank", "replica-mb", "replica-ttl",
+                 "replica-ttl-cost", "retention", "save-cache", "shards",
+                 "slow-ms", "stall-ms", "stats", "suspect-after", "threads",
+                 "warm-start"}));
     }
     if (command == "scrape") {
       if (!positional) {
